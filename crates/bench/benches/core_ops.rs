@@ -70,8 +70,18 @@ fn bench_received_power(c: &mut Criterion) {
 
 fn bench_capture(c: &mut Criterion) {
     use cyclops::optics::beam::capture_fraction;
-    c.bench_function("optics: aperture capture integral", |b| {
+    c.bench_function("optics: aperture capture (δ = 0.2w)", |b| {
         b.iter(|| capture_fraction(black_box(0.02), black_box(0.004), black_box(0.005)))
+    });
+    // The tracked operating point: a 18.5 mm beam held at δ/w ≈ 0.075.
+    c.bench_function("optics: aperture capture (tracked, δ = 0.075w)", |b| {
+        b.iter(|| {
+            capture_fraction(
+                black_box(18.5e-3),
+                black_box(0.075 * 18.5e-3),
+                black_box(5.0e-3),
+            )
+        })
     });
 }
 

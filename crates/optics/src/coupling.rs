@@ -7,7 +7,8 @@
 //!
 //! 1. **Aperture capture** — fraction of the (Gaussian) beam profile of 1/e²
 //!    radius `w` entering the collimator aperture (radius `a`) at lateral
-//!    offset `δ`: the [`crate::beam::capture_fraction`] integral.
+//!    offset `δ`: [`crate::beam::capture_fraction`], the closed form
+//!    `1 − Q₁(2δ/w, 2a/w)` in the first-order Marcum Q function.
 //! 2. **Angular acceptance** — a Gaussian rolloff `exp(−φ²/2σ_φ²)` in the
 //!    incidence angle `φ` between the local ray and the collimator axis.
 //!    A fiber collimator maps incidence angle to focal-spot displacement, so
@@ -145,10 +146,11 @@ impl CouplingModel {
             ang_db + cross_db + self.divergence_loss_db(theta_half) + self.base_insertion_db;
         if fixed < -90.0 {
             // Already ~60 dB below any receiver sensitivity at any launch
-            // power in this system: skip the (expensive) capture integral and
-            // use the separable closed-form approximation (exact at δ = 0,
-            // asymptotically exact for a ≪ w) — the alignment searches
-            // hammer this far-tail region.
+            // power in this system: skip the Marcum-Q capture series (whose
+            // term count grows with δ/w and a/w) and use the separable
+            // closed-form approximation (exact at δ = 0, asymptotically
+            // exact for a ≪ w) — the alignment searches hammer this
+            // far-tail region.
             let centered =
                 1.0 - (-2.0 * self.aperture_radius * self.aperture_radius / (w * w)).exp();
             let offset = (-2.0 * delta * delta / (w * w)).exp();
