@@ -5,7 +5,9 @@
 //! * `G` — one galvo-model trace;
 //! * `G'` — the computational inverse (2–4 trace triples);
 //! * `P`  — the full four-voltage pointing solve (2–5 outer iterations);
-//! * received-power evaluation (the simulator's hot path).
+//! * received-power evaluation (the simulator's hot path);
+//! * the slot primitives under it: one Gaussian draw, one 1 ms step of
+//!   hand-held motion and one noisy galvo output beam.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cyclops::core::deployment::{cheat_align, Deployment, DeploymentConfig};
@@ -85,12 +87,35 @@ fn bench_capture(c: &mut Criterion) {
     });
 }
 
+fn bench_slot_primitives(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(3);
+    c.bench_function("noise: one Box–Muller draw", |b| {
+        b.iter(|| cyclops::vrh::rand_util::gauss(&mut rng))
+    });
+    let mut motion = ArbitraryMotion::new(Pose::IDENTITY, Default::default(), 5);
+    let mut t = 0.0;
+    c.bench_function("motion: ArbitraryMotion 1 ms step", |b| {
+        b.iter(|| {
+            t += 1e-3;
+            motion.pose_at(black_box(t))
+        })
+    });
+    let mut sim = GalvoSim::new(GalvoParams::nominal(), GalvoSimConfig::default());
+    sim.command(0.7, -0.3);
+    c.bench_function("galvo: GalvoSim::output_ray (10 µrad noise)", |b| {
+        b.iter(|| sim.output_ray(&mut rng))
+    });
+}
+
 criterion_group!(
     benches,
     bench_g_trace,
     bench_gprime,
     bench_pointing,
     bench_received_power,
-    bench_capture
+    bench_capture,
+    bench_slot_primitives
 );
 criterion_main!(benches);

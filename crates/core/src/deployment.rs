@@ -21,6 +21,7 @@
 //! power is maximized exactly at the Lemma-1 coincidence — which is the
 //! physical content of the lemma.
 
+use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
 use cyclops_geom::rotation::axis_angle;
@@ -191,6 +192,13 @@ impl Deployment {
         self.headset.world_pose.compose(&self.rx_mount)
     }
 
+    /// World position of the RX second-mirror pivot `q₂` — bit-identical
+    /// to `rx_world_params().q2` without transforming the other eight
+    /// parameters.
+    pub fn rx_pivot_world(&self) -> Vec3 {
+        self.rx_world_pose().apply_point(self.rx.truth.q2)
+    }
+
     /// True TX galvo parameters expressed in world frame.
     pub fn tx_world_params(&self) -> GalvoParams {
         self.tx.truth.transformed(&self.tx_pose)
@@ -268,13 +276,12 @@ impl Deployment {
             return f64::NEG_INFINITY;
         };
         let imag = rx_pose.apply_ray(&imag_body);
-        // Field-subset transform: the plane needs only q2/r2/n2 in world
-        // frame, not all nine galvo parameters (bit-identical — see
-        // `GalvoParams::second_mirror_plane_world`).
-        let plane = self
-            .rx
-            .truth
-            .second_mirror_plane_world(&rx_pose, self.rx.voltages().1);
+        // The RX second-mirror plane at the commanded voltage: the galvo's
+        // cached body-frame normal, carried into the world frame.
+        let plane = Plane::new(
+            rx_pose.apply_point(self.rx.truth.q2),
+            rx_pose.apply_dir(self.rx.second_mirror_normal()),
+        );
         let Some((t, hit)) = plane.intersect_ray(&beam.chief) else {
             return f64::NEG_INFINITY;
         };
@@ -478,5 +485,6 @@ mod tests {
         dep.set_headset_pose(pose);
         let q2_after = dep.rx_world_params().q2;
         assert!(((q2_after - q2_before) - v3(0.0, 0.1, 0.0)).norm() < 1e-12);
+        assert_eq!(dep.rx_pivot_world(), q2_after);
     }
 }

@@ -13,10 +13,15 @@
 //!
 //! "In our evaluations, the above converged in 2–4 iterations" — enforced by
 //! this module's tests.
+//!
+//! The three beams of step 1 share work: `G(v₁+ε, v₂)` reuses the tilted
+//! second-mirror normal of `G(v₁, v₂)`, and `G(v₁, v₂+ε)` reuses its
+//! mid-mirror beam, so a step costs four mirror rotations instead of six.
 
 use cyclops_geom::plane::Plane;
+use cyclops_geom::ray::Ray;
 use cyclops_geom::vec3::Vec3;
-use cyclops_optics::galvo::GalvoParams;
+use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
 
 /// Default finite-difference voltage perturbation ε.
 pub const DEFAULT_EPS_V: f64 = 0.01;
@@ -55,18 +60,73 @@ pub fn gprime(
     v_tol: f64,
     max_iters: usize,
 ) -> GPrimeResult {
+    gprime_with(
+        model,
+        &model.axes(),
+        target,
+        v_init,
+        None,
+        eps,
+        v_tol,
+        max_iters,
+    )
+}
+
+/// One model beam traced on the mirror lines, with the intermediates a
+/// finite-difference step reuses: the mid-mirror beam (unchanged by a `v₂`
+/// step) and the tilted second-mirror normal (unchanged by a `v₁` step).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LineTrace {
+    mid: Ray,
+    n2p: Vec3,
+    /// The output beam, bit-identical to `model.trace_line(v1, v2)`.
+    pub(crate) beam: Ray,
+}
+
+impl LineTrace {
+    pub(crate) fn new(
+        model: &GalvoParams,
+        axes: &GalvoAxes,
+        v1: f64,
+        v2: f64,
+    ) -> Option<LineTrace> {
+        let mid = model.mid_line(model.mirror1_normal(axes, v1))?;
+        let n2p = model.mirror2_normal(axes, v2);
+        let beam = model.out_line(&mid, n2p)?;
+        Some(LineTrace { mid, n2p, beam })
+    }
+}
+
+/// [`gprime`] with the model's axes hoisted and, optionally, the trace at
+/// `v_init` already done (the pointing loop has it). Bit-identical to
+/// [`gprime`]: every beam is the same arithmetic, just not repeated.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gprime_with(
+    model: &GalvoParams,
+    axes: &GalvoAxes,
+    target: Vec3,
+    v_init: (f64, f64),
+    mut first: Option<LineTrace>,
+    eps: f64,
+    v_tol: f64,
+    max_iters: usize,
+) -> GPrimeResult {
     let (mut v1, mut v2) = v_init;
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..max_iters {
         iterations += 1;
-        let Some(b0) = model.trace_line(v1, v2) else {
+        let Some(t0) = first.take().or_else(|| LineTrace::new(model, axes, v1, v2)) else {
             break;
         };
-        let Some(b1) = model.trace_line(v1 + eps, v2) else {
+        let b0 = t0.beam;
+        let Some(b1) = model
+            .mid_line(model.mirror1_normal(axes, v1 + eps))
+            .and_then(|mid| model.out_line(&mid, t0.n2p))
+        else {
             break;
         };
-        let Some(b2) = model.trace_line(v1, v2 + eps) else {
+        let Some(b2) = model.out_line(&t0.mid, model.mirror2_normal(axes, v2 + eps)) else {
             break;
         };
         // Plane P ⊥ current beam, through τ.
@@ -104,7 +164,7 @@ pub fn gprime(
         }
     }
     let miss_distance = model
-        .trace_line(v1, v2)
+        .trace_line_with(axes, v1, v2)
         .map_or(f64::INFINITY, |r| r.distance_to_point(target));
     let lim = cyclops_optics::galvo::VOLT_MAX;
     GPrimeResult {
@@ -123,7 +183,7 @@ pub fn gprime_default(model: &GalvoParams, target: Vec3, v_init: (f64, f64)) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cyclops_geom::vec3::v3;
     use rand::rngs::StdRng;
@@ -132,6 +192,101 @@ mod tests {
     fn model(seed: u64) -> GalvoParams {
         let mut rng = StdRng::seed_from_u64(seed);
         GalvoParams::nominal().perturbed(&mut rng, 1.0, 1.0, 0.02)
+    }
+
+    /// The textbook iteration: three independent `trace_line` calls per
+    /// step, no shared intermediates.
+    pub(crate) fn reference_gprime(
+        model: &GalvoParams,
+        target: Vec3,
+        v_init: (f64, f64),
+        eps: f64,
+        v_tol: f64,
+        max_iters: usize,
+    ) -> GPrimeResult {
+        let (mut v1, mut v2) = v_init;
+        let mut iterations = 0;
+        let mut converged = false;
+        for _ in 0..max_iters {
+            iterations += 1;
+            let (Some(b0), Some(b1), Some(b2)) = (
+                model.trace_line(v1, v2),
+                model.trace_line(v1 + eps, v2),
+                model.trace_line(v1, v2 + eps),
+            ) else {
+                break;
+            };
+            let p = Plane::new(target, b0.dir);
+            let (Some((_, k0)), Some((_, k1)), Some((_, k2))) = (
+                p.intersect_line(&b0),
+                p.intersect_line(&b1),
+                p.intersect_line(&b2),
+            ) else {
+                break;
+            };
+            let (u1, u2, d) = (k1 - k0, k2 - k0, target - k0);
+            let (a11, a12, a22) = (u1.dot(u1), u1.dot(u2), u2.dot(u2));
+            let (r1, r2) = (u1.dot(d), u2.dot(d));
+            let det = a11 * a22 - a12 * a12;
+            if det.abs() < 1e-30 {
+                break;
+            }
+            let a = (r1 * a22 - a12 * r2) / det;
+            let b = (a11 * r2 - r1 * a12) / det;
+            let (dv1, dv2) = ((a * eps).clamp(-3.0, 3.0), (b * eps).clamp(-3.0, 3.0));
+            v1 += dv1;
+            v2 += dv2;
+            if dv1.abs() < v_tol && dv2.abs() < v_tol {
+                converged = true;
+                break;
+            }
+        }
+        let miss_distance = model
+            .trace_line(v1, v2)
+            .map_or(f64::INFINITY, |r| r.distance_to_point(target));
+        let lim = cyclops_optics::galvo::VOLT_MAX;
+        GPrimeResult {
+            v1,
+            v2,
+            iterations,
+            converged,
+            miss_distance,
+            in_range: v1.abs() <= lim && v2.abs() <= lim,
+        }
+    }
+
+    #[test]
+    fn shared_intermediates_are_bit_identical_to_reference() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for seed in 0..16 {
+            let g = model(100 + seed);
+            for _ in 0..40 {
+                let (v1, v2) = (rng.gen_range(-4.0..4.0), rng.gen_range(-4.0..4.0));
+                let target = g.trace(v1, v2).unwrap().point_at(rng.gen_range(1.0..2.5))
+                    + v3(
+                        rng.gen_range(-0.05..0.05),
+                        rng.gen_range(-0.05..0.05),
+                        rng.gen_range(-0.05..0.05),
+                    );
+                // Cold starts, warm starts near the answer, and a budget
+                // too small to converge.
+                let warm = (v1 + rng.gen_range(-0.1..0.1), v2 + rng.gen_range(-0.1..0.1));
+                for (init, tol, iters) in [
+                    ((0.0, 0.0), DEFAULT_V_TOL, 20),
+                    (warm, DEFAULT_V_TOL, 20),
+                    (warm, 0.0, 2),
+                ] {
+                    let a = gprime(&g, target, init, DEFAULT_EPS_V, tol, iters);
+                    let b = reference_gprime(&g, target, init, DEFAULT_EPS_V, tol, iters);
+                    assert_eq!(a.v1.to_bits(), b.v1.to_bits());
+                    assert_eq!(a.v2.to_bits(), b.v2.to_bits());
+                    assert_eq!(a.iterations, b.iterations);
+                    assert_eq!(a.converged, b.converged);
+                    assert_eq!(a.miss_distance.to_bits(), b.miss_distance.to_bits());
+                    assert_eq!(a.in_range, b.in_range);
+                }
+            }
+        }
     }
 
     #[test]

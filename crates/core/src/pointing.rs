@@ -15,7 +15,7 @@
 //!
 //! "In our evaluations, the above converged in 2–5 iterations."
 
-use crate::gprime::{gprime, DEFAULT_EPS_V, DEFAULT_V_TOL};
+use crate::gprime::{gprime_with, LineTrace, DEFAULT_EPS_V, DEFAULT_V_TOL};
 use cyclops_optics::galvo::GalvoParams;
 
 /// Result of evaluating the pointing function.
@@ -40,20 +40,41 @@ pub fn pointing(
     v_tol: f64,
     max_iters: usize,
 ) -> PointingResult {
+    let (tx_axes, rx_axes) = (tx_vr.axes(), rx_vr.axes());
     let mut v = init;
     let mut gprime_iterations = 0usize;
     let mut iterations = 0usize;
     let mut converged = false;
     for _ in 0..max_iters {
         iterations += 1;
-        let Some(beam_t) = tx_vr.trace_line(v[0], v[1]) else {
+        let Some(trace_t) = LineTrace::new(tx_vr, &tx_axes, v[0], v[1]) else {
             break;
         };
-        let Some(beam_r) = rx_vr.trace_line(v[2], v[3]) else {
+        let Some(trace_r) = LineTrace::new(rx_vr, &rx_axes, v[2], v[3]) else {
             break;
         };
-        let gt = gprime(tx_vr, beam_r.origin, (v[0], v[1]), DEFAULT_EPS_V, v_tol, 10);
-        let gr = gprime(rx_vr, beam_t.origin, (v[2], v[3]), DEFAULT_EPS_V, v_tol, 10);
+        let (p_t, p_r) = (trace_t.beam.origin, trace_r.beam.origin);
+        // Each beam just traced is the first `b0` of its own `G'` solve.
+        let gt = gprime_with(
+            tx_vr,
+            &tx_axes,
+            p_r,
+            (v[0], v[1]),
+            Some(trace_t),
+            DEFAULT_EPS_V,
+            v_tol,
+            10,
+        );
+        let gr = gprime_with(
+            rx_vr,
+            &rx_axes,
+            p_t,
+            (v[2], v[3]),
+            Some(trace_r),
+            DEFAULT_EPS_V,
+            v_tol,
+            10,
+        );
         gprime_iterations += gt.iterations + gr.iterations;
         // Keep the iterate inside the physical drive range: outside it the
         // model geometry can degenerate, and the hardware clamps anyway.
@@ -159,6 +180,7 @@ pub fn pointing_default(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gprime::tests::reference_gprime;
     use cyclops_geom::pose::Pose;
     use cyclops_geom::rotation::axis_angle;
     use cyclops_geom::vec3::{v3, Vec3};
@@ -191,6 +213,69 @@ mod tests {
         let (_, tau_t) = rx.second_mirror_plane(v[3]).intersect_line(&bt).unwrap();
         let (_, tau_r) = tx.second_mirror_plane(v[1]).intersect_line(&br).unwrap();
         bt.origin.distance(tau_r) + br.origin.distance(tau_t)
+    }
+
+    /// `P` built from independent `trace_line` calls and the reference
+    /// `G'`, sharing nothing between the two.
+    fn reference_pointing(
+        tx_vr: &GalvoParams,
+        rx_vr: &GalvoParams,
+        init: [f64; 4],
+        v_tol: f64,
+        max_iters: usize,
+    ) -> PointingResult {
+        let mut v = init;
+        let (mut gprime_iterations, mut iterations, mut converged) = (0, 0, false);
+        for _ in 0..max_iters {
+            iterations += 1;
+            let (Some(beam_t), Some(beam_r)) =
+                (tx_vr.trace_line(v[0], v[1]), rx_vr.trace_line(v[2], v[3]))
+            else {
+                break;
+            };
+            let gt = reference_gprime(tx_vr, beam_r.origin, (v[0], v[1]), DEFAULT_EPS_V, v_tol, 10);
+            let gr = reference_gprime(rx_vr, beam_t.origin, (v[2], v[3]), DEFAULT_EPS_V, v_tol, 10);
+            gprime_iterations += gt.iterations + gr.iterations;
+            let lim = cyclops_optics::galvo::VOLT_MAX;
+            let new_v = [gt.v1, gt.v2, gr.v1, gr.v2].map(|x| x.clamp(-lim, lim));
+            let max_change = new_v
+                .iter()
+                .zip(&v)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            v = new_v;
+            if max_change < v_tol && gt.converged && gr.converged {
+                converged = true;
+                break;
+            }
+        }
+        PointingResult {
+            voltages: v,
+            iterations,
+            converged,
+            gprime_iterations,
+        }
+    }
+
+    #[test]
+    fn pointing_is_bit_identical_to_reference() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for seed in 0..24 {
+            let (tx, rx) = facing_pair(200 + seed);
+            let cold = pointing_default(&tx, &rx, [0.0; 4]);
+            let near = cold.voltages.map(|x| x + rng.gen_range(-0.05..0.05));
+            let far: [f64; 4] = std::array::from_fn(|_| rng.gen_range(-2.0..2.0));
+            for init in [[0.0; 4], near, far] {
+                for (tol, iters) in [(DEFAULT_V_TOL, 12), (0.0, 2)] {
+                    let a = pointing(&tx, &rx, init, tol, iters);
+                    let b = reference_pointing(&tx, &rx, init, tol, iters);
+                    assert_eq!(a.voltages.map(f64::to_bits), b.voltages.map(f64::to_bits));
+                    assert_eq!(a.iterations, b.iterations);
+                    assert_eq!(a.converged, b.converged);
+                    assert_eq!(a.gprime_iterations, b.gprime_iterations);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   galvo-mirror model `G` to tilt mirror normals with applied voltage;
 //! * [`Ray`] / [`Plane`] / [`reflect::reflect_ray`] — beam propagation and the
 //!   mirror-reflection operator `R(p₀, x̂₀, n̂, q)` of §4.1;
+//! * [`noise::box_muller`] — the one Gaussian-noise kernel every simulated
+//!   noise source shares;
 //! * [`Pose`] — rigid transforms; the "12 mapping parameters" of §4.2 are two
 //!   [`Pose6`] values (6 parameters each) mapping each GMA's K-space into
 //!   VR-space.
@@ -26,6 +28,7 @@
 
 pub mod approx;
 pub mod mat3;
+pub mod noise;
 pub mod plane;
 pub mod pose;
 pub mod quat;

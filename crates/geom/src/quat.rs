@@ -59,6 +59,21 @@ impl Quat {
         Quat::from_axis_angle(rv / angle, angle)
     }
 
+    /// Inverse of [`Quat::from_rotation_vector`]: `2·atan2(|v|, w)·v/|v|`
+    /// for the vector part `v`, with the sign of `q` chosen so that `w ≥ 0`
+    /// (angle in `[0, π]`). Reads the rotation straight off the quaternion,
+    /// where going through [`Quat::to_matrix`] would cost a matrix build
+    /// and an `acos`.
+    pub fn to_rotation_vector(&self) -> Vec3 {
+        let sign = if self.w < 0.0 { -1.0 } else { 1.0 };
+        let v = v3(self.x, self.y, self.z) * sign;
+        let s = v.norm();
+        if s == 0.0 {
+            return Vec3::ZERO;
+        }
+        v * (2.0 * s.atan2(self.w * sign) / s)
+    }
+
     /// Converts a rotation matrix to a quaternion.
     pub fn from_matrix(m: &Mat3) -> Quat {
         // Shepperd's method: pick the largest of w,x,y,z to avoid cancellation.
@@ -332,6 +347,36 @@ mod tests {
         };
         let m = qa.slerp(&qb_neg, 0.5);
         assert!(m.angle_to(&Quat::from_axis_angle(Vec3::Z, 0.2)) < 1e-9);
+    }
+
+    #[test]
+    fn rotation_vector_roundtrip_and_matrix_agreement() {
+        let axis = v3(0.3, -0.5, 0.81).normalized();
+        for angle in [0.0, 1e-13, 1e-7, 0.05, 0.35, 1.2, 2.5, PI - 1e-4] {
+            let rv = axis * angle;
+            let q = Quat::from_rotation_vector(rv);
+            // Both signs of the double cover decode to the short rotation.
+            let neg = Quat {
+                w: -q.w,
+                x: -q.x,
+                y: -q.y,
+                z: -q.z,
+            };
+            for qq in [q, neg] {
+                assert!(
+                    (qq.to_rotation_vector() - rv).norm() < 1e-12,
+                    "angle {angle}"
+                );
+            }
+            if angle > 1e-12 {
+                let via_matrix = crate::rotation::to_rotation_vector(&q.to_matrix());
+                assert!(
+                    (q.to_rotation_vector() - via_matrix).norm() < 1e-7,
+                    "angle {angle}"
+                );
+            }
+        }
+        assert_eq!(Quat::IDENTITY.to_rotation_vector(), Vec3::ZERO);
     }
 
     #[test]

@@ -317,13 +317,14 @@ fn unit_open(x: u64) -> f64 {
 }
 
 /// A standard normal deviate derived purely from `(seed, stream)` via two
-/// `mix64` draws and Box–Muller — no RNG object, so stages sampling per
-/// epoch/event are bit-deterministic and order-independent.
+/// `mix64` draws and the shared [`cyclops_geom::noise::box_muller`] — no
+/// RNG object, so stages sampling per epoch/event are bit-deterministic and
+/// order-independent.
 #[inline]
 fn gauss_at(seed: u64, stream: u64) -> f64 {
     let u1 = unit_open(cyclops_par::mix64(seed, 2 * stream + 1));
     let u2 = unit_open(cyclops_par::mix64(seed, 2 * stream + 2));
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    cyclops_geom::noise::box_muller(u1, u2)
 }
 
 /// One composable channel-impairment stage: an extra optical loss (dB ≥ 0)

@@ -1396,7 +1396,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 u.dep.set_headset_pose(pose);
             }
             if need_rx {
-                rx_pos = self.units[self.active].dep.rx_world_params().q2;
+                rx_pos = self.units[self.active].dep.rx_pivot_world();
             }
             slot_pose = Some(pose);
         }
@@ -1597,7 +1597,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                     u.dep.set_headset_pose(p);
                 }
                 if need_rx {
-                    rx_pos = self.units[self.active].dep.rx_world_params().q2;
+                    rx_pos = self.units[self.active].dep.rx_pivot_world();
                 }
                 p
             }
@@ -1622,7 +1622,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 let rx = if need_rx {
                     rx_pos
                 } else {
-                    self.units[self.active].dep.rx_world_params().q2
+                    self.units[self.active].dep.rx_pivot_world()
                 };
                 let path_m = rx.distance(self.tx_positions[self.active]);
                 env.attenuation_db(t_slot, path_m)
@@ -1774,7 +1774,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 let rx = if need_rx {
                     rx_pos
                 } else {
-                    self.units[self.active].dep.rx_world_params().q2
+                    self.units[self.active].dep.rx_pivot_world()
                 };
                 let tx = self.tx_positions[self.active];
                 let occluded = self.occluders.iter().any(|o| o.blocks(tx, rx));

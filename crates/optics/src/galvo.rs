@@ -22,11 +22,12 @@
 //! (p, x̂)         = R(p_mid, x̂_mid, n̂₂', q₂)
 //! ```
 
+use cyclops_geom::noise::box_muller;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
-use cyclops_geom::reflect::reflect_ray;
-use cyclops_geom::rotation::axis_angle;
+use cyclops_geom::reflect::{reflect_dir, reflect_ray};
+use cyclops_geom::rotation::{axis_angle, rotate_about};
 use cyclops_geom::units::deg_to_rad;
 use cyclops_geom::vec3::{v3, Vec3};
 use rand::Rng;
@@ -235,8 +236,24 @@ impl GalvoParams {
     /// two axis-angle rotations and two reflections.
     #[inline]
     pub fn trace_with(&self, axes: &GalvoAxes, v1: f64, v2: f64) -> Option<Ray> {
-        let n1p = axis_angle(axes.r1n, self.theta1 * v1) * axes.n1n;
-        let n2p = axis_angle(axes.r2n, self.theta1 * v2) * axes.n2n;
+        self.trace_tilted(self.mirror1_normal(axes, v1), self.mirror2_normal(axes, v2))
+    }
+
+    /// The tilted first-mirror normal `n̂₁' = R(r̂₁, θ₁·v₁)·n̂₁`.
+    #[inline]
+    pub fn mirror1_normal(&self, axes: &GalvoAxes, v1: f64) -> Vec3 {
+        axis_angle(axes.r1n, self.theta1 * v1) * axes.n1n
+    }
+
+    /// The tilted second-mirror normal `n̂₂' = R(r̂₂, θ₁·v₂)·n̂₂`.
+    #[inline]
+    pub fn mirror2_normal(&self, axes: &GalvoAxes, v2: f64) -> Vec3 {
+        axis_angle(axes.r2n, self.theta1 * v2) * axes.n2n
+    }
+
+    /// The strict two-reflection path for already-tilted mirror normals.
+    #[inline]
+    fn trace_tilted(&self, n1p: Vec3, n2p: Vec3) -> Option<Ray> {
         let input = Ray::new(self.p0, self.x0);
         let mid = reflect_ray(&input, self.q1, n1p)?;
         reflect_ray(&mid, self.q2, n2p)
@@ -278,14 +295,25 @@ impl GalvoParams {
     /// bit-identical (see [`GalvoParams::trace_with`]).
     #[inline]
     pub fn trace_line_with(&self, axes: &GalvoAxes, v1: f64, v2: f64) -> Option<Ray> {
-        use cyclops_geom::plane::Plane;
-        use cyclops_geom::reflect::reflect_dir;
-        let n1p = axis_angle(axes.r1n, self.theta1 * v1) * axes.n1n;
-        let n2p = axis_angle(axes.r2n, self.theta1 * v2) * axes.n2n;
+        let mid = self.mid_line(self.mirror1_normal(axes, v1))?;
+        self.out_line(&mid, self.mirror2_normal(axes, v2))
+    }
+
+    /// First half of [`GalvoParams::trace_line_with`]: the beam between the
+    /// mirrors for the tilted first-mirror normal `n1p`. A finite-difference
+    /// step in `v₂` reuses it unchanged.
+    #[inline]
+    pub fn mid_line(&self, n1p: Vec3) -> Option<Ray> {
         let input = Ray::new(self.p0, self.x0);
         let (_, hit1) = Plane::new(self.q1, n1p).intersect_line(&input)?;
-        let mid = Ray::new(hit1, reflect_dir(input.dir, n1p));
-        let (_, hit2) = Plane::new(self.q2, n2p).intersect_line(&mid)?;
+        Some(Ray::new(hit1, reflect_dir(input.dir, n1p)))
+    }
+
+    /// Second half of [`GalvoParams::trace_line_with`]: reflects the
+    /// mid-mirror beam off the second-mirror line with tilted normal `n2p`.
+    #[inline]
+    pub fn out_line(&self, mid: &Ray, n2p: Vec3) -> Option<Ray> {
+        let (_, hit2) = Plane::new(self.q2, n2p).intersect_line(mid)?;
         Some(Ray::new(hit2, reflect_dir(mid.dir, n2p)))
     }
 
@@ -297,21 +325,6 @@ impl GalvoParams {
     pub fn second_mirror_plane(&self, v2: f64) -> Plane {
         let n2p = axis_angle(self.r2.normalized(), self.theta1 * v2) * self.n2.normalized();
         Plane::new(self.q2, n2p)
-    }
-
-    /// The second-mirror plane of this assembly expressed in `pose`'s frame
-    /// — bit-identical to `self.transformed(pose).second_mirror_plane(v2)`,
-    /// but transforming only the three fields the plane depends on
-    /// (`q2`, `r2`, `n2`) instead of all nine. The per-slot power path
-    /// needs exactly this plane, so the other six transforms were pure
-    /// overhead there.
-    #[inline]
-    pub fn second_mirror_plane_world(&self, pose: &Pose, v2: f64) -> Plane {
-        let q2 = pose.apply_point(self.q2);
-        let r2 = pose.apply_dir(self.r2);
-        let n2 = pose.apply_dir(self.n2);
-        let n2p = axis_angle(r2.normalized(), self.theta1 * v2) * n2.normalized();
-        Plane::new(q2, n2p)
     }
 
     /// Expresses the same physical assembly in another frame:
@@ -417,13 +430,21 @@ pub struct GalvoSim {
     axes: GalvoAxes,
     v1: f64,
     v2: f64,
+    /// The tilted mirror normals `R(r̂ᵢ, θ₁vᵢ)·n̂ᵢ` at the commanded
+    /// voltages, refreshed by [`GalvoSim::command`]: each slot reads them
+    /// several times, while commands arrive only with tracking reports.
+    n1p: Vec3,
+    n2p: Vec3,
 }
 
 impl GalvoSim {
     /// Creates the hardware at zero volts.
     pub fn new(truth: GalvoParams, cfg: GalvoSimConfig) -> GalvoSim {
+        let axes = truth.axes();
         GalvoSim {
-            axes: truth.axes(),
+            n1p: truth.mirror1_normal(&axes, 0.0),
+            n2p: truth.mirror2_normal(&axes, 0.0),
+            axes,
             truth,
             cfg,
             v1: 0.0,
@@ -447,6 +468,8 @@ impl GalvoSim {
         let dang = ((nv1 - self.v1).abs().max((nv2 - self.v2).abs())) * self.truth.theta1;
         self.v1 = nv1;
         self.v2 = nv2;
+        self.n1p = self.truth.mirror1_normal(&self.axes, nv1);
+        self.n2p = self.truth.mirror2_normal(&self.axes, nv2);
         if dang == 0.0 {
             0.0
         } else if self.cfg.slew_rad_per_s.is_infinite() {
@@ -487,28 +510,38 @@ impl GalvoSim {
         }
     }
 
+    /// The commanded (noise-free) second-mirror normal in the assembly's
+    /// body frame — the normal of [`GalvoParams::second_mirror_plane`] at
+    /// the current voltage.
+    pub fn second_mirror_normal(&self) -> Vec3 {
+        self.n2p
+    }
+
     /// The physical output beam right now, with angular positioning noise
     /// drawn from `rng`.
+    ///
+    /// A voltage jitter `j` tilts a mirror by a further `α = θ₁·j` about the
+    /// same axis, so the noisy normal is the cached one rotated by `α`
+    /// (within 1e-15 of tracing at `v + j`). Without noise the cached
+    /// normals are used as they are, bit-identical to
+    /// [`GalvoParams::trace`] at the commanded voltages.
     pub fn output_ray<R: Rng>(&self, rng: &mut R) -> Option<Ray> {
         let noise_v = if self.cfg.angle_noise_rad > 0.0 {
             self.cfg.angle_noise_rad / self.truth.theta1
         } else {
             0.0
         };
-        let jitter = |rng: &mut R| {
-            if noise_v > 0.0 {
-                // Box-Muller standard normal scaled to the noise amplitude.
-                let u1: f64 = rng.gen_range(1e-12..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * noise_v
-            } else {
-                0.0
-            }
-        };
-        let j1 = jitter(rng);
-        let j2 = jitter(rng);
-        self.truth
-            .trace_with(&self.axes, self.v1 + j1, self.v2 + j2)
+        if noise_v > 0.0 {
+            let mut jitter = |n: Vec3, axis: Vec3| {
+                let j = box_muller(rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0)) * noise_v;
+                rotate_about(n, axis, self.truth.theta1 * j)
+            };
+            let n1p = jitter(self.n1p, self.axes.r1n);
+            let n2p = jitter(self.n2p, self.axes.r2n);
+            self.truth.trace_tilted(n1p, n2p)
+        } else {
+            self.truth.trace_tilted(self.n1p, self.n2p)
+        }
     }
 
     /// Strict version of [`GalvoSim::output_ray`]: a beam that misses a
@@ -581,19 +614,10 @@ mod tests {
         for _ in 0..32 {
             let g = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
             let axes = g.axes();
-            let pose = Pose::new(
-                axis_angle(v3(0.3, -0.5, 0.81).normalized(), 0.7),
-                v3(0.4, -1.2, 2.0),
-            );
             for (v1, v2) in [(0.0, 0.0), (1.3, -2.7), (-9.9, 9.9), (0.123, 4.567)] {
                 // Hoisted normalizations reproduce the plain paths exactly.
                 assert_eq!(g.trace(v1, v2), g.trace_with(&axes, v1, v2));
                 assert_eq!(g.trace_line(v1, v2), g.trace_line_with(&axes, v1, v2));
-                // Field-subset world transform == full transform, bitwise.
-                let full = g.transformed(&pose).second_mirror_plane(v2);
-                let subset = g.second_mirror_plane_world(&pose, v2);
-                assert_eq!(full.point, subset.point);
-                assert_eq!(full.normal, subset.normal);
             }
         }
     }
@@ -704,6 +728,61 @@ mod tests {
         let exact = sim.truth.try_trace(v1, v2)?;
         assert!((out.dir - exact.dir).norm() < 1e-15);
         Ok(())
+    }
+
+    #[test]
+    fn ideal_output_ray_is_bit_identical_to_trace() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..32 {
+            let truth = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
+            let mut sim = GalvoSim::new(truth, GalvoSimConfig::ideal());
+            for _ in 0..8 {
+                sim.command(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+                let (v1, v2) = sim.voltages();
+                assert_eq!(sim.output_ray(&mut rng), truth.trace(v1, v2));
+                assert_eq!(
+                    Plane::new(truth.q2, sim.second_mirror_normal()),
+                    truth.second_mirror_plane(v2)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn noisy_output_ray_matches_tracing_at_jittered_voltages() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..64 {
+            let truth = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
+            // The bench's 10 µrad and a noise large enough for `sin_cos`.
+            for noise in [10e-6, 3e-3] {
+                let cfg = GalvoSimConfig {
+                    angle_noise_rad: noise,
+                    ..GalvoSimConfig::default()
+                };
+                let mut sim = GalvoSim::new(truth, cfg);
+                sim.command(rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0));
+                let (v1, v2) = sim.voltages();
+                // Replay the same draws: two uniforms per mirror.
+                let mut replay = rng.clone();
+                let noise_v = noise / truth.theta1;
+                let mut j = || {
+                    box_muller(replay.gen_range(1e-12..1.0), replay.gen_range(0.0..1.0)) * noise_v
+                };
+                let (j1, j2) = (j(), j());
+                let expect = truth.trace(v1 + j1, v2 + j2).unwrap();
+                let got = sim.output_ray(&mut rng).unwrap();
+                assert!(
+                    (got.origin - expect.origin).norm() < 1e-15,
+                    "{got:?} vs {expect:?}"
+                );
+                assert!(
+                    (got.dir - expect.dir).norm() < 1e-15,
+                    "{got:?} vs {expect:?}"
+                );
+                // Both streams consumed the same four uniforms.
+                assert_eq!(rng.gen_range(0..u64::MAX), replay.gen_range(0..u64::MAX));
+            }
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl ArbitraryMotion {
         let ga = v3(self.gauss(), self.gauss(), self.gauss());
         self.vel += (-self.vel / c.tau - self.pos * c.tether) * dt + gl * kick_l;
         // Orientation spring: pull back towards the facing-the-TX attitude.
-        let rv = cyclops_geom::rotation::to_rotation_vector(&self.quat.to_matrix());
+        let rv = self.quat.to_rotation_vector();
         self.omega += (-self.omega / c.tau - rv * c.ang_tether) * dt + ga * kick_a;
         // Caps.
         let vs = self.vel.norm();

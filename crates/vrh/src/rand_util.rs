@@ -2,13 +2,14 @@
 
 use rand::Rng;
 
-/// One standard-normal draw via Box–Muller (keeps the workspace's `rand`
-/// usage to the core API; every crate that needs Gaussian noise shares this
-/// one implementation).
+/// One standard-normal draw: two uniforms from `rng` through the shared
+/// [`cyclops_geom::noise::box_muller`] kernel (keeps the workspace's `rand`
+/// usage to the core API). Galvo jitter and the channel's scintillation
+/// draw their own uniforms but go through the same kernel.
 pub fn gauss<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    cyclops_geom::noise::box_muller(u1, u2)
 }
 
 #[cfg(test)]
