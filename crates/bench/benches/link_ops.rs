@@ -59,7 +59,11 @@ fn bench_full_simulator(c: &mut Criterion) {
             let mut rail = LinearRail::paper_protocol(base, Vec3::X);
             rail.v0 = 0.1;
             rail.dv = 0.0;
-            let mut sim = sys.clone().into_simulator(rail);
+            let mut sim = sys
+                .clone()
+                .into_session_builder(rail)
+                .build()
+                .expect("valid bench session config");
             sim.run(1.0).len()
         })
     });

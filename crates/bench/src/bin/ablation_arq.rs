@@ -16,8 +16,8 @@
 //!   (`ControlPlaneConfig::hardened`).
 //!
 //! Every decision draws from seeded `mix64` streams: identical seeds give
-//! bit-identical tables at any thread count and in both build configs — the
-//! printed digest is what the `chaos` CI job asserts on.
+//! bit-identical tables at any thread count — the printed digest is what
+//! the `chaos` CI job asserts on.
 
 use cyclops::prelude::*;
 use cyclops_bench::{angular_ladder, digest_ladder, row, section, tolerated_speed};

@@ -15,7 +15,7 @@
 //!
 //! Loss decisions come from the deterministic `FaultPlan` streams, so every
 //! number printed here is bit-identical per seed at any thread count — the
-//! `chaos` CI job diffs this output across build configurations.
+//! `chaos` CI job diffs its run digest at one thread and at four.
 
 use cyclops::prelude::*;
 use cyclops_bench::{angular_ladder, digest_ladder, linear_ladder, row, section, tolerated_speed};

@@ -13,13 +13,8 @@ use std::process::Command;
 fn main() {
     // Each child binary sizes its own pool from the inherited environment.
     println!(
-        "worker threads: {} ({}; set CYCLOPS_THREADS to override)",
-        cyclops_par::max_threads(),
-        if cyclops_par::parallel_compiled() {
-            "parallel build"
-        } else {
-            "serial build"
-        }
+        "worker threads: {} (parallel build; set CYCLOPS_THREADS to override)",
+        cyclops_par::max_threads()
     );
     let bins = [
         "fig03_speed_cdfs",

@@ -9,8 +9,8 @@
 //! digest per workload.
 //!
 //! The digests are pure functions of the seeds: they must match the golden
-//! file `goldens/engine_digest.txt` bit-for-bit on every platform, thread
-//! count and build configuration (default and `--no-default-features`).
+//! file `goldens/engine_digest.txt` bit-for-bit on every platform and
+//! thread count (`CYCLOPS_THREADS=1` included).
 //! A mismatch means a refactor changed simulation semantics.
 //!
 //! ```sh
@@ -18,6 +18,7 @@
 //! cargo run --release -p cyclops-bench --bin engine_digest -- --write # regen golden
 //! ```
 
+use cyclops::link::engine::{DarkDebounce, SingleTx};
 use cyclops::link::handover::{HandoverSystem, Occluder, TxUnit};
 use cyclops::link::trace_sim::{simulate_corpus, simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
@@ -42,7 +43,7 @@ impl Digest {
     fn bool(&mut self, b: bool) {
         self.u64(b as u64);
     }
-    fn slots(&mut self, recs: &[SlotRecord]) {
+    fn slots(&mut self, recs: &[EngineSlot]) {
         for r in recs {
             self.f64(r.t);
             self.f64(r.power_dbm);
@@ -125,15 +126,16 @@ fn main() {
     // RNG, no control plane), with tracker drift.
     {
         let sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-        let mut cfg = LinkSimConfig {
-            tracker: sys.tracker,
-            ..Default::default()
-        };
-        cfg.tracker.report_loss_prob = 0.3;
-        cfg.tracker.drift_sigma_per_sqrt_s = 1e-3;
+        let mut tracker = sys.tracker;
+        tracker.report_loss_prob = 0.3;
+        tracker.drift_sigma_per_sqrt_s = 1e-3;
         let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
         let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 611);
-        let mut sim = LinkSimulator::new(sys.dep, sys.ctl, motion, cfg);
+        let mut sim = sys
+            .into_session_builder(motion)
+            .tracker(tracker)
+            .build()
+            .expect("valid engine config");
         let recs = sim.run(3.0);
         let mut d = Digest::new();
         d.slots(&recs);
@@ -142,61 +144,45 @@ fn main() {
     }
 
     // --- Single-TX: chaos control plane (ARQ + DR + re-acquisition under
-    // the stress fault plan), hand-held motion.
+    // the stress fault plan), hand-held motion. `chaos` runs it with a hook
+    // on the session builder, so the identity guards below reuse it.
     {
-        let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-        sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-        let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-        let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-        let mut sim = sys.into_simulator(motion);
-        let recs = sim.run(3.0);
-        let mut d = Digest::new();
-        d.slots(&recs);
-        d.session_stats(&sim.session_stats());
-        let chaos_digest = d.0;
-        emit("link_chaos", d);
-
-        // Telemetry-identity guard (not a golden line): the same workload
-        // through the builder API must reproduce the facade digest exactly,
-        // with telemetry disabled, with counters, and with a JSONL sink —
-        // attaching observers must not move a single bit.
-        let engine_digest = |tele: Telemetry| -> u64 {
+        type Builder = SessionBuilder<ArbitraryMotion, SingleTx>;
+        let chaos = |hook: &dyn Fn(Builder) -> Builder| -> Digest {
             let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
             sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
             let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
             let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .telemetry(tele)
+            let mut session = hook(sys.into_session_builder(motion))
                 .build()
                 .expect("valid engine config");
             let recs = session.run(3.0);
             let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
+            d.slots(&recs);
             d.session_stats(&session.session_stats());
-            d.0
+            d
         };
+        let d = chaos(&|b| b);
+        let chaos_digest = d.0;
+        emit("link_chaos", d);
+
+        // Telemetry-identity guard (not a golden line): attaching observers
+        // — counters, or a JSONL sink — must not move a single bit.
         let jsonl_path = std::env::temp_dir().join("cyclops_engine_digest_tele.jsonl");
-        for (name, tele) in [
-            ("off", Telemetry::off()),
-            ("counters", Telemetry::counters()),
-            (
-                "jsonl+counters",
-                Telemetry::with_sink_and_counters(Box::new(
-                    JsonlSink::create(&jsonl_path).expect("create jsonl sink"),
-                )),
-            ),
-        ] {
-            let got = engine_digest(tele);
+        let jsonl = |b: Builder| {
+            b.telemetry(Telemetry::with_sink_and_counters(Box::new(
+                JsonlSink::create(&jsonl_path).expect("create jsonl sink"),
+            )))
+        };
+        let guards: [(&str, &dyn Fn(Builder) -> Builder); 3] = [
+            ("off", &|b| b.telemetry(Telemetry::off())),
+            ("counters", &|b| b.telemetry(Telemetry::counters())),
+            ("jsonl+counters", &jsonl),
+        ];
+        for (name, hook) in guards {
             assert_eq!(
-                got, chaos_digest,
+                chaos(hook).0,
+                chaos_digest,
                 "telemetry config `{name}` perturbed the link_chaos digest"
             );
         }
@@ -208,31 +194,8 @@ fn main() {
         // the hybrid-link machinery must be fully skipped and the digest
         // must not move a bit. (`RfOnOutage` is covered by its own tests;
         // here we pin that *opting out* is free.)
-        let fallback_digest = |fallback: FallbackPolicy| -> u64 {
-            let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-            sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-            let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-            let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .fallback(fallback)
-                .build()
-                .expect("valid engine config");
-            let recs = session.run(3.0);
-            let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
-            d.session_stats(&session.session_stats());
-            d.0
-        };
         assert_eq!(
-            fallback_digest(FallbackPolicy::Off),
+            chaos(&|b| b.fallback(FallbackPolicy::Off)).0,
             chaos_digest,
             "explicit FallbackPolicy::Off perturbed the link_chaos digest"
         );
@@ -243,39 +206,19 @@ fn main() {
         // nothing (density-0 fog), must leave the digest bit-identical —
         // opting out of weather is free, per the registry/environment
         // determinism contract.
-        let env_digest = |env: Environment| -> u64 {
-            let mut sys = CyclopsSystem::commission(&SystemConfig::fast_10g(9_007));
-            sys.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
-            let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-            let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 613);
-            let mut session = sys
-                .into_session_builder(motion)
-                .environment(env)
-                .build()
-                .expect("valid engine config");
-            let recs = session.run(3.0);
-            let mut d = Digest::new();
-            for r in &recs {
-                d.f64(r.t);
-                d.f64(r.power_dbm);
-                d.bool(r.link_up);
-                d.f64(r.goodput_gbps);
-                d.f64(r.lin_speed);
-                d.f64(r.ang_speed);
-            }
-            d.session_stats(&session.session_stats());
-            d.0
-        };
         assert_eq!(
-            env_digest(Environment::new()),
+            chaos(&|b| b.environment(Environment::new())).0,
             chaos_digest,
             "empty Environment perturbed the link_chaos digest"
         );
-        assert_eq!(
-            env_digest(
+        let zero_fog = |b: Builder| {
+            b.environment(
                 Environment::new()
-                    .stage(FogStage::from_density(0.0, 1550.0).expect("valid density"))
-            ),
+                    .stage(FogStage::from_density(0.0, 1550.0).expect("valid density")),
+            )
+        };
+        assert_eq!(
+            chaos(&zero_fog).0,
             chaos_digest,
             "density-0 fog perturbed the link_chaos digest"
         );
@@ -289,12 +232,11 @@ fn main() {
         let mut rail = LinearRail::paper_protocol(base, Vec3::X);
         rail.v0 = 1.0;
         rail.dv = 0.0;
-        let cfg = LinkSimConfig {
-            tracker: sys.tracker,
-            pause_on_outage: true,
-            ..Default::default()
-        };
-        let mut sim = LinkSimulator::new(sys.dep, sys.ctl, rail, cfg);
+        let mut sim = sys
+            .into_session_builder(rail)
+            .pause_on_outage(true)
+            .build()
+            .expect("valid engine config");
         let recs = sim.run(4.0);
         let mut d = Digest::new();
         d.slots(&recs);
@@ -310,7 +252,14 @@ fn main() {
         let mid = tx0.lerp(rx, 0.5);
         let occ = Occluder::new(mid, 0.12, 0.4, 1);
         let motion = StaticPose(Pose::translation(rx));
-        let mut sim = MultiTxSimulator::new(units, motion, vec![occ]);
+        let mut sim = LinkSession::builder(motion)
+            .units(units)
+            .occluder(occ)
+            .selector(DarkDebounce::new(0.03))
+            .config(EngineConfig::multi_tx(TrackerConfig::default()))
+            .first_report(FirstReport::AtZero)
+            .build()
+            .expect("valid multi-TX config");
         let recs = sim.run(4.0);
         let mut d = Digest::new();
         for r in &recs {

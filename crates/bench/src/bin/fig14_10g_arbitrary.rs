@@ -5,7 +5,7 @@
 //! simultaneous linear and angular speeds of below 30 cm/sec and 16–18
 //! degrees/sec respectively", with power above −40 dBm up to ~100 deg/s.
 
-use cyclops::link::simulator::Window;
+use cyclops::link::engine::Window;
 use cyclops::prelude::*;
 use cyclops_bench::{arbitrary_runs, print_speed_bins, row, section};
 

@@ -107,7 +107,10 @@ fn chaos_session(sys: &CyclopsSystem, seed: u64, dur_s: f64) -> (Vec<f64>, Sessi
     s.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(seed)));
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 500 + seed);
-    let mut sim = s.into_simulator(motion);
+    let mut sim = s
+        .into_session_builder(motion)
+        .build()
+        .expect("valid chaos session config");
     let recs = sim.run(dur_s);
     let stats = sim.session_stats();
     let c = stats.control.expect("control plane is active");
@@ -365,12 +368,7 @@ fn main() {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "perf snapshot: parallel legs use {threads} thread(s) on a {host}-thread host \
-         ({}; set CYCLOPS_THREADS to override)",
-        if cyclops_par::parallel_compiled() {
-            "parallel build"
-        } else {
-            "serial build"
-        }
+         (set CYCLOPS_THREADS to override)"
     );
 
     // Shared fixtures built once, outside the timed regions.

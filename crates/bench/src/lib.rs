@@ -8,7 +8,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use cyclops::link::simulator::Window;
+use cyclops::link::engine::{windows_50ms, Window};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::ArbitraryMotionConfig;
 
@@ -25,15 +25,31 @@ pub struct LadderPoint {
     pub min_power: f64,
 }
 
+/// Runs `motion` against a clone of the commissioned system for `dur_s`
+/// seconds and aggregates the slots into the paper's 50 ms windows.
+fn run_windows<M: Motion>(
+    sys: &CyclopsSystem,
+    motion: M,
+    pause_on_outage: bool,
+    dur_s: f64,
+) -> Vec<Window> {
+    let mut session = sys
+        .clone()
+        .into_session_builder(motion)
+        .pause_on_outage(pause_on_outage)
+        .build()
+        .expect("a commissioned system builds a valid session");
+    let slot_s = session.cfg().slot_s;
+    let slots = session.run(dur_s);
+    windows_50ms(&slots, slot_s, sys.dep.design.sfp.rx_sensitivity_dbm)
+}
+
 fn eval_windows(
-    records: &[SlotRecord],
+    windows: &[Window],
     speed_of: impl Fn(&Window) -> f64,
     commanded: f64,
     optimal_gbps: f64,
-    sensitivity_dbm: f64,
-    slot_s: f64,
 ) -> LadderPoint {
-    let windows = cyclops::link::simulator::windows_50ms(records, slot_s, sensitivity_dbm);
     // Only windows genuinely moving near the commanded speed (strokes pause
     // at the ends; those windows don't probe the speed under test).
     let moving: Vec<&Window> = windows
@@ -68,105 +84,59 @@ fn eval_windows(
 /// Runs the §5.3 purely-linear protocol at each speed: constant-speed rail
 /// strokes, measuring throughput/power over the paper's 50 ms windows.
 ///
-/// Rungs are independent (each clones the commissioned system), so under the
-/// `parallel` feature they run on worker threads and are collected in input
-/// order — bit-identical to the serial sweep.
+/// Rungs are independent (each clones the commissioned system), so they run
+/// on worker threads and are collected in input order — bit-identical to
+/// the serial sweep.
 pub fn linear_ladder(sys: &CyclopsSystem, speeds_mps: &[f64], dur_s: f64) -> Vec<LadderPoint> {
     let optimal = sys.dep.design.sfp.optimal_goodput_gbps;
-    let rung = |&v: &f64| {
+    cyclops_par::par_map(speeds_mps, 1, |&v: &f64| {
         let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
         let mut rail = LinearRail::paper_protocol(base, Vec3::X);
         rail.v0 = v;
         rail.dv = 0.0;
-        let mut sim = sys.clone().into_simulator(rail);
-        let slot_s = sim.cfg().slot_s;
-        let recs = sim.run(dur_s);
-        eval_windows(
-            &recs,
-            |w| w.lin,
-            v,
-            optimal,
-            sys.dep.design.sfp.rx_sensitivity_dbm,
-            slot_s,
-        )
-    };
-    #[cfg(feature = "parallel")]
-    let pts = cyclops_par::par_map(speeds_mps, 1, rung);
-    #[cfg(not(feature = "parallel"))]
-    let pts: Vec<LadderPoint> = speeds_mps.iter().map(rung).collect();
-    pts
+        eval_windows(&run_windows(sys, rail, false, dur_s), |w| w.lin, v, optimal)
+    })
 }
 
 /// Runs the §5.3 purely-angular protocol at each angular speed (rad/s).
 /// Rungs parallelize exactly as in [`linear_ladder`].
 pub fn angular_ladder(sys: &CyclopsSystem, speeds_rps: &[f64], dur_s: f64) -> Vec<LadderPoint> {
     let optimal = sys.dep.design.sfp.optimal_goodput_gbps;
-    let rung = |&w: &f64| {
+    cyclops_par::par_map(speeds_rps, 1, |&w: &f64| {
         let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
         let mut stage = RotationStage::paper_protocol(base, Vec3::Y);
         stage.w0 = w;
         stage.dw = 0.0;
-        let mut sim = sys.clone().into_simulator(stage);
-        let slot_s = sim.cfg().slot_s;
-        let recs = sim.run(dur_s);
         eval_windows(
-            &recs,
+            &run_windows(sys, stage, false, dur_s),
             |x| x.ang,
             w,
             optimal,
-            sys.dep.design.sfp.rx_sensitivity_dbm,
-            slot_s,
         )
-    };
-    #[cfg(feature = "parallel")]
-    let pts = cyclops_par::par_map(speeds_rps, 1, rung);
-    #[cfg(not(feature = "parallel"))]
-    let pts: Vec<LadderPoint> = speeds_rps.iter().map(rung).collect();
-    pts
+    })
 }
 
-/// One mixed-motion (hand-held) run at a given intensity; returns the 50 ms
-/// windows.
-pub fn arbitrary_run(
-    sys: &CyclopsSystem,
-    lin_rms: f64,
-    ang_rms: f64,
-    dur_s: f64,
-    seed: u64,
-) -> Vec<Window> {
-    let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
-    let cfg = ArbitraryMotionConfig {
-        lin_rms,
-        ang_rms,
-        ..Default::default()
-    };
-    let motion = ArbitraryMotion::new(base, cfg, seed);
-    let mut sim = sys.clone().into_simulator(motion);
-    // The paper's §5.3 protocol: after a link loss the operator pauses and
-    // resumes once the link is back.
-    sim.cfg_mut().pause_on_outage = true;
-    let slot_s = sim.cfg().slot_s;
-    let recs = sim.run(dur_s);
-    cyclops::link::simulator::windows_50ms(&recs, slot_s, sys.dep.design.sfp.rx_sensitivity_dbm)
-}
-
-/// A batch of [`arbitrary_run`]s, one per `(lin_rms, ang_rms, seed)` config,
-/// collected in config order. Runs are seeded independently, so under the
-/// `parallel` feature they execute on worker threads with results
+/// A batch of mixed-motion (hand-held) runs, one per
+/// `(lin_rms, ang_rms, seed)` config, each returning its 50 ms windows in
+/// config order. Runs follow the paper's §5.3 protocol: after a link loss
+/// the operator pauses and resumes once the link is back. They are seeded
+/// independently, so they execute on worker threads with results
 /// bit-identical to the serial loop.
 pub fn arbitrary_runs(
     sys: &CyclopsSystem,
     configs: &[(f64, f64, u64)],
     dur_s: f64,
 ) -> Vec<Vec<Window>> {
-    let one = |&(lin_rms, ang_rms, seed): &(f64, f64, u64)| {
-        arbitrary_run(sys, lin_rms, ang_rms, dur_s, seed)
-    };
-    #[cfg(feature = "parallel")]
-    let runs = cyclops_par::par_map(configs, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let runs: Vec<Vec<Window>> = configs.iter().map(one).collect();
-    runs
+    cyclops_par::par_map(configs, 1, |&(lin_rms, ang_rms, seed)| {
+        let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
+        let cfg = ArbitraryMotionConfig {
+            lin_rms,
+            ang_rms,
+            ..Default::default()
+        };
+        let motion = ArbitraryMotion::new(base, cfg, seed);
+        run_windows(sys, motion, true, dur_s)
+    })
 }
 
 /// The largest ladder speed whose optimal fraction is ≥ 95 % — the paper's
@@ -180,8 +150,8 @@ pub fn tolerated_speed(points: &[LadderPoint]) -> f64 {
 }
 
 /// Folds a ladder's numeric output into a running `mix64` digest — the
-/// determinism fingerprint the `chaos` CI job compares across build
-/// configurations (default vs `--no-default-features`) and thread counts.
+/// determinism fingerprint the `chaos` CI job compares across thread
+/// counts (`CYCLOPS_THREADS=1` vs several).
 pub fn digest_ladder(mut digest: u64, points: &[LadderPoint]) -> u64 {
     for p in points {
         for bits in [

@@ -39,8 +39,7 @@ pub struct AlignResult {
 }
 
 /// One coarse voltage-pair sweep over the full `[VOLT_MIN, VOLT_MAX]²` grid,
-/// row-parallel under the `parallel` feature. Returns the first-wins argmax
-/// `(v_a, v_b, score)`.
+/// row-parallel. Returns the first-wins argmax `(v_a, v_b, score)`.
 ///
 /// The simulated hardware is stateful — every reading advances the
 /// deployment's noise RNG — so rows cannot share `dep` across threads
@@ -48,9 +47,8 @@ pub struct AlignResult {
 /// scans its own clone whose RNG is reseeded from
 /// `mix64(stage_seed, row)`, a pure function of the stage and the row, and
 /// rows are folded in index order with a strictly-greater comparison. The
-/// result is therefore bit-identical for any thread count, including the
-/// serial `--no-default-features` build (which maps the same row closure in
-/// a plain loop).
+/// result is therefore bit-identical for any thread count, including one
+/// (which maps the same row closure in a plain loop).
 fn par_voltage_scan<F>(dep: &Deployment, stage_seed: u64, points: usize, eval: F) -> (f64, f64, f64)
 where
     F: Fn(&mut Deployment, f64, f64) -> f64 + Sync,
@@ -70,10 +68,7 @@ where
         }
         best
     };
-    #[cfg(feature = "parallel")]
     let rows = cyclops_par::par_map_indexed(points, 1, scan_row);
-    #[cfg(not(feature = "parallel"))]
-    let rows: Vec<(f64, f64, f64)> = (0..points).map(scan_row).collect();
 
     let mut best = (VOLT_MIN, VOLT_MIN, f64::NEG_INFINITY);
     for row in rows {

@@ -159,11 +159,7 @@ pub fn collect_samples_with(
     let mut next = 0usize;
     while out.len() < n && next < max_attempts {
         let wave = cyclops_par::max_threads().min(max_attempts - next);
-        #[cfg(feature = "parallel")]
         let results = cyclops_par::par_map_indexed(wave, 1, |i| try_attempt(next + i));
-        #[cfg(not(feature = "parallel"))]
-        let results: Vec<Option<(Pose, MappingSample)>> =
-            (0..wave).map(|i| try_attempt(next + i)).collect();
         next += wave;
         for (pose, sample) in results.into_iter().flatten() {
             if out.len() >= n {

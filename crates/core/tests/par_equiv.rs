@@ -3,10 +3,8 @@
 //! The alignment grids and the mapping-sample collection parallelize over
 //! per-row / per-attempt deployment clones whose noise RNGs are reseeded by
 //! a pure function of (stage seed, item index) — never shared — so the
-//! results must be bit-identical at any pool width. These tests run
-//! unchanged under `--no-default-features`, where `with_threads` is inert
-//! and the same assertions certify the serial path; passing in both build
-//! configurations proves the two builds agree with each other.
+//! results must be bit-identical at any pool width, one thread (the plain
+//! serial loop) included.
 
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};

@@ -18,7 +18,6 @@ use cyclops_core::tp::{TpConfig, TpController};
 use cyclops_geom::pose::Pose;
 use cyclops_link::control::ControlPlaneConfig;
 use cyclops_link::engine::{EngineConfig, FirstReport, SessionBuilder, SingleTx};
-use cyclops_link::simulator::{LinkSimConfig, LinkSimulator};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::motion::Motion;
 use cyclops_vrh::tracking::TrackerConfig;
@@ -205,19 +204,10 @@ impl CyclopsSystem {
         self.dep.link_up()
     }
 
-    /// Consumes the system into a 1 ms-slot link simulator over a motion.
-    pub fn into_simulator<M: Motion>(self, motion: M) -> LinkSimulator<M> {
-        let cfg = LinkSimConfig {
-            tracker: self.tracker,
-            control: self.control,
-            ..Default::default()
-        };
-        LinkSimulator::new(self.dep, self.ctl, motion, cfg)
-    }
-
-    /// Consumes the system into a pre-seeded engine [`SessionBuilder`] over
-    /// a motion — the builder-first counterpart of
-    /// [`CyclopsSystem::into_simulator`], construction-identical per seed.
+    /// Consumes the system into a pre-seeded 1 ms-slot engine
+    /// [`SessionBuilder`] over a motion: the single-TX profile with this
+    /// system's tracker and control plane, the first report one tracker
+    /// period in (the paper's "starts with a perfectly aligned beam").
     /// Chain further calls (e.g.
     /// [`telemetry`](SessionBuilder::telemetry)) before `.build()`.
     pub fn into_session_builder<M: Motion>(self, motion: M) -> SessionBuilder<M, SingleTx> {
@@ -255,12 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn system_converts_to_simulator() {
+    fn system_converts_to_session() {
         use cyclops_vrh::motion::StaticPose;
         let sys = CyclopsSystem::commission(&SystemConfig::fast_10g(100));
         let pose = Pose::translation(v3(0.0, 0.0, 1.75));
-        let mut sim = sys.into_simulator(StaticPose(pose));
-        let recs = sim.run(0.5);
+        let mut session = sys
+            .into_session_builder(StaticPose(pose))
+            .build()
+            .expect("valid engine config");
+        let recs = session.run(0.5);
         assert_eq!(recs.len(), 500);
         let up = recs.iter().filter(|r| r.link_up).count();
         assert!(up > 495, "up slots {up}");

@@ -177,10 +177,6 @@ impl RfChannel {
 /// 2. *Exact-input memo.* The last `(rx_dbm bits → result)` pair is kept, so
 ///    repeated identical inputs (e.g. the −90 dBm power-meter floor during
 ///    an occlusion) are answered without recomputation.
-///
-/// Under the opt-in `fast-channel` feature the computation is delegated to
-/// the interpolated `fast::ChannelLut` instead (error-bounded, see the
-/// module docs) — digests may then legitimately differ.
 #[derive(Debug, Clone)]
 pub struct FrameSuccessCache {
     channel: FsoChannel,
@@ -191,8 +187,6 @@ pub struct FrameSuccessCache {
     unity_hi_dbm: f64,
     last_in_bits: u64,
     last_out: f64,
-    #[cfg(feature = "fast-channel")]
-    lut: fast::ChannelLut,
 }
 
 impl FrameSuccessCache {
@@ -242,8 +236,6 @@ impl FrameSuccessCache {
                 hi = f64::NAN;
             }
         }
-        #[cfg(feature = "fast-channel")]
-        let lut = fast::ChannelLut::new(channel, frame_bits);
         let mut cache = FrameSuccessCache {
             channel,
             frame_bits,
@@ -251,8 +243,6 @@ impl FrameSuccessCache {
             unity_hi_dbm: hi,
             last_in_bits: 0,
             last_out: 0.0,
-            #[cfg(feature = "fast-channel")]
-            lut,
         };
         // Seed the memo with the most commonly repeated input: the power
         // floor an occluded meter reads.
@@ -276,14 +266,7 @@ impl FrameSuccessCache {
 
     #[inline]
     fn compute(&self, rx_dbm: f64) -> f64 {
-        #[cfg(feature = "fast-channel")]
-        {
-            self.lut.frame_success_prob(rx_dbm)
-        }
-        #[cfg(not(feature = "fast-channel"))]
-        {
-            self.channel.frame_success_prob(rx_dbm, self.frame_bits)
-        }
+        self.channel.frame_success_prob(rx_dbm, self.frame_bits)
     }
 
     /// Frame success probability at the cache's frame size — see the type
@@ -775,123 +758,6 @@ impl EnvChannel {
     pub fn frame_success_prob(&mut self, t_s: f64, path_m: f64, rx_dbm: f64, n_bits: u64) -> f64 {
         let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
         self.inner.frame_success_prob(p, n_bits)
-    }
-}
-
-/// Opt-in interpolated channel math (`fast-channel` feature).
-///
-/// `q_factor`, `ber` and `frame_success_prob` are tabulated on a dense grid
-/// (1/128 dB) spanning `[sensitivity − 15 dB, overload + 15 dB]`, with the
-/// overload kink pinned on a grid node, and evaluated by linear
-/// interpolation; inputs outside the grid (and non-finite inputs) fall back
-/// to the analytic path. Guarantees, enforced by proptests:
-///
-/// - absolute error vs the analytic path ≤ [`fast::ABS_ERR_BOUND`] (1e-3)
-///   for all three functions;
-/// - monotonicity in power is preserved: q and frame-success are
-///   non-decreasing (ber non-increasing) below the overload power and the
-///   reverse above it — the tables are monotonized after sampling, so this
-///   holds exactly, not just up to float wiggle.
-#[cfg(feature = "fast-channel")]
-pub mod fast {
-    use super::FsoChannel;
-
-    /// Stated absolute error bound of the interpolated path vs the analytic
-    /// one (the measured error is far smaller; see the proptests).
-    pub const ABS_ERR_BOUND: f64 = 1e-3;
-
-    /// Grid resolution: points per dB.
-    const STEP_PER_DB: f64 = 128.0;
-    /// Table range below sensitivity / above overload (dB).
-    const RANGE_DB: f64 = 15.0;
-
-    /// Dense lookup tables for one channel + frame size.
-    #[derive(Debug, Clone)]
-    pub struct ChannelLut {
-        channel: FsoChannel,
-        frame_bits: u64,
-        p0: f64,
-        q: Vec<f64>,
-        ber: Vec<f64>,
-        fsp: Vec<f64>,
-    }
-
-    impl ChannelLut {
-        /// Samples and monotonizes the tables.
-        pub fn new(channel: FsoChannel, frame_bits: u64) -> ChannelLut {
-            let h = 1.0 / STEP_PER_DB;
-            // Anchor the grid on the overload power so the q kink lands on
-            // a node (linear interpolation across a kink would not).
-            let n_below = ((channel.overload_dbm - (channel.sensitivity_dbm - RANGE_DB))
-                * STEP_PER_DB)
-                .ceil()
-                .max(1.0) as usize;
-            let n_above = (RANGE_DB * STEP_PER_DB) as usize;
-            let p0 = channel.overload_dbm - n_below as f64 * h;
-            let n = n_below + n_above + 1;
-            let p_at = |i: usize| p0 + i as f64 * h;
-            let mut q: Vec<f64> = (0..n).map(|i| channel.q_factor(p_at(i))).collect();
-            let mut ber: Vec<f64> = (0..n).map(|i| channel.ber(p_at(i))).collect();
-            let mut fsp: Vec<f64> = (0..n)
-                .map(|i| channel.frame_success_prob(p_at(i), frame_bits))
-                .collect();
-            // Monotonize each side of the overload node, so the documented
-            // monotonicity-in-power holds exactly under interpolation even
-            // where the analytic approximations wiggle by an ulp.
-            let k = n_below;
-            for i in (0..k).rev() {
-                q[i] = q[i].min(q[i + 1]);
-                ber[i] = ber[i].max(ber[i + 1]);
-                fsp[i] = fsp[i].min(fsp[i + 1]);
-            }
-            for i in k + 1..n {
-                q[i] = q[i].min(q[i - 1]);
-                ber[i] = ber[i].max(ber[i - 1]);
-                fsp[i] = fsp[i].min(fsp[i - 1]);
-            }
-            ChannelLut {
-                channel,
-                frame_bits,
-                p0,
-                q,
-                ber,
-                fsp,
-            }
-        }
-
-        #[inline]
-        fn interp(&self, table: &[f64], rx_dbm: f64) -> Option<f64> {
-            let x = (rx_dbm - self.p0) * STEP_PER_DB;
-            // NaN fails the range check and falls back to analytic.
-            if !(x >= 0.0 && x <= (table.len() - 1) as f64) {
-                return None;
-            }
-            let i = (x as usize).min(table.len() - 2);
-            let f = x - i as f64;
-            Some(table[i] + (table[i + 1] - table[i]) * f)
-        }
-
-        /// Interpolated [`FsoChannel::q_factor`].
-        #[inline]
-        pub fn q_factor(&self, rx_dbm: f64) -> f64 {
-            self.interp(&self.q, rx_dbm)
-                .unwrap_or_else(|| self.channel.q_factor(rx_dbm))
-        }
-
-        /// Interpolated [`FsoChannel::ber`].
-        #[inline]
-        pub fn ber(&self, rx_dbm: f64) -> f64 {
-            self.interp(&self.ber, rx_dbm)
-                .unwrap_or_else(|| self.channel.ber(rx_dbm))
-        }
-
-        /// Interpolated [`FsoChannel::frame_success_prob`] at the frame size
-        /// the table was built for.
-        #[inline]
-        pub fn frame_success_prob(&self, rx_dbm: f64) -> f64 {
-            self.interp(&self.fsp, rx_dbm)
-                .unwrap_or_else(|| self.channel.frame_success_prob(rx_dbm, self.frame_bits))
-        }
     }
 }
 

@@ -41,7 +41,7 @@
 //! Determinism is the engine's core contract: every random draw comes from a
 //! seeded per-deployment RNG or a `mix64` stream, and the slot loop touches
 //! them in a fixed order, so any configuration replays bit-identically for a
-//! given seed — on any platform, thread count and build configuration. The
+//! given seed — on any platform and thread count. The
 //! `engine_digest` bench bin pins this against committed goldens.
 //!
 //! On top of single sessions the engine runs **multi-session workloads**
@@ -1047,6 +1047,63 @@ pub struct EngineSlot {
 // 5 × f64 + usize + 3 packed bools, padded to 8-byte alignment.
 const _: () = assert!(std::mem::size_of::<EngineSlot>() == 56);
 const _: () = assert!(std::mem::align_of::<EngineSlot>() == 8);
+
+/// One of the paper's 50 ms measurement windows (§5.3's iperf methodology).
+#[derive(Debug, Clone, Copy)]
+pub struct Window {
+    /// Mean linear speed (m/s).
+    pub lin: f64,
+    /// Mean angular speed (rad/s).
+    pub ang: f64,
+    /// Mean goodput (Gbps).
+    pub goodput: f64,
+    /// Minimum received power (dBm).
+    pub min_power: f64,
+    /// Fraction of slots with the link up.
+    pub up_frac: f64,
+    /// Fraction of slots where optical signal was present but the SFP was
+    /// still re-locking — the §5.3 "takes a few seconds to regain the link"
+    /// deadtime, which the paper's plots show as recovery gaps.
+    pub relink_frac: f64,
+}
+
+/// Aggregates engine slots into the paper's 50 ms windows.
+///
+/// An empty slot list yields no windows, and a trailing partial window
+/// (fewer than 50 ms of slots) is dropped rather than averaged over a
+/// shorter denominator — both pinned by unit tests.
+pub fn windows_50ms(slots: &[EngineSlot], slot_s: f64, sensitivity_dbm: f64) -> Vec<Window> {
+    assert!(
+        slot_s > 0.0 && slot_s <= 0.050,
+        "slots must fit inside the 50 ms window"
+    );
+    let per = (0.050 / slot_s).round() as usize;
+    slots
+        .chunks(per)
+        .filter(|c| c.len() == per)
+        .map(|c| {
+            let n = c.len() as f64;
+            let lin = c.iter().map(|r| r.lin_speed).sum::<f64>() / n;
+            let ang = c.iter().map(|r| r.ang_speed).sum::<f64>() / n;
+            let tp = c.iter().map(|r| r.goodput_gbps).sum::<f64>() / n;
+            let pmin = c.iter().map(|r| r.power_dbm).fold(f64::INFINITY, f64::min);
+            let up = c.iter().filter(|r| r.link_up).count() as f64 / n;
+            let relink = c
+                .iter()
+                .filter(|r| !r.link_up && r.power_dbm >= sensitivity_dbm)
+                .count() as f64
+                / n;
+            Window {
+                lin,
+                ang,
+                goodput: tp,
+                min_power: pmin,
+                up_frac: up,
+                relink_frac: relink,
+            }
+        })
+        .collect()
+}
 
 /// The full-physics slot session: motion × tracking × TP × optics × data
 /// plane against one or more TX installations. Every behavioral axis —
@@ -2395,6 +2452,34 @@ impl FleetConfig {
             cfg: FleetConfig::default(),
         }
     }
+
+    /// Checks the configuration: at least one session, a finite positive
+    /// duration, a finite non-negative debounce, and a valid per-session
+    /// engine config.
+    pub(crate) fn validate(&self) -> Result<(), EngineConfigError> {
+        if self.n_sessions == 0 {
+            return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
+        }
+        if !(self.duration_s.is_finite() && self.duration_s > 0.0) {
+            return Err(EngineConfigError::InvalidFleet(
+                "duration_s must be finite and positive",
+            ));
+        }
+        if !(self.debounce_s.is_finite() && self.debounce_s >= 0.0) {
+            return Err(EngineConfigError::InvalidFleet(
+                "debounce_s must be finite and non-negative",
+            ));
+        }
+        // Pre-validate the per-session engine config the fleet driver will
+        // assemble, so bad tracker/control templates fail here instead of
+        // mid-fan-out.
+        EngineConfig {
+            tracker: self.tracker,
+            control: self.control,
+            ..EngineConfig::default()
+        }
+        .validate()
+    }
 }
 
 /// Validating builder for [`FleetConfig`] (entry point:
@@ -2486,29 +2571,7 @@ impl FleetConfigBuilder {
 
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<FleetConfig, EngineConfigError> {
-        let c = &self.cfg;
-        if c.n_sessions == 0 {
-            return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
-        }
-        if !(c.duration_s.is_finite() && c.duration_s > 0.0) {
-            return Err(EngineConfigError::InvalidFleet(
-                "duration_s must be finite and positive",
-            ));
-        }
-        if !(c.debounce_s.is_finite() && c.debounce_s >= 0.0) {
-            return Err(EngineConfigError::InvalidFleet(
-                "debounce_s must be finite and non-negative",
-            ));
-        }
-        // Pre-validate the per-session engine config the fleet driver will
-        // assemble, so bad tracker/control templates fail here instead of
-        // mid-fan-out.
-        EngineConfig {
-            tracker: c.tracker,
-            control: c.control,
-            ..EngineConfig::default()
-        }
-        .validate()?;
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }
@@ -2626,16 +2689,12 @@ impl FleetSummary {
 }
 
 /// Streaming accumulator behind [`FleetSummary::rollup`]: absorbs
-/// [`SessionReport`]s one at a time (or merges partial accumulators), so a
-/// fleet rollup needs O(1) memory instead of a materialized report vector
-/// — the aggregation substrate for venue-scale fleets (ROADMAP item 1).
+/// [`SessionReport`]s one at a time, so a fleet rollup needs O(1) memory
+/// instead of a materialized report vector.
 ///
 /// Mean-valued [`FleetRollup`] fields are carried as running sums and only
 /// divided in [`FleetRollupAcc::finish`], so `absorb`-in-session-order
-/// reproduces the historical fold bit-for-bit. [`FleetRollupAcc::merge`]
-/// combines accumulators built over disjoint session ranges; the counters
-/// are exact, while the float sums re-associate (merge order changes the
-/// rounding, not the math).
+/// reproduces the historical fold bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct FleetRollupAcc {
     r: FleetRollup,
@@ -2740,59 +2799,6 @@ impl FleetRollupAcc {
                 self.jain_sum_sq += sc.mean_served_gbps * sc.mean_served_gbps;
             }
         }
-    }
-
-    /// Combines another accumulator (built over a disjoint session range)
-    /// into this one.
-    pub fn merge(&mut self, o: &FleetRollupAcc) {
-        let r = &mut self.r;
-        let q = &o.r;
-        r.n_sessions += q.n_sessions;
-        r.total_slots += q.total_slots;
-        r.mean_up_frac += q.mean_up_frac;
-        r.mean_signal_frac += q.mean_signal_frac;
-        r.min_up_frac = r.min_up_frac.min(q.min_up_frac);
-        r.sum_goodput_gbps += q.sum_goodput_gbps;
-        r.total_handovers += q.total_handovers;
-        r.total_outages += q.total_outages;
-        r.worst_outage_s = r.worst_outage_s.max(q.worst_outage_s);
-        r.total_extrapolated += q.total_extrapolated;
-        r.total_reacq_steps += q.total_reacq_steps;
-        r.ctrl_sent += q.ctrl_sent;
-        r.ctrl_delivered += q.ctrl_delivered;
-        r.ctrl_retransmits += q.ctrl_retransmits;
-        r.mean_rf_frac += q.mean_rf_frac;
-        r.total_failovers += q.total_failovers;
-        r.total_failbacks += q.total_failbacks;
-        r.total_rf_slots += q.total_rf_slots;
-        r.rf_delivered_gb += q.rf_delivered_gb;
-        if let Some(t) = q.telemetry.as_ref() {
-            match r.telemetry.as_mut() {
-                Some(acc) => acc.merge(t),
-                None => r.telemetry = Some(*t),
-            }
-        }
-        if let Some(qs) = q.sched.as_ref() {
-            let sr = r.sched.get_or_insert_with(|| crate::sched::SchedRollup {
-                min_availability: f64::INFINITY,
-                ..Default::default()
-            });
-            sr.n_admitted += qs.n_admitted;
-            sr.total_granted += qs.total_granted;
-            sr.total_served += qs.total_served;
-            sr.total_denied += qs.total_denied;
-            sr.total_preempts += qs.total_preempts;
-            sr.min_availability = sr.min_availability.min(qs.min_availability);
-            sr.sum_served_gbps += qs.sum_served_gbps;
-            sr.worst_stall_s = sr.worst_stall_s.max(qs.worst_stall_s);
-            sr.total_stall_events += qs.total_stall_events;
-            sr.total_frames_played += qs.total_frames_played;
-        }
-        self.n_sched += o.n_sched;
-        self.avail_sum += o.avail_sum;
-        self.stall_frac_sum += o.stall_frac_sum;
-        self.jain_sum += o.jain_sum;
-        self.jain_sum_sq += o.jain_sum_sq;
     }
 
     /// Finalizes the rollup: divides the running sums into means and
@@ -2969,43 +2975,13 @@ fn run_fleet_session(units: &[TxInstallation], cfg: &FleetConfig, i: usize) -> S
 /// Runs `cfg.n_sessions` independently-seeded sessions, each against its
 /// own clone of `units`, and collects the reports in session-index order.
 ///
-/// Sessions are independent, so under the `parallel` feature they run on
-/// worker threads and are collected in index order — bit-identical to the
-/// serial loop at any thread count.
+/// Sessions are independent, so they run on worker threads and are
+/// collected in index order — bit-identical to the serial loop at any
+/// thread count.
 pub fn run_fleet(units: &[TxInstallation], cfg: &FleetConfig) -> FleetSummary {
-    let idx: Vec<usize> = (0..cfg.n_sessions).collect();
-    let one = |&i: &usize| run_fleet_session(units, cfg, i);
-    #[cfg(feature = "parallel")]
-    let sessions = cyclops_par::par_map(&idx, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let sessions: Vec<SessionReport> = idx.iter().map(one).collect();
+    let sessions =
+        cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| run_fleet_session(units, cfg, i));
     FleetSummary { sessions }
-}
-
-/// [`run_fleet`] that streams straight into the rollup: sessions run in
-/// fixed-size batches and each report is absorbed into a
-/// [`FleetRollupAcc`] in session order, so memory stays O(batch) instead
-/// of O(sessions) — and the absorb order matches
-/// [`FleetSummary::rollup`]'s fold exactly, making the result
-/// bit-identical to `run_fleet(units, cfg).rollup()` at any thread count.
-pub fn run_fleet_rollup(units: &[TxInstallation], cfg: &FleetConfig) -> FleetRollup {
-    const BATCH: usize = 64;
-    let mut acc = FleetRollupAcc::new();
-    let mut lo = 0;
-    while lo < cfg.n_sessions {
-        let hi = (lo + BATCH).min(cfg.n_sessions);
-        let idx: Vec<usize> = (lo..hi).collect();
-        let one = |&i: &usize| run_fleet_session(units, cfg, i);
-        #[cfg(feature = "parallel")]
-        let reports = cyclops_par::par_map(&idx, 1, one);
-        #[cfg(not(feature = "parallel"))]
-        let reports: Vec<SessionReport> = idx.iter().map(one).collect();
-        for r in &reports {
-            acc.absorb(r);
-        }
-        lo = hi;
-    }
-    acc.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -3040,6 +3016,7 @@ pub fn run_fleet_mixed(
             "mixed fleet needs at least one pool",
         ));
     }
+    cfg.validate()?;
     for p in pools {
         if p.units.is_empty() {
             return Err(EngineConfigError::NoUnits);
@@ -3054,17 +3031,12 @@ pub fn run_fleet_mixed(
             ..cfg.clone()
         })
         .collect();
-    let one = |&i: &usize| {
+    let sessions = cyclops_par::par_map_indexed(cfg.n_sessions, 1, |i| {
         let pool = i % pools.len();
         let mut r = run_fleet_session(&pools[pool].units, &cfgs[pool], i);
         r.profile = Some(pool as u32);
         r
-    };
-    let idx: Vec<usize> = (0..cfg.n_sessions).collect();
-    #[cfg(feature = "parallel")]
-    let sessions = cyclops_par::par_map(&idx, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let sessions: Vec<SessionReport> = idx.iter().map(one).collect();
+    });
     Ok(FleetSummary { sessions })
 }
 
@@ -3090,9 +3062,45 @@ impl FleetSummary {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cyclops_geom::vec3::v3;
+
+    /// Two fully-trained installations sharing one headset world.
+    pub(crate) fn two_units(seed: u64) -> Vec<TxInstallation> {
+        use cyclops_core::deployment::DeploymentConfig;
+        use cyclops_core::kspace::{train_both, BoardConfig};
+        use cyclops_core::mapping::{self, rough_initial_guess};
+        use cyclops_core::tp::TpConfig;
+        let board = BoardConfig {
+            cols: 10,
+            rows: 8,
+            cell_m: 0.0508,
+        };
+        [v3(-0.35, 0.0, 0.0), v3(0.35, 0.0, 0.0)]
+            .into_iter()
+            .map(|pos| {
+                let mut cfg = DeploymentConfig::paper_10g(seed);
+                cfg.tx_position = pos;
+                let mut dep = Deployment::new(&cfg);
+                let (tx_tr, tx_rig, rx_tr, rx_rig) =
+                    train_both(&dep, &board, seed).expect("stage-1 training");
+                let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
+                let mt = mapping::train(
+                    &mut dep,
+                    &tx_tr.fitted,
+                    &rx_tr.fitted,
+                    itx,
+                    irx,
+                    12,
+                    seed + 9,
+                );
+                let v = dep.voltages();
+                let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
+                TxInstallation { dep, ctl }
+            })
+            .collect()
+    }
 
     #[test]
     fn single_tx_selector_never_switches() {
@@ -3203,7 +3211,7 @@ mod tests {
 
     #[test]
     fn fleet_reports_are_deterministic_and_per_session_seeded() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = two_units(911);
         let cfg = FleetConfig {
             n_sessions: 3,
             duration_s: 0.5,
@@ -3230,14 +3238,11 @@ mod tests {
         assert!(r.telemetry.is_none());
     }
 
-    /// Satellite: the streaming rollup accumulator. `rollup()` must match a
-    /// hand-written single fold bit-for-bit, chunked `merge` must agree on
-    /// every counter (floats re-associate, so those compare approximately),
-    /// and `run_fleet_rollup` (which never materializes the report vector)
-    /// must be bit-identical to `run_fleet(..).rollup()`.
+    /// The streaming rollup accumulator: `rollup()` must match a
+    /// hand-written single fold bit-for-bit.
     #[test]
-    fn rollup_streaming_merge_matches_manual_fold() {
-        let units = crate::multi_tx::tests::two_units(911);
+    fn rollup_matches_manual_fold() {
+        let units = two_units(911);
         let cfg = FleetConfig {
             n_sessions: 6,
             duration_s: 0.3,
@@ -3272,42 +3277,6 @@ mod tests {
         assert_eq!(direct.min_up_frac.to_bits(), min_up.to_bits());
         assert_eq!(direct.sum_goodput_gbps.to_bits(), sum_goodput.to_bits());
         assert_eq!(direct.total_handovers, handovers);
-
-        // Chunked merge: counters exact, float sums re-associate.
-        let mut a = FleetRollupAcc::new();
-        let mut b = FleetRollupAcc::new();
-        for s in &summary.sessions[..3] {
-            a.absorb(s);
-        }
-        for s in &summary.sessions[3..] {
-            b.absorb(s);
-        }
-        a.merge(&b);
-        let merged = a.finish();
-        assert_eq!(merged.n_sessions, direct.n_sessions);
-        assert_eq!(merged.total_slots, direct.total_slots);
-        assert_eq!(merged.total_handovers, direct.total_handovers);
-        assert_eq!(merged.total_outages, direct.total_outages);
-        assert_eq!(merged.ctrl_sent, direct.ctrl_sent);
-        assert_eq!(merged.min_up_frac.to_bits(), direct.min_up_frac.to_bits());
-        assert!((merged.mean_up_frac - direct.mean_up_frac).abs() < 1e-12);
-        assert!((merged.sum_goodput_gbps - direct.sum_goodput_gbps).abs() < 1e-9);
-        let (mt, dt) = (merged.telemetry.unwrap(), direct.telemetry.unwrap());
-        assert_eq!(mt.events.slots, dt.events.slots);
-        assert_eq!(mt.events.handovers, dt.events.handovers);
-
-        // Streaming driver: same absorb order as rollup(), so bit-identical.
-        let streamed = run_fleet_rollup(&units, &cfg);
-        assert_eq!(streamed.total_slots, direct.total_slots);
-        assert_eq!(
-            streamed.mean_up_frac.to_bits(),
-            direct.mean_up_frac.to_bits()
-        );
-        assert_eq!(
-            streamed.sum_goodput_gbps.to_bits(),
-            direct.sum_goodput_gbps.to_bits()
-        );
-        assert_eq!(streamed.total_handovers, direct.total_handovers);
     }
 
     use crate::control::FaultPlan;
@@ -3332,7 +3301,7 @@ mod tests {
     /// Single-TX chaos session (ARQ + DR + re-acq under the stress fault
     /// plan) over one commissioned unit, with the given telemetry layer.
     fn chaos_session(tele: Telemetry) -> LinkSession<StaticPose, SingleTx> {
-        let unit = crate::multi_tx::tests::two_units(912).remove(0);
+        let unit = two_units(912).remove(0);
         let mut cfg = EngineConfig::default();
         cfg.tracker.drift_sigma_per_sqrt_s = 1e-3;
         cfg.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
@@ -3406,7 +3375,7 @@ mod tests {
         // The occlusion-handover workload under counters: handover, SFP
         // down/up and outage-histogram events must land, and the stream must
         // stay bit-identical to the uninstrumented run.
-        let units = crate::multi_tx::tests::two_units(902);
+        let units = two_units(902);
         let tx0 = units[0].dep.tx_world_params().q2;
         let rx = v3(0.0, 0.0, 1.75);
         let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
@@ -3441,7 +3410,7 @@ mod tests {
         // density-0 fog stage attenuates nothing — both must leave the slot
         // stream bit-identical to a session built without an environment.
         let run = |env: Option<crate::channel::Environment>| {
-            let unit = crate::multi_tx::tests::two_units(913).remove(0);
+            let unit = two_units(913).remove(0);
             let mut b = LinkSession::builder(StaticPose(park_pose()))
                 .deployment(unit.dep, unit.ctl)
                 .config(EngineConfig::default());
@@ -3460,7 +3429,7 @@ mod tests {
     #[test]
     fn fog_environment_attenuates_power() {
         let run = |env: Option<crate::channel::Environment>| {
-            let unit = crate::multi_tx::tests::two_units(913).remove(0);
+            let unit = two_units(913).remove(0);
             let mut b = LinkSession::builder(StaticPose(park_pose()))
                 .deployment(unit.dep, unit.ctl)
                 .config(EngineConfig::default());
@@ -3492,7 +3461,7 @@ mod tests {
 
     #[test]
     fn fleet_rollup_merges_session_telemetry() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = two_units(911);
         let cfg = FleetConfig::builder()
             .n_sessions(3)
             .duration_s(0.4)
@@ -3719,7 +3688,7 @@ mod tests {
     /// Occluded multi-TX session used by the fallback tests: the occluder
     /// sits on the unit-0 beam, forcing outages and a handover.
     fn occluded_session(fallback: FallbackPolicy) -> LinkSession<StaticPose, DarkDebounce> {
-        let units = crate::multi_tx::tests::two_units(902);
+        let units = two_units(902);
         let tx0 = units[0].dep.tx_world_params().q2;
         let rx = v3(0.0, 0.0, 1.75);
         let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
@@ -3801,7 +3770,7 @@ mod tests {
 
     #[test]
     fn fleet_fallback_counts_rf_slots_and_never_hurts_availability() {
-        let units = crate::multi_tx::tests::two_units(911);
+        let units = two_units(911);
         let tx0 = units[0].dep.tx_world_params().q2;
         let base = v3(0.0, 0.0, 1.75);
         let fleet = |fallback: FallbackPolicy| {
@@ -3836,5 +3805,456 @@ mod tests {
             off.mean_up_frac
         );
         assert!(on.sum_goodput_gbps >= off.sum_goodput_gbps);
+    }
+
+    // -- Single-TX sessions: the paper's §5.3 throughput runs ---------------
+
+    use crate::control::{FlapSchedule, ReacqConfig};
+    use cyclops_vrh::motion::LinearRail;
+
+    /// Full commissioning: train stages 1+2, leave the link aligned.
+    fn commissioned(seed: u64) -> (Deployment, TpController) {
+        use cyclops_core::deployment::DeploymentConfig;
+        use cyclops_core::kspace::{train_both, BoardConfig};
+        use cyclops_core::mapping::{self, rough_initial_guess};
+        use cyclops_core::tp::TpConfig;
+        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(seed));
+        let (tx_tr, tx_rig, rx_tr, rx_rig) =
+            train_both(&dep, &BoardConfig::default(), seed).expect("stage-1 training");
+        let (init_tx, init_rx) =
+            rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed.wrapping_add(7));
+        let mt = mapping::train(
+            &mut dep,
+            &tx_tr.fitted,
+            &rx_tr.fitted,
+            init_tx,
+            init_rx,
+            30,
+            seed.wrapping_add(9),
+        );
+        // Park the headset at the nominal pose and align via TP.
+        dep.set_headset_pose(park_pose());
+        let v0 = dep.voltages();
+        let mut ctl = TpController::new(mt.trained, TpConfig::default(), [v0.0, v0.1, v0.2, v0.3]);
+        let rep = mapping::noisy_report(&mut dep, &TrackerConfig::default());
+        let cmd = ctl.on_report(&rep);
+        dep.set_voltages(
+            cmd.voltages[0],
+            cmd.voltages[1],
+            cmd.voltages[2],
+            cmd.voltages[3],
+        );
+        (dep, ctl)
+    }
+
+    /// The single-TX session of the §5.3 runs: per the paper's methodology
+    /// the link "starts with a perfectly aligned beam", so the first report
+    /// lands one tracker period in.
+    fn single_tx<M: Motion>(
+        dep: &Deployment,
+        ctl: &TpController,
+        motion: M,
+        cfg: EngineConfig,
+    ) -> LinkSession<M, SingleTx> {
+        LinkSession::builder(motion)
+            .deployment(dep.clone(), ctl.clone())
+            .config(cfg)
+            .first_report(FirstReport::AfterPeriod)
+            .build()
+            .expect("valid single-TX config")
+    }
+
+    /// A rail at constant speed `v0` (m/s) along X from the park pose.
+    fn rail(v0: f64) -> LinearRail {
+        let mut rail = LinearRail::paper_protocol(park_pose(), Vec3::X);
+        rail.v0 = v0;
+        rail.dv = 0.0;
+        rail
+    }
+
+    fn up_frac(slots: &[EngineSlot]) -> f64 {
+        slots.iter().filter(|r| r.link_up).count() as f64 / slots.len() as f64
+    }
+
+    #[test]
+    fn static_headset_sustains_optimal_throughput() {
+        let (dep, ctl) = commissioned(601);
+        let motion = StaticPose(park_pose());
+        let recs = single_tx(&dep, &ctl, motion, EngineConfig::default()).run(2.0);
+        let up = up_frac(&recs);
+        assert!(up > 0.999, "up fraction {up}");
+        let mean_tp = recs.iter().map(|r| r.goodput_gbps).sum::<f64>() / recs.len() as f64;
+        assert!((mean_tp - 9.4).abs() < 0.1, "mean goodput {mean_tp} Gbps");
+    }
+
+    #[test]
+    fn slow_rail_motion_keeps_link_up() {
+        // 5 cm/s strokes: far below the §5.3 33 cm/s threshold.
+        let (dep, ctl) = commissioned(602);
+        let recs = single_tx(&dep, &ctl, rail(0.05), EngineConfig::default()).run(8.0);
+        let up = up_frac(&recs);
+        assert!(up > 0.98, "up fraction {up}");
+    }
+
+    #[test]
+    fn fast_rail_motion_breaks_link() {
+        // 1.2 m/s: far beyond any tolerated speed — throughput must die and
+        // the relink hysteresis must keep it dead for seconds.
+        let (dep, ctl) = commissioned(603);
+        let recs = single_tx(&dep, &ctl, rail(1.2), EngineConfig::default()).run(3.0);
+        let down = 1.0 - up_frac(&recs);
+        assert!(down > 0.5, "down fraction {down}");
+    }
+
+    #[test]
+    fn tracker_drift_degrades_the_link_over_time() {
+        // With a strong random-walk drift the reported frame walks away from
+        // reality; the TP acts on stale coordinates and the static link
+        // degrades within seconds — the §4 re-calibration trigger.
+        let (dep, ctl) = commissioned(606);
+        let run = |drift: f64| -> f64 {
+            let mut cfg = EngineConfig::default();
+            cfg.tracker.drift_sigma_per_sqrt_s = drift;
+            up_frac(&single_tx(&dep, &ctl, StaticPose(park_pose()), cfg).run(8.0))
+        };
+        let stable = run(0.0);
+        let drifting = run(4e-3);
+        assert!(stable > 0.99, "no drift: {stable}");
+        assert!(
+            drifting < stable - 0.1,
+            "drift must hurt: {stable} -> {drifting}"
+        );
+    }
+
+    #[test]
+    fn report_loss_degrades_speed_tolerance() {
+        // Losing half the control-channel reports doubles the effective
+        // report interval, so a speed that was comfortably tolerated starts
+        // dropping windows.
+        let (dep, ctl) = commissioned(605);
+        let run = |loss: f64| -> f64 {
+            let mut cfg = EngineConfig::default();
+            cfg.tracker.report_loss_prob = loss;
+            up_frac(&single_tx(&dep, &ctl, rail(0.25), cfg).run(5.0))
+        };
+        let clean = run(0.0);
+        let lossy = run(0.6);
+        assert!(
+            clean > 0.95,
+            "clean channel should hold at 25 cm/s: {clean}"
+        );
+        assert!(
+            lossy < clean - 0.02,
+            "60% report loss must hurt: {clean} -> {lossy}"
+        );
+    }
+
+    #[test]
+    fn pause_on_outage_freezes_motion_until_relink() {
+        // A fast rail breaks the link; with the §5.3 operator protocol the
+        // motion must freeze (speed ≈ 0) while the SFP re-locks, then resume.
+        let (dep, ctl) = commissioned(604);
+        let cfg = EngineConfig {
+            pause_on_outage: true,
+            ..Default::default()
+        };
+        let recs = single_tx(&dep, &ctl, rail(1.2), cfg).run(6.0);
+        // Find the first down slot, then check motion is frozen while down.
+        let first_down = recs
+            .iter()
+            .position(|r| !r.link_up)
+            .expect("1.2 m/s must break the link");
+        let mut frozen = 0usize;
+        let mut down = 0usize;
+        for r in &recs[first_down + 2..] {
+            if !r.link_up {
+                down += 1;
+                if r.lin_speed < 1e-9 {
+                    frozen += 1;
+                }
+            }
+        }
+        assert!(
+            down > 100,
+            "expect a multi-second relink ({down} down slots)"
+        );
+        let frac = frozen as f64 / down as f64;
+        assert!(
+            frac > 0.95,
+            "motion frozen during {:.0}% of down slots",
+            frac * 100.0
+        );
+        // The protocol cycles: freeze → re-lock → resume → (at this
+        // over-threshold speed) break again. The link must come back up at
+        // least once after the first loss.
+        assert!(
+            recs[first_down..].iter().any(|r| r.link_up),
+            "link should re-lock at least once after the first loss"
+        );
+    }
+
+    #[test]
+    fn arq_plus_dead_reckoning_survives_bursty_report_loss() {
+        // Bursty control-channel loss (~6-report blackouts) at a speed the
+        // clean channel tolerates: unprotected, one blackout mid-stroke lets
+        // the beam walk off the aperture and the SFP's multi-second re-lock
+        // eats the run; with ARQ + dead reckoning the link must ride it out
+        // at (near-)clean availability. The run stays within a single rail
+        // stroke: a velocity *reversal* inside a total blackout is beyond
+        // any constant-velocity predictor and is not the claim under test.
+        let (dep, ctl) = commissioned(607);
+        let bursty = FaultPlan {
+            loss_prob: 0.05,
+            burst_enter_prob: 0.08,
+            burst_exit_prob: 0.15,
+            burst_loss_prob: 1.0,
+            ..FaultPlan::clean(71)
+        };
+        let run = |control: ControlPlaneConfig| -> f64 {
+            // 0.15 m/s over the 0.40 m rail: the first stroke lasts 2.67 s,
+            // longer than the 2.5 s run. One ~84 ms blackout costs ~13 mm of
+            // unrealigned drift — past the ~8.6 mm lateral tolerance.
+            let cfg = EngineConfig {
+                control: Some(control),
+                ..Default::default()
+            };
+            up_frac(&single_tx(&dep, &ctl, rail(0.15), cfg).run(2.5))
+        };
+        let clean = run(ControlPlaneConfig::hardened(FaultPlan::clean(71)));
+        let unprotected = run(ControlPlaneConfig::unprotected(bursty));
+        let hardened = run(ControlPlaneConfig::hardened(bursty));
+        assert!(clean > 0.95, "clean control plane should hold: {clean}");
+        assert!(
+            unprotected < 0.7,
+            "bursty loss without mitigation should collapse: {unprotected}"
+        );
+        assert!(
+            hardened > clean - 0.05,
+            "ARQ+DR should ride out bursts: clean {clean}, hardened {hardened}, \
+             unprotected {unprotected}"
+        );
+    }
+
+    #[test]
+    fn reacq_spiral_recovers_a_lost_beam_without_reports() {
+        // Total report blackout AND a badly mispointed beam: without the
+        // spiral the link can never come back (no reports, no search); with
+        // it the beam is re-found within the probe budget and the SFP
+        // re-locks after its hysteresis.
+        let (dep, ctl) = commissioned(608);
+        let run = |reacq: Option<ReacqConfig>| {
+            let cfg = EngineConfig {
+                control: Some(ControlPlaneConfig {
+                    fault: FaultPlan::iid_loss(5, 1.0),
+                    arq: None,
+                    dead_reckoning: None,
+                    reacq,
+                }),
+                ..Default::default()
+            };
+            let mut sim = single_tx(&dep, &ctl, StaticPose(park_pose()), cfg);
+            // Knock the TX aim well off the aperture (0.64 V ≈ 24 mm at the
+            // RX plane — far outside the ~10 mm lateral tolerance).
+            let d = &mut sim.units_mut()[0].dep;
+            let v = d.voltages();
+            d.set_voltages(v.0 + 0.5, v.1 - 0.4, v.2, v.3);
+            let recs = sim.run(5.0);
+            let up_at_end = recs[recs.len() - 1].link_up;
+            (up_at_end, sim.session_stats())
+        };
+        let (up_without, st_without) = run(None);
+        assert!(!up_without, "no search, no reports: must stay down");
+        assert_eq!(st_without.n_reacq_steps, 0);
+        let reacq = ReacqConfig {
+            trigger_after_s: 0.03,
+            step_v: 0.02,
+            max_steps: 1500,
+            ..Default::default()
+        };
+        let (up_with, st_with) = run(Some(reacq));
+        assert!(
+            up_with,
+            "spiral should recover the beam and re-lock ({st_with:?})"
+        );
+        assert!(st_with.n_reacq_steps > 0, "{st_with:?}");
+        assert!(
+            st_with.longest_outage_s < 4.0,
+            "outage should end within the run: {st_with:?}"
+        );
+    }
+
+    #[test]
+    fn scheduled_flaps_force_counted_outages() {
+        let (dep, ctl) = commissioned(609);
+        let cfg = EngineConfig {
+            control: Some(ControlPlaneConfig::hardened(FaultPlan {
+                flap: Some(FlapSchedule {
+                    first_s: 1.0,
+                    period_s: 30.0,
+                    down_s: 0.1,
+                }),
+                ..FaultPlan::clean(3)
+            })),
+            ..Default::default()
+        };
+        let mut sim = single_tx(&dep, &ctl, StaticPose(park_pose()), cfg);
+        let recs = sim.run(5.0);
+        let st = sim.session_stats();
+        // One flap at t=1: down for 0.1 s forced + ~2.5 s re-lock.
+        assert_eq!(st.n_outages, 1, "{st:?}");
+        assert!(
+            (2.0..3.5).contains(&st.longest_outage_s),
+            "outage {} s should be flap + re-lock",
+            st.longest_outage_s
+        );
+        // Beam itself never moved: no spiral probes should have fired.
+        assert_eq!(st.n_reacq_steps, 0, "{st:?}");
+        let up = up_frac(&recs);
+        assert!((0.3..0.6).contains(&up), "up fraction {up}");
+        assert!(st.control.is_some());
+    }
+
+    #[test]
+    fn control_plane_runs_are_bit_identical_per_seed() {
+        let (dep, ctl) = commissioned(610);
+        let run = || {
+            let cfg = EngineConfig {
+                control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(17))),
+                ..Default::default()
+            };
+            let mut sim = single_tx(&dep, &ctl, rail(0.2), cfg);
+            let recs = sim.run(3.0);
+            (recs, sim.session_stats())
+        };
+        let (a, sa) = run();
+        let (b, sb) = run();
+        assert_streams_identical(&a, &b);
+        assert_eq!(sa.control, sb.control);
+        assert_eq!(sa.n_extrapolated, sb.n_extrapolated);
+        assert_eq!(sa.n_reacq_steps, sb.n_reacq_steps);
+    }
+
+    /// A synthetic 1 ms slot at a fixed −20 dBm.
+    fn slot(i: usize, link_up: bool, goodput_gbps: f64) -> EngineSlot {
+        EngineSlot {
+            t: i as f64 * 1e-3,
+            active: 0,
+            los: true,
+            power_dbm: -20.0,
+            link_up,
+            rf_active: false,
+            goodput_gbps,
+            lin_speed: 0.1,
+            ang_speed: 0.2,
+        }
+    }
+
+    #[test]
+    fn windows_aggregate_correctly() {
+        // The second window is a relink window.
+        let recs: Vec<EngineSlot> = (0..100)
+            .map(|i| slot(i, i < 50, if i < 50 { 9.4 } else { 0.0 }))
+            .collect();
+        let w = windows_50ms(&recs, 1e-3, -25.0);
+        assert_eq!(w.len(), 2);
+        assert!((w[0].lin - 0.1).abs() < 1e-12);
+        assert!((w[0].ang - 0.2).abs() < 1e-12);
+        assert!((w[0].goodput - 9.4).abs() < 1e-12);
+        assert!((w[0].min_power + 20.0).abs() < 1e-12);
+        assert!((w[0].up_frac - 1.0).abs() < 1e-12);
+        assert_eq!(w[0].relink_frac, 0.0);
+        // Second window: signal present (−20 ≥ −25) but link down → relink.
+        assert!((w[1].relink_frac - 1.0).abs() < 1e-12);
+        assert_eq!(w[1].up_frac, 0.0);
+    }
+
+    #[test]
+    fn windows_of_empty_records_are_empty() {
+        assert!(windows_50ms(&[], 1e-3, -25.0).is_empty());
+    }
+
+    #[test]
+    fn windows_drop_trailing_partial_window() {
+        // 80 slots at 1 ms = one full 50 ms window + 30 leftover slots: the
+        // partial tail must be dropped, not averaged over a short window.
+        let recs: Vec<EngineSlot> = (0..80).map(|i| slot(i, true, 9.4)).collect();
+        let w = windows_50ms(&recs, 1e-3, -25.0);
+        assert_eq!(w.len(), 1);
+        // Exactly one full window must also survive intact.
+        let w = windows_50ms(&recs[..50], 1e-3, -25.0);
+        assert_eq!(w.len(), 1);
+        // And fewer slots than one window yields nothing.
+        let w = windows_50ms(&recs[..49], 1e-3, -25.0);
+        assert!(w.is_empty());
+    }
+
+    // -- Multi-TX sessions: the §3 occlusion/handover extension ------------
+
+    /// The multi-TX session: unit 0 starts active and aligned at time zero,
+    /// and the dark-debounce selector hands over to the nearest visible
+    /// sibling.
+    fn multi_tx(
+        units: Vec<TxInstallation>,
+        occluders: Vec<Occluder>,
+    ) -> LinkSession<StaticPose, DarkDebounce> {
+        LinkSession::builder(StaticPose(park_pose()))
+            .units(units)
+            .occluders(occluders)
+            .selector(DarkDebounce::new(0.03))
+            .config(EngineConfig::multi_tx(TrackerConfig::default()))
+            .first_report(FirstReport::AtZero)
+            .build()
+            .expect("valid multi-TX config")
+    }
+
+    #[test]
+    fn units_share_one_headset_world() {
+        let units = two_units(901);
+        // Same hidden headset config (same seed) but different TX positions.
+        let h0 = units[0].dep.headset.hidden_config().vr_from_world.trans;
+        let h1 = units[1].dep.headset.hidden_config().vr_from_world.trans;
+        assert!((h0 - h1).norm() < 1e-12, "hidden worlds must match");
+        let t0 = units[0].dep.tx_world_params().q2;
+        let t1 = units[1].dep.tx_world_params().q2;
+        assert!((t0 - t1).norm() > 0.5, "TX units must be installed apart");
+    }
+
+    #[test]
+    fn occlusion_triggers_physical_handover() {
+        let units = two_units(902);
+        // Park an occluder permanently on unit 0's line of sight.
+        let tx0 = units[0].dep.tx_world_params().q2;
+        let mid = tx0.lerp(park_pose().trans, 0.5);
+        let occ = Occluder::new(mid, 0.12, 0.0, 1);
+        let mut sim = multi_tx(units, vec![occ]);
+        assert_eq!(sim.active(), 0);
+        let recs = sim.run(4.0);
+        // Handover happened...
+        assert_eq!(sim.active(), 1, "should have switched to unit 1");
+        // ...and after the SFP re-lock, data flows again on real optics.
+        let tail = &recs[recs.len() - 200..];
+        let up = tail.iter().filter(|r| r.link_up).count();
+        assert!(
+            up > 190,
+            "link should be up on unit 1 at the end ({up}/200)"
+        );
+        // The outage is dominated by the SFP re-lock, not the steering.
+        let first_up_again = recs
+            .iter()
+            .position(|r| r.active == 1 && r.link_up)
+            .expect("must recover");
+        let outage_s = recs[first_up_again].t;
+        assert!(
+            (2.0..3.5).contains(&outage_s),
+            "recovery after ≈ relink time, got {outage_s}s"
+        );
+    }
+
+    #[test]
+    fn no_occluder_means_no_handover() {
+        let mut sim = multi_tx(two_units(903), vec![]);
+        let recs = sim.run(1.0);
+        assert_eq!(sim.active(), 0);
+        assert!(up_frac(&recs) > 0.98);
     }
 }

@@ -14,12 +14,11 @@
 //! * [`sfp_state`] — the link up/down state machine with the multi-second
 //!   re-lock the paper observed ("once the link is lost, it takes a few
 //!   seconds to regain", §5.3);
-//! * [`iperf`] — 50 ms-window goodput measurement, the paper's iperf \[42\]
-//!   methodology;
 //! * [`engine`] — the unified slot-clocked simulation engine: one scheduler
 //!   driving pluggable components (motion source, TP policy, control plane,
-//!   channel model, TX selector), plus multi-session fleet workloads; new
-//!   code enters through [`engine::LinkSession::builder`];
+//!   channel model, TX selector), plus multi-session fleet workloads and
+//!   the paper's 50 ms iperf \[42\] windows ([`engine::windows_50ms`]);
+//!   every session is built through [`engine::LinkSession::builder`];
 //! * [`telemetry`] — deterministic engine observability: slot/TP/control/
 //!   SFP/handover events, counter + histogram aggregation, a JSONL sink,
 //!   and the virtual clock that keeps instrumented runs bit-identical;
@@ -47,14 +46,9 @@ pub mod crc;
 pub mod engine;
 pub mod framing;
 pub mod handover;
-pub mod iperf;
-#[doc(hidden)]
-pub mod multi_tx;
 pub mod registry;
 pub mod sched;
 pub mod sfp_state;
-#[doc(hidden)]
-pub mod simulator;
 pub mod telemetry;
 pub mod trace_sim;
 pub mod traffic;
@@ -69,22 +63,18 @@ pub use control::{
     FaultPlan, FlapSchedule, ReacqConfig,
 };
 pub use engine::{
-    run_fleet, run_slots, BestMargin, DarkDebounce, EngineConfig, EngineConfigError, EngineSlot,
-    FallbackPolicy, FirstReport, FleetConfig, FleetConfigBuilder, FleetRollup, FleetSummary,
-    LinkPolicy, LinkSession, MarginSelector, RfStats, SessionBuilder, SessionReport, SessionStats,
-    SingleTx, SlotSession, TxInstallation, TxSelector,
+    run_fleet, run_fleet_mixed, run_slots, BestMargin, DarkDebounce, EngineConfig,
+    EngineConfigError, EngineSlot, FallbackPolicy, FirstReport, FleetConfig, FleetConfigBuilder,
+    FleetPool, FleetRollup, FleetSummary, LinkPolicy, LinkSession, MarginSelector, RfStats,
+    SessionBuilder, SessionReport, SessionStats, SingleTx, SlotSession, TxInstallation, TxSelector,
 };
-pub use engine::{run_fleet_mixed, FleetPool};
 pub use framing::Frame;
-pub use iperf::ThroughputMeter;
-pub use multi_tx::MultiTxSimulator;
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,
     HeadsetProfileDef, RegistryError, SfpProfile, SfpProfileDef,
 };
 pub use sfp_state::SfpLinkState;
-pub use simulator::{LinkSimConfig, LinkSimulator, SlotRecord};
 pub use telemetry::{
     CommandSource, DropReason, Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry,
     TelemetryCounters, TelemetryEvent, TelemetrySink,

@@ -722,8 +722,8 @@ pub struct SchedRollup {
 
 /// Runs a fleet with the TX pool as a shared, scheduled resource, using the
 /// policy named in `sched`. See the module docs for the physics contract.
-/// Rejects an empty unit pool or an invalid [`SchedConfig`] with a typed
-/// error instead of panicking.
+/// Rejects an empty unit pool, an invalid [`FleetConfig`] or an invalid
+/// [`SchedConfig`] with a typed error instead of panicking.
 pub fn run_fleet_scheduled(
     units: &[TxInstallation],
     fleet: &FleetConfig,
@@ -744,6 +744,7 @@ pub fn run_fleet_with_scheduler(
     if units.is_empty() {
         return Err(EngineConfigError::NoUnits);
     }
+    fleet.validate()?;
     sched.validate()?;
     let n = fleet.n_sessions;
     let m = units.len();
@@ -931,7 +932,7 @@ mod tests {
 
     fn units() -> &'static Vec<TxInstallation> {
         static UNITS: OnceLock<Vec<TxInstallation>> = OnceLock::new();
-        UNITS.get_or_init(|| crate::multi_tx::tests::two_units(911))
+        UNITS.get_or_init(|| crate::engine::tests::two_units(911))
     }
 
     /// Synthetic state: always servable on unit `active`, given rate.
@@ -1213,6 +1214,41 @@ mod tests {
                 );
                 proptest::prop_assert_eq!(a.mean_power_dbm.to_bits(), b.mean_power_dbm.to_bits());
                 proptest::prop_assert_eq!(a.handovers, b.handovers);
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_fleet_config_is_an_error_not_a_panic() {
+        use crate::engine::{run_fleet_mixed, FleetPool};
+        let pool = FleetPool {
+            label: "two-unit".into(),
+            units: units().clone(),
+            tracker: cyclops_vrh::tracking::TrackerConfig::default(),
+        };
+        let bad = [
+            FleetConfig {
+                n_sessions: 0,
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                duration_s: f64::NAN,
+                ..FleetConfig::default()
+            },
+        ];
+        for fleet in &bad {
+            let sched = SchedConfig::greedy();
+            let mut policy = sched.policy.scheduler();
+            let results = [
+                run_fleet_scheduled(units(), fleet, &sched),
+                run_fleet_with_scheduler(units(), fleet, &sched, policy.as_mut()),
+                run_fleet_mixed(std::slice::from_ref(&pool), fleet),
+            ];
+            for r in results {
+                assert!(
+                    matches!(r, Err(EngineConfigError::InvalidFleet(_))),
+                    "{fleet:?}: {r:?}"
+                );
             }
         }
     }

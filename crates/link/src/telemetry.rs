@@ -25,7 +25,7 @@
 //! no float computed by the engine, and no control-flow decision depends on
 //! whether a sink is attached. The `engine_digest` bin re-runs a workload
 //! with telemetry disabled, a [`NullSink`], and a [`JsonlSink`] attached and
-//! asserts bit-identical digests in both build configurations.
+//! asserts bit-identical digests at one thread and at four.
 
 use std::fmt;
 use std::io::{self, Write};

@@ -211,9 +211,9 @@ pub fn simulate_trace(trace: &HeadTrace, p: &TraceSimParams) -> TraceSimResult {
 /// Simulates a corpus of traces, returning each trace's on-fraction — the
 /// distribution behind Fig 16's CDF.
 ///
-/// Traces are independent and the simulation is pure, so under the
-/// `parallel` feature they are evaluated on worker threads and collected in
-/// input order — bit-identical to the serial loop.
+/// Traces are independent and the simulation is pure, so they are
+/// evaluated on worker threads and collected in input order — bit-identical
+/// to the serial loop.
 pub fn simulate_corpus(traces: &[HeadTrace], p: &TraceSimParams) -> Vec<f64> {
     // Counting path: same fused loop as `simulate_trace`, no per-slot
     // vector — the CDF only needs each trace's on-fraction.
@@ -222,11 +222,7 @@ pub fn simulate_corpus(traces: &[HeadTrace], p: &TraceSimParams) -> Vec<f64> {
         let on = TraceSession::new(t, *p).run_count(n_slots);
         on as f64 / n_slots.max(1) as f64
     };
-    #[cfg(feature = "parallel")]
-    let fracs = cyclops_par::par_map(traces, 1, one);
-    #[cfg(not(feature = "parallel"))]
-    let fracs: Vec<f64> = traces.iter().map(one).collect();
-    fracs
+    cyclops_par::par_map(traces, 1, one)
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //!   atomics-based float accumulations and no scheduling-dependent reduction
 //!   orders, so a parallel run produces byte-for-byte the output of the
 //!   serial loop regardless of thread count.
-//! * **Opt-out, not opt-in.** The workspace enables the `parallel` feature
-//!   by default; building with `--no-default-features` compiles the serial
-//!   loops only. Even with the feature on, work smaller than `min_chunk`
-//!   per thread runs serially to avoid spawn overhead.
+//! * **Serial at one thread.** With one thread every helper runs the plain
+//!   serial loop, with no thread spawned; `CYCLOPS_THREADS=1` is the serial
+//!   configuration. Work smaller than `min_chunk` per thread also runs
+//!   serially to avoid spawn overhead.
 //! * **Reproducible sizing.** Thread count resolves as: programmatic
 //!   override ([`set_threads`]) → `CYCLOPS_THREADS` env var → the machine's
 //!   available parallelism. Benchmarks pin it for stable CI numbers.
@@ -55,34 +55,26 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// The thread count `par_*` calls will use: override → `CYCLOPS_THREADS` →
-/// available hardware parallelism. Always ≥ 1. With the `parallel` feature
-/// disabled this is 1 unconditionally.
+/// available hardware parallelism. Always ≥ 1.
 pub fn max_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let ovr = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    if ovr > 0 {
+        return ovr;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let ovr = THREAD_OVERRIDE.load(Ordering::SeqCst);
-        if ovr > 0 {
-            return ovr;
-        }
-        if let Ok(v) = std::env::var("CYCLOPS_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
+    if let Ok(v) = std::env::var("CYCLOPS_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
             }
         }
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Whether the `parallel` feature is compiled in (the serial fallback is
-/// always available; this reports which path default builds take).
+/// Whether the fork-join path is compiled in. Always `true`: the thread
+/// count is the only parallelism setting. Kept for host metadata.
 pub const fn parallel_compiled() -> bool {
-    cfg!(feature = "parallel")
+    true
 }
 
 /// Mixes two `u64`s into one well-distributed seed (the SplitMix64 finalizer
@@ -118,32 +110,25 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        unreachable!("threads > 1 with the parallel feature disabled");
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let chunk = n.div_ceil(threads);
-        let mut out: Vec<R> = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = (0..threads)
-                .map(|k| {
-                    s.spawn(move || {
-                        let lo = k * chunk;
-                        let hi = ((k + 1) * chunk).min(n);
-                        (lo..hi).map(f).collect::<Vec<R>>()
-                    })
+    let chunk = n.div_ceil(threads);
+    let mut out: Vec<R> = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..threads)
+            .map(|k| {
+                s.spawn(move || {
+                    let lo = k * chunk;
+                    let hi = ((k + 1) * chunk).min(n);
+                    (lo..hi).map(f).collect::<Vec<R>>()
                 })
-                .collect();
-            for h in handles {
-                // Panics inside workers propagate to the caller.
-                out.extend(h.join().expect("cyclops-par worker panicked"));
-            }
-        });
-        out
-    }
+            })
+            .collect();
+        for h in handles {
+            // Panics inside workers propagate to the caller.
+            out.extend(h.join().expect("cyclops-par worker panicked"));
+        }
+    });
+    out
 }
 
 /// Maps a slice through `f`, returning results in input order. See
@@ -255,9 +240,7 @@ mod tests {
     fn with_threads_restores() {
         set_threads(0);
         let before = max_threads();
-        with_threads(3, || {
-            assert_eq!(max_threads(), if parallel_compiled() { 3 } else { 1 })
-        });
+        with_threads(3, || assert_eq!(max_threads(), 3));
         assert_eq!(max_threads(), before);
     }
 

@@ -4,22 +4,11 @@ use crate::linalg::DMat;
 
 /// Residual functions accepted by the numeric-Jacobian and LM drivers.
 ///
-/// With the `parallel` feature (the default) residual closures must be
-/// [`Sync`] so Jacobian columns can be evaluated from worker threads; serial
-/// builds (`--no-default-features`) drop that bound. The alias is
-/// blanket-implemented, so callers never name it — any suitable closure
-/// works.
-#[cfg(feature = "parallel")]
+/// Residual closures must be [`Sync`] so Jacobian columns can be evaluated
+/// from worker threads. The alias is blanket-implemented, so callers never
+/// name it — any suitable closure works.
 pub trait Residual: Fn(&[f64]) -> Vec<f64> + Sync {}
-#[cfg(feature = "parallel")]
 impl<F: Fn(&[f64]) -> Vec<f64> + Sync> Residual for F {}
-
-/// Residual functions accepted by the numeric-Jacobian and LM drivers
-/// (serial build: no [`Sync`] bound).
-#[cfg(not(feature = "parallel"))]
-pub trait Residual: Fn(&[f64]) -> Vec<f64> {}
-#[cfg(not(feature = "parallel"))]
-impl<F: Fn(&[f64]) -> Vec<f64>> Residual for F {}
 
 /// Computes the Jacobian `J[i][j] = ∂rᵢ/∂xⱼ` of a residual function by central
 /// differences.
@@ -29,9 +18,9 @@ impl<F: Fn(&[f64]) -> Vec<f64>> Residual for F {}
 /// which behaves well across the mixed metre/radian/volt parameter scales in
 /// the Cyclops fits.
 ///
-/// Columns are evaluated in parallel under the `parallel` feature. The result
-/// is bit-identical to the serial evaluation: each column depends only on `x`
-/// and `j`, and columns are written back in index order.
+/// Columns are evaluated in parallel. The result is bit-identical to the
+/// serial evaluation: each column depends only on `x` and `j`, and columns
+/// are written back in index order.
 pub fn numeric_jacobian<F>(f: &F, x: &[f64], n_residuals: usize, rel_step: f64) -> DMat
 where
     F: Residual,
@@ -68,10 +57,7 @@ where
         rp.iter().zip(&rm).map(|(p, q)| (p - q) * inv).collect()
     };
 
-    #[cfg(feature = "parallel")]
     let cols = cyclops_par::par_map_indexed(n, 1, eval_col);
-    #[cfg(not(feature = "parallel"))]
-    let cols: Vec<Vec<f64>> = (0..n).map(eval_col).collect();
 
     for (j, col) in cols.iter().enumerate() {
         for (i, &v) in col.iter().enumerate() {

@@ -24,14 +24,13 @@
 //!
 //! ## Parallelism
 //!
-//! With the default `parallel` feature, the hot loops — Jacobian columns in
-//! [`jacobian::numeric_jacobian`], independent restarts in
-//! [`nelder_mead::nelder_mead_multistart`] /
+//! The hot loops — Jacobian columns in [`jacobian::numeric_jacobian`],
+//! independent restarts in [`nelder_mead::nelder_mead_multistart`] /
 //! [`pattern::pattern_search_multistart`], and the 2-D bootstrap grid in
 //! [`pattern::grid_scan2_sync`] — fan out over [`cyclops_par`] worker
 //! threads. Every parallel path is **bit-identical** to the serial one
-//! (index-ordered collection, serial tie-breaking), so
-//! `--no-default-features` builds produce exactly the same numbers.
+//! (index-ordered collection, serial tie-breaking), so every thread count,
+//! `CYCLOPS_THREADS=1` included, produces exactly the same numbers.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -57,17 +56,7 @@ pub use stats::ResidualStats;
 
 /// Scalar objectives accepted by the parallel multi-start drivers.
 ///
-/// With the `parallel` feature (the default) the objective must be [`Sync`]
-/// so restarts can run on worker threads; serial builds drop that bound.
+/// The objective must be [`Sync`] so restarts can run on worker threads.
 /// Blanket-implemented — callers never name it.
-#[cfg(feature = "parallel")]
 pub trait ScalarObjective: Fn(&[f64]) -> f64 + Sync {}
-#[cfg(feature = "parallel")]
 impl<F: Fn(&[f64]) -> f64 + Sync> ScalarObjective for F {}
-
-/// Scalar objectives accepted by the parallel multi-start drivers
-/// (serial build: no [`Sync`] bound).
-#[cfg(not(feature = "parallel"))]
-pub trait ScalarObjective: Fn(&[f64]) -> f64 {}
-#[cfg(not(feature = "parallel"))]
-impl<F: Fn(&[f64]) -> f64> ScalarObjective for F {}

@@ -82,12 +82,12 @@ fn cost_of(r: &[f64]) -> f64 {
 /// `f` returns the residual vector; its length must be constant. The Jacobian
 /// is computed numerically ([`crate::jacobian::numeric_jacobian`]), matching
 /// how one would drive `scipy.optimize.least_squares` without analytic
-/// derivatives. Under the `parallel` feature (the default) the Jacobian
-/// columns are evaluated concurrently — bit-identical to the serial path —
-/// which is where the solver spends nearly all of its time on the Cyclops
-/// fits. The Jacobian, normal matrix and step vectors live in scratch
-/// buffers reused across iterations, so the per-iteration allocations are
-/// only those of the residual closure itself.
+/// derivatives. The Jacobian columns are evaluated concurrently —
+/// bit-identical to the serial path — which is where the solver spends
+/// nearly all of its time on the Cyclops fits. The Jacobian, normal matrix
+/// and step vectors live in scratch buffers reused across iterations, so
+/// the per-iteration allocations are only those of the residual closure
+/// itself.
 pub fn levenberg_marquardt<F>(f: F, x0: &[f64], opts: &LmOptions) -> LmReport
 where
     F: Residual,

@@ -170,10 +170,10 @@ where
 /// Runs [`nelder_mead`] from every start in `starts` and returns the best
 /// result (lowest objective; ties broken by start index).
 ///
-/// Under the `parallel` feature the restarts run concurrently; because each
-/// run is independent and the winner is selected by an index-ordered scan,
-/// the result is bit-identical to running the starts serially. `n_evals` in
-/// the report is the total across all restarts.
+/// The restarts run concurrently; because each run is independent and the
+/// winner is selected by an index-ordered scan, the result is bit-identical
+/// to running the starts serially. `n_evals` in the report is the total
+/// across all restarts.
 ///
 /// # Panics
 /// Panics if `starts` is empty.
@@ -183,10 +183,7 @@ where
 {
     assert!(!starts.is_empty(), "need at least one start");
     let run = |x0: &Vec<f64>| nelder_mead(|x| f(x), x0, opts);
-    #[cfg(feature = "parallel")]
     let reports = cyclops_par::par_map(starts, 1, run);
-    #[cfg(not(feature = "parallel"))]
-    let reports: Vec<NmReport> = starts.iter().map(run).collect();
 
     let total_evals: usize = reports.iter().map(|r| r.n_evals).sum();
     let mut best = None::<NmReport>;

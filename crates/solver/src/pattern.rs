@@ -220,10 +220,9 @@ where
 /// Runs [`pattern_search`] from every start in `starts` and returns the best
 /// result (highest objective; ties broken by start index).
 ///
-/// Under the `parallel` feature the restarts run concurrently; each run is
-/// independent and the winner is selected by an index-ordered scan, so the
-/// result is bit-identical to the serial execution. `n_evals` is the total
-/// across restarts.
+/// The restarts run concurrently; each run is independent and the winner
+/// is selected by an index-ordered scan, so the result is bit-identical to
+/// the serial execution. `n_evals` is the total across restarts.
 ///
 /// # Panics
 /// Panics if `starts` is empty.
@@ -237,10 +236,7 @@ where
 {
     assert!(!starts.is_empty(), "need at least one start");
     let run = |x0: &Vec<f64>| pattern_search(|x| f(x), x0, opts);
-    #[cfg(feature = "parallel")]
     let reports = cyclops_par::par_map(starts, 1, run);
-    #[cfg(not(feature = "parallel"))]
-    let reports: Vec<PatternReport> = starts.iter().map(run).collect();
 
     let total_evals: usize = reports.iter().map(|r| r.n_evals).sum();
     let mut best = None::<PatternReport>;
@@ -260,7 +256,7 @@ where
 }
 
 /// [`grid_scan2`] for `Sync` objectives: rows of the 2-D grid are evaluated
-/// on worker threads under the `parallel` feature.
+/// on worker threads.
 ///
 /// The result is bit-identical to [`grid_scan2`]: every grid point sees the
 /// same inputs, and the row results are folded in row order with the same
@@ -300,10 +296,7 @@ where
         (row_best, row_j)
     };
 
-    #[cfg(feature = "parallel")]
     let rows = cyclops_par::par_map_indexed(points_per_axis, 1, scan_row);
-    #[cfg(not(feature = "parallel"))]
-    let rows: Vec<(f64, usize)> = (0..points_per_axis).map(scan_row).collect();
 
     // Fold rows in order with the serial strict-> comparison.
     let mut best = best0;

@@ -1,15 +1,9 @@
-//! Serial/parallel equivalence properties — the contract of the `parallel`
-//! feature is that it is a pure scheduling change: every result is
-//! bit-identical to the serial loop.
+//! Serial/parallel equivalence properties — the thread count is a pure
+//! scheduling change: every result is bit-identical to the serial loop.
 //!
-//! These properties run unchanged in both build configurations
-//! (`cargo test` and `cargo test --no-default-features`). In the parallel
-//! build they pin the worker pool to several widths, exercising real thread
-//! handoffs; in the serial build `with_threads` is inert and the same
-//! assertions certify the serial path against the identical hand-rolled
-//! reference. Passing in both configurations therefore proves the two
-//! builds agree with each other, which a single binary cannot test
-//! directly.
+//! The properties pin the worker pool to several widths, one thread (the
+//! plain serial loop) included, and compare each against the identical
+//! hand-rolled reference.
 
 use cyclops_solver::{
     grid_scan2, grid_scan2_sync, nelder_mead_multistart, numeric_jacobian, DMat, NmOptions,

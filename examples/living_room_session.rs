@@ -7,7 +7,7 @@
 
 use cyclops::prelude::*;
 
-fn main() {
+fn main() -> Result<(), EngineConfigError> {
     println!("== Cyclops living-room session ==\n");
 
     // Commission the 25G system (§5.3.1 prototype).
@@ -37,8 +37,8 @@ fn main() {
 
     // Run the full 1 ms-slot simulation: motion -> VRH-T reports -> TP ->
     // optics -> SFP state machine -> goodput.
-    let mut sim = system.into_simulator(playback);
-    let records = sim.run(60.0);
+    let mut session = system.into_session_builder(playback).build()?;
+    let records = session.run(60.0);
 
     let n = records.len() as f64;
     let up = records.iter().filter(|r| r.link_up).count() as f64;
@@ -87,4 +87,5 @@ fn main() {
     println!(
         "\n(the paper's Fig 16 reports ~98.6 % availability over 500 viewing traces\n under its drift-only §5.4 methodology — run `cargo run --release -p\n cyclops-bench --bin fig16_user_traces` for the full corpus; the full-physics\n simulation above additionally pays the SFP's multi-second re-lock after any\n outage, so restless sessions degrade much further)"
     );
+    Ok(())
 }

@@ -12,7 +12,7 @@
 
 use cyclops::link::handover::{HandoverSystem, Occluder, TxUnit};
 use cyclops::optics::coupling::LinkDesign;
-use cyclops::prelude::Vec3;
+use cyclops::prelude::{EngineConfigError, Vec3};
 
 fn availability(n_tx: usize, seed: u64) -> f64 {
     // Ceiling units spread over a 2 m rail above the play space.
@@ -52,13 +52,16 @@ fn availability(n_tx: usize, seed: u64) -> f64 {
 /// Act 2: the same story on the full physical pipeline — two trained
 /// installations sharing one headset world, a static occluder parked on the
 /// active beam, and the real SFP re-lock cost.
-fn full_physics_act() {
+fn full_physics_act() -> Result<(), EngineConfigError> {
     use cyclops::core::deployment::{Deployment, DeploymentConfig};
     use cyclops::core::kspace::{train_both, BoardConfig};
     use cyclops::core::mapping::{self, rough_initial_guess};
     use cyclops::core::tp::{TpConfig, TpController};
+    use cyclops::link::engine::DarkDebounce;
     use cyclops::link::handover::Occluder;
-    use cyclops::prelude::{MultiTxSimulator, Pose, StaticPose, TxInstallation};
+    use cyclops::prelude::{
+        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, TrackerConfig, TxInstallation,
+    };
 
     println!("\n-- full-physics act: 2 trained units, occluder on unit 0 --");
     let seed = 777u64;
@@ -94,7 +97,13 @@ fn full_physics_act() {
     let rx = Vec3::new(0.0, 0.0, 1.75);
     let occ = Occluder::new(tx0.lerp(rx, 0.5), 0.12, 0.0, 1);
     let motion = StaticPose(Pose::translation(rx));
-    let mut sim = MultiTxSimulator::new(units, motion, vec![occ]);
+    let mut sim = LinkSession::builder(motion)
+        .units(units)
+        .occluder(occ)
+        .selector(DarkDebounce::new(0.03))
+        .config(EngineConfig::multi_tx(TrackerConfig::default()))
+        .first_report(FirstReport::AtZero)
+        .build()?;
     let recs = sim.run(5.0);
     let up = recs.iter().filter(|r| r.link_up).count() as f64 / recs.len() as f64;
     let first_recovery = recs.iter().position(|r| r.active == 1 && r.link_up);
@@ -104,9 +113,10 @@ fn full_physics_act() {
         first_recovery.map_or(f64::NAN, |i| recs[i].t),
         up * 100.0
     );
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), EngineConfigError> {
     println!("== Multi-TX handover under occlusion ==\n");
     println!("one minute of a wandering-arm occluder, 1 ms slots, 50 ms handover cost\n");
     println!("  ceiling TXs | link availability");
@@ -123,5 +133,5 @@ fn main() {
     println!("\nmore ceiling units → fewer un-coverable occlusions, at the cost of");
     println!("a 50 ms outage per handover (steer + SFP re-lock on the new unit).");
 
-    full_physics_act();
+    full_physics_act()
 }

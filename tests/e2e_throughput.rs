@@ -2,6 +2,7 @@
 //! integration tests: slow motion sustains line rate, fast motion collapses,
 //! and the 25G link tolerates less than the 10G link.
 
+use cyclops::link::engine::SingleTx;
 use cyclops::prelude::*;
 use std::sync::OnceLock;
 
@@ -12,17 +13,24 @@ fn commissioned() -> CyclopsSystem {
         .clone()
 }
 
-fn sim_with_rail(v: f64) -> Vec<SlotRecord> {
-    let sys = commissioned();
+/// Runs `motion` against the shared commissioning for `duration_s`.
+fn run<M: Motion>(motion: M, duration_s: f64) -> (Vec<EngineSlot>, LinkSession<M, SingleTx>) {
+    let mut session = commissioned()
+        .into_session_builder(motion)
+        .build()
+        .expect("valid engine config");
+    (session.run(duration_s), session)
+}
+
+fn sim_with_rail(v: f64) -> Vec<EngineSlot> {
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let mut rail = LinearRail::paper_protocol(base, Vec3::X);
     rail.v0 = v;
     rail.dv = 0.0;
-    let mut sim = sys.into_simulator(rail);
-    sim.run(6.0)
+    run(rail, 6.0).0
 }
 
-fn up_fraction(recs: &[SlotRecord]) -> f64 {
+fn up_fraction(recs: &[EngineSlot]) -> f64 {
     recs.iter().filter(|r| r.link_up).count() as f64 / recs.len() as f64
 }
 
@@ -42,14 +50,11 @@ fn excessive_linear_speed_collapses_throughput() {
 
 #[test]
 fn slow_rotation_sustains_line_rate() {
-    let sys = commissioned();
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let mut stage = RotationStage::paper_protocol(base, Vec3::Y);
     stage.w0 = 8.0f64.to_radians();
     stage.dw = 0.0;
-    let mut sim = sys.into_simulator(stage);
-    let recs = sim.run(6.0);
-    let up = recs.iter().filter(|r| r.link_up).count() as f64 / recs.len() as f64;
+    let up = up_fraction(&run(stage, 6.0).0);
     assert!(up > 0.95, "up fraction {up} at 8 deg/s");
 }
 
@@ -58,7 +63,6 @@ fn outage_costs_seconds_due_to_relink() {
     // One fast stroke breaks the link; even after motion stops the SFP
     // relink hysteresis keeps throughput at zero for seconds (§5.3: "once
     // the link is lost, it takes a few seconds to regain").
-    let sys = commissioned();
     struct Burst {
         base: Pose,
     }
@@ -73,15 +77,14 @@ fn outage_costs_seconds_due_to_relink() {
     let motion = Burst {
         base: Pose::translation(Vec3::new(0.0, 0.0, 1.75)),
     };
-    let mut sim = sys.into_simulator(motion);
-    let recs = sim.run(4.0);
+    let (recs, sim) = run(motion, 4.0);
     // Link must be down at t = 1 s (motion stopped at 0.2 s, TP has long
     // realigned the optics, but the SFP is still re-locking).
     let at_1s = &recs[999];
     assert!(!at_1s.link_up, "relink hysteresis missing");
     // Optical signal is already back, though:
     assert!(
-        at_1s.power_dbm >= sim.dep().design.sfp.rx_sensitivity_dbm,
+        at_1s.power_dbm >= sim.units()[0].dep.design.sfp.rx_sensitivity_dbm,
         "optics should be realigned by 1 s (power {})",
         at_1s.power_dbm
     );
