@@ -79,35 +79,12 @@ impl Digest {
 /// Two fully-trained ceiling installations sharing one headset world (the
 /// multi-TX fixture, fast board).
 fn two_units(seed: u64) -> Vec<TxInstallation> {
-    use cyclops::core::deployment::DeploymentConfig;
-    use cyclops::core::kspace::{train_both, BoardConfig};
-    use cyclops::core::mapping::{self, rough_initial_guess};
-    use cyclops::core::tp::{TpConfig, TpController};
-    let board = BoardConfig {
-        cols: 10,
-        rows: 8,
-        cell_m: 0.0508,
-    };
     [Vec3::new(-0.35, 0.0, 0.0), Vec3::new(0.35, 0.0, 0.0)]
         .into_iter()
         .map(|pos| {
-            let mut cfg = DeploymentConfig::paper_10g(seed);
-            cfg.tx_position = pos;
-            let mut dep = Deployment::new(&cfg);
-            let (tx_tr, tx_rig, rx_tr, rx_rig) =
-                train_both(&dep, &board, seed).expect("stage-1 training");
-            let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-            let mt = mapping::train(
-                &mut dep,
-                &tx_tr.fitted,
-                &rx_tr.fitted,
-                itx,
-                irx,
-                12,
-                seed + 9,
-            );
-            let v = dep.voltages();
-            let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
+            let mut cfg = SystemConfig::fast_10g(seed);
+            cfg.deployment.tx_position = pos;
+            let (dep, ctl, ..) = cyclops::core::commission(&cfg);
             TxInstallation { dep, ctl }
         })
         .collect()

@@ -99,7 +99,7 @@ fn main() {
     let cfg = SystemConfig {
         board: BoardConfig::default(),
         mapping_samples: 30,
-        ..SystemConfig::from_profile(&hw, SEED)
+        ..hw.system_config(SEED)
     };
     let sys = CyclopsSystem::commission(&cfg);
     let sens = sys.dep.design.sfp.rx_sensitivity_dbm;

@@ -13,8 +13,7 @@
 //! cargo run --release -p cyclops-bench --bin ext_multi_user
 //! ```
 
-use cyclops::core::kspace::train_both;
-use cyclops::core::mapping::{self, rough_initial_guess};
+use cyclops::core::commission;
 use cyclops::link::engine::FleetSummary;
 use cyclops::link::handover::Occluder;
 use cyclops::prelude::*;
@@ -22,27 +21,12 @@ use cyclops::prelude::*;
 /// Two fully-trained ceiling installations sharing one headset world
 /// (full-size board and mapping budget, as in the paper's prototype).
 fn two_units(seed: u64) -> Vec<TxInstallation> {
-    let board = BoardConfig::default();
     [Vec3::new(-0.35, 0.0, 0.0), Vec3::new(0.35, 0.0, 0.0)]
         .into_iter()
         .map(|pos| {
-            let mut cfg = DeploymentConfig::paper_10g(seed);
-            cfg.tx_position = pos;
-            let mut dep = Deployment::new(&cfg);
-            let (tx_tr, tx_rig, rx_tr, rx_rig) =
-                train_both(&dep, &board, seed).expect("stage-1 training");
-            let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-            let mt = mapping::train(
-                &mut dep,
-                &tx_tr.fitted,
-                &rx_tr.fitted,
-                itx,
-                irx,
-                30,
-                seed + 9,
-            );
-            let v = dep.voltages();
-            let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
+            let mut cfg = SystemConfig::paper_10g(seed);
+            cfg.deployment.tx_position = pos;
+            let (dep, ctl, ..) = commission(&cfg);
             TxInstallation { dep, ctl }
         })
         .collect()

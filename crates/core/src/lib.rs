@@ -19,7 +19,9 @@
 //!    (§4.3).
 //!
 //! [`tp`] packages the trained models into the online controller driven by
-//! VRH-T reports; [`tolerance`] measures link movement tolerance (§5.1).
+//! VRH-T reports; [`commission`](mod@commission) runs stages 1 and 2 end to
+//! end and hands back that controller; [`tolerance`] measures link movement
+//! tolerance (§5.1).
 //!
 //! Throughout, the *learner* only touches simulated-hardware outputs
 //! (voltages in, noisy rays/power out); the hidden truth lives inside
@@ -30,6 +32,7 @@
 #![warn(clippy::all)]
 
 pub mod alignment;
+pub mod commission;
 pub mod deployment;
 pub mod gprime;
 pub mod kspace;
@@ -40,6 +43,7 @@ pub mod tolerance;
 pub mod tp;
 
 pub use alignment::{exhaustive_align, AlignResult};
+pub use commission::{commission, CommissioningReport, SystemConfig};
 pub use deployment::{Deployment, DeploymentConfig};
 pub use gprime::{gprime, GPrimeResult};
 pub use kspace::{KspaceError, KspaceRig, KspaceTraining};

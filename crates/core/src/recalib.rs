@@ -139,9 +139,7 @@ pub fn recalibrate_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::DeploymentConfig;
-    use crate::kspace::{train_both, BoardConfig};
-    use crate::mapping::rough_initial_guess;
+    use crate::commission::{commission, SystemConfig};
     use crate::tp::{TpConfig, TpController};
     use cyclops_geom::pose::Pose;
     use cyclops_geom::rotation::from_rotation_vector;
@@ -195,25 +193,10 @@ mod tests {
     fn mapping_only_recalibration_recovers_from_vr_space_shift() {
         // Full commissioning.
         let seed = 7100u64;
-        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(seed));
-        let (tx_tr, tx_rig, rx_tr, rx_rig) =
-            train_both(&dep, &BoardConfig::default(), seed).expect("stage-1 training");
-        let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-        let mt = mapping::train(
-            &mut dep,
-            &tx_tr.fitted,
-            &rx_tr.fitted,
-            itx,
-            irx,
-            25,
-            seed + 9,
-        );
-        let v0 = dep.voltages();
-        let mut ctl = TpController::new(
-            mt.trained.clone(),
-            TpConfig::default(),
-            [v0.0, v0.1, v0.2, v0.3],
-        );
+        let (mut dep, mut ctl, ..) = commission(&SystemConfig {
+            mapping_samples: 25,
+            ..SystemConfig::paper_10g(seed)
+        });
 
         let probe = |dep: &mut Deployment, ctl: &mut TpController| -> f64 {
             // Mean TP-aligned power over a few placements.

@@ -196,29 +196,14 @@ impl TpController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{cheat_align, Deployment, DeploymentConfig};
-    use crate::kspace::{train_both, BoardConfig};
-    use crate::mapping::{self, rough_initial_guess};
+    use crate::commission::{commission, SystemConfig};
+    use crate::deployment::{cheat_align, Deployment};
+    use crate::mapping;
     use cyclops_geom::vec3::v3;
 
     /// Builds a fully-trained controller plus its deployment.
     fn trained_controller(seed: u64) -> (Deployment, TpController) {
-        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(seed));
-        let (tx_tr, tx_rig, rx_tr, rx_rig) =
-            train_both(&dep, &BoardConfig::default(), seed).expect("stage-1 training");
-        let (init_tx, init_rx) =
-            rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed.wrapping_add(7));
-        let mt = mapping::train(
-            &mut dep,
-            &tx_tr.fitted,
-            &rx_tr.fitted,
-            init_tx,
-            init_rx,
-            30,
-            seed.wrapping_add(9),
-        );
-        let v0 = dep.voltages();
-        let ctl = TpController::new(mt.trained, TpConfig::default(), [v0.0, v0.1, v0.2, v0.3]);
+        let (dep, ctl, ..) = commission(&SystemConfig::paper_10g(seed));
         (dep, ctl)
     }
 

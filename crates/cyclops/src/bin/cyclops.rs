@@ -278,7 +278,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
     let env = env_spec.map_or(Ok(Environment::new()), |s| parse_env(&s, wavelength, seed))?;
 
     eprintln!("commissioning {} (seed {seed})...", hw.label());
-    let sys = CyclopsSystem::commission(&SystemConfig::from_profile(&hw, seed));
+    let sys = CyclopsSystem::commission(&hw.system_config(seed));
     let sens = sys.dep.design.sfp.rx_sensitivity_dbm;
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), seed ^ 0x611);
@@ -345,7 +345,7 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
     let mut pools = Vec::with_capacity(profiles.len());
     for (i, hw) in profiles.iter().enumerate() {
         eprintln!("commissioning pool {i}: {} ...", hw.label());
-        let sys = CyclopsSystem::commission(&SystemConfig::from_profile(&hw.clone(), seed));
+        let sys = CyclopsSystem::commission(&hw.system_config(seed));
         pools.push(FleetPool {
             label: hw.label(),
             units: vec![TxInstallation {

@@ -47,8 +47,8 @@ pub use cyclops_link::engine::{
 pub use cyclops_link::handover::{HandoverSystem, Occluder, TxUnit};
 pub use cyclops_link::registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
-    GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,
-    HeadsetProfileDef, RegistryError, SfpProfile, SfpProfileDef,
+    GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfileDef, RegistryError,
+    SfpProfileDef,
 };
 pub use cyclops_link::sched::{
     run_fleet_scheduled, run_fleet_with_scheduler, GrantEngine, GrantSet, GreedyMaxMargin,

@@ -1,10 +1,11 @@
 //! The unified simulation engine: one slot-clocked scheduler driving
 //! pluggable components behind small traits.
 //!
-//! Every fixed-step simulation in the repo — the single-TX link simulator
-//! (Figs 13–15), the full-physics multi-TX handover, the §5.4 trace drift
-//! model, and the geometric handover sketch — is a *configuration* of this
-//! engine rather than a bespoke loop:
+//! The single-TX link simulator (Figs 13–15), the full-physics multi-TX
+//! handover and the §5.4 trace drift model are *configurations* of this
+//! engine rather than bespoke loops (the geometric handover sketch in
+//! [`crate::handover`] still drives its own loop around a
+//! [`MarginSelector`]):
 //!
 //! ```text
 //!                      ┌────────────────────────────┐
@@ -234,39 +235,11 @@ impl EngineConfig {
         if self.goodput && self.frame_bits == 0 {
             return Err(EngineConfigError::ZeroFrameBits);
         }
-        let is_prob = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
-        let t = &self.tracker;
-        if !(t.period_min_s.is_finite() && t.period_min_s > 0.0) {
-            return Err(EngineConfigError::InvalidTracker(
-                "period_min_s must be finite and positive",
-            ));
-        }
-        if !(t.period_max_s.is_finite() && t.period_max_s >= t.period_min_s) {
-            return Err(EngineConfigError::InvalidTracker(
-                "period_max_s must be finite and >= period_min_s",
-            ));
-        }
-        if !is_prob(t.late_prob) {
-            return Err(EngineConfigError::InvalidTracker(
-                "late_prob must be a probability in [0, 1]",
-            ));
-        }
-        if t.late_prob > 0.0 && !(t.late_min_s > 0.0 && t.late_max_s >= t.late_min_s) {
-            return Err(EngineConfigError::InvalidTracker(
-                "late_min_s/late_max_s must bound a positive interval when late_prob > 0",
-            ));
-        }
-        if !is_prob(t.report_loss_prob) {
-            return Err(EngineConfigError::InvalidTracker(
-                "report_loss_prob must be a probability in [0, 1]",
-            ));
-        }
-        if !(t.control_channel_latency_s.is_finite() && t.control_channel_latency_s >= 0.0) {
-            return Err(EngineConfigError::InvalidTracker(
-                "control_channel_latency_s must be finite and non-negative",
-            ));
-        }
+        self.tracker
+            .validate()
+            .map_err(|(what, _)| EngineConfigError::InvalidTracker(what))?;
         if let Some(c) = &self.control {
+            let is_prob = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
             let f = &c.fault;
             for (p, what) in [
                 (f.loss_prob, "fault.loss_prob must be a probability"),
@@ -1118,8 +1091,7 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     selector: S,
     cfg: EngineConfig,
     channel: ChannelModel,
-    /// Hot-path frame-success evaluator (bit-identical to `channel` in the
-    /// default build; interpolated under the `fast-channel` feature).
+    /// Hot-path frame-success evaluator, bit-identical to `channel`.
     fsp: crate::channel::FrameSuccessCache,
     control: ControlPlane,
     tp: TpPolicy,
@@ -3064,39 +3036,17 @@ impl FleetSummary {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use cyclops_core::commission::{commission, SystemConfig};
     use cyclops_geom::vec3::v3;
 
     /// Two fully-trained installations sharing one headset world.
     pub(crate) fn two_units(seed: u64) -> Vec<TxInstallation> {
-        use cyclops_core::deployment::DeploymentConfig;
-        use cyclops_core::kspace::{train_both, BoardConfig};
-        use cyclops_core::mapping::{self, rough_initial_guess};
-        use cyclops_core::tp::TpConfig;
-        let board = BoardConfig {
-            cols: 10,
-            rows: 8,
-            cell_m: 0.0508,
-        };
         [v3(-0.35, 0.0, 0.0), v3(0.35, 0.0, 0.0)]
             .into_iter()
             .map(|pos| {
-                let mut cfg = DeploymentConfig::paper_10g(seed);
-                cfg.tx_position = pos;
-                let mut dep = Deployment::new(&cfg);
-                let (tx_tr, tx_rig, rx_tr, rx_rig) =
-                    train_both(&dep, &board, seed).expect("stage-1 training");
-                let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-                let mt = mapping::train(
-                    &mut dep,
-                    &tx_tr.fitted,
-                    &rx_tr.fitted,
-                    itx,
-                    irx,
-                    12,
-                    seed + 9,
-                );
-                let v = dep.voltages();
-                let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
+                let mut cfg = SystemConfig::fast_10g(seed);
+                cfg.deployment.tx_position = pos;
+                let (dep, ctl, ..) = commission(&cfg);
                 TxInstallation { dep, ctl }
             })
             .collect()
@@ -3526,12 +3476,25 @@ pub(crate) mod tests {
             ..EngineConfig::default()
         };
         assert_eq!(c.validate(), Err(EngineConfigError::ZeroFrameBits));
-        let mut c = EngineConfig::default();
-        c.tracker.late_prob = 1.5;
-        assert!(matches!(
-            c.validate(),
-            Err(EngineConfigError::InvalidTracker(_))
-        ));
+        for bad in [
+            TrackerConfig {
+                late_prob: 1.5,
+                ..TrackerConfig::default()
+            },
+            TrackerConfig {
+                pos_noise_sigma: f64::NAN,
+                ..TrackerConfig::default()
+            },
+        ] {
+            let c = EngineConfig {
+                tracker: bad,
+                ..EngineConfig::default()
+            };
+            assert!(matches!(
+                c.validate(),
+                Err(EngineConfigError::InvalidTracker(_))
+            ));
+        }
         let c = EngineConfig {
             control: Some(ControlPlaneConfig::hardened(FaultPlan {
                 loss_prob: -0.1,
@@ -3814,29 +3777,10 @@ pub(crate) mod tests {
 
     /// Full commissioning: train stages 1+2, leave the link aligned.
     fn commissioned(seed: u64) -> (Deployment, TpController) {
-        use cyclops_core::deployment::DeploymentConfig;
-        use cyclops_core::kspace::{train_both, BoardConfig};
-        use cyclops_core::mapping::{self, rough_initial_guess};
-        use cyclops_core::tp::TpConfig;
-        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(seed));
-        let (tx_tr, tx_rig, rx_tr, rx_rig) =
-            train_both(&dep, &BoardConfig::default(), seed).expect("stage-1 training");
-        let (init_tx, init_rx) =
-            rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed.wrapping_add(7));
-        let mt = mapping::train(
-            &mut dep,
-            &tx_tr.fitted,
-            &rx_tr.fitted,
-            init_tx,
-            init_rx,
-            30,
-            seed.wrapping_add(9),
-        );
+        let (mut dep, mut ctl, ..) = commission(&SystemConfig::paper_10g(seed));
         // Park the headset at the nominal pose and align via TP.
         dep.set_headset_pose(park_pose());
-        let v0 = dep.voltages();
-        let mut ctl = TpController::new(mt.trained, TpConfig::default(), [v0.0, v0.1, v0.2, v0.3]);
-        let rep = mapping::noisy_report(&mut dep, &TrackerConfig::default());
+        let rep = cyclops_core::mapping::noisy_report(&mut dep, &TrackerConfig::default());
         let cmd = ctl.on_report(&rep);
         dep.set_voltages(
             cmd.voltages[0],

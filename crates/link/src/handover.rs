@@ -12,12 +12,11 @@
 //! [`crate::engine::MarginSelector`]; [`HandoverSystem`] binds it to a set
 //! of [`TxUnit`]s and an occlusion model.
 //!
-//! **Deprecation note.** This geometric model is kept for the coverage
-//! studies; full-physics multi-TX work should build a
-//! [`crate::engine::LinkSession`] via
-//! [`LinkSession::builder`](crate::engine::LinkSession::builder) with
-//! `.units(..)` and a [`crate::engine::TxSelector`], which also carries the
-//! [`crate::telemetry`] layer (handover events, outage histograms).
+//! This geometric model backs the `handover_geom` digest golden and the
+//! `multi_tx_handover` example. Full-physics multi-TX sessions (trained TP
+//! per unit, real SFP re-lock, telemetry) are built with
+//! [`LinkSession::builder`](crate::engine::LinkSession::builder),
+//! `.units(..)` and a [`crate::engine::TxSelector`].
 
 use crate::engine::{aligned_margin_db, MarginSelector};
 use cyclops_geom::vec3::Vec3;
@@ -89,20 +88,18 @@ pub struct HandoverSystem {
     pub txs: Vec<TxUnit>,
     /// Link design shared by all units.
     pub design: LinkDesign,
-    /// Time to switch to another TX (re-steer + re-lock), seconds.
-    pub switch_time_s: f64,
     active: usize,
     selector: MarginSelector,
 }
 
 impl HandoverSystem {
-    /// Creates the system, active on unit 0.
+    /// Creates the system, active on unit 0; `switch_time_s` is the time to
+    /// switch to another TX (re-steer + re-lock), seconds.
     pub fn new(txs: Vec<TxUnit>, design: LinkDesign, switch_time_s: f64) -> HandoverSystem {
         assert!(!txs.is_empty());
         HandoverSystem {
             txs,
             design,
-            switch_time_s,
             active: 0,
             selector: MarginSelector::new(switch_time_s),
         }
@@ -134,7 +131,6 @@ impl HandoverSystem {
     /// Returns whether the link delivers data this step (false while
     /// blocked, out of margin, or mid-switch).
     pub fn step(&mut self, rx_pos: Vec3, occluders: &[Occluder], dt: f64) -> bool {
-        self.selector.switch_time_s = self.switch_time_s;
         let txs = &self.txs;
         let design = &self.design;
         let margin = |i: usize| {

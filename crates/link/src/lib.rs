@@ -71,8 +71,8 @@ pub use engine::{
 pub use framing::Frame;
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
-    GalvoProfile, GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfile,
-    HeadsetProfileDef, RegistryError, SfpProfile, SfpProfileDef,
+    GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfileDef, RegistryError,
+    SfpProfileDef,
 };
 pub use sfp_state::SfpLinkState;
 pub use telemetry::{

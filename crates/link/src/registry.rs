@@ -1,6 +1,6 @@
 //! Hardware device registry: data-driven capability tables for the SFP
-//! stack, the galvo assembly and the headset tracker, behind one trait
-//! each, with named presets and a validating [`HardwareProfile`] builder.
+//! stack, the galvo assembly and the headset tracker, with named presets
+//! and a validating [`HardwareProfile`] builder.
 //!
 //! The paper evaluates one build — 10G ZR optics, one GVS-class galvo,
 //! Rift-S tracking. The registry turns each of those axes into a profile so
@@ -9,12 +9,12 @@
 //! names, out-of-range capability values and incompatible SFP/galvo
 //! pairings with a typed [`RegistryError`] instead of panicking.
 //!
-//! Everything is data: a profile is a plain struct implementing its
-//! capability trait ([`SfpProfile`] / [`GalvoProfile`] / [`HeadsetProfile`]),
-//! and the preset tables are just `const`-like constructors — downstream
-//! code can define custom profiles and feed them through the same builder
-//! validation.
+//! Everything is data: a profile is a plain struct ([`SfpProfileDef`] /
+//! [`GalvoProfileDef`] / [`HeadsetProfileDef`]), and the preset tables are
+//! just `const`-like constructors — downstream code can define custom
+//! profiles and feed them through the same builder validation.
 
+use cyclops_core::commission::SystemConfig;
 use cyclops_core::deployment::DeploymentConfig;
 use cyclops_optics::coupling::LinkDesign;
 use cyclops_optics::galvo::GalvoSimConfig;
@@ -69,120 +69,41 @@ impl std::fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 // ---------------------------------------------------------------------------
-// Capability traits
-// ---------------------------------------------------------------------------
-
-/// An SFP/optics stack capability: the transceiver + optical design a TX
-/// unit is built from, plus deployment constraints the builder validates.
-pub trait SfpProfile {
-    /// Registry name (e.g. `"25g-lr"`).
-    fn name(&self) -> &str;
-    /// The full optical link design (transceiver, EDFA, beam, coupling).
-    fn link_design(&self) -> LinkDesign;
-    /// Minimum galvo slew (deg/s of mirror angle) the stack needs; a WDM
-    /// stack with per-lane alignment wants a fast mirror.
-    fn min_galvo_slew_deg_s(&self) -> f64 {
-        0.0
-    }
-    /// Number of wavelength lanes (1 = single-λ).
-    fn wdm_lanes(&self) -> u32 {
-        1
-    }
-}
-
-/// A galvo assembly capability: the driver non-idealities of the steering
-/// mirror pair.
-pub trait GalvoProfile {
-    /// Registry name (e.g. `"galvo-fast"`).
-    fn name(&self) -> &str;
-    /// The simulator configuration for this assembly.
-    fn galvo(&self) -> GalvoSimConfig;
-    /// Large-step slew rate (deg/s of mirror angle).
-    fn slew_deg_s(&self) -> f64 {
-        self.galvo().slew_rad_per_s.to_degrees()
-    }
-}
-
-/// A headset capability: the tracking timing/noise model the VRH reports
-/// with.
-pub trait HeadsetProfile {
-    /// Registry name (e.g. `"quest"`).
-    fn name(&self) -> &str;
-    /// The tracker configuration for this headset class.
-    fn tracker(&self) -> TrackerConfig;
-}
-
-// ---------------------------------------------------------------------------
 // Data-driven profile definitions + preset tables
 // ---------------------------------------------------------------------------
 
-/// A concrete, data-driven [`SfpProfile`].
+/// An SFP/optics stack: the transceiver + optical design a TX unit is
+/// built from, plus deployment constraints the builder validates.
 #[derive(Debug, Clone, Copy)]
 pub struct SfpProfileDef {
-    /// Registry name.
+    /// Registry name (e.g. `"25g-lr"`).
     pub name: &'static str,
-    /// The optical link design.
+    /// The full optical link design (transceiver, EDFA, beam, coupling).
     pub design: LinkDesign,
-    /// Minimum galvo slew required (deg/s).
+    /// Minimum galvo slew (deg/s of mirror angle) the stack needs; a WDM
+    /// stack with per-lane alignment wants a fast mirror.
     pub min_galvo_slew_deg_s: f64,
-    /// Wavelength lanes.
+    /// Number of wavelength lanes (1 = single-λ).
     pub wdm_lanes: u32,
 }
 
-impl SfpProfile for SfpProfileDef {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn link_design(&self) -> LinkDesign {
-        self.design
-    }
-
-    fn min_galvo_slew_deg_s(&self) -> f64 {
-        self.min_galvo_slew_deg_s
-    }
-
-    fn wdm_lanes(&self) -> u32 {
-        self.wdm_lanes
-    }
-}
-
-/// A concrete, data-driven [`GalvoProfile`].
+/// A galvo assembly: the driver non-idealities of the steering mirror
+/// pair.
 #[derive(Debug, Clone, Copy)]
 pub struct GalvoProfileDef {
-    /// Registry name.
+    /// Registry name (e.g. `"galvo-fast"`).
     pub name: &'static str,
-    /// Simulator configuration.
+    /// The simulator configuration for this assembly.
     pub cfg: GalvoSimConfig,
 }
 
-impl GalvoProfile for GalvoProfileDef {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn galvo(&self) -> GalvoSimConfig {
-        self.cfg
-    }
-}
-
-/// A concrete, data-driven [`HeadsetProfile`].
+/// A headset class: the tracking timing/noise model the VRH reports with.
 #[derive(Debug, Clone, Copy)]
 pub struct HeadsetProfileDef {
-    /// Registry name.
+    /// Registry name (e.g. `"quest"`).
     pub name: &'static str,
-    /// Tracker configuration.
+    /// The tracker configuration for this headset class.
     pub tracker: TrackerConfig,
-}
-
-impl HeadsetProfile for HeadsetProfileDef {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn tracker(&self) -> TrackerConfig {
-        self.tracker
-    }
 }
 
 /// The registered SFP stacks: the paper's 10G ZR and 25G LR prototypes plus
@@ -338,9 +259,9 @@ impl HardwareProfile {
     /// `galvo-fast`, `rift-s`).
     pub fn builder() -> HardwareProfileBuilder {
         HardwareProfileBuilder {
-            sfp: Named::Preset("10g-zr"),
-            galvo: Named::Preset("galvo-fast"),
-            headset: Named::Preset("rift-s"),
+            sfp: Named::Name("10g-zr".to_string()),
+            galvo: Named::Name("galvo-fast".to_string()),
+            headset: Named::Name("rift-s".to_string()),
         }
     }
 
@@ -361,14 +282,19 @@ impl HardwareProfile {
         )
     }
 
-    /// The deployment configuration this build commissions from: the
-    /// profile's link design and galvo non-idealities over the paper's
-    /// assembly tolerances.
-    pub fn deployment_config(&self, seed: u64) -> DeploymentConfig {
-        DeploymentConfig {
-            design: self.sfp.design,
-            galvo_cfg: self.galvo.cfg,
-            ..DeploymentConfig::paper_10g(seed)
+    /// The commissioning configuration of this build: the profile's link
+    /// design and galvo non-idealities over the paper's assembly
+    /// tolerances, the profile's headset tracker, and the fast training
+    /// budget of [`SystemConfig::fast_10g`] (the CLI's default).
+    pub fn system_config(&self, seed: u64) -> SystemConfig {
+        SystemConfig {
+            deployment: DeploymentConfig {
+                design: self.sfp.design,
+                galvo_cfg: self.galvo.cfg,
+                ..DeploymentConfig::paper_10g(seed)
+            },
+            tracker: self.tracker(),
+            ..SystemConfig::fast_10g(seed)
         }
     }
 
@@ -382,7 +308,6 @@ impl HardwareProfile {
 /// validate.
 #[derive(Debug, Clone)]
 enum Named<T> {
-    Preset(&'static str),
     Name(String),
     Custom(T),
 }
@@ -438,25 +363,21 @@ impl HardwareProfileBuilder {
     /// SFP/galvo pairing.
     pub fn build(self) -> Result<HardwareProfile, RegistryError> {
         let sfp = match self.sfp {
-            Named::Preset(n) => sfp_profile(n)?,
             Named::Name(ref n) => sfp_profile(n)?,
             Named::Custom(d) => d,
         };
         let galvo = match self.galvo {
-            Named::Preset(n) => galvo_profile(n)?,
             Named::Name(ref n) => galvo_profile(n)?,
             Named::Custom(d) => d,
         };
         let headset = match self.headset {
-            Named::Preset(n) => headset_profile(n)?,
             Named::Name(ref n) => headset_profile(n)?,
             Named::Custom(d) => d,
         };
         validate_sfp(&sfp)?;
         validate_galvo(&galvo)?;
         validate_headset(&headset)?;
-        let slew = galvo.slew_deg_s();
-        if slew < sfp.min_galvo_slew_deg_s {
+        if galvo.cfg.slew_rad_per_s.to_degrees() < sfp.min_galvo_slew_deg_s {
             return Err(RegistryError::IncompatiblePair {
                 sfp: sfp.name.to_string(),
                 galvo: galvo.name.to_string(),
@@ -534,29 +455,9 @@ fn validate_galvo(p: &GalvoProfileDef) -> Result<(), RegistryError> {
 }
 
 fn validate_headset(p: &HeadsetProfileDef) -> Result<(), RegistryError> {
-    let t = &p.tracker;
-    if !(t.period_min_s.is_finite() && t.period_min_s > 0.0 && t.period_max_s >= t.period_min_s) {
-        return Err(out_of_range("headset report period", t.period_min_s));
-    }
-    if !(0.0..=1.0).contains(&t.late_prob) {
-        return Err(out_of_range("headset late_prob", t.late_prob));
-    }
-    if !(0.0..=1.0).contains(&t.report_loss_prob) {
-        return Err(out_of_range("headset report_loss_prob", t.report_loss_prob));
-    }
-    if !(t.pos_noise_sigma.is_finite() && t.pos_noise_sigma >= 0.0) {
-        return Err(out_of_range("headset pos_noise_sigma", t.pos_noise_sigma));
-    }
-    if !(t.ang_noise_sigma.is_finite() && t.ang_noise_sigma >= 0.0) {
-        return Err(out_of_range("headset ang_noise_sigma", t.ang_noise_sigma));
-    }
-    if !(t.control_channel_latency_s.is_finite() && t.control_channel_latency_s >= 0.0) {
-        return Err(out_of_range(
-            "headset control_channel_latency_s",
-            t.control_channel_latency_s,
-        ));
-    }
-    Ok(())
+    p.tracker
+        .validate()
+        .map_err(|(what, value)| out_of_range(what, value))
 }
 
 #[cfg(test)]
@@ -583,7 +484,7 @@ mod tests {
     fn default_build_is_the_paper_prototype() {
         let hw = HardwareProfile::default();
         assert_eq!(hw.label(), "10g-zr/galvo-fast/rift-s");
-        let dc = hw.deployment_config(7);
+        let dc = hw.system_config(7).deployment;
         let paper = DeploymentConfig::paper_10g(7);
         assert_eq!(
             dc.design.sfp.rx_sensitivity_dbm,
@@ -646,13 +547,26 @@ mod tests {
             HardwareProfile::builder().headset_def(bad).build(),
             Err(RegistryError::OutOfRange { .. })
         ));
-        // Headset: probability outside [0, 1].
-        let mut bad = headset_profile("quest").unwrap();
-        bad.tracker.late_prob = 1.5;
-        assert!(matches!(
-            HardwareProfile::builder().headset_def(bad).build(),
-            Err(RegistryError::OutOfRange { .. })
-        ));
+        // Headset: probability outside [0, 1], and late reports enabled
+        // over an empty late-period band.
+        let quest = headset_profile("quest").unwrap();
+        for tracker in [
+            TrackerConfig {
+                late_prob: 1.5,
+                ..quest.tracker
+            },
+            TrackerConfig {
+                late_min_s: 0.0,
+                ..quest.tracker
+            },
+        ] {
+            assert!(matches!(
+                HardwareProfile::builder()
+                    .headset_def(HeadsetProfileDef { tracker, ..quest })
+                    .build(),
+                Err(RegistryError::OutOfRange { .. })
+            ));
+        }
     }
 
     #[test]

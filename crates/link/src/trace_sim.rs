@@ -15,10 +15,10 @@
 //! [`run_slots`](crate::engine::run_slots), bit-identically to the
 //! pre-refactor loop.
 //!
-//! **Deprecation note.** The [`simulate_trace`]/[`simulate_corpus`] free
-//! functions are kept for the Fig-16 binaries and older tests; new code
-//! that needs per-slot control or telemetry should drive
-//! [`crate::engine::TraceSession`] through [`run_slots`](crate::engine::run_slots) directly.
+//! [`simulate_trace`]/[`simulate_corpus`] are the Fig-16 and benchmark
+//! entry points. Code that needs per-slot control or telemetry drives
+//! [`crate::engine::TraceSession`] through
+//! [`run_slots`](crate::engine::run_slots) directly.
 
 use crate::engine::{FallbackPolicy, LinkPolicy, TraceSession};
 use crate::sfp_state::SfpLinkState;

@@ -115,6 +115,66 @@ impl TrackerConfig {
         }
     }
 
+    /// Checks every field's range; on failure returns what is wrong and the
+    /// offending value. Session builders and the hardware registry both
+    /// validate through this.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        let prob = |p: f64| p.is_finite() && (0.0..=1.0).contains(&p);
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let late_band =
+            self.late_prob <= 0.0 || (self.late_min_s > 0.0 && self.late_max_s >= self.late_min_s);
+        [
+            (
+                self.period_min_s.is_finite() && self.period_min_s > 0.0,
+                "period_min_s must be finite and positive",
+                self.period_min_s,
+            ),
+            (
+                self.period_max_s.is_finite() && self.period_max_s >= self.period_min_s,
+                "period_max_s must be finite and >= period_min_s",
+                self.period_max_s,
+            ),
+            (
+                prob(self.late_prob),
+                "late_prob must be a probability in [0, 1]",
+                self.late_prob,
+            ),
+            (
+                late_band,
+                "late_min_s/late_max_s must bound a positive interval when late_prob > 0",
+                self.late_min_s,
+            ),
+            (
+                prob(self.report_loss_prob),
+                "report_loss_prob must be a probability in [0, 1]",
+                self.report_loss_prob,
+            ),
+            (
+                non_negative(self.pos_noise_sigma),
+                "pos_noise_sigma must be finite and non-negative",
+                self.pos_noise_sigma,
+            ),
+            (
+                non_negative(self.ang_noise_sigma),
+                "ang_noise_sigma must be finite and non-negative",
+                self.ang_noise_sigma,
+            ),
+            (
+                non_negative(self.drift_sigma_per_sqrt_s),
+                "drift_sigma_per_sqrt_s must be finite and non-negative",
+                self.drift_sigma_per_sqrt_s,
+            ),
+            (
+                non_negative(self.control_channel_latency_s),
+                "control_channel_latency_s must be finite and non-negative",
+                self.control_channel_latency_s,
+            ),
+        ]
+        .into_iter()
+        .find(|(ok, ..)| !ok)
+        .map_or(Ok(()), |(_, what, value)| Err((what, value)))
+    }
+
     /// A noiseless, perfectly periodic tracker for white-box tests.
     pub fn ideal(period_s: f64) -> TrackerConfig {
         TrackerConfig {

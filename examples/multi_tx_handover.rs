@@ -53,43 +53,22 @@ fn availability(n_tx: usize, seed: u64) -> f64 {
 /// installations sharing one headset world, a static occluder parked on the
 /// active beam, and the real SFP re-lock cost.
 fn full_physics_act() -> Result<(), EngineConfigError> {
-    use cyclops::core::deployment::{Deployment, DeploymentConfig};
-    use cyclops::core::kspace::{train_both, BoardConfig};
-    use cyclops::core::mapping::{self, rough_initial_guess};
-    use cyclops::core::tp::{TpConfig, TpController};
+    use cyclops::core::commission;
     use cyclops::link::engine::DarkDebounce;
     use cyclops::link::handover::Occluder;
     use cyclops::prelude::{
-        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, TrackerConfig, TxInstallation,
+        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, SystemConfig, TrackerConfig,
+        TxInstallation,
     };
 
     println!("\n-- full-physics act: 2 trained units, occluder on unit 0 --");
     let seed = 777u64;
-    let board = BoardConfig {
-        cols: 10,
-        rows: 8,
-        cell_m: 0.0508,
-    };
     let units: Vec<TxInstallation> = [Vec3::new(-0.35, 0.0, 0.0), Vec3::new(0.35, 0.0, 0.0)]
         .into_iter()
         .map(|pos| {
-            let mut cfg = DeploymentConfig::paper_10g(seed);
-            cfg.tx_position = pos;
-            let mut dep = Deployment::new(&cfg);
-            let (tx_tr, tx_rig, rx_tr, rx_rig) =
-                train_both(&dep, &board, seed).expect("stage-1 training");
-            let (itx, irx) = rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, seed + 7);
-            let mt = mapping::train(
-                &mut dep,
-                &tx_tr.fitted,
-                &rx_tr.fitted,
-                itx,
-                irx,
-                12,
-                seed + 9,
-            );
-            let v = dep.voltages();
-            let ctl = TpController::new(mt.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);
+            let mut cfg = SystemConfig::fast_10g(seed);
+            cfg.deployment.tx_position = pos;
+            let (dep, ctl, ..) = commission(&cfg);
             TxInstallation { dep, ctl }
         })
         .collect();
