@@ -19,6 +19,12 @@
 //!
 //! The search only ever touches hardware observables: the monitor signal and
 //! the received power.
+//!
+//! Most RX coarse cells point the fiber far outside its angular acceptance.
+//! A cell that noiseless geometry proves dark reads `+0.0` mW without the
+//! coupling physics, yet it still counts in `n_evals` and still makes every
+//! noise draw the full reading makes, so the sweep's RNG stream and argmax
+//! are those of the full reading (DESIGN.md §8, "dark-cell bound").
 
 use crate::deployment::Deployment;
 use cyclops_optics::galvo::{VOLT_MAX, VOLT_MIN};
@@ -79,11 +85,9 @@ where
     best
 }
 
-/// Runs the §4.2 exhaustive search on the deployment as currently posed.
-/// Leaves the galvos commanded to the aligned voltages.
-pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
-    let mut n_evals = 0usize;
-
+/// Stages 1–2: the TX coarse sweep and refine on the monitor signal.
+/// Returns the refined TX voltages and counts its readings into `n_evals`.
+fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
     // Stage 1: TX coarse sweep on the monitor signal (row-parallel).
     let seed_tx = dep.rng().next_u64();
     let (ct1, ct2, _) = par_voltage_scan(dep, seed_tx, 51, |d: &mut Deployment, a, b| {
@@ -91,29 +95,36 @@ pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
         d.set_voltages(a, b, keep.2, keep.3);
         d.monitor_signal()
     });
-    n_evals += 51 * 51;
+    *n_evals += 51 * 51;
 
     // Stage 2: TX refine on the monitor signal (serial, on the real rig).
-    let refine_tx = {
-        let mut local = |v: &[f64]| {
-            let keep = dep.voltages();
-            dep.set_voltages(v[0], v[1], keep.2, keep.3);
-            n_evals += 1;
-            dep.monitor_signal()
-        };
-        let mut opts = PatternOptions::uniform(2, VOLT_MIN, VOLT_MAX, 0.25);
-        opts.shrink_tol = 1e-3;
-        pattern_search(&mut local, &[ct1, ct2], &opts)
+    let mut local = |v: &[f64]| {
+        let keep = dep.voltages();
+        dep.set_voltages(v[0], v[1], keep.2, keep.3);
+        *n_evals += 1;
+        dep.monitor_signal()
     };
-    let (vt1, vt2) = (refine_tx.params[0], refine_tx.params[1]);
+    let mut opts = PatternOptions::uniform(2, VOLT_MIN, VOLT_MAX, 0.25);
+    opts.shrink_tol = 1e-3;
+    let refine = pattern_search(&mut local, &[ct1, ct2], &opts);
+    (refine.params[0], refine.params[1])
+}
+
+/// Runs the §4.2 exhaustive search on the deployment as currently posed.
+/// Leaves the galvos commanded to the aligned voltages.
+pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
+    let mut n_evals = 0usize;
+    let (vt1, vt2) = align_tx(dep, &mut n_evals);
     dep.set_voltages(vt1, vt2, 0.0, 0.0);
 
     // Stage 3: RX coarse sweep on received power (row-parallel; linear mW so
-    // that "no light" is a clean zero).
+    // that "no light" is a clean zero). Cells the dark-cell bound proves
+    // unlit skip the coupling physics but still make their draws.
     let seed_rx = dep.rng().next_u64();
+    let bound = dep.dark_cell_bound();
     let (cr1, cr2, _) = par_voltage_scan(dep, seed_rx, 161, move |d: &mut Deployment, a, b| {
         d.set_voltages(vt1, vt2, a, b);
-        dbm_to_mw(d.received_power_unfloored_dbm())
+        d.rx_sweep_reading_mw(bound.as_ref())
     });
     n_evals += 161 * 161;
 
@@ -151,9 +162,11 @@ pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
 mod tests {
     use super::*;
     use crate::deployment::{cheat_align, Deployment, DeploymentConfig};
+    use crate::mapping::random_placement;
     use cyclops_geom::pose::Pose;
     use cyclops_geom::rotation::axis_angle;
     use cyclops_geom::vec3::{v3, Vec3};
+    use cyclops_optics::coupling::LinkDesign;
 
     #[test]
     fn align_reaches_near_optimal_power() {
@@ -211,6 +224,71 @@ mod tests {
             "{} evals (sweeps should dominate)",
             res.n_evals
         );
+    }
+
+    /// The registry's 40G-WDM stack (`cyclops_link::registry`, which this
+    /// crate cannot depend on): the 10G diverging optics with a 2 dBm CWDM
+    /// transmitter.
+    fn wdm_40g_design() -> LinkDesign {
+        let mut d = LinkDesign::ten_g_diverging(20.0e-3, 1.75);
+        d.sfp.tx_power_dbm = 2.0;
+        d.sfp.rx_sensitivity_dbm = -21.0;
+        d
+    }
+
+    /// Every cell of the RX coarse grid at the refined TX voltages: the
+    /// dark-cell path and the full reading agree on the bits and leave the
+    /// RNG in one state. Returns the fraction of cells the bound skipped.
+    fn sweep_skip_path_matches_full(cfg: &DeploymentConfig, placement_seed: u64) -> f64 {
+        let mut dep = Deployment::new(cfg);
+        let mut rng = StdRng::seed_from_u64(placement_seed);
+        dep.set_headset_pose(random_placement(&mut rng, cfg.design.nominal_range));
+        let (vt1, vt2) = align_tx(&mut dep, &mut 0);
+        dep.set_voltages(vt1, vt2, 0.0, 0.0);
+        let bound = dep.dark_cell_bound().expect("refined TX beam traces");
+        let mut full = dep.clone();
+        let step = (VOLT_MAX - VOLT_MIN) / 160.0;
+        let mut skipped = 0usize;
+        for i in 0..161 {
+            for j in 0..161 {
+                let (a, b) = (VOLT_MIN + i as f64 * step, VOLT_MIN + j as f64 * step);
+                dep.set_voltages(vt1, vt2, a, b);
+                full.set_voltages(vt1, vt2, a, b);
+                skipped += usize::from(dep.proves_dark(&bound));
+                let got = dep.rx_sweep_reading_mw(Some(&bound));
+                let want = dbm_to_mw(full.received_power_unfloored_dbm());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "cell ({a}, {b}): {got} vs {want}"
+                );
+                assert_eq!(dep.rng(), full.rng(), "cell ({a}, {b}): RNG diverged");
+            }
+        }
+        skipped as f64 / (161.0 * 161.0)
+    }
+
+    #[test]
+    fn dark_cell_skip_is_bit_identical_across_designs_and_noise() {
+        let designs = [
+            LinkDesign::ten_g_diverging(20.0e-3, 1.75),
+            LinkDesign::twenty_five_g(20.0e-3, 1.75),
+            wdm_40g_design(),
+        ];
+        for (k, design) in designs.into_iter().enumerate() {
+            for noise_scale in [1.0, 10.0] {
+                let mut cfg = DeploymentConfig::paper_10g(50 + k as u64);
+                cfg.design = design;
+                cfg.galvo_cfg.angle_noise_rad *= noise_scale;
+                for placement in 0..4 {
+                    let rate = sweep_skip_path_matches_full(&cfg, 100 * k as u64 + placement);
+                    if k == 0 && noise_scale == 1.0 {
+                        // paper_10g: the bound must keep firing.
+                        assert!(rate >= 0.9, "skip rate {rate} on paper_10g");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

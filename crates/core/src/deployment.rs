@@ -21,6 +21,7 @@
 //! power is maximized exactly at the Lemma-1 coincidence — which is the
 //! physical content of the lemma.
 
+use cyclops_geom::noise::MAX_DEVIATE;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
@@ -30,10 +31,12 @@ use cyclops_optics::beam::BeamState;
 use cyclops_optics::coupling::{LinkDesign, ReceiverGeometry};
 use cyclops_optics::galvo::{GalvoParams, GalvoSim, GalvoSimConfig};
 use cyclops_optics::photodiode::QuadrantMonitor;
+use cyclops_optics::power::dbm_to_mw;
 use cyclops_vrh::headset::{Headset, HeadsetConfig};
-use cyclops_vrh::rand_util::gauss;
+use cyclops_vrh::rand_util::{gauss, skip_gauss};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f64::consts::{FRAC_PI_2, LOG10_E};
 
 /// Configuration for building a [`Deployment`].
 #[derive(Debug, Clone)]
@@ -307,6 +310,90 @@ impl Deployment {
         beam.power_dbm + eff + noise
     }
 
+    /// The noiseless geometry and angle limits of a sweep over the RX
+    /// voltages at the current TX voltages and headset pose (see
+    /// [`DarkCellBound`]), or `None` when the noiseless TX beam path is
+    /// broken and no reading can be proved dark.
+    pub(crate) fn dark_cell_bound(&self) -> Option<DarkCellBound> {
+        let chief = self.tx_pose.apply_ray(&self.tx.noiseless_output_ray()?);
+        let beam = self.design.make_beam(chief);
+        // A reading is at most `p_hi + ang_db(φ)`: every other coupling
+        // term is ≤ 0 dB, and the power noise is at most MAX_DEVIATE RMS.
+        let d = &self.design;
+        let p_hi = d.launch_power_dbm()
+            + (d.coupling.divergence_loss_db(d.theta_half) + d.coupling.base_insertion_db).max(0.0)
+            + self.power_noise_db.max(0.0) * MAX_DEVIATE;
+        let sigma = d.coupling.sigma_phi(d.theta_half);
+        let phi_dark = ((p_hi - DARK_DBM) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
+        // Each mirror tilts by at most `max_jitter_rad` and deflects by
+        // twice that; four times the worst case of both assemblies covers
+        // the µm shifts of the beam origins, and 1 nrad the rounding.
+        let margin = 4.0 * 4.0 * (self.tx.max_jitter_rad() + self.rx.max_jitter_rad()) + 1e-9;
+        // The angle limits as cosines (φ ∈ [0, π], so cos is decreasing);
+        // an empty interval leaves `cos_dark` at −∞, which no cell passes.
+        let (dark, lit) = (phi_dark + margin, FRAC_PI_2 - margin);
+        let rx_pose = self.rx_world_pose();
+        Some(DarkCellBound {
+            tx_volts: self.tx.voltages(),
+            source: beam.virtual_source(),
+            chief,
+            rx_pose,
+            rx_pivot: rx_pose.apply_point(self.rx.truth.q2),
+            cos_dark: if dark < lit {
+                dark.cos()
+            } else {
+                f64::NEG_INFINITY
+            },
+            cos_lit: lit.cos(),
+            min_cos: margin.max(1e-2),
+        })
+    }
+
+    /// `dbm_to_mw(self.received_power_unfloored_dbm())` for an RX sweep
+    /// cell, bit for bit and draw for draw: a cell `bound` proves dark
+    /// makes the same RNG draws and reads `+0.0` without the coupling
+    /// physics.
+    pub(crate) fn rx_sweep_reading_mw(&mut self, bound: Option<&DarkCellBound>) -> f64 {
+        if !bound.is_some_and(|b| self.proves_dark(b)) {
+            return dbm_to_mw(self.received_power_unfloored_dbm());
+        }
+        self.tx.skip_output_ray(&mut self.rng);
+        self.rx.skip_output_ray(&mut self.rng);
+        if self.power_noise_db > 0.0 {
+            skip_gauss(&mut self.rng);
+        }
+        0.0
+    }
+
+    /// True when [`Deployment::received_power_unfloored_dbm`] provably
+    /// reaches its power-noise draw and reads `+0.0` mW at the current
+    /// voltages.
+    pub(crate) fn proves_dark(&self, b: &DarkCellBound) -> bool {
+        debug_assert_eq!(
+            self.tx.voltages(),
+            b.tx_volts,
+            "bound is for other TX voltages"
+        );
+        // The noiseless imaginary beam and the direction the TX light
+        // travels where it starts (`BeamState::local_ray_dir`, unnormalized).
+        let Some(imag) = self.rx.noiseless_output_ray() else {
+            return false;
+        };
+        let origin = b.rx_pose.apply_point(imag.origin);
+        let back = -b.rx_pose.apply_dir(imag.dir);
+        let arriving = b.source.map_or(b.chief.dir, |src| origin - src);
+        let cos_phi = arriving.dot(back) / arriving.norm();
+        if !(cos_phi < b.cos_dark && cos_phi > b.cos_lit) {
+            return false;
+        }
+        // The chief ray must meet the RX second-mirror plane under any
+        // jitter, or the full path returns early without the power noise.
+        let normal = b.rx_pose.apply_dir(self.rx.second_mirror_normal());
+        let cos = b.chief.dir.dot(normal);
+        let ahead = (b.rx_pivot - b.chief.origin).dot(normal) * cos.signum();
+        cos.abs() > b.min_cos && ahead > 1e-2 * cos.abs()
+    }
+
     /// True if the link currently closes (received power ≥ sensitivity).
     pub fn link_up(&mut self) -> bool {
         self.received_power_dbm() >= self.design.sfp.rx_sensitivity_dbm
@@ -320,12 +407,11 @@ impl Deployment {
         let Some(beam) = self.tx_beam() else {
             return 0.0;
         };
-        let rx_params = self.rx_world_params();
-        let tx_params = self.tx_world_params();
-        let axis = (tx_params.q2 - rx_params.q2)
-            .try_normalized(1e-9)
-            .unwrap_or(Vec3::Z);
-        let rx_geom = ReceiverGeometry::new(rx_params.q2, axis);
+        // The two pivots exactly as `GalvoParams::transformed` maps them.
+        let rx_q2 = self.rx_pivot_world();
+        let tx_q2 = self.tx_pose.apply_point(self.tx.truth.q2);
+        let axis = (tx_q2 - rx_q2).try_normalized(1e-9).unwrap_or(Vec3::Z);
+        let rx_geom = ReceiverGeometry::new(rx_q2, axis);
         self.monitor
             .search_signal(&beam, &rx_geom, self.design.coupling.aperture_radius)
     }
@@ -356,6 +442,39 @@ impl Deployment {
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
     }
+}
+
+/// Readings below this (dBm) convert to exactly `+0.0` mW: `dbm_to_mw`
+/// underflows below ≈ −3236 dBm.
+const DARK_DBM: f64 = -3400.0;
+
+/// What [`Deployment::proves_dark`] needs to prove an RX sweep cell dark
+/// from noiseless geometry alone.
+///
+/// While only the RX voltages move, the TX beam and the RX pose are fixed.
+/// A cell reads `+0.0` mW once its incidence angle `φ` is so far outside
+/// the fiber's Gaussian acceptance that the best case — launch power, no
+/// other loss, the largest power-noise deviate — is below [`DARK_DBM`].
+/// The noiseless `φ` must exceed that angle, and stay below `π/2`, by a
+/// margin that covers the largest galvo jitter a bounded Box–Muller draw
+/// can give.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DarkCellBound {
+    tx_volts: (f64, f64),
+    /// The noiseless TX chief ray and its beam's virtual source, world
+    /// frame.
+    chief: Ray,
+    source: Option<Vec3>,
+    rx_pose: Pose,
+    /// RX second-mirror pivot, world frame.
+    rx_pivot: Vec3,
+    /// `cos φ` below which a reading is below [`DARK_DBM`].
+    cos_dark: f64,
+    /// `cos φ` above which the full path stays under `π/2`.
+    cos_lit: f64,
+    /// Smallest `|cos|` between the chief ray and the RX second-mirror
+    /// plane's normal that jitter cannot bring to a miss.
+    min_cos: f64,
 }
 
 /// Steers both galvos to near-perfect alignment using the hidden truth —
@@ -400,6 +519,8 @@ pub fn cheat_align(dep: &mut Deployment) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_geom::mat3::Mat3;
+    use rand::RngCore;
 
     #[test]
     fn aligned_link_closes_with_expected_power() {
@@ -473,6 +594,128 @@ mod tests {
         c.set_voltages(0.1, 0.2, 0.3, 0.4);
         // Different seed → different hardware.
         assert_ne!(a.tx.truth, c.tx.truth);
+    }
+
+    /// How many uniforms (one `next_u64` each) took `before` to `after`.
+    fn draws_between(before: &StdRng, after: &StdRng) -> usize {
+        let mut r = before.clone();
+        for k in 0..64 {
+            if &r == after {
+                return k;
+            }
+            r.next_u64();
+        }
+        panic!("more than 64 draws apart");
+    }
+
+    /// Whether the noiseless TX chief ray meets the RX second-mirror plane.
+    fn chief_meets_rx_plane(dep: &Deployment) -> bool {
+        let chief = dep
+            .tx_pose
+            .apply_ray(&dep.tx.noiseless_output_ray().unwrap());
+        let normal = dep.rx_world_pose().apply_dir(dep.rx.second_mirror_normal());
+        Plane::new(dep.rx_pivot_world(), normal)
+            .intersect_ray(&chief)
+            .is_some()
+    }
+
+    /// `(reading, uniforms drawn)` of one unfloored power reading.
+    fn reading_draws(dep: &mut Deployment) -> (f64, usize) {
+        let before = dep.rng().clone();
+        let p = dep.received_power_unfloored_dbm();
+        (p, draws_between(&before, dep.rng()))
+    }
+
+    #[test]
+    fn power_reading_draws_are_pinned_per_exit_path() {
+        let base = || {
+            let mut dep = Deployment::new(&DeploymentConfig::paper_10g(11));
+            cheat_align(&mut dep);
+            dep
+        };
+        // Two uniforms per mirror jitter, two per galvo, two for the power
+        // noise.
+        let mut dep = base();
+        let (p, n) = reading_draws(&mut dep);
+        assert!(p.is_finite());
+        assert_eq!(n, 10, "full path with power noise");
+        dep.power_noise_db = 0.0;
+        assert_eq!(
+            reading_draws(&mut dep).1,
+            8,
+            "full path without power noise"
+        );
+
+        // The input beam turned away from the first mirror breaks a trace.
+        let broken = |g: &GalvoSim| {
+            let truth = GalvoParams {
+                x0: -g.truth.x0,
+                ..g.truth
+            };
+            GalvoSim::new(truth, g.cfg)
+        };
+        let mut dep = base();
+        dep.tx = broken(&dep.tx);
+        assert_eq!(
+            reading_draws(&mut dep),
+            (f64::NEG_INFINITY, 4),
+            "TX trace fails"
+        );
+        let mut dep = base();
+        dep.rx = broken(&dep.rx);
+        assert_eq!(
+            reading_draws(&mut dep),
+            (f64::NEG_INFINITY, 8),
+            "RX trace fails"
+        );
+
+        // The TX turned round fires away from the RX second-mirror plane.
+        let mut dep = base();
+        dep.tx_pose.rot = axis_angle(Vec3::Y, std::f64::consts::PI) * dep.tx_pose.rot;
+        assert!(!chief_meets_rx_plane(&dep));
+        assert_eq!(
+            reading_draws(&mut dep),
+            (f64::NEG_INFINITY, 8),
+            "plane missed"
+        );
+
+        // The RX mounted facing away from the TX: the plane is still hit,
+        // but the imaginary beam leaves at φ ≈ π.
+        let mut dep = base();
+        dep.rx_mount.rot = Mat3::IDENTITY;
+        assert!(chief_meets_rx_plane(&dep));
+        assert_eq!(reading_draws(&mut dep), (f64::NEG_INFINITY, 8), "φ ≥ π/2");
+    }
+
+    #[test]
+    fn dark_cell_replay_leaves_the_full_path_state() {
+        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(12));
+        cheat_align(&mut dep);
+        let (vt1, vt2, _, _) = dep.voltages();
+        let bound = dep.dark_cell_bound().unwrap();
+        // Far corners of the RX range are dark, with and without power
+        // noise.
+        for noise in [0.2, 0.0] {
+            for (a, b) in [
+                (9.0, 9.0),
+                (-9.0, 9.0),
+                (9.0, -9.0),
+                (-9.0, -9.0),
+                (4.0, 0.0),
+            ] {
+                dep.power_noise_db = noise;
+                dep.set_voltages(vt1, vt2, a, b);
+                assert!(
+                    dep.proves_dark(&bound),
+                    "({a}, {b}) should be provably dark"
+                );
+                let mut full = dep.clone();
+                let skipped = dep.rx_sweep_reading_mw(Some(&bound));
+                let want = dbm_to_mw(full.received_power_unfloored_dbm());
+                assert_eq!(skipped.to_bits(), want.to_bits());
+                assert_eq!(dep.rng(), full.rng());
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,15 @@ pub fn cos_turns(u: f64) -> f64 {
     f64::from_bits(bits ^ sign)
 }
 
+/// Lower end of the `u₁` uniform every RNG-fed caller draws
+/// (`gen_range(U1_MIN..1.0)`), which keeps `ln u₁` finite.
+pub const U1_MIN: f64 = 1e-12;
+
+/// `√(−2 ln U1_MIN)` rounded up: no [`box_muller`] deviate drawn with
+/// `u₁ ≥ U1_MIN` exceeds it in magnitude. Worst-case noise bounds (the
+/// alignment search's dark-cell test) rest on it.
+pub const MAX_DEVIATE: f64 = 7.433_845;
+
 /// One standard-normal deviate from two uniforms by Box–Muller:
 /// `√(−2 ln u₁) · cos(2πu₂)`, for `u₁ ∈ (0, 1]` and `u₂ ∈ [0, 1]`.
 #[inline]
@@ -144,6 +153,19 @@ mod tests {
                     assert!(d <= 1e-15, "u = {u}: |Δ| = {d:e}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn deviates_are_bounded_by_the_smallest_u1() {
+        assert!((-2.0 * U1_MIN.ln()).sqrt() <= MAX_DEVIATE);
+        // `ln` is increasing and `|cos_turns| ≤ 1`, so `u₁ = U1_MIN` is the
+        // worst case; quarter turns hit `cos = ±1` and `0` exactly.
+        for u2 in [0.0, 0.25, 0.5, 1.0] {
+            assert!(box_muller(U1_MIN, u2).abs() <= MAX_DEVIATE, "u2 = {u2}");
+        }
+        for u in uniforms(3).take(100_000) {
+            assert!(cos_turns(u).abs() <= 1.0, "u = {u}");
         }
     }
 

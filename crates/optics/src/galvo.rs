@@ -22,7 +22,7 @@
 //! (p, x̂)         = R(p_mid, x̂_mid, n̂₂', q₂)
 //! ```
 
-use cyclops_geom::noise::box_muller;
+use cyclops_geom::noise::{box_muller, MAX_DEVIATE, U1_MIN};
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
@@ -431,8 +431,10 @@ pub struct GalvoSim {
     v1: f64,
     v2: f64,
     /// The tilted mirror normals `R(r̂ᵢ, θ₁vᵢ)·n̂ᵢ` at the commanded
-    /// voltages, refreshed by [`GalvoSim::command`]: each slot reads them
-    /// several times, while commands arrive only with tracking reports.
+    /// voltages. [`GalvoSim::command`] re-rotates a normal only when that
+    /// mirror's quantized voltage changes: each slot reads them several
+    /// times while commands arrive only with tracking reports, and a
+    /// voltage sweep moves one mirror per reading.
     n1p: Vec3,
     n2p: Vec3,
 }
@@ -466,10 +468,16 @@ impl GalvoSim {
         };
         let (nv1, nv2) = (q(v1), q(v2));
         let dang = ((nv1 - self.v1).abs().max((nv2 - self.v2).abs())) * self.truth.theta1;
+        // Equal bits rotate to equal bits, so an unmoved mirror keeps its
+        // normal.
+        if nv1.to_bits() != self.v1.to_bits() {
+            self.n1p = self.truth.mirror1_normal(&self.axes, nv1);
+        }
+        if nv2.to_bits() != self.v2.to_bits() {
+            self.n2p = self.truth.mirror2_normal(&self.axes, nv2);
+        }
         self.v1 = nv1;
         self.v2 = nv2;
-        self.n1p = self.truth.mirror1_normal(&self.axes, nv1);
-        self.n2p = self.truth.mirror2_normal(&self.axes, nv2);
         if dang == 0.0 {
             0.0
         } else if self.cfg.slew_rad_per_s.is_infinite() {
@@ -526,21 +534,58 @@ impl GalvoSim {
     /// normals are used as they are, bit-identical to
     /// [`GalvoParams::trace`] at the commanded voltages.
     pub fn output_ray<R: Rng>(&self, rng: &mut R) -> Option<Ray> {
-        let noise_v = if self.cfg.angle_noise_rad > 0.0 {
+        let Some([u1, u2]) = self.jitter_uniforms(rng) else {
+            return self.noiseless_output_ray();
+        };
+        let noise_v = self.noise_v();
+        let jitter = |n: Vec3, axis: Vec3, (ua, ub): (f64, f64)| {
+            let j = box_muller(ua, ub) * noise_v;
+            rotate_about(n, axis, self.truth.theta1 * j)
+        };
+        self.truth.trace_tilted(
+            jitter(self.n1p, self.axes.r1n, u1),
+            jitter(self.n2p, self.axes.r2n, u2),
+        )
+    }
+
+    /// The output beam at the commanded voltages without positioning noise:
+    /// the trace [`GalvoSim::output_ray`] makes at zero jitter.
+    pub fn noiseless_output_ray(&self) -> Option<Ray> {
+        self.truth.trace_tilted(self.n1p, self.n2p)
+    }
+
+    /// Makes exactly the RNG draws of one [`GalvoSim::output_ray`] call
+    /// without tracing, for a caller that has proved it does not need the
+    /// ray. Both draw through one private helper, so the two cannot drift
+    /// apart.
+    pub fn skip_output_ray<R: Rng>(&self, rng: &mut R) {
+        self.jitter_uniforms(rng);
+    }
+
+    /// The largest extra mirror tilt (rad) one jittered trace can add:
+    /// [`MAX_DEVIATE`] times the RMS angle, 0 when the driver is noiseless.
+    pub fn max_jitter_rad(&self) -> f64 {
+        MAX_DEVIATE * (self.truth.theta1 * self.noise_v()).abs()
+    }
+
+    /// RMS positioning noise in volts; 0 turns the jitter off.
+    fn noise_v(&self) -> f64 {
+        if self.cfg.angle_noise_rad > 0.0 {
             self.cfg.angle_noise_rad / self.truth.theta1
         } else {
             0.0
-        };
-        if noise_v > 0.0 {
-            let mut jitter = |n: Vec3, axis: Vec3| {
-                let j = box_muller(rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0)) * noise_v;
-                rotate_about(n, axis, self.truth.theta1 * j)
-            };
-            let n1p = jitter(self.n1p, self.axes.r1n);
-            let n2p = jitter(self.n2p, self.axes.r2n);
-            self.truth.trace_tilted(n1p, n2p)
+        }
+    }
+
+    /// The Box–Muller uniforms of both mirrors' jitter, in draw order, or
+    /// `None` (drawing nothing) when there is no jitter.
+    #[inline]
+    fn jitter_uniforms<R: Rng>(&self, rng: &mut R) -> Option<[(f64, f64); 2]> {
+        if self.noise_v() > 0.0 {
+            let mut draw = || (rng.gen_range(U1_MIN..1.0), rng.gen_range(0.0..1.0));
+            Some([draw(), draw()])
         } else {
-            self.truth.trace_tilted(self.n1p, self.n2p)
+            None
         }
     }
 
@@ -782,6 +827,55 @@ mod tests {
                 // Both streams consumed the same four uniforms.
                 assert_eq!(rng.gen_range(0..u64::MAX), replay.gen_range(0..u64::MAX));
             }
+        }
+    }
+
+    #[test]
+    fn skip_and_noiseless_paths_agree_with_output_ray() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for noise in [0.0, 10e-6, 3e-3] {
+            let cfg = GalvoSimConfig {
+                angle_noise_rad: noise,
+                ..GalvoSimConfig::default()
+            };
+            let truth = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
+            let mut sim = GalvoSim::new(truth, cfg);
+            for _ in 0..64 {
+                sim.command(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+                let (v1, v2) = sim.voltages();
+                let clean = sim.noiseless_output_ray();
+                assert_eq!(clean, truth.trace(v1, v2));
+                let mut skipped = rng.clone();
+                sim.skip_output_ray(&mut skipped);
+                let noisy = sim.output_ray(&mut rng).unwrap();
+                assert_eq!(rng, skipped, "skip must draw what output_ray draws");
+                // Two mirrors, each deflecting the beam by twice its tilt.
+                let dev = noisy.dir.angle_to(clean.unwrap().dir);
+                assert!(dev <= 4.0 * sim.max_jitter_rad(), "{dev} at noise {noise}");
+            }
+        }
+    }
+
+    #[test]
+    fn command_keeps_unmoved_normals_bit_identical() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let truth = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
+        let mut swept = GalvoSim::new(truth, GalvoSimConfig::default());
+        for _ in 0..256 {
+            // Move the first mirror, the second, both or neither.
+            let (mut v1, mut v2) = swept.voltages();
+            let moves = rng.gen_range(0..4u32);
+            if moves & 1 == 1 {
+                v1 = rng.gen_range(-10.0..10.0);
+            }
+            if moves & 2 == 2 {
+                v2 = rng.gen_range(-10.0..10.0);
+            }
+            swept.command(v1, v2);
+            let mut fresh = GalvoSim::new(truth, GalvoSimConfig::default());
+            fresh.command(v1, v2);
+            assert_eq!(swept.noiseless_output_ray(), fresh.noiseless_output_ray());
+            assert_eq!(swept.second_mirror_normal(), fresh.second_mirror_normal());
         }
     }
 

@@ -1,5 +1,6 @@
 //! Small shared randomness helpers.
 
+use cyclops_geom::noise::{box_muller, U1_MIN};
 use rand::Rng;
 
 /// One standard-normal draw: two uniforms from `rng` through the shared
@@ -7,9 +8,21 @@ use rand::Rng;
 /// usage to the core API). Galvo jitter and the channel's scintillation
 /// draw their own uniforms but go through the same kernel.
 pub fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let (u1, u2) = gauss_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// Makes exactly the RNG draws of one [`gauss`] call and discards them:
+/// keeps a stream in step when the deviate is provably not needed.
+pub fn skip_gauss<R: Rng>(rng: &mut R) {
+    gauss_uniforms(rng);
+}
+
+#[inline]
+fn gauss_uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(U1_MIN..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    cyclops_geom::noise::box_muller(u1, u2)
+    (u1, u2)
 }
 
 #[cfg(test)]
@@ -33,5 +46,14 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
+    }
+
+    #[test]
+    fn skip_gauss_advances_the_stream_like_gauss() {
+        let mut a = StdRng::seed_from_u64(2);
+        let mut b = a.clone();
+        gauss(&mut a);
+        skip_gauss(&mut b);
+        assert_eq!(a, b);
     }
 }
