@@ -23,16 +23,29 @@ fn bench_kspace_fit(c: &mut Criterion) {
 }
 
 fn bench_exhaustive_align(c: &mut Criterion) {
-    let dep = Deployment::new(&DeploymentConfig::paper_10g(2));
     let mut group = c.benchmark_group("training");
     group.sample_size(10);
-    group.bench_function("exhaustive 4-voltage alignment", |b| {
-        b.iter_batched(
-            || dep.clone(),
-            |mut d| exhaustive_align(&mut d).power_dbm,
-            BatchSize::LargeInput,
-        )
-    });
+    // The 25G design's wider acceptance lights more of the RX sweep, so its
+    // full readings set the floor the dark-cell skip cannot remove.
+    for (name, cfg) in [
+        (
+            "exhaustive 4-voltage alignment",
+            DeploymentConfig::paper_10g(2),
+        ),
+        (
+            "exhaustive 4-voltage alignment (25G)",
+            DeploymentConfig::paper_25g(2),
+        ),
+    ] {
+        let dep = Deployment::new(&cfg);
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || dep.clone(),
+                |mut d| exhaustive_align(&mut d).power_dbm,
+                BatchSize::LargeInput,
+            )
+        });
+    }
     group.finish();
 }
 

@@ -22,11 +22,12 @@
 //!
 //! Most RX coarse cells point the fiber far outside its angular acceptance.
 //! A cell that noiseless geometry proves dark reads `+0.0` mW without the
-//! coupling physics, yet it still counts in `n_evals` and still makes every
-//! noise draw the full reading makes, so the sweep's RNG stream and argmax
-//! are those of the full reading (DESIGN.md §8, "dark-cell bound").
+//! coupling physics and without commanding the galvo, yet it still counts
+//! in `n_evals`. Its noise draws are replayed before the row's next full
+//! reading, so every reading and the argmax are those of the full physics
+//! (DESIGN.md §8, "dark-cell bound").
 
-use crate::deployment::Deployment;
+use crate::deployment::{DarkCellBound, Deployment, RX_SWEEP_POINTS};
 use cyclops_optics::galvo::{VOLT_MAX, VOLT_MIN};
 use cyclops_optics::power::dbm_to_mw;
 use cyclops_solver::pattern::{pattern_search, PatternOptions};
@@ -44,6 +45,18 @@ pub struct AlignResult {
     pub n_evals: usize,
 }
 
+/// Voltage of point `k` of a `points`-point sweep axis over
+/// `[VOLT_MIN, VOLT_MAX]`.
+fn grid_volts(points: usize, k: usize) -> f64 {
+    let step = (VOLT_MAX - VOLT_MIN) / (points - 1) as f64;
+    VOLT_MIN + k as f64 * step
+}
+
+/// The second-mirror voltages of the RX coarse sweep's columns.
+pub(crate) fn rx_sweep_columns() -> [f64; RX_SWEEP_POINTS] {
+    std::array::from_fn(|j| grid_volts(RX_SWEEP_POINTS, j))
+}
+
 /// One coarse voltage-pair sweep over the full `[VOLT_MIN, VOLT_MAX]²` grid,
 /// row-parallel. Returns the first-wins argmax `(v_a, v_b, score)`.
 ///
@@ -55,27 +68,18 @@ pub struct AlignResult {
 /// rows are folded in index order with a strictly-greater comparison. The
 /// result is therefore bit-identical for any thread count, including one
 /// (which maps the same row closure in a plain loop).
-fn par_voltage_scan<F>(dep: &Deployment, stage_seed: u64, points: usize, eval: F) -> (f64, f64, f64)
+fn par_voltage_scan<R, C>(
+    dep: &Deployment,
+    stage_seed: u64,
+    points: usize,
+    row: R,
+) -> (f64, f64, f64)
 where
-    F: Fn(&mut Deployment, f64, f64) -> f64 + Sync,
+    R: Fn(&Deployment, f64) -> C + Sync,
+    C: FnMut(&mut Deployment, usize, f64) -> f64,
 {
-    let step = (VOLT_MAX - VOLT_MIN) / (points - 1) as f64;
-    let scan_row = |i: usize| -> (f64, f64, f64) {
-        let mut d = dep.clone();
-        *d.rng() = StdRng::seed_from_u64(cyclops_par::mix64(stage_seed, i as u64));
-        let va = VOLT_MIN + i as f64 * step;
-        let mut best = (va, VOLT_MIN, f64::NEG_INFINITY);
-        for j in 0..points {
-            let vb = VOLT_MIN + j as f64 * step;
-            let s = eval(&mut d, va, vb);
-            if s > best.2 {
-                best = (va, vb, s);
-            }
-        }
-        best
-    };
-    let rows = cyclops_par::par_map_indexed(points, 1, scan_row);
-
+    let rows =
+        cyclops_par::par_map_indexed(points, 1, |i| scan_row(dep, stage_seed, points, i, &row));
     let mut best = (VOLT_MIN, VOLT_MIN, f64::NEG_INFINITY);
     for row in rows {
         if row.2 > best.2 {
@@ -85,15 +89,76 @@ where
     best
 }
 
+/// Row `i` of [`par_voltage_scan`] on its reseeded clone of `dep`:
+/// `row(clone, v_a)` makes the row's cell reader, which reads column `j`
+/// (voltage `v_b`) as `cell(clone, j, v_b)`, in column order. Returns the
+/// row's first-wins argmax.
+fn scan_row<R, C>(
+    dep: &Deployment,
+    stage_seed: u64,
+    points: usize,
+    i: usize,
+    row: &R,
+) -> (f64, f64, f64)
+where
+    R: Fn(&Deployment, f64) -> C,
+    C: FnMut(&mut Deployment, usize, f64) -> f64,
+{
+    let mut d = dep.clone();
+    *d.rng() = StdRng::seed_from_u64(cyclops_par::mix64(stage_seed, i as u64));
+    let va = grid_volts(points, i);
+    let mut cell = row(&d, va);
+    let mut best = (va, VOLT_MIN, f64::NEG_INFINITY);
+    for j in 0..points {
+        let vb = grid_volts(points, j);
+        let s = cell(&mut d, j, vb);
+        if s > best.2 {
+            best = (va, vb, s);
+        }
+    }
+    best
+}
+
+/// The Stage 3 cell reader for row `va` at TX voltages `vt`: received
+/// power in linear mW, so that "no light" is a clean zero.
+///
+/// A cell `bound` proves dark reads `+0.0` without commanding the galvo or
+/// drawing; it only adds to the draws the row owes. Those are replayed just
+/// before the next full reading, so that reading sees the RNG state of the
+/// full physics. Galvo state after `command` is a pure function of the
+/// quantized voltages, so the skipped commands are invisible too. Draws
+/// still owed at the end of the row are never made: the row's clone is
+/// discarded and nothing reads its RNG again.
+fn rx_sweep_row<'b>(
+    bound: Option<&'b DarkCellBound>,
+    (vt1, vt2): (f64, f64),
+    dep: &Deployment,
+    va: f64,
+) -> impl FnMut(&mut Deployment, usize, f64) -> f64 + 'b {
+    let row = bound.and_then(|b| Some((b, b.row_mid(dep, va)?)));
+    let mut owed = 0;
+    move |d: &mut Deployment, j: usize, vb: f64| {
+        if row.is_some_and(|(b, mid)| b.proves_dark(&d.rx, &mid, j)) {
+            owed += 1;
+            return 0.0;
+        }
+        d.replay_dark_draws(std::mem::take(&mut owed));
+        d.set_voltages(vt1, vt2, va, vb);
+        dbm_to_mw(d.received_power_unfloored_dbm())
+    }
+}
+
 /// Stages 1–2: the TX coarse sweep and refine on the monitor signal.
 /// Returns the refined TX voltages and counts its readings into `n_evals`.
 fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
     // Stage 1: TX coarse sweep on the monitor signal (row-parallel).
     let seed_tx = dep.rng().next_u64();
-    let (ct1, ct2, _) = par_voltage_scan(dep, seed_tx, 51, |d: &mut Deployment, a, b| {
-        let keep = d.voltages();
-        d.set_voltages(a, b, keep.2, keep.3);
-        d.monitor_signal()
+    let (ct1, ct2, _) = par_voltage_scan(dep, seed_tx, 51, |_: &Deployment, a| {
+        move |d: &mut Deployment, _: usize, b| {
+            let keep = d.voltages();
+            d.set_voltages(a, b, keep.2, keep.3);
+            d.monitor_signal()
+        }
     });
     *n_evals += 51 * 51;
 
@@ -117,16 +182,14 @@ pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
     let (vt1, vt2) = align_tx(dep, &mut n_evals);
     dep.set_voltages(vt1, vt2, 0.0, 0.0);
 
-    // Stage 3: RX coarse sweep on received power (row-parallel; linear mW so
-    // that "no light" is a clean zero). Cells the dark-cell bound proves
-    // unlit skip the coupling physics but still make their draws.
+    // Stage 3: RX coarse sweep on received power (row-parallel). Cells the
+    // dark-cell bound proves unlit skip the physics; their draws are owed.
     let seed_rx = dep.rng().next_u64();
-    let bound = dep.dark_cell_bound();
-    let (cr1, cr2, _) = par_voltage_scan(dep, seed_rx, 161, move |d: &mut Deployment, a, b| {
-        d.set_voltages(vt1, vt2, a, b);
-        d.rx_sweep_reading_mw(bound.as_ref())
+    let bound = dep.dark_cell_bound(&rx_sweep_columns());
+    let (cr1, cr2, _) = par_voltage_scan(dep, seed_rx, RX_SWEEP_POINTS, |d: &Deployment, va| {
+        rx_sweep_row(bound.as_ref(), (vt1, vt2), d, va)
     });
-    n_evals += 161 * 161;
+    n_evals += RX_SWEEP_POINTS * RX_SWEEP_POINTS;
 
     // Stage 4: joint 4-D refine on received power, down to the DAC step
     // (serial, on the real rig).
@@ -165,7 +228,7 @@ mod tests {
     use crate::mapping::random_placement;
     use cyclops_geom::pose::Pose;
     use cyclops_geom::rotation::axis_angle;
-    use cyclops_geom::vec3::{v3, Vec3};
+    use cyclops_geom::vec3::v3;
     use cyclops_optics::coupling::LinkDesign;
 
     #[test]
@@ -236,40 +299,56 @@ mod tests {
         d
     }
 
-    /// Every cell of the RX coarse grid at the refined TX voltages: the
-    /// dark-cell path and the full reading agree on the bits and leave the
-    /// RNG in one state. Returns the fraction of cells the bound skipped.
-    fn sweep_skip_path_matches_full(cfg: &DeploymentConfig, placement_seed: u64) -> f64 {
+    /// Every row of the RX coarse sweep at the refined TX voltages: the
+    /// sweep's row argmax has the bits of a full-physics scan of the same
+    /// row, and the column tables skip exactly the cells the per-cell test
+    /// proves dark. Returns the fraction of cells skipped.
+    fn rx_rows_match_full_physics(cfg: &DeploymentConfig, placement_seed: u64) -> f64 {
         let mut dep = Deployment::new(cfg);
         let mut rng = StdRng::seed_from_u64(placement_seed);
         dep.set_headset_pose(random_placement(&mut rng, cfg.design.nominal_range));
         let (vt1, vt2) = align_tx(&mut dep, &mut 0);
         dep.set_voltages(vt1, vt2, 0.0, 0.0);
-        let bound = dep.dark_cell_bound().expect("refined TX beam traces");
-        let mut full = dep.clone();
-        let step = (VOLT_MAX - VOLT_MIN) / 160.0;
+        let columns = rx_sweep_columns();
+        let bound = dep
+            .dark_cell_bound(&columns)
+            .expect("refined TX beam traces");
+        let seed = dep.rng().next_u64();
+        let full_row = |_: &Deployment, va: f64| {
+            move |d: &mut Deployment, _: usize, vb: f64| {
+                d.set_voltages(vt1, vt2, va, vb);
+                dbm_to_mw(d.received_power_unfloored_dbm())
+            }
+        };
         let mut skipped = 0usize;
-        for i in 0..161 {
-            for j in 0..161 {
-                let (a, b) = (VOLT_MIN + i as f64 * step, VOLT_MIN + j as f64 * step);
-                dep.set_voltages(vt1, vt2, a, b);
-                full.set_voltages(vt1, vt2, a, b);
-                skipped += usize::from(dep.proves_dark(&bound));
-                let got = dep.rx_sweep_reading_mw(Some(&bound));
-                let want = dbm_to_mw(full.received_power_unfloored_dbm());
+        for i in 0..RX_SWEEP_POINTS {
+            let sweep_row = |d: &Deployment, va: f64| rx_sweep_row(Some(&bound), (vt1, vt2), d, va);
+            let got = scan_row(&dep, seed, RX_SWEEP_POINTS, i, &sweep_row);
+            let want = scan_row(&dep, seed, RX_SWEEP_POINTS, i, &full_row);
+            assert_eq!(
+                [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                "row {i}: {got:?} vs {want:?}"
+            );
+            let va = columns[i];
+            let mut cell = dep.clone();
+            let mid = bound.row_mid(&cell, va);
+            for (j, &vb) in columns.iter().enumerate() {
+                cell.set_voltages(vt1, vt2, va, vb);
+                let table = mid.is_some_and(|m| bound.proves_dark(&cell.rx, &m, j));
                 assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "cell ({a}, {b}): {got} vs {want}"
+                    table,
+                    cell.proves_dark_per_cell(&bound),
+                    "cell ({va}, {vb})"
                 );
-                assert_eq!(dep.rng(), full.rng(), "cell ({a}, {b}): RNG diverged");
+                skipped += usize::from(table);
             }
         }
-        skipped as f64 / (161.0 * 161.0)
+        skipped as f64 / (RX_SWEEP_POINTS * RX_SWEEP_POINTS) as f64
     }
 
     #[test]
-    fn dark_cell_skip_is_bit_identical_across_designs_and_noise() {
+    fn dark_cell_rows_are_bit_identical_across_designs_and_noise() {
         let designs = [
             LinkDesign::ten_g_diverging(20.0e-3, 1.75),
             LinkDesign::twenty_five_g(20.0e-3, 1.75),
@@ -281,7 +360,7 @@ mod tests {
                 cfg.design = design;
                 cfg.galvo_cfg.angle_noise_rad *= noise_scale;
                 for placement in 0..4 {
-                    let rate = sweep_skip_path_matches_full(&cfg, 100 * k as u64 + placement);
+                    let rate = rx_rows_match_full_physics(&cfg, 100 * k as u64 + placement);
                     if k == 0 && noise_scale == 1.0 {
                         // paper_10g: the bound must keep firing.
                         assert!(rate >= 0.9, "skip rate {rate} on paper_10g");
@@ -299,7 +378,5 @@ mod tests {
         // The search maximizes power; by Lemma 1 the coincidence gap must be
         // small (within the beam geometry scale).
         assert!(lp.gap() < 5e-3, "lemma gap {} m", lp.gap());
-        // And both optical paths nearly coincide as lines.
-        let _ = Vec3::ZERO;
     }
 }

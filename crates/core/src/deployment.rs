@@ -31,7 +31,6 @@ use cyclops_optics::beam::BeamState;
 use cyclops_optics::coupling::{LinkDesign, ReceiverGeometry};
 use cyclops_optics::galvo::{GalvoParams, GalvoSim, GalvoSimConfig};
 use cyclops_optics::photodiode::QuadrantMonitor;
-use cyclops_optics::power::dbm_to_mw;
 use cyclops_vrh::headset::{Headset, HeadsetConfig};
 use cyclops_vrh::rand_util::{gauss, skip_gauss};
 use rand::rngs::StdRng;
@@ -310,11 +309,15 @@ impl Deployment {
         beam.power_dbm + eff + noise
     }
 
-    /// The noiseless geometry and angle limits of a sweep over the RX
-    /// voltages at the current TX voltages and headset pose (see
-    /// [`DarkCellBound`]), or `None` when the noiseless TX beam path is
-    /// broken and no reading can be proved dark.
-    pub(crate) fn dark_cell_bound(&self) -> Option<DarkCellBound> {
+    /// The noiseless geometry, angle limits and per-column mirror table of
+    /// an RX sweep over the second-mirror voltages `columns` at the current
+    /// TX voltages and headset pose (see [`DarkCellBound`]), or `None` when
+    /// the noiseless TX beam path is broken and no reading can be proved
+    /// dark.
+    pub(crate) fn dark_cell_bound(
+        &self,
+        columns: &[f64; RX_SWEEP_POINTS],
+    ) -> Option<DarkCellBound> {
         let chief = self.tx_pose.apply_ray(&self.tx.noiseless_output_ray()?);
         let beam = self.design.make_beam(chief);
         // A reading is at most `p_hi + ang_db(φ)`: every other coupling
@@ -325,73 +328,74 @@ impl Deployment {
             + self.power_noise_db.max(0.0) * MAX_DEVIATE;
         let sigma = d.coupling.sigma_phi(d.theta_half);
         let phi_dark = ((p_hi - DARK_DBM) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
-        // Each mirror tilts by at most `max_jitter_rad` and deflects by
-        // twice that; four times the worst case of both assemblies covers
-        // the µm shifts of the beam origins, and 1 nrad the rounding.
-        let margin = 4.0 * 4.0 * (self.tx.max_jitter_rad() + self.rx.max_jitter_rad()) + 1e-9;
+        let margin = self.jitter_margin();
         // The angle limits as cosines (φ ∈ [0, π], so cos is decreasing);
         // an empty interval leaves `cos_dark` at −∞, which no cell passes.
         let (dark, lit) = (phi_dark + margin, FRAC_PI_2 - margin);
         let rx_pose = self.rx_world_pose();
+        let rx_pivot = rx_pose.apply_point(self.rx.truth.q2);
+        let columns = columns.map(|vb| {
+            let n2p = self.rx.second_mirror_normal_at(vb);
+            DarkColumn {
+                n2p,
+                meets_plane: meets_plane_robustly(&chief, &rx_pose, rx_pivot, n2p, margin),
+            }
+        });
         Some(DarkCellBound {
             tx_volts: self.tx.voltages(),
             source: beam.virtual_source(),
             chief,
             rx_pose,
-            rx_pivot: rx_pose.apply_point(self.rx.truth.q2),
             cos_dark: if dark < lit {
                 dark.cos()
             } else {
                 f64::NEG_INFINITY
             },
             cos_lit: lit.cos(),
-            min_cos: margin.max(1e-2),
+            columns,
         })
     }
 
-    /// `dbm_to_mw(self.received_power_unfloored_dbm())` for an RX sweep
-    /// cell, bit for bit and draw for draw: a cell `bound` proves dark
-    /// makes the same RNG draws and reads `+0.0` without the coupling
-    /// physics.
-    pub(crate) fn rx_sweep_reading_mw(&mut self, bound: Option<&DarkCellBound>) -> f64 {
-        if !bound.is_some_and(|b| self.proves_dark(b)) {
-            return dbm_to_mw(self.received_power_unfloored_dbm());
-        }
-        self.tx.skip_output_ray(&mut self.rng);
-        self.rx.skip_output_ray(&mut self.rng);
-        if self.power_noise_db > 0.0 {
-            skip_gauss(&mut self.rng);
-        }
-        0.0
+    /// How far (rad) the jitter of both galvos can move the noiseless
+    /// incidence angle. Each mirror tilts by at most `max_jitter_rad` and
+    /// deflects by twice that; four times the worst case of both
+    /// assemblies covers the µm shifts of the beam origins, and 1 nrad the
+    /// rounding.
+    fn jitter_margin(&self) -> f64 {
+        4.0 * 4.0 * (self.tx.max_jitter_rad() + self.rx.max_jitter_rad()) + 1e-9
     }
 
-    /// True when [`Deployment::received_power_unfloored_dbm`] provably
-    /// reaches its power-noise draw and reads `+0.0` mW at the current
-    /// voltages.
-    pub(crate) fn proves_dark(&self, b: &DarkCellBound) -> bool {
-        debug_assert_eq!(
-            self.tx.voltages(),
-            b.tx_volts,
-            "bound is for other TX voltages"
-        );
-        // The noiseless imaginary beam and the direction the TX light
-        // travels where it starts (`BeamState::local_ray_dir`, unnormalized).
+    /// Makes the RNG draws of `n` RX sweep readings that
+    /// [`DarkCellBound::proves_dark`] skipped, in order. Such a reading
+    /// reaches its power-noise draw, so each is the TX jitter, the RX
+    /// jitter and the power noise, through the helpers the full reading
+    /// draws with.
+    pub(crate) fn replay_dark_draws(&mut self, n: usize) {
+        for _ in 0..n {
+            self.tx.skip_output_ray(&mut self.rng);
+            self.rx.skip_output_ray(&mut self.rng);
+            if self.power_noise_db > 0.0 {
+                skip_gauss(&mut self.rng);
+            }
+        }
+    }
+
+    /// The per-cell form of [`DarkCellBound::proves_dark`] at the current
+    /// voltages, from the commanded galvo state rather than the sweep
+    /// tables: the reference the tables are tested against.
+    #[cfg(test)]
+    pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound) -> bool {
         let Some(imag) = self.rx.noiseless_output_ray() else {
             return false;
         };
-        let origin = b.rx_pose.apply_point(imag.origin);
-        let back = -b.rx_pose.apply_dir(imag.dir);
-        let arriving = b.source.map_or(b.chief.dir, |src| origin - src);
-        let cos_phi = arriving.dot(back) / arriving.norm();
-        if !(cos_phi < b.cos_dark && cos_phi > b.cos_lit) {
-            return false;
-        }
-        // The chief ray must meet the RX second-mirror plane under any
-        // jitter, or the full path returns early without the power noise.
-        let normal = b.rx_pose.apply_dir(self.rx.second_mirror_normal());
-        let cos = b.chief.dir.dot(normal);
-        let ahead = (b.rx_pivot - b.chief.origin).dot(normal) * cos.signum();
-        cos.abs() > b.min_cos && ahead > 1e-2 * cos.abs()
+        b.dark_angle(&imag)
+            && meets_plane_robustly(
+                &b.chief,
+                &b.rx_pose,
+                self.rx_pivot_world(),
+                self.rx.second_mirror_normal(),
+                self.jitter_margin(),
+            )
     }
 
     /// True if the link currently closes (received power ≥ sensitivity).
@@ -448,8 +452,28 @@ impl Deployment {
 /// underflows below ≈ −3236 dBm.
 const DARK_DBM: f64 = -3400.0;
 
-/// What [`Deployment::proves_dark`] needs to prove an RX sweep cell dark
-/// from noiseless geometry alone.
+/// Points in each axis of the §4.2 RX coarse sweep; the column table of a
+/// [`DarkCellBound`] holds one entry per point.
+pub(crate) const RX_SWEEP_POINTS: usize = 161;
+
+/// Whether the TX chief ray meets the RX second-mirror plane (body-frame
+/// normal `n2p`) under any jitter. Otherwise the full reading returns early
+/// without the power noise.
+fn meets_plane_robustly(
+    chief: &Ray,
+    rx_pose: &Pose,
+    rx_pivot: Vec3,
+    n2p: Vec3,
+    margin: f64,
+) -> bool {
+    let normal = rx_pose.apply_dir(n2p);
+    let cos = chief.dir.dot(normal);
+    let ahead = (rx_pivot - chief.origin).dot(normal) * cos.signum();
+    cos.abs() > margin.max(1e-2) && ahead > 1e-2 * cos.abs()
+}
+
+/// What [`DarkCellBound::proves_dark`] needs to prove an RX sweep cell dark
+/// from noiseless geometry alone, computed once per sweep.
 ///
 /// While only the RX voltages move, the TX beam and the RX pose are fixed.
 /// A cell reads `+0.0` mW once its incidence angle `φ` is so far outside
@@ -458,7 +482,12 @@ const DARK_DBM: f64 = -3400.0;
 /// The noiseless `φ` must exceed that angle, and stay below `π/2`, by a
 /// margin that covers the largest galvo jitter a bounded Box–Muller draw
 /// can give.
-#[derive(Debug, Clone, Copy)]
+///
+/// The second-mirror normal and the plane test depend only on the column,
+/// so they are tabled per column; the mirror-1 beam depends only on the
+/// row ([`DarkCellBound::row_mid`]). A cell is then one reflection and one
+/// angle test, the same arithmetic the commanded galvo would do.
+#[derive(Debug, Clone)]
 pub(crate) struct DarkCellBound {
     tx_volts: (f64, f64),
     /// The noiseless TX chief ray and its beam's virtual source, world
@@ -466,15 +495,61 @@ pub(crate) struct DarkCellBound {
     chief: Ray,
     source: Option<Vec3>,
     rx_pose: Pose,
-    /// RX second-mirror pivot, world frame.
-    rx_pivot: Vec3,
     /// `cos φ` below which a reading is below [`DARK_DBM`].
     cos_dark: f64,
     /// `cos φ` above which the full path stays under `π/2`.
     cos_lit: f64,
-    /// Smallest `|cos|` between the chief ray and the RX second-mirror
-    /// plane's normal that jitter cannot bring to a miss.
-    min_cos: f64,
+    columns: [DarkColumn; RX_SWEEP_POINTS],
+}
+
+/// One column of a [`DarkCellBound`].
+#[derive(Debug, Clone, Copy)]
+struct DarkColumn {
+    /// RX second-mirror normal at the column's quantized voltage, body
+    /// frame: the value [`GalvoSim::command`] caches.
+    n2p: Vec3,
+    /// Whether the chief ray meets that mirror's plane under any jitter.
+    meets_plane: bool,
+}
+
+impl DarkCellBound {
+    /// The noiseless RX beam between the mirrors for sweep row `va` on
+    /// `dep`, shared by every cell of the row; `None` when the first
+    /// reflection fails and no cell of the row can be proved dark.
+    pub(crate) fn row_mid(&self, dep: &Deployment, va: f64) -> Option<Ray> {
+        debug_assert_eq!(
+            dep.tx.voltages(),
+            self.tx_volts,
+            "bound is for other TX voltages"
+        );
+        dep.rx.noiseless_mid_ray(va)
+    }
+
+    /// True when [`Deployment::received_power_unfloored_dbm`] with the RX
+    /// galvo `rx` commanded to (the row of `mid`, column `j`) provably
+    /// reaches its power-noise draw and reads `+0.0` mW.
+    #[inline]
+    pub(crate) fn proves_dark(&self, rx: &GalvoSim, mid: &Ray, j: usize) -> bool {
+        let col = &self.columns[j];
+        col.meets_plane
+            && rx
+                .truth
+                .out_ray(mid, col.n2p)
+                .is_some_and(|imag| self.dark_angle(&imag))
+    }
+
+    /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
+    /// the TX light at an angle that reads dark under any jitter.
+    #[inline]
+    fn dark_angle(&self, imag: &Ray) -> bool {
+        // The direction the TX light travels where the imaginary beam
+        // starts (`BeamState::local_ray_dir`, unnormalized).
+        let origin = self.rx_pose.apply_point(imag.origin);
+        let back = -self.rx_pose.apply_dir(imag.dir);
+        let arriving = self.source.map_or(self.chief.dir, |src| origin - src);
+        let cos_phi = arriving.dot(back) / arriving.norm();
+        cos_phi < self.cos_dark && cos_phi > self.cos_lit
+    }
 }
 
 /// Steers both galvos to near-perfect alignment using the hidden truth —
@@ -520,6 +595,7 @@ pub fn cheat_align(dep: &mut Deployment) {
 mod tests {
     use super::*;
     use cyclops_geom::mat3::Mat3;
+    use cyclops_optics::power::dbm_to_mw;
     use rand::RngCore;
 
     #[test]
@@ -692,10 +768,15 @@ mod tests {
         let mut dep = Deployment::new(&DeploymentConfig::paper_10g(12));
         cheat_align(&mut dep);
         let (vt1, vt2, _, _) = dep.voltages();
-        let bound = dep.dark_cell_bound().unwrap();
+        let columns = crate::alignment::rx_sweep_columns();
+        let bound = dep.dark_cell_bound(&columns).unwrap();
         // Far corners of the RX range are dark, with and without power
-        // noise.
+        // noise. Their draws, replayed late and together, leave the state
+        // of the full readings made one by one.
         for noise in [0.2, 0.0] {
+            dep.power_noise_db = noise;
+            let mut full = dep.clone();
+            let mut owed = 0;
             for (a, b) in [
                 (9.0, 9.0),
                 (-9.0, 9.0),
@@ -703,19 +784,47 @@ mod tests {
                 (-9.0, -9.0),
                 (4.0, 0.0),
             ] {
-                dep.power_noise_db = noise;
-                dep.set_voltages(vt1, vt2, a, b);
+                full.set_voltages(vt1, vt2, a, b);
                 assert!(
-                    dep.proves_dark(&bound),
+                    full.proves_dark_per_cell(&bound),
                     "({a}, {b}) should be provably dark"
                 );
-                let mut full = dep.clone();
-                let skipped = dep.rx_sweep_reading_mw(Some(&bound));
+                let j = columns.iter().position(|&c| c == b).unwrap();
+                let mid = bound.row_mid(&dep, a).unwrap();
+                assert!(bound.proves_dark(&dep.rx, &mid, j), "table at ({a}, {b})");
                 let want = dbm_to_mw(full.received_power_unfloored_dbm());
-                assert_eq!(skipped.to_bits(), want.to_bits());
-                assert_eq!(dep.rng(), full.rng());
+                assert_eq!(want.to_bits(), 0.0f64.to_bits());
+                owed += 1;
+            }
+            dep.replay_dark_draws(owed);
+            assert_eq!(dep.rng(), full.rng());
+        }
+    }
+
+    #[test]
+    fn cells_the_chief_ray_cannot_reach_are_never_skipped() {
+        // The RX behind the TX and facing the same way: most RX voltages
+        // give a dark angle, but the chief ray never meets the RX plane, so
+        // every full reading exits before its power noise.
+        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(13));
+        dep.rx_mount.rot = Mat3::IDENTITY;
+        dep.set_headset_pose(Pose::translation(v3(0.0, 0.0, -1.75)));
+        let (vt1, vt2, _, _) = dep.voltages();
+        let columns = crate::alignment::rx_sweep_columns();
+        let bound = dep.dark_cell_bound(&columns).unwrap();
+        let mut angle_dark = 0;
+        for &va in columns.iter().step_by(16) {
+            let mid = bound.row_mid(&dep, va).unwrap();
+            for (j, &vb) in columns.iter().enumerate().step_by(16) {
+                let imag = dep.rx.truth.out_ray(&mid, bound.columns[j].n2p).unwrap();
+                angle_dark += usize::from(bound.dark_angle(&imag));
+                assert!(!bound.proves_dark(&dep.rx, &mid, j), "({va}, {vb})");
+                dep.set_voltages(vt1, vt2, va, vb);
+                assert!(!dep.proves_dark_per_cell(&bound), "({va}, {vb})");
+                assert_eq!(reading_draws(&mut dep), (f64::NEG_INFINITY, 8));
             }
         }
+        assert!(angle_dark > 50, "{angle_dark} of 121 cells at a dark angle");
     }
 
     #[test]

@@ -9,12 +9,17 @@
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};
 use cyclops_core::mapping::{collect_samples, MappingSample};
+use cyclops_optics::galvo::GalvoSimConfig;
 
 fn align_at(threads: usize, seed: u64) -> AlignResult {
     cyclops_par::with_threads(threads, || {
         let mut dep = Deployment::new(&DeploymentConfig::paper_10g(seed));
         exhaustive_align(&mut dep)
     })
+}
+
+fn align_cfg_at(threads: usize, cfg: &DeploymentConfig) -> AlignResult {
+    cyclops_par::with_threads(threads, || exhaustive_align(&mut Deployment::new(cfg)))
 }
 
 fn assert_align_eq(a: &AlignResult, b: &AlignResult, ctx: &str) {
@@ -38,6 +43,21 @@ fn exhaustive_align_invariant_to_thread_count() {
         for threads in [2, 3, 8] {
             let res = align_at(threads, seed);
             assert_align_eq(&res, &reference, &format!("seed {seed}, threads {threads}"));
+        }
+    }
+    // The 25G design, with ~23 % of the RX sweep lit; and a noiseless
+    // bench, where a dark cell owes no draws.
+    let mut noiseless = DeploymentConfig::paper_10g(42);
+    noiseless.galvo_cfg = GalvoSimConfig::ideal();
+    noiseless.power_noise_db = 0.0;
+    for (name, cfg) in [
+        ("paper_25g(42)", DeploymentConfig::paper_25g(42)),
+        ("noiseless", noiseless),
+    ] {
+        let reference = align_cfg_at(1, &cfg);
+        for threads in [2, 3, 8] {
+            let res = align_cfg_at(threads, &cfg);
+            assert_align_eq(&res, &reference, &format!("{name}, threads {threads}"));
         }
     }
 }

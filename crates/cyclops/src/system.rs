@@ -36,8 +36,8 @@ pub struct CyclopsSystem {
 
 impl CyclopsSystem {
     /// Runs the full §4 deployment procedure. At one thread on a shared
-    /// 2-vCPU host it takes 0.06–0.1 s for [`SystemConfig::fast_10g`] and
-    /// 0.17–0.3 s for [`SystemConfig::paper_10g`], depending on host load.
+    /// 2-vCPU host it takes about 0.05 s for [`SystemConfig::fast_10g`] and
+    /// 0.13–0.16 s for [`SystemConfig::paper_10g`], depending on host load.
     pub fn commission(cfg: &SystemConfig) -> CyclopsSystem {
         let (dep, ctl, report, mapping_samples) = cyclops_core::commission(cfg);
         CyclopsSystem {

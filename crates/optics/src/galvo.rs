@@ -251,12 +251,26 @@ impl GalvoParams {
         axis_angle(axes.r2n, self.theta1 * v2) * axes.n2n
     }
 
-    /// The strict two-reflection path for already-tilted mirror normals.
+    /// The strict two-reflection path for already-tilted mirror normals:
+    /// [`GalvoParams::mid_ray`], then [`GalvoParams::out_ray`].
     #[inline]
     fn trace_tilted(&self, n1p: Vec3, n2p: Vec3) -> Option<Ray> {
-        let input = Ray::new(self.p0, self.x0);
-        let mid = reflect_ray(&input, self.q1, n1p)?;
-        reflect_ray(&mid, self.q2, n2p)
+        self.out_ray(&self.mid_ray(n1p)?, n2p)
+    }
+
+    /// First reflection of the strict path: the beam between the mirrors
+    /// for the tilted first-mirror normal `n1p`. A sweep along `v₂` reuses
+    /// it unchanged.
+    #[inline]
+    fn mid_ray(&self, n1p: Vec3) -> Option<Ray> {
+        reflect_ray(&Ray::new(self.p0, self.x0), self.q1, n1p)
+    }
+
+    /// Second reflection of the strict path: the mid-mirror beam off the
+    /// second mirror with tilted normal `n2p`.
+    #[inline]
+    pub fn out_ray(&self, mid: &Ray, n2p: Vec3) -> Option<Ray> {
+        reflect_ray(mid, self.q2, n2p)
     }
 
     /// Strict version of [`GalvoParams::trace`]: validates the voltage pair
@@ -458,15 +472,7 @@ impl GalvoSim {
     /// DAC step). Returns the settle time in seconds: the paper's 1–2 ms
     /// pointing latency is dominated by this plus DAC conversion.
     pub fn command(&mut self, v1: f64, v2: f64) -> f64 {
-        let q = |v: f64| {
-            let c = v.clamp(VOLT_MIN, VOLT_MAX);
-            if self.cfg.dac_step_v > 0.0 {
-                (c / self.cfg.dac_step_v).round() * self.cfg.dac_step_v
-            } else {
-                c
-            }
-        };
-        let (nv1, nv2) = (q(v1), q(v2));
+        let (nv1, nv2) = (self.quantize(v1), self.quantize(v2));
         let dang = ((nv1 - self.v1).abs().max((nv2 - self.v2).abs())) * self.truth.theta1;
         // Equal bits rotate to equal bits, so an unmoved mirror keeps its
         // normal.
@@ -484,6 +490,17 @@ impl GalvoSim {
             self.cfg.small_step_settle_s
         } else {
             self.cfg.small_step_settle_s + dang / self.cfg.slew_rad_per_s
+        }
+    }
+
+    /// The voltage a command of `v` puts on a mirror: clamped to ±10 V and
+    /// rounded to the DAC step.
+    fn quantize(&self, v: f64) -> f64 {
+        let c = v.clamp(VOLT_MIN, VOLT_MAX);
+        if self.cfg.dac_step_v > 0.0 {
+            (c / self.cfg.dac_step_v).round() * self.cfg.dac_step_v
+        } else {
+            c
         }
     }
 
@@ -552,6 +569,21 @@ impl GalvoSim {
     /// the trace [`GalvoSim::output_ray`] makes at zero jitter.
     pub fn noiseless_output_ray(&self) -> Option<Ray> {
         self.truth.trace_tilted(self.n1p, self.n2p)
+    }
+
+    /// The noiseless beam between the mirrors with mirror 1 commanded to
+    /// `v1`: the first half of [`GalvoSim::noiseless_output_ray`] after
+    /// `command(v1, _)`, whatever the second voltage.
+    pub fn noiseless_mid_ray(&self, v1: f64) -> Option<Ray> {
+        self.truth
+            .mid_ray(self.truth.mirror1_normal(&self.axes, self.quantize(v1)))
+    }
+
+    /// The body-frame second-mirror normal [`GalvoSim::command`] caches for
+    /// a command of `v2`: what [`GalvoSim::second_mirror_normal`] reports
+    /// after `command(_, v2)`.
+    pub fn second_mirror_normal_at(&self, v2: f64) -> Vec3 {
+        self.truth.mirror2_normal(&self.axes, self.quantize(v2))
     }
 
     /// Makes exactly the RNG draws of one [`GalvoSim::output_ray`] call
@@ -852,6 +884,27 @@ mod tests {
                 // Two mirrors, each deflecting the beam by twice its tilt.
                 let dev = noisy.dir.angle_to(clean.unwrap().dir);
                 assert!(dev <= 4.0 * sim.max_jitter_rad(), "{dev} at noise {noise}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_halves_match_the_commanded_path() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for cfg in [GalvoSimConfig::default(), GalvoSimConfig::ideal()] {
+            let truth = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
+            let mut sim = GalvoSim::new(truth, cfg);
+            for _ in 0..64 {
+                // Out-of-range commands exercise the clamp.
+                let (v1, v2) = (rng.gen_range(-11.0..11.0), rng.gen_range(-11.0..11.0));
+                let (mid, n2p) = (sim.noiseless_mid_ray(v1), sim.second_mirror_normal_at(v2));
+                sim.command(v1, v2);
+                assert_eq!(sim.voltages(), (sim.quantize(v1), sim.quantize(v2)));
+                assert_eq!(sim.second_mirror_normal(), n2p);
+                assert_eq!(
+                    sim.noiseless_output_ray(),
+                    mid.and_then(|m| truth.out_ray(&m, n2p))
+                );
             }
         }
     }
