@@ -342,6 +342,16 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
+/// `exhaustive_align`'s voltages, power and evaluation count on a fresh
+/// deployment of `cfg`.
+fn align_signature(cfg: &DeploymentConfig) -> Vec<f64> {
+    let res = exhaustive_align(&mut Deployment::new(cfg));
+    let mut sig = res.voltages.to_vec();
+    sig.push(res.power_dbm);
+    sig.push(res.n_evals as f64);
+    sig
+}
+
 fn main() {
     let threads = cyclops_par::max_threads();
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -441,12 +451,12 @@ fn main() {
         }),
         // §4.2 exhaustive search: row-parallel 51² + 161² voltage grids.
         run_workload("exhaustive_align", threads, 0, || {
-            let mut dep = Deployment::new(&DeploymentConfig::paper_10g(42));
-            let res = exhaustive_align(&mut dep);
-            let mut sig = res.voltages.to_vec();
-            sig.push(res.power_dbm);
-            sig.push(res.n_evals as f64);
-            sig
+            align_signature(&DeploymentConfig::paper_10g(42))
+        }),
+        // The same search on the 25G design, whose wider acceptance lights
+        // ~23 % of the RX sweep.
+        run_workload("exhaustive_align_25g", threads, 0, || {
+            align_signature(&DeploymentConfig::paper_25g(42))
         }),
         // §4.2 stage-2 training: parallel placement collection + LM fit.
         run_workload("mapping_fit", threads, 0, || {

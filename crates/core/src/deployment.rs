@@ -309,9 +309,9 @@ impl Deployment {
         beam.power_dbm + eff + noise
     }
 
-    /// The noiseless geometry, angle limits and per-column mirror table of
-    /// an RX sweep over the second-mirror voltages `columns` at the current
-    /// TX voltages and headset pose (see [`DarkCellBound`]), or `None` when
+    /// The noiseless geometry, angle limits and mirror tables of an RX
+    /// sweep over the second-mirror voltages `columns` at the current TX
+    /// voltages and headset pose (see [`DarkCellBound`]), or `None` when
     /// the noiseless TX beam path is broken and no reading can be proved
     /// dark.
     pub(crate) fn dark_cell_bound(
@@ -334,13 +334,10 @@ impl Deployment {
         let (dark, lit) = (phi_dark + margin, FRAC_PI_2 - margin);
         let rx_pose = self.rx_world_pose();
         let rx_pivot = rx_pose.apply_point(self.rx.truth.q2);
-        let columns = columns.map(|vb| {
-            let n2p = self.rx.second_mirror_normal_at(vb);
-            DarkColumn {
-                n2p,
-                meets_plane: meets_plane_robustly(&chief, &rx_pose, rx_pivot, n2p, margin),
-            }
-        });
+        let mirrors = MirrorColumns::new(&self.rx, columns);
+        let meets_plane = mirrors
+            .n2p
+            .map(|n2p| meets_plane_robustly(&chief, &rx_pose, rx_pivot, n2p, margin));
         Some(DarkCellBound {
             tx_volts: self.tx.voltages(),
             source: beam.virtual_source(),
@@ -352,7 +349,10 @@ impl Deployment {
                 f64::NEG_INFINITY
             },
             cos_lit: lit.cos(),
-            columns,
+            phi_dark: dark,
+            phi_lit: lit,
+            mirrors,
+            meets_plane,
         })
     }
 
@@ -365,24 +365,44 @@ impl Deployment {
         4.0 * 4.0 * (self.tx.max_jitter_rad() + self.rx.max_jitter_rad()) + 1e-9
     }
 
-    /// Makes the RNG draws of `n` RX sweep readings that
-    /// [`DarkCellBound::proves_dark`] skipped, in order. Such a reading
-    /// reaches its power-noise draw, so each is the TX jitter, the RX
-    /// jitter and the power noise, through the helpers the full reading
-    /// draws with.
-    pub(crate) fn replay_dark_draws(&mut self, n: usize) {
-        for _ in 0..n {
-            self.tx.skip_output_ray(&mut self.rng);
-            self.rx.skip_output_ray(&mut self.rng);
-            if self.power_noise_db > 0.0 {
-                skip_gauss(&mut self.rng);
-            }
+    /// The geometry, jitter slack and mirror table of a TX coarse sweep on
+    /// the monitor over the second-mirror voltages `columns`, at the
+    /// current headset pose (see [`MonitorDarkBound`]).
+    pub(crate) fn monitor_dark_bound(&self, columns: &[f64; TX_SWEEP_POINTS]) -> MonitorDarkBound {
+        let tilt = self.tx.max_jitter_rad();
+        MonitorDarkBound {
+            mirrors: MirrorColumns::new(&self.tx, columns),
+            tx_pose: self.tx_pose,
+            geom: self.monitor_geometry(),
+            profile: self.design.make_beam(Ray::new(Vec3::ZERO, Vec3::Z)),
+            ring_radius: self.monitor.ring_radius,
+            capture_radius: self
+                .monitor
+                .diode_radius
+                .max(self.design.coupling.aperture_radius),
+            jitter_dir: 4.0 * tilt,
+            jitter_origin: 2.0 * JITTER_LEVER_M * tilt,
         }
     }
 
-    /// The per-cell form of [`DarkCellBound::proves_dark`] at the current
+    /// Whether a TX sweep reading of the monitor at the current voltages is
+    /// provably `+0.0` by the per-cell form of
+    /// [`MonitorDarkBound::dark_run`]: from the commanded galvo state
+    /// rather than the sweep tables, and without a run. The reference the
+    /// tables and runs are tested against.
+    #[cfg(test)]
+    pub(crate) fn monitor_dark_per_cell(&self, b: &MonitorDarkBound) -> bool {
+        assert_eq!(self.monitor_geometry(), b.geom, "bound is for another pose");
+        self.tx.noiseless_output_ray().is_some_and(|out| {
+            b.landing(&self.tx_pose.apply_ray(&out))
+                .is_some_and(|l| b.clears(&l, 0, 0.0))
+        })
+    }
+
+    /// The per-cell form of [`DarkCellBound::dark_run`] at the current
     /// voltages, from the commanded galvo state rather than the sweep
-    /// tables: the reference the tables are tested against.
+    /// tables, and without a run: the reference the tables and runs are
+    /// tested against.
     #[cfg(test)]
     pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound) -> bool {
         let Some(imag) = self.rx.noiseless_output_ray() else {
@@ -411,13 +431,22 @@ impl Deployment {
         let Some(beam) = self.tx_beam() else {
             return 0.0;
         };
-        // The two pivots exactly as `GalvoParams::transformed` maps them.
+        self.monitor.search_signal(
+            &beam,
+            &self.monitor_geometry(),
+            self.design.coupling.aperture_radius,
+        )
+    }
+
+    /// The monitor ring's plane: centred on the RX second-mirror pivot and
+    /// facing the TX second-mirror pivot, both exactly as
+    /// `GalvoParams::transformed` maps them. Only the headset pose moves
+    /// it.
+    fn monitor_geometry(&self) -> ReceiverGeometry {
         let rx_q2 = self.rx_pivot_world();
         let tx_q2 = self.tx_pose.apply_point(self.tx.truth.q2);
         let axis = (tx_q2 - rx_q2).try_normalized(1e-9).unwrap_or(Vec3::Z);
-        let rx_geom = ReceiverGeometry::new(rx_q2, axis);
-        self.monitor
-            .search_signal(&beam, &rx_geom, self.design.coupling.aperture_radius)
+        ReceiverGeometry::new(rx_q2, axis)
     }
 
     /// The Lemma-1 point pairs at the current voltages, computed from the
@@ -456,6 +485,25 @@ const DARK_DBM: f64 = -3400.0;
 /// [`DarkCellBound`] holds one entry per point.
 pub(crate) const RX_SWEEP_POINTS: usize = 161;
 
+/// Points in each axis of the §4.2 TX coarse sweep on the monitor; the
+/// column table of a [`MonitorDarkBound`] holds one entry per point.
+pub(crate) const TX_SWEEP_POINTS: usize = 51;
+
+/// Metres the beam's origin on the second mirror can move per radian of
+/// jitter tilt of either mirror. The path inside an assembly is centimetres
+/// long and meets each mirror far from grazing, so the true factor is a
+/// few centimetres (a test pins it below a tenth of this).
+const JITTER_LEVER_M: f64 = 1.0;
+
+/// Rounding slack of the monitor landing bound (m) and of the RX run's
+/// angle (rad).
+const LANDING_ROUNDING_M: f64 = 1e-6;
+const ANGLE_ROUNDING_RAD: f64 = 1e-9;
+
+/// The smallest `|cos|` between a TX chief ray and the monitor plane that
+/// the landing bound accepts: nearer grazing, the landing point runs away.
+const MIN_LANDING_COS: f64 = 1e-2;
+
 /// Whether the TX chief ray meets the RX second-mirror plane (body-frame
 /// normal `n2p`) under any jitter. Otherwise the full reading returns early
 /// without the power noise.
@@ -472,7 +520,146 @@ fn meets_plane_robustly(
     cos.abs() > margin.max(1e-2) && ahead > 1e-2 * cos.abs()
 }
 
-/// What [`DarkCellBound::proves_dark`] needs to prove an RX sweep cell dark
+/// A coarse voltage-pair sweep whose dark cells can be skipped. Rows step
+/// the swept galvo's first mirror, columns its second; a row is tested in
+/// column order by a [`DarkRow`].
+pub(crate) trait DarkSweep {
+    /// Row `va`'s noiseless mid-mirror ray and run data on `dep`, or `None`
+    /// when no cell of the row can be proved dark.
+    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow>;
+
+    /// Whether column `j`'s table flags let a dark cell there be skipped.
+    fn column_skippable(&self, j: usize) -> bool;
+
+    /// When cell `j` of `row` provably reads `+0.0`, how many of the
+    /// following columns provably do too: `Some(0)` proves the cell alone.
+    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize>;
+
+    /// Makes the RNG draws of `n` skipped readings, in order.
+    fn replay(dep: &mut Deployment, n: usize);
+}
+
+/// One sweep row's dark cells, asked for in column order: a cell is
+/// skipped when its column allows it and it lies in a run that
+/// [`DarkSweep::dark_run`] proved, so one test covers a whole run.
+pub(crate) struct DarkRow<'b, B> {
+    bound: &'b B,
+    row: SweepRow,
+    /// Cells before this column are proved dark by the last run.
+    run_end: usize,
+}
+
+impl<'b, B: DarkSweep> DarkRow<'b, B> {
+    /// Row `va` of `bound` on `dep`; `None` when no cell can be skipped.
+    pub(crate) fn new(bound: &'b B, dep: &Deployment, va: f64) -> Option<DarkRow<'b, B>> {
+        Some(DarkRow {
+            row: bound.row(dep, va)?,
+            bound,
+            run_end: 0,
+        })
+    }
+
+    /// The first column the last proved run does not cover.
+    #[cfg(test)]
+    pub(crate) fn run_end(&self) -> usize {
+        self.run_end
+    }
+
+    /// Whether cell `j` reads `+0.0` without the physics; `j` must not
+    /// decrease from call to call.
+    #[inline]
+    pub(crate) fn skips(&mut self, j: usize) -> bool {
+        if !self.bound.column_skippable(j) {
+            return false;
+        }
+        if j >= self.run_end {
+            let Some(run) = self.bound.dark_run(&self.row, j) else {
+                return false;
+            };
+            self.run_end = j + 1 + run;
+        }
+        true
+    }
+}
+
+/// A sweep row's noiseless mid-mirror ray and what bounds its runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SweepRow {
+    /// The swept galvo's noiseless beam between its mirrors, body frame.
+    mid: Ray,
+    /// How far (m) the beam's origin on the second mirror can move per
+    /// radian of mirror-2 rotation anywhere in the row; `None` when the
+    /// mid ray does not meet mirror 2 robustly at every column, so that no
+    /// run may cross one.
+    origin_rate: Option<f64>,
+}
+
+/// The swept galvo's second-mirror table of one sweep, computed once.
+#[derive(Debug, Clone)]
+struct MirrorColumns<const N: usize> {
+    truth: GalvoParams,
+    /// Second-mirror normal at each column's quantized voltage, body frame:
+    /// the value [`GalvoSim::command`] caches.
+    n2p: [Vec3; N],
+    /// Bound on the mirror-2 rotation (rad) between neighbouring columns.
+    step_rad: f64,
+    /// Bound on the rotation from the middle column's normal to any
+    /// column's normal, jitter included.
+    reach_rad: f64,
+}
+
+impl<const N: usize> MirrorColumns<N> {
+    fn new(galvo: &GalvoSim, columns: &[f64; N]) -> MirrorColumns<N> {
+        // `command` clamps and rounds to the DAC step, so two quantized
+        // voltages differ by at most their raw gap plus one step, and a
+        // normal turns by the gain times that.
+        let gain = galvo.truth.theta1.abs();
+        let dac = galvo.cfg.dac_step_v.max(0.0);
+        let step = columns
+            .windows(2)
+            .map(|w| (w[1] - w[0]).abs())
+            .fold(0.0, f64::max);
+        let centre = columns[N / 2];
+        let reach = columns
+            .iter()
+            .map(|v| (v - centre).abs())
+            .fold(0.0, f64::max);
+        MirrorColumns {
+            truth: galvo.truth,
+            n2p: columns.map(|v| galvo.second_mirror_normal_at(v)),
+            step_rad: gain * (step + dac),
+            reach_rad: gain * (reach + dac) + galvo.max_jitter_rad(),
+        }
+    }
+
+    /// Row `va` of a sweep of `galvo`. Every column's normal lies within
+    /// `reach_rad` of the middle one `n`, so with `N = (q₂ − o)·n` and
+    /// `D = d·n` for the mid ray `(o, d)` (each moving by at most its
+    /// vector's norm per radian), a row where neither can reach zero hits
+    /// mirror 2 ahead at every column. Its hit `o + (N/D)·d` then moves by
+    /// at most `2·|q₂ − o|·|d|²/D_min²` per radian.
+    fn row(&self, galvo: &GalvoSim, va: f64) -> Option<SweepRow> {
+        let mid = galvo.noiseless_mid_ray(va)?;
+        let n = self.n2p[N / 2];
+        let to_q2 = self.truth.q2 - mid.origin;
+        let (num, den) = (to_q2.dot(n), mid.dir.dot(n));
+        let (lever, dir) = (to_q2.norm(), mid.dir.norm());
+        let den_min = den.abs() - dir * self.reach_rad;
+        let robust = num * den > 0.0 && num.abs() > lever * self.reach_rad && den_min > 1e-3;
+        Some(SweepRow {
+            mid,
+            origin_rate: robust.then(|| 2.0 * lever * dir * dir / (den_min * den_min)),
+        })
+    }
+
+    /// The noiseless output ray at column `j` of `row`, body frame.
+    #[inline]
+    fn out_ray(&self, row: &SweepRow, j: usize) -> Option<Ray> {
+        self.truth.out_ray(&row.mid, self.n2p[j])
+    }
+}
+
+/// What [`DarkCellBound::dark_run`] needs to prove RX sweep cells dark
 /// from noiseless geometry alone, computed once per sweep.
 ///
 /// While only the RX voltages move, the TX beam and the RX pose are fixed.
@@ -485,8 +672,8 @@ fn meets_plane_robustly(
 ///
 /// The second-mirror normal and the plane test depend only on the column,
 /// so they are tabled per column; the mirror-1 beam depends only on the
-/// row ([`DarkCellBound::row_mid`]). A cell is then one reflection and one
-/// angle test, the same arithmetic the commanded galvo would do.
+/// row ([`DarkSweep::row`]). A cell is then one reflection and one angle
+/// test, the same arithmetic the commanded galvo would do.
 #[derive(Debug, Clone)]
 pub(crate) struct DarkCellBound {
     tx_volts: (f64, f64),
@@ -499,56 +686,232 @@ pub(crate) struct DarkCellBound {
     cos_dark: f64,
     /// `cos φ` above which the full path stays under `π/2`.
     cos_lit: f64,
-    columns: [DarkColumn; RX_SWEEP_POINTS],
-}
-
-/// One column of a [`DarkCellBound`].
-#[derive(Debug, Clone, Copy)]
-struct DarkColumn {
-    /// RX second-mirror normal at the column's quantized voltage, body
-    /// frame: the value [`GalvoSim::command`] caches.
-    n2p: Vec3,
-    /// Whether the chief ray meets that mirror's plane under any jitter.
-    meets_plane: bool,
+    /// The same two limits as angles, for the run bound.
+    phi_dark: f64,
+    phi_lit: f64,
+    mirrors: MirrorColumns<RX_SWEEP_POINTS>,
+    /// Whether the chief ray meets each column's mirror plane under any
+    /// jitter.
+    meets_plane: [bool; RX_SWEEP_POINTS],
 }
 
 impl DarkCellBound {
-    /// The noiseless RX beam between the mirrors for sweep row `va` on
-    /// `dep`, shared by every cell of the row; `None` when the first
-    /// reflection fails and no cell of the row can be proved dark.
-    pub(crate) fn row_mid(&self, dep: &Deployment, va: f64) -> Option<Ray> {
-        debug_assert_eq!(
-            dep.tx.voltages(),
-            self.tx_volts,
-            "bound is for other TX voltages"
-        );
-        dep.rx.noiseless_mid_ray(va)
-    }
-
-    /// True when [`Deployment::received_power_unfloored_dbm`] with the RX
-    /// galvo `rx` commanded to (the row of `mid`, column `j`) provably
-    /// reaches its power-noise draw and reads `+0.0` mW.
+    /// `cos φ` of the noiseless imaginary beam `imag` (RX body frame)
+    /// against the TX light where it starts, and the length of the
+    /// arriving vector that `cos φ` was normalized by.
     #[inline]
-    pub(crate) fn proves_dark(&self, rx: &GalvoSim, mid: &Ray, j: usize) -> bool {
-        let col = &self.columns[j];
-        col.meets_plane
-            && rx
-                .truth
-                .out_ray(mid, col.n2p)
-                .is_some_and(|imag| self.dark_angle(&imag))
-    }
-
-    /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
-    /// the TX light at an angle that reads dark under any jitter.
-    #[inline]
-    fn dark_angle(&self, imag: &Ray) -> bool {
+    fn incidence(&self, imag: &Ray) -> (f64, f64) {
         // The direction the TX light travels where the imaginary beam
         // starts (`BeamState::local_ray_dir`, unnormalized).
         let origin = self.rx_pose.apply_point(imag.origin);
         let back = -self.rx_pose.apply_dir(imag.dir);
         let arriving = self.source.map_or(self.chief.dir, |src| origin - src);
-        let cos_phi = arriving.dot(back) / arriving.norm();
+        let norm = arriving.norm();
+        (arriving.dot(back) / norm, norm)
+    }
+
+    /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
+    /// the TX light at an angle that reads dark under any jitter.
+    #[cfg(test)]
+    fn dark_angle(&self, imag: &Ray) -> bool {
+        let cos_phi = self.incidence(imag).0;
         cos_phi < self.cos_dark && cos_phi > self.cos_lit
+    }
+}
+
+impl DarkSweep for DarkCellBound {
+    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow> {
+        debug_assert_eq!(
+            dep.tx.voltages(),
+            self.tx_volts,
+            "bound is for other TX voltages"
+        );
+        self.mirrors.row(&dep.rx, va)
+    }
+
+    #[inline]
+    fn column_skippable(&self, j: usize) -> bool {
+        self.meets_plane[j]
+    }
+
+    /// A cell is dark when its noiseless `φ` lies inside the dark band.
+    /// Column by column the imaginary beam turns by at most twice the
+    /// mirror step, and its origin moves by `shift`, which turns the
+    /// arriving light by at most `2·shift/|arriving|` while the total move
+    /// stays under half of `|arriving|`. So `φ` stays in the band for as
+    /// many columns as that per-column turn fits into its distance to the
+    /// nearer limit.
+    #[inline]
+    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize> {
+        let imag = self.mirrors.out_ray(row, j)?;
+        let (cos_phi, arriving) = self.incidence(&imag);
+        if !(cos_phi < self.cos_dark && cos_phi > self.cos_lit) {
+            return None;
+        }
+        let Some(rate) = row.origin_rate else {
+            return Some(0);
+        };
+        let phi = cos_phi.clamp(-1.0, 1.0).acos();
+        let excess = (phi - self.phi_dark).min(self.phi_lit - phi) - ANGLE_ROUNDING_RAD;
+        let shift = rate * self.mirrors.step_rad;
+        let turn = match self.source {
+            Some(_) => 2.0 * shift / arriving,
+            None => 0.0,
+        };
+        let run = (excess / (2.0 * self.mirrors.step_rad + turn))
+            .min(0.5 * arriving / shift)
+            .min(RX_SWEEP_POINTS as f64);
+        // Saturating: a negative or NaN run is no run.
+        Some(run as usize)
+    }
+
+    /// A skipped reading reaches its power-noise draw, so each is the TX
+    /// jitter, the RX jitter and the power noise, through the helpers the
+    /// full reading draws with.
+    fn replay(dep: &mut Deployment, n: usize) {
+        for _ in 0..n {
+            dep.tx.skip_output_ray(&mut dep.rng);
+            dep.rx.skip_output_ray(&mut dep.rng);
+            if dep.power_noise_db > 0.0 {
+                skip_gauss(&mut dep.rng);
+            }
+        }
+    }
+}
+
+/// Where a noiseless TX chief ray meets the monitor plane.
+#[derive(Debug, Clone, Copy)]
+struct Landing {
+    /// Distance from the landing point to the aperture centre (m).
+    dist: f64,
+    /// `|cos|` between the chief ray and the plane normal.
+    cos: f64,
+    /// Distance from the chief ray's origin to the plane (m).
+    depth: f64,
+}
+
+/// What [`MonitorDarkBound::dark_run`] needs to prove TX sweep cells dark
+/// on the photodiode monitor, computed once per sweep.
+///
+/// While only the TX voltages move, the monitor plane is fixed. A reading
+/// is `+0.0` when each of its five `capture_fraction` terms takes the
+/// `δ > 8w + a` early exit: the jittered landing point lies more than
+/// `8·w + max(diode radius, aperture radius)` beyond the diode ring, with
+/// `w` the beam radius at the jittered path length. The noiseless landing
+/// point is moved by at most a jitter slack, and the path length bounded,
+/// from the noiseless chief ray, the largest tilt and the plane angle.
+/// Every other exit of the reading is `+0.0` as well, and every exit
+/// draws the same TX jitter, so only the landing needs proving.
+#[derive(Debug, Clone)]
+pub(crate) struct MonitorDarkBound {
+    mirrors: MirrorColumns<TX_SWEEP_POINTS>,
+    tx_pose: Pose,
+    geom: ReceiverGeometry,
+    /// The launched beam's profile (its chief ray is unused).
+    profile: BeamState,
+    ring_radius: f64,
+    capture_radius: f64,
+    /// Bounds on how far the jitter turns the chief ray (rad) and moves
+    /// its origin (m).
+    jitter_dir: f64,
+    jitter_origin: f64,
+}
+
+impl MonitorDarkBound {
+    /// Where `chief` (world frame) lands on the monitor plane, or `None`
+    /// unless it heads at the plane from in front of it.
+    #[inline]
+    fn landing(&self, chief: &Ray) -> Option<Landing> {
+        let n = self.geom.axis;
+        let cos = chief.dir.dot(n);
+        let ahead = (self.geom.aperture_center - chief.origin).dot(n);
+        if !(cos < 0.0 && ahead < 0.0) {
+            return None;
+        }
+        let hit = chief.point_at(ahead / cos);
+        Some(Landing {
+            dist: (hit - self.geom.aperture_center).norm(),
+            cos: -cos,
+            depth: -ahead,
+        })
+    }
+
+    /// A lower bound on how far beyond its dark limit every jittered ray
+    /// of the `k` columns after `l`'s lands, in a row of `origin_rate`
+    /// ([`SweepRow`]); −∞ unless each such ray surely meets the plane from
+    /// in front. Each column turns the chief ray by at most twice the
+    /// mirror step and moves its origin by the rate times the step; the
+    /// jitter adds its own slack.
+    ///
+    /// A unit direction `d` from origin `o` lands at `o + p·d/(d·n)`, with
+    /// `p = (c − o)·n`. Turning `d` at unit angular speed moves `d/(d·n)`
+    /// by at most `1/(d·n)²`, and `|d·n|` stays above `|s| − ε` along a
+    /// turn of `ε`; moving the origin by `δo` then moves the landing point
+    /// by at most `δo(1 + 1/|s′|)`. The path is at most
+    /// `(|p| + δo)/|s′|`.
+    #[inline]
+    fn excess(&self, l: &Landing, k: usize, origin_rate: f64) -> f64 {
+        let turn = self.mirrors.step_rad * k as f64;
+        let eps = self.jitter_dir + 2.0 * turn;
+        let d_o = self.jitter_origin + origin_rate * turn;
+        let cos_lo = l.cos - eps;
+        if !(cos_lo > MIN_LANDING_COS && l.depth > d_o) {
+            return f64::NEG_INFINITY;
+        }
+        let shift = l.depth * eps / (cos_lo * cos_lo) + d_o * (1.0 + 1.0 / cos_lo);
+        let w = self.profile.radius_at((l.depth + d_o) / cos_lo);
+        l.dist - self.ring_radius - shift - 8.0 * w - self.capture_radius - LANDING_ROUNDING_M
+    }
+
+    /// Whether [`MonitorDarkBound::excess`] proves those rays dark.
+    #[inline]
+    fn clears(&self, l: &Landing, k: usize, origin_rate: f64) -> bool {
+        self.excess(l, k, origin_rate) > 0.0
+    }
+}
+
+impl DarkSweep for MonitorDarkBound {
+    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow> {
+        self.mirrors.row(&dep.tx, va)
+    }
+
+    #[inline]
+    fn column_skippable(&self, _: usize) -> bool {
+        true
+    }
+
+    /// A cell is dark when its own landing clears the limit. Every term of
+    /// the bound grows with the run length, so a run is proved by its last
+    /// cell alone, and the longest proved run is found by bisection.
+    #[inline]
+    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize> {
+        let out = self.mirrors.out_ray(row, j)?;
+        let l = self.landing(&self.tx_pose.apply_ray(&out))?;
+        if !self.clears(&l, 0, 0.0) {
+            return None;
+        }
+        let Some(rate) = row.origin_rate else {
+            return Some(0);
+        };
+        // Runs up to `proved` are proved; `refuted` is not.
+        let (mut proved, mut refuted) = (0, TX_SWEEP_POINTS + 1);
+        while refuted - proved > 1 {
+            let mid = (proved + refuted) / 2;
+            if self.clears(&l, mid, rate) {
+                proved = mid;
+            } else {
+                refuted = mid;
+            }
+        }
+        Some(proved)
+    }
+
+    /// A monitor reading draws the TX jitter and nothing else, on every
+    /// exit path.
+    fn replay(dep: &mut Deployment, n: usize) {
+        for _ in 0..n {
+            dep.tx.skip_output_ray(&mut dep.rng);
+        }
     }
 }
 
@@ -768,7 +1131,7 @@ mod tests {
         let mut dep = Deployment::new(&DeploymentConfig::paper_10g(12));
         cheat_align(&mut dep);
         let (vt1, vt2, _, _) = dep.voltages();
-        let columns = crate::alignment::rx_sweep_columns();
+        let columns = crate::alignment::sweep_columns();
         let bound = dep.dark_cell_bound(&columns).unwrap();
         // Far corners of the RX range are dark, with and without power
         // noise. Their draws, replayed late and together, leave the state
@@ -790,14 +1153,111 @@ mod tests {
                     "({a}, {b}) should be provably dark"
                 );
                 let j = columns.iter().position(|&c| c == b).unwrap();
-                let mid = bound.row_mid(&dep, a).unwrap();
-                assert!(bound.proves_dark(&dep.rx, &mid, j), "table at ({a}, {b})");
+                let row = bound.row(&dep, a).unwrap();
+                assert!(bound.dark_run(&row, j).is_some(), "table at ({a}, {b})");
                 let want = dbm_to_mw(full.received_power_unfloored_dbm());
                 assert_eq!(want.to_bits(), 0.0f64.to_bits());
                 owed += 1;
             }
-            dep.replay_dark_draws(owed);
+            DarkCellBound::replay(&mut dep, owed);
             assert_eq!(dep.rng(), full.rng());
+        }
+    }
+
+    #[test]
+    fn monitor_replay_leaves_the_full_path_state() {
+        // Far corners of the TX range land metres off the monitor, with
+        // and without galvo noise; a dark monitor reading draws only the
+        // TX jitter.
+        for galvo_cfg in [GalvoSimConfig::default(), GalvoSimConfig::ideal()] {
+            let mut dep = Deployment::new(&DeploymentConfig {
+                galvo_cfg,
+                ..DeploymentConfig::paper_10g(12)
+            });
+            cheat_align(&mut dep);
+            let (_, _, vr1, vr2) = dep.voltages();
+            let columns = crate::alignment::sweep_columns();
+            let bound = dep.monitor_dark_bound(&columns);
+            let mut full = dep.clone();
+            let mut owed = 0;
+            for (i, j) in [(1, 1), (49, 1), (1, 49), (49, 49)] {
+                let (a, b) = (columns[i], columns[j]);
+                full.set_voltages(a, b, vr1, vr2);
+                assert!(full.monitor_dark_per_cell(&bound), "({a}, {b})");
+                let row = bound.row(&dep, a).unwrap();
+                assert!(bound.dark_run(&row, j).is_some(), "table at ({a}, {b})");
+                let before = full.rng().clone();
+                assert_eq!(full.monitor_signal().to_bits(), 0.0f64.to_bits());
+                let draws = if galvo_cfg.angle_noise_rad > 0.0 {
+                    4
+                } else {
+                    0
+                };
+                assert_eq!(draws_between(&before, full.rng()), draws);
+                owed += 1;
+            }
+            MonitorDarkBound::replay(&mut dep, owed);
+            assert_eq!(dep.rng(), full.rng());
+        }
+    }
+
+    #[test]
+    fn monitor_runs_are_the_longest_the_bound_proves() {
+        // Every run the monitor bound takes is proved at its last cell, and
+        // one column more is not.
+        let dep = Deployment::new(&DeploymentConfig::paper_10g(15));
+        let columns = crate::alignment::sweep_columns();
+        let bound = dep.monitor_dark_bound(&columns);
+        let mut long_runs = 0;
+        for &va in &columns {
+            let row = bound.row(&dep, va).unwrap();
+            let rate = row.origin_rate.expect("rows meet mirror 2 robustly");
+            for j in 0..TX_SWEEP_POINTS {
+                let Some(run) = bound.dark_run(&row, j) else {
+                    continue;
+                };
+                let out = bound.mirrors.out_ray(&row, j).unwrap();
+                let l = bound.landing(&bound.tx_pose.apply_ray(&out)).unwrap();
+                assert!(bound.clears(&l, run, rate), "({va}, {j}): {run}");
+                assert!(
+                    run == TX_SWEEP_POINTS || !bound.clears(&l, run + 1, rate),
+                    "({va}, {j}): {run} is not the longest"
+                );
+                long_runs += usize::from(run >= 10);
+            }
+        }
+        assert!(long_runs > 100, "{long_runs} runs of 10 columns or more");
+    }
+
+    #[test]
+    fn jitter_moves_the_output_ray_within_its_slack() {
+        // The extreme jitter of both mirrors, in every sign combination,
+        // across the voltage range of both assemblies: the output ray turns
+        // by at most 4 tilts, and its origin moves by well under the lever
+        // the bounds assume.
+        let dep = Deployment::new(&DeploymentConfig::paper_10g(14));
+        for galvo in [&dep.tx, &dep.rx] {
+            let tilt = galvo.max_jitter_rad();
+            let jv = tilt / galvo.truth.theta1;
+            let mut worst = 0.0f64;
+            for k in 0..=20 {
+                for l in 0..=20 {
+                    let (v1, v2) = (-10.0 + k as f64, -10.0 + l as f64);
+                    let base = galvo.truth.trace(v1, v2).unwrap();
+                    for (s1, s2) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                        let moved = galvo.truth.trace(v1 + s1 * jv, v2 + s2 * jv).unwrap();
+                        assert!(moved.dir.angle_to(base.dir) <= 4.0 * tilt);
+                        worst = worst.max(moved.origin.distance(base.origin) / tilt);
+                    }
+                }
+            }
+            // The bounds allow `JITTER_LEVER_M` per radian of each
+            // mirror's tilt; both tilts together move it by ~3 cm per
+            // radian.
+            assert!(
+                worst < 0.1 * JITTER_LEVER_M,
+                "origin moves {worst} m per rad"
+            );
         }
     }
 
@@ -810,15 +1270,17 @@ mod tests {
         dep.rx_mount.rot = Mat3::IDENTITY;
         dep.set_headset_pose(Pose::translation(v3(0.0, 0.0, -1.75)));
         let (vt1, vt2, _, _) = dep.voltages();
-        let columns = crate::alignment::rx_sweep_columns();
+        let columns = crate::alignment::sweep_columns();
         let bound = dep.dark_cell_bound(&columns).unwrap();
         let mut angle_dark = 0;
         for &va in columns.iter().step_by(16) {
-            let mid = bound.row_mid(&dep, va).unwrap();
+            let row = bound.row(&dep, va).unwrap();
+            let mut walk = DarkRow::new(&bound, &dep, va).unwrap();
             for (j, &vb) in columns.iter().enumerate().step_by(16) {
-                let imag = dep.rx.truth.out_ray(&mid, bound.columns[j].n2p).unwrap();
+                let imag = bound.mirrors.out_ray(&row, j).unwrap();
                 angle_dark += usize::from(bound.dark_angle(&imag));
-                assert!(!bound.proves_dark(&dep.rx, &mid, j), "({va}, {vb})");
+                assert!(!bound.column_skippable(j), "({va}, {vb})");
+                assert!(!walk.skips(j), "({va}, {vb})");
                 dep.set_voltages(vt1, vt2, va, vb);
                 assert!(!dep.proves_dark_per_cell(&bound), "({va}, {vb})");
                 assert_eq!(reading_draws(&mut dep), (f64::NEG_INFINITY, 8));

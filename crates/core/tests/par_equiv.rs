@@ -45,14 +45,18 @@ fn exhaustive_align_invariant_to_thread_count() {
             assert_align_eq(&res, &reference, &format!("seed {seed}, threads {threads}"));
         }
     }
-    // The 25G design, with ~23 % of the RX sweep lit; and a noiseless
-    // bench, where a dark cell owes no draws.
+    // The 25G design, with ~23 % of the RX sweep lit; a noiseless bench,
+    // where a dark cell owes no draws; and ten times the galvo noise,
+    // which widens both sweeps' jitter slack.
     let mut noiseless = DeploymentConfig::paper_10g(42);
     noiseless.galvo_cfg = GalvoSimConfig::ideal();
     noiseless.power_noise_db = 0.0;
+    let mut noisy = DeploymentConfig::paper_25g(42);
+    noisy.galvo_cfg.angle_noise_rad *= 10.0;
     for (name, cfg) in [
         ("paper_25g(42)", DeploymentConfig::paper_25g(42)),
         ("noiseless", noiseless),
+        ("paper_25g(42), 10x galvo noise", noisy),
     ] {
         let reference = align_cfg_at(1, &cfg);
         for threads in [2, 3, 8] {
@@ -95,5 +99,17 @@ fn sample_collection_invariant_to_thread_count() {
     for threads in [2, 5] {
         let got = cyclops_par::with_threads(threads, || collect_samples(&mut base.clone(), 3, 99));
         assert_samples_eq(&got, &reference, &format!("threads {threads}"));
+    }
+}
+
+#[test]
+fn sample_collection_invariant_to_thread_count_25g() {
+    // The 25G design's wider acceptance lights more of both sweeps.
+    let base = Deployment::new(&DeploymentConfig::paper_25g(7));
+    let reference = cyclops_par::with_threads(1, || collect_samples(&mut base.clone(), 3, 99));
+    assert!(reference.len() >= 2, "fixture should close the link");
+    for threads in [2, 5] {
+        let got = cyclops_par::with_threads(threads, || collect_samples(&mut base.clone(), 3, 99));
+        assert_samples_eq(&got, &reference, &format!("25G, threads {threads}"));
     }
 }

@@ -269,7 +269,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
     let duration_s = duration.map_or(Ok(2.0), |s| parse_f64("--duration", &s))?;
     if !(duration_s.is_finite() && duration_s > 0.0) {
         return Err(CliError::Usage(format!(
-            "--duration must be positive, got {duration_s}"
+            "--duration must be finite and positive, got {duration_s}"
         )));
     }
     let fallback = fallback.map_or(Ok(FallbackPolicy::Off), |s| parse_fallback(&s))?;
@@ -439,15 +439,22 @@ fn cmd_replay(mut args: Vec<String>) -> Result<(), CliError> {
     if n == 0 {
         return Err(CliError::Usage("--traces must be >= 1".to_string()));
     }
+    let cfg = TraceGenConfig {
+        duration_s,
+        ..TraceGenConfig::normal_use()
+    };
+    // The trace replay needs two samples to difference.
+    if !(duration_s.is_finite() && cfg.n_samples() >= 2) {
+        return Err(CliError::Usage(format!(
+            "--duration must be finite and span two {} ms trace samples, got {duration_s}",
+            cfg.period_ms
+        )));
+    }
 
     let p = TraceSimParams::default();
     println!("replaying {n} synthetic §5.4 traces of {duration_s} s (seed {seed}):");
     let mut fracs = Vec::with_capacity(n);
     for i in 0..n {
-        let cfg = TraceGenConfig {
-            duration_s,
-            ..TraceGenConfig::normal_use()
-        };
         let trace = HeadTrace::generate(&cfg, cyclops_par::mix64(seed, 1 + i as u64));
         let r = simulate_trace(&trace, &p);
         match fallback {
@@ -510,5 +517,38 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn replay_rejects_durations_without_two_trace_samples() {
+        for d in ["0", "-1", "nan", "inf", "-inf", "0.004"] {
+            let r = cmd_replay(args(&["--traces", "1", "--duration", d]));
+            let Err(CliError::Usage(msg)) = r else {
+                panic!("--duration {d}: {r:?}");
+            };
+            assert!(msg.contains("finite"), "{msg}");
+        }
+        // Half a sample period rounds up to two samples.
+        cmd_replay(args(&["--traces", "1", "--duration", "0.005"])).unwrap();
+    }
+
+    #[test]
+    fn run_rejects_a_non_finite_or_non_positive_duration() {
+        for d in ["0", "-1", "nan", "inf"] {
+            let r = cmd_run(args(&["--duration", d]));
+            let Err(CliError::Usage(msg)) = r else {
+                panic!("--duration {d}: {r:?}");
+            };
+            assert!(msg.contains("finite and positive"), "{msg}");
+        }
     }
 }

@@ -2831,12 +2831,14 @@ pub(crate) fn build_fleet_session(
             )
         })
         .collect();
+    // No fleet report reads the per-slot speeds, so they are not tracked.
     let ecfg = EngineConfig {
         control,
         los_gating: !occluders.is_empty(),
         pause_on_outage: cfg.pause_on_outage,
         fallback: cfg.fallback,
         tracker: cfg.tracker,
+        track_speeds: false,
         ..EngineConfig::default()
     };
     let selector = BestMargin::new(units[0].dep.design, cfg.debounce_s);

@@ -109,6 +109,13 @@ impl Default for TraceGenConfig {
 }
 
 impl TraceGenConfig {
+    /// Samples [`HeadTrace::generate`] makes: one per period over the
+    /// duration, both ends included (saturating; a NaN or negative
+    /// duration gives one).
+    pub fn n_samples(&self) -> usize {
+        ((self.duration_s * 1e3 / self.period_ms).round() as usize).saturating_add(1)
+    }
+
     /// The *normal-use* profile of Fig 3 (from the authors' earlier study
     /// \[55\]): linear speeds up to ~14 cm/s and angular speeds up to
     /// ~19 deg/s, with no fast reorientation tail.
@@ -217,7 +224,7 @@ impl HeadTrace {
     /// sway are smaller; Poisson-timed saccades add the heavy angular tail.
     pub fn generate(cfg: &TraceGenConfig, seed: u64) -> HeadTrace {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = (cfg.duration_s * 1e3 / cfg.period_ms).round() as usize + 1;
+        let n = cfg.n_samples();
         let dt = cfg.period_ms * 1e-3;
         let tau = 0.8; // velocity relaxation (s)
 
