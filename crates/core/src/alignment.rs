@@ -24,16 +24,21 @@
 //! monitor, and the RX sweep points the fiber far outside its angular
 //! acceptance. A cell that noiseless geometry proves dark reads `+0.0`
 //! without the physics and without commanding the galvo, yet it still
-//! counts in `n_evals`. Its noise draws are replayed before the row's next
-//! full reading, so every reading and the argmax are those of the full
-//! physics. A proved-dark cell's margin, over a bound on how fast the
+//! counts in `n_evals`. The RX sweep also skips, the same way, every cell
+//! it proves to read below the best reading of one pilot row of its own:
+//! such a cell cannot be the sweep's argmax. A skipped cell's noise draws
+//! are replayed before the row's next full reading, so every full reading,
+//! the argmax, `n_evals` and every draw a later reading sees are those of
+//! the full physics. A skipped cell's margin, over a bound on how fast the
 //! geometry moves per column, also clears the next columns of its row with
-//! the one test (DESIGN.md §8, "dark-cell bound", "monitor bound" and "run
-//! bound").
+//! the one test (DESIGN.md §8, "dark-cell bound", "monitor bound", "run
+//! bound" and "cannot-win bound").
 
-use crate::deployment::{DarkRow, DarkSweep, Deployment, RX_SWEEP_POINTS, TX_SWEEP_POINTS};
+use crate::deployment::{
+    DarkCellBound, DarkRow, DarkSweep, Deployment, DARK_DBM, RX_SWEEP_POINTS, TX_SWEEP_POINTS,
+};
 use cyclops_optics::galvo::{VOLT_MAX, VOLT_MIN};
-use cyclops_optics::power::dbm_to_mw;
+use cyclops_optics::power::{dbm_to_mw, mw_to_dbm};
 use cyclops_solver::pattern::{pattern_search, PatternOptions};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -170,6 +175,49 @@ fn power_reading((vt1, vt2): (f64, f64), va: f64) -> impl FnMut(&mut Deployment,
     }
 }
 
+/// How far (dB) below the pilot row's best reading the cannot-win bound's
+/// floor sits. It covers the rounding of `mw_to_dbm`, `dbm_to_mw` and the
+/// coupling sum, all below 1e-12 dB, with room to spare.
+const WIN_SLACK_DB: f64 = 0.1;
+
+/// The floor of the Stage 3 sweep's cannot-win bound at TX voltages `vt`:
+/// [`WIN_SLACK_DB`] below `L`, the best reading of the sweep's pilot row
+/// ([`DarkCellBound::pilot_row`]). The row is scanned exactly as the sweep
+/// scans it (the same reseeded clone, the dark bound and its replay), so
+/// `L` is one of the sweep's own readings. `None` unless `L` is a positive
+/// normal number: below that, `dbm_to_mw` rounds too coarsely for a
+/// reading under the floor to stay under `L`.
+fn cannot_win_floor(
+    dep: &Deployment,
+    dark: &DarkCellBound,
+    seed_rx: u64,
+    vt: (f64, f64),
+) -> Option<f64> {
+    let pilot = dark.pilot_row(dep, &sweep_columns());
+    let row = |d: &Deployment, va| skipping_row(Some(dark), d, va, power_reading(vt, va));
+    let (_, _, best) = scan_row(dep, seed_rx, RX_SWEEP_POINTS, pilot, &row);
+    (best >= f64::MIN_POSITIVE).then(|| mw_to_dbm(best) - WIN_SLACK_DB)
+}
+
+/// The Stage 3 sweep's skip bound at TX voltages `vt`: the cannot-win
+/// bound, or the dark bound when [`cannot_win_floor`] has no floor; `None`
+/// when the noiseless TX beam path is broken.
+///
+/// A cannot-win cell reads below `L`, and `L` is at most the sweep's
+/// maximum `M`. Reading it as `+0.0` can only lower a row's best, so a row
+/// whose best is below `M` stays below it. In a row that reaches `M`, the
+/// first cell reading `M` is never skipped and every cell before it still
+/// reads below `M`. Both folds take a strictly greater score, so the
+/// argmax is unchanged; `n_evals` counts every cell either way.
+fn rx_sweep_bound(dep: &Deployment, seed_rx: u64, vt: (f64, f64)) -> Option<DarkCellBound> {
+    let columns = sweep_columns();
+    let dark = dep.dark_cell_bound(&columns, DARK_DBM)?;
+    match cannot_win_floor(dep, &dark, seed_rx, vt) {
+        Some(floor) => dep.dark_cell_bound(&columns, floor),
+        None => Some(dark),
+    }
+}
+
 /// Stages 1–2: the TX coarse sweep and refine on the monitor signal.
 /// Returns the refined TX voltages and counts its readings into `n_evals`.
 fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
@@ -199,15 +247,28 @@ fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
 /// Leaves the galvos commanded to the aligned voltages.
 pub fn exhaustive_align(dep: &mut Deployment) -> AlignResult {
     let mut n_evals = 0usize;
-    let (vt1, vt2) = align_tx(dep, &mut n_evals);
-    dep.set_voltages(vt1, vt2, 0.0, 0.0);
-
-    // Stage 3: RX coarse sweep on received power (row-parallel). Cells the
-    // dark-cell bound proves unlit skip the physics; their draws are owed.
+    let vt = align_tx(dep, &mut n_evals);
+    dep.set_voltages(vt.0, vt.1, 0.0, 0.0);
     let seed_rx = dep.rng().next_u64();
-    let bound = dep.dark_cell_bound(&sweep_columns());
+    let bound = rx_sweep_bound(dep, seed_rx, vt);
+    align_rx(dep, seed_rx, vt, bound.as_ref(), n_evals)
+}
+
+/// Stages 3–4 at the refined TX voltages `vt`, after `n_evals` readings:
+/// the RX coarse sweep from `seed_rx`, skipping the cells `bound` proves,
+/// then the joint refine. Leaves the galvos commanded to the aligned
+/// voltages.
+fn align_rx(
+    dep: &mut Deployment,
+    seed_rx: u64,
+    (vt1, vt2): (f64, f64),
+    bound: Option<&DarkCellBound>,
+    mut n_evals: usize,
+) -> AlignResult {
+    // Stage 3: RX coarse sweep on received power (row-parallel). Skipped
+    // cells owe their draws.
     let (cr1, cr2, _) = par_voltage_scan(dep, seed_rx, RX_SWEEP_POINTS, |d: &Deployment, va| {
-        skipping_row(bound.as_ref(), d, va, power_reading((vt1, vt2), va))
+        skipping_row(bound, d, va, power_reading((vt1, vt2), va))
     });
     n_evals += RX_SWEEP_POINTS * RX_SWEEP_POINTS;
 
@@ -397,7 +458,7 @@ mod tests {
         let (vt1, vt2) = align_tx(dep, &mut 0);
         dep.set_voltages(vt1, vt2, 0.0, 0.0);
         let bound = dep
-            .dark_cell_bound(&sweep_columns())
+            .dark_cell_bound(&sweep_columns(), DARK_DBM)
             .expect("refined TX beam traces");
         rows_match_full_physics(
             dep,
@@ -438,6 +499,135 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Stage 3 sweep of `dep` at TX voltages `vt` under the bound
+    /// `exhaustive_align` builds. Checks that the floor sits below `L`, the
+    /// pilot row's full-physics best; that every cell a row skips reads
+    /// below `L` in full physics (`+0.0` on the dark fallback); that every
+    /// row whose best reaches `L` keeps its bits; and that Stages 3–4 give
+    /// the bits and `n_evals` of a sweep that skips nothing. Returns `L`
+    /// and the fraction of cells skipped.
+    fn cannot_win_sweep_is_sound(dep: &Deployment, vt: (f64, f64)) -> (f64, f64) {
+        const N: usize = RX_SWEEP_POINTS;
+        let mut dep = dep.clone();
+        dep.set_voltages(vt.0, vt.1, 0.0, 0.0);
+        let seed = dep.rng().next_u64();
+        let dark = dep
+            .dark_cell_bound(&sweep_columns(), DARK_DBM)
+            .expect("TX beam traces");
+        let floor = cannot_win_floor(&dep, &dark, seed, vt);
+        let bound = rx_sweep_bound(&dep, seed, vt).expect("TX beam traces");
+
+        let readings = std::cell::RefCell::new(Vec::with_capacity(N));
+        let recording = |_: &Deployment, va: f64| {
+            let mut full = power_reading(vt, va);
+            let readings = &readings;
+            move |d: &mut Deployment, _: usize, vb: f64| {
+                let r = full(d, vb);
+                readings.borrow_mut().push(r);
+                r
+            }
+        };
+        let pruned =
+            |d: &Deployment, va: f64| skipping_row(Some(&bound), d, va, power_reading(vt, va));
+        let rows: Vec<_> = (0..N)
+            .map(|i| {
+                readings.borrow_mut().clear();
+                let want = scan_row(&dep, seed, N, i, &recording);
+                let got = scan_row(&dep, seed, N, i, &pruned);
+                (want, got, readings.borrow().clone())
+            })
+            .collect();
+        let l = rows[dark.pilot_row(&dep, &sweep_columns())].0 .2;
+        assert_eq!(
+            floor,
+            (l >= f64::MIN_POSITIVE).then(|| mw_to_dbm(l) - WIN_SLACK_DB),
+            "the pilot scan's best is the pilot row's full-physics best"
+        );
+
+        let bits = |c: (f64, f64, f64)| [c.0.to_bits(), c.1.to_bits(), c.2.to_bits()];
+        let mut skipped = 0;
+        for (i, (want, got, readings)) in rows.iter().enumerate() {
+            let va = grid_volts(N, i);
+            let mut walk = DarkRow::new(&bound, &dep, va);
+            for (j, &r) in readings.iter().enumerate() {
+                if walk.as_mut().is_some_and(|w| w.skips(j)) {
+                    skipped += 1;
+                    match floor {
+                        Some(_) => assert!(r < l, "cell ({i}, {j}) reads {r} ≥ L = {l}"),
+                        None => assert_eq!(r, 0.0, "dark cell ({i}, {j})"),
+                    }
+                }
+            }
+            if want.2 >= l {
+                assert_eq!(bits(*got), bits(*want), "row {i}: {got:?} vs {want:?}");
+            }
+        }
+
+        let got = align_rx(&mut dep.clone(), seed, vt, Some(&bound), 0);
+        let want = align_rx(&mut dep.clone(), seed, vt, None, 0);
+        assert_eq!(
+            (
+                got.voltages.map(f64::to_bits),
+                got.power_dbm.to_bits(),
+                got.n_evals
+            ),
+            (
+                want.voltages.map(f64::to_bits),
+                want.power_dbm.to_bits(),
+                want.n_evals
+            ),
+            "stages 3–4: {got:?} vs {want:?}"
+        );
+        (l, skipped as f64 / (N * N) as f64)
+    }
+
+    #[test]
+    fn cannot_win_sweeps_keep_the_argmax_across_designs_and_noise() {
+        let designs = [
+            LinkDesign::ten_g_diverging(20.0e-3, 1.75),
+            LinkDesign::twenty_five_g(20.0e-3, 1.75),
+            wdm_40g_design(),
+        ];
+        let displaced = Pose::new(
+            axis_angle(v3(0.2, 1.0, 0.1).normalized(), 0.15),
+            v3(0.15, -0.1, 1.9),
+        );
+        // Galvo noise and power noise each at 0×, 1× and 10×.
+        let noise = [(0.0, 1.0), (10.0, 1.0), (1.0, 1.0), (1.0, 0.0), (1.0, 10.0)];
+        for (k, design) in designs.into_iter().enumerate() {
+            for (galvo, power) in noise {
+                let mut cfg = DeploymentConfig::paper_10g(60 + k as u64);
+                cfg.design = design;
+                cfg.galvo_cfg.angle_noise_rad *= galvo;
+                cfg.power_noise_db *= power;
+                let mut rng = StdRng::seed_from_u64(200 + k as u64);
+                for placement in 0..4 {
+                    let mut dep = Deployment::new(&cfg);
+                    dep.set_headset_pose(match placement {
+                        0 => displaced,
+                        _ => random_placement(&mut rng, cfg.design.nominal_range),
+                    });
+                    let vt = align_tx(&mut dep.clone(), &mut 0);
+                    let (l, skipped) = cannot_win_sweep_is_sound(&dep, vt);
+                    assert!(l > 0.0, "design {k}, placement {placement}: pilot reads 0");
+                    if k < 2 && galvo == 1.0 && power == 1.0 {
+                        assert!(skipped > 0.98, "design {k}: skipped {skipped}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dark_pilot_row_falls_back_to_the_dark_bound() {
+        // The TX beam steered to a corner of its range, far off the
+        // headset: every reading of the RX sweep is `+0.0`.
+        let dep = Deployment::new(&DeploymentConfig::paper_10g(47));
+        let (l, skipped) = cannot_win_sweep_is_sound(&dep, (VOLT_MAX, VOLT_MAX));
+        assert_eq!(l, 0.0);
+        assert!(skipped > 0.0, "the dark bound still skips");
     }
 
     #[test]

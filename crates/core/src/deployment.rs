@@ -311,12 +311,14 @@ impl Deployment {
 
     /// The noiseless geometry, angle limits and mirror tables of an RX
     /// sweep over the second-mirror voltages `columns` at the current TX
-    /// voltages and headset pose (see [`DarkCellBound`]), or `None` when
-    /// the noiseless TX beam path is broken and no reading can be proved
-    /// dark.
+    /// voltages and headset pose (see [`DarkCellBound`]), proving cells
+    /// that read below `floor_dbm`; `None` when the noiseless TX beam path
+    /// is broken and no reading can be bounded. At [`DARK_DBM`] a skipped
+    /// cell reads exactly `+0.0`.
     pub(crate) fn dark_cell_bound(
         &self,
         columns: &[f64; RX_SWEEP_POINTS],
+        floor_dbm: f64,
     ) -> Option<DarkCellBound> {
         let chief = self.tx_pose.apply_ray(&self.tx.noiseless_output_ray()?);
         let beam = self.design.make_beam(chief);
@@ -327,10 +329,11 @@ impl Deployment {
             + (d.coupling.divergence_loss_db(d.theta_half) + d.coupling.base_insertion_db).max(0.0)
             + self.power_noise_db.max(0.0) * MAX_DEVIATE;
         let sigma = d.coupling.sigma_phi(d.theta_half);
-        let phi_dark = ((p_hi - DARK_DBM) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
+        let phi_dark = ((p_hi - floor_dbm) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
         let margin = self.jitter_margin();
         // The angle limits as cosines (φ ∈ [0, π], so cos is decreasing);
-        // an empty interval leaves `cos_dark` at −∞, which no cell passes.
+        // an empty interval, or the NaN angle of a floor above `p_hi`,
+        // leaves `cos_dark` at −∞, which no cell passes.
         let (dark, lit) = (phi_dark + margin, FRAC_PI_2 - margin);
         let rx_pose = self.rx_world_pose();
         let rx_pivot = rx_pose.apply_point(self.rx.truth.q2);
@@ -479,11 +482,14 @@ impl Deployment {
 
 /// Readings below this (dBm) convert to exactly `+0.0` mW: `dbm_to_mw`
 /// underflows below ≈ −3236 dBm.
-const DARK_DBM: f64 = -3400.0;
+pub(crate) const DARK_DBM: f64 = -3400.0;
 
 /// Points in each axis of the §4.2 RX coarse sweep; the column table of a
 /// [`DarkCellBound`] holds one entry per point.
 pub(crate) const RX_SWEEP_POINTS: usize = 161;
+
+/// [`DarkCellBound::pilot_row`] samples every this-many rows and columns.
+const PILOT_STRIDE: usize = 8;
 
 /// Points in each axis of the §4.2 TX coarse sweep on the monitor; the
 /// column table of a [`MonitorDarkBound`] holds one entry per point.
@@ -659,16 +665,18 @@ impl<const N: usize> MirrorColumns<N> {
     }
 }
 
-/// What [`DarkCellBound::dark_run`] needs to prove RX sweep cells dark
-/// from noiseless geometry alone, computed once per sweep.
+/// What [`DarkCellBound::dark_run`] needs to prove RX sweep cells below a
+/// floor from noiseless geometry alone, computed once per sweep.
 ///
 /// While only the RX voltages move, the TX beam and the RX pose are fixed.
-/// A cell reads `+0.0` mW once its incidence angle `φ` is so far outside
-/// the fiber's Gaussian acceptance that the best case — launch power, no
-/// other loss, the largest power-noise deviate — is below [`DARK_DBM`].
+/// A cell reads below the floor once its incidence angle `φ` is so far
+/// outside the fiber's Gaussian acceptance that the best case — launch
+/// power, no other loss, the largest power-noise deviate — is below it.
 /// The noiseless `φ` must exceed that angle, and stay below `π/2`, by a
 /// margin that covers the largest galvo jitter a bounded Box–Muller draw
-/// can give.
+/// can give. At the floor [`DARK_DBM`] such a cell reads `+0.0` mW (the
+/// dark bound); at a floor below a reading the sweep itself makes, it
+/// cannot be the sweep's argmax (the cannot-win bound).
 ///
 /// The second-mirror normal and the plane test depend only on the column,
 /// so they are tabled per column; the mirror-1 beam depends only on the
@@ -682,7 +690,7 @@ pub(crate) struct DarkCellBound {
     chief: Ray,
     source: Option<Vec3>,
     rx_pose: Pose,
-    /// `cos φ` below which a reading is below [`DARK_DBM`].
+    /// `cos φ` below which a reading is below the floor.
     cos_dark: f64,
     /// `cos φ` above which the full path stays under `π/2`.
     cos_lit: f64,
@@ -716,6 +724,30 @@ impl DarkCellBound {
     fn dark_angle(&self, imag: &Ray) -> bool {
         let cos_phi = self.incidence(imag).0;
         cos_phi < self.cos_dark && cos_phi > self.cos_lit
+    }
+
+    /// The pilot row of a sweep whose rows step the RX first mirror
+    /// through `rows`: the row of the cell, among every
+    /// [`PILOT_STRIDE`]-th row and column, whose noiseless imaginary beam
+    /// meets the TX light most nearly head-on (the largest `cos φ`). Row 0
+    /// when no sampled cell traces. Any row is a correct pilot; one near
+    /// the sweep's peak prunes more.
+    pub(crate) fn pilot_row(&self, dep: &Deployment, rows: &[f64; RX_SWEEP_POINTS]) -> usize {
+        let mut best = (0, f64::NEG_INFINITY);
+        for i in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
+            let Some(row) = self.row(dep, rows[i]) else {
+                continue;
+            };
+            for j in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
+                if let Some(imag) = self.mirrors.out_ray(&row, j) {
+                    let cos_phi = self.incidence(&imag).0;
+                    if cos_phi > best.1 {
+                        best = (i, cos_phi);
+                    }
+                }
+            }
+        }
+        best.0
     }
 }
 
@@ -1132,7 +1164,7 @@ mod tests {
         cheat_align(&mut dep);
         let (vt1, vt2, _, _) = dep.voltages();
         let columns = crate::alignment::sweep_columns();
-        let bound = dep.dark_cell_bound(&columns).unwrap();
+        let bound = dep.dark_cell_bound(&columns, DARK_DBM).unwrap();
         // Far corners of the RX range are dark, with and without power
         // noise. Their draws, replayed late and together, leave the state
         // of the full readings made one by one.
@@ -1271,7 +1303,7 @@ mod tests {
         dep.set_headset_pose(Pose::translation(v3(0.0, 0.0, -1.75)));
         let (vt1, vt2, _, _) = dep.voltages();
         let columns = crate::alignment::sweep_columns();
-        let bound = dep.dark_cell_bound(&columns).unwrap();
+        let bound = dep.dark_cell_bound(&columns, DARK_DBM).unwrap();
         let mut angle_dark = 0;
         for &va in columns.iter().step_by(16) {
             let row = bound.row(&dep, va).unwrap();

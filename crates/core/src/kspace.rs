@@ -16,12 +16,15 @@
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
+use cyclops_geom::ray::Ray;
 use cyclops_geom::rotation::axis_angle;
 use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_optics::galvo::{
     check_volts, GalvoError, GalvoParams, GalvoSim, N_PARAMS, VOLT_MAX, VOLT_MIN,
 };
-use cyclops_solver::lm::{levenberg_marquardt, LmOptions, LmReport};
+use cyclops_solver::jacobian::central_differences_into;
+use cyclops_solver::linalg::DMat;
+use cyclops_solver::lm::{levenberg_marquardt, levenberg_marquardt_with, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::rand_util::gauss;
 use rand::rngs::StdRng;
@@ -289,27 +292,153 @@ pub struct KspaceTraining {
     pub train_error: ResidualStats,
 }
 
+/// The board: the `z = 0` plane of K-space.
+fn board() -> Plane {
+    Plane::new(Vec3::ZERO, Vec3::Z)
+}
+
+/// Pushes sample `s`'s board-plane residual pair for the traced output
+/// line `line`: the (x, y) gap between its hit and the recorded target, or
+/// `(1, 1)` when the trace degenerates.
+fn push_board_residual(out: &mut Vec<f64>, board: &Plane, line: Option<Ray>, s: &KspaceSample) {
+    match line.and_then(|ray| board.intersect_line(&ray)) {
+        Some((_, hit)) => {
+            out.push(hit.x - s.x);
+            out.push(hit.y - s.y);
+        }
+        None => {
+            out.push(1.0);
+            out.push(1.0);
+        }
+    }
+}
+
 /// Board-plane residuals of a candidate model against the samples: for each
 /// sample, the (x, y) gap between the traced hit and the recorded target.
 fn residuals(params: &GalvoParams, samples: &[KspaceSample]) -> Vec<f64> {
-    let board = Plane::new(Vec3::ZERO, Vec3::Z);
+    let (board, axes) = (board(), params.axes());
     let mut out = Vec::with_capacity(samples.len() * 2);
     for s in samples {
-        match params
-            .trace_line(s.v1, s.v2)
-            .and_then(|ray| board.intersect_line(&ray))
-        {
-            Some((_, hit)) => {
-                out.push(hit.x - s.x);
-                out.push(hit.y - s.y);
-            }
-            None => {
-                out.push(1.0);
-                out.push(1.0);
-            }
-        }
+        push_board_residual(
+            &mut out,
+            &board,
+            params.trace_line_with(&axes, s.v1, s.v2),
+            s,
+        );
     }
     out
+}
+
+/// Phase B of [`fit_with_options`]: the board residuals of the full
+/// geometric model, followed by the CAD prior's pull on each parameter.
+struct PhaseB<'a> {
+    samples: &'a [KspaceSample],
+    anchor: Vec<f64>,
+    prior_sigma: Vec<f64>,
+    prior_w: f64,
+}
+
+/// The base point's geometry of one sample in [`PhaseB::jacobian_into`]:
+/// both tilted mirror normals and the mid-mirror line.
+struct SampleTrace {
+    n1p: Vec3,
+    n2p: Vec3,
+    mid: Option<Ray>,
+}
+
+impl PhaseB<'_> {
+    /// Phase B on `samples`, its prior anchored at `anchor` (the phase-A
+    /// parameters) when `use_prior` is set.
+    fn new<'a>(samples: &'a [KspaceSample], anchor: &[f64], use_prior: bool) -> PhaseB<'a> {
+        // Prior 1σ per parameter: positions (m) 2 mm, direction components
+        // 0.02, θ₁ 2 %. One σ of deviation costs about one 1.2 mm board
+        // residual.
+        let prior_sigma: Vec<f64> = (0..N_PARAMS)
+            .map(|i| match i {
+                24 => 0.02 * anchor[24].abs().max(1e-6), // theta1, fractional
+                _ => {
+                    // Layout: p0 x0 n1 q1 r1 n2 q2 r2 (3 components each).
+                    let block = i / 3;
+                    match block {
+                        0 | 3 | 6 => 2e-3, // points: p0, q1, q2
+                        _ => 0.02,         // direction components
+                    }
+                }
+            })
+            .collect();
+        const PRIOR_WEIGHT: f64 = 1.2e-3;
+        PhaseB {
+            samples,
+            anchor: anchor.to_vec(),
+            prior_sigma,
+            prior_w: if use_prior { PRIOR_WEIGHT } else { 0.0 },
+        }
+    }
+
+    fn residuals(&self, p: &[f64]) -> Vec<f64> {
+        let mut r = residuals(&GalvoParams::from_vec(p), self.samples);
+        self.push_prior(p, &mut r);
+        r
+    }
+
+    fn push_prior(&self, p: &[f64], r: &mut Vec<f64>) {
+        for ((x, a), sigma) in p.iter().zip(&self.anchor).zip(&self.prior_sigma) {
+            r.push(self.prior_w * (x - a) / sigma);
+        }
+    }
+
+    /// The central differences of `numeric_jacobian_into` on
+    /// [`PhaseB::residuals`] at `x`, bit for bit. A column's perturbed
+    /// vector moves one parameter, so each sample reuses the base point's
+    /// tilted normals `n̂₁′, n̂₂′` and mid-mirror line wherever that
+    /// parameter cannot change them (layout: `p0 x0 n1 q1 r1 n2 q2 r2 θ₁`):
+    /// - `p0`, `x0`, `q1` move only the mid line;
+    /// - `q2` moves only the second reflection;
+    /// - `n1`, `r1` move `n̂₁′` and the mid line;
+    /// - `n2`, `r2` move only `n̂₂′`;
+    /// - `θ₁` moves everything, so its columns trace in full.
+    ///
+    /// Every reused value is the one the full trace would recompute from
+    /// the same bits, so each residual is unchanged.
+    fn jacobian_into(&self, x: &[f64], rel_step: f64, jac: &mut DMat) {
+        let base = GalvoParams::from_vec(x);
+        let axes = base.axes();
+        let traces: Vec<SampleTrace> = self
+            .samples
+            .iter()
+            .map(|s| {
+                let n1p = base.mirror1_normal(&axes, s.v1);
+                SampleTrace {
+                    n1p,
+                    n2p: base.mirror2_normal(&axes, s.v2),
+                    mid: base.mid_line(n1p),
+                }
+            })
+            .collect();
+        let board = board();
+        let column = |p: &[f64], j: usize| {
+            let g = GalvoParams::from_vec(p);
+            let axes = g.axes();
+            let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
+            for (s, b) in self.samples.iter().zip(&traces) {
+                let line = match j / 3 {
+                    0 | 1 | 3 => g.mid_line(b.n1p).and_then(|mid| g.out_line(&mid, b.n2p)),
+                    6 => b.mid.and_then(|mid| g.out_line(&mid, b.n2p)),
+                    2 | 4 => g
+                        .mid_line(g.mirror1_normal(&axes, s.v1))
+                        .and_then(|mid| g.out_line(&mid, b.n2p)),
+                    5 | 7 => b
+                        .mid
+                        .and_then(|mid| g.out_line(&mid, g.mirror2_normal(&axes, s.v2))),
+                    _ => g.trace_line_with(&axes, s.v1, s.v2),
+                };
+                push_board_residual(&mut r, &board, line, s);
+            }
+            self.push_prior(p, &mut r);
+            r
+        };
+        central_differences_into(column, x, rel_step, jac);
+    }
 }
 
 /// Per-sample hit-distance errors (metres) of a model. Samples where the
@@ -317,11 +446,11 @@ fn residuals(params: &GalvoParams, samples: &[KspaceSample]) -> Vec<f64> {
 /// (they are penalized inside the fit's residuals, but a fabricated sentinel
 /// distance would corrupt the *reported* Table-2 numbers).
 pub fn eval_error(params: &GalvoParams, samples: &[KspaceSample]) -> ResidualStats {
-    let board = Plane::new(Vec3::ZERO, Vec3::Z);
+    let (board, axes) = (board(), params.axes());
     let dists: Vec<f64> = samples
         .iter()
         .filter_map(|s| {
-            let ray = params.trace_line(s.v1, s.v2)?;
+            let ray = params.trace_line_with(&axes, s.v1, s.v2)?;
             let (_, hit) = board.intersect_line(&ray)?;
             Some(((hit.x - s.x).powi(2) + (hit.y - s.y).powi(2)).sqrt())
         })
@@ -361,14 +490,11 @@ pub fn fit_with_options(
     for s in samples {
         check_volts(s.v1, s.v2)?;
     }
-    let samples_owned: Vec<KspaceSample> = samples.to_vec();
 
     // Phase A: 6-DoF rigid correction on top of the initial guess.
-    let base = *initial;
-    let samples_a = samples_owned.clone();
-    let f_pose = move |p: &[f64]| {
+    let f_pose = |p: &[f64]| {
         let pose = Pose6::from_slice(p).to_pose();
-        residuals(&base.transformed(&pose), &samples_a)
+        residuals(&initial.transformed(&pose), samples)
     };
     let opts_a = LmOptions {
         max_iters: 80,
@@ -391,37 +517,17 @@ pub fn fit_with_options(
     // full rotation envelope of §5.3.
     let x0 = posed.to_vec();
     assert_eq!(x0.len(), N_PARAMS);
-    let samples_b = samples_owned.clone();
-    let anchor = x0.clone();
-    // Prior 1σ per parameter: positions (m) 2 mm, direction components 0.02,
-    // θ₁ 2 %. One σ of deviation costs about one 1.2 mm board residual.
-    let prior_sigma: Vec<f64> = (0..N_PARAMS)
-        .map(|i| match i {
-            24 => 0.02 * anchor[24].abs().max(1e-6), // theta1, fractional
-            _ => {
-                // Layout: p0 x0 n1 q1 r1 n2 q2 r2 (3 components each).
-                let block = i / 3;
-                match block {
-                    0 | 3 | 6 => 2e-3, // points: p0, q1, q2
-                    _ => 0.02,         // direction components
-                }
-            }
-        })
-        .collect();
-    const PRIOR_WEIGHT: f64 = 1.2e-3;
-    let prior_w = if use_prior { PRIOR_WEIGHT } else { 0.0 };
-    let f = move |p: &[f64]| {
-        let mut r = residuals(&GalvoParams::from_vec(p), &samples_b);
-        for i in 0..N_PARAMS {
-            r.push(prior_w * (p[i] - anchor[i]) / prior_sigma[i]);
-        }
-        r
-    };
+    let phase_b = PhaseB::new(samples, &x0, use_prior);
     let opts = LmOptions {
         max_iters: 120,
         ..Default::default()
     };
-    let report = levenberg_marquardt(f, &x0, &opts);
+    let report = levenberg_marquardt_with(
+        |p: &[f64]| phase_b.residuals(p),
+        |x: &[f64], rel_step: f64, jac: &mut DMat| phase_b.jacobian_into(x, rel_step, jac),
+        &x0,
+        &opts,
+    );
     let fitted = GalvoParams::from_vec(&report.params);
     let train_error = eval_error(&fitted, samples);
     Ok(KspaceTraining {
@@ -458,6 +564,7 @@ pub fn train_both(
 mod tests {
     use super::*;
     use cyclops_optics::galvo::GalvoSimConfig;
+    use cyclops_solver::jacobian::numeric_jacobian_into;
 
     fn test_rig(seed: u64) -> KspaceRig {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -557,6 +664,103 @@ mod tests {
         }
         let err = eval_error(&tr.fitted, &held_out);
         assert!(err.mean * 1e3 < 4.0, "held-out avg {} mm", err.mean * 1e3);
+    }
+
+    /// Phase B's structured Jacobian against `numeric_jacobian_into` on
+    /// its residual, bit for bit, at 1 and 4 threads.
+    fn assert_jacobians_match(phase_b: &PhaseB<'_>, x: &[f64], ctx: &str) {
+        let rows = 2 * phase_b.samples.len() + N_PARAMS;
+        let rel = LmOptions::default().fd_rel_step;
+        let mut want = DMat::zeros(rows, N_PARAMS);
+        numeric_jacobian_into(&|p: &[f64]| phase_b.residuals(p), x, rel, &mut want);
+        for threads in [1, 4] {
+            let mut got = DMat::zeros(rows, N_PARAMS);
+            cyclops_par::with_threads(threads, || phase_b.jacobian_into(x, rel, &mut got));
+            for i in 0..rows {
+                for j in 0..N_PARAMS {
+                    assert_eq!(
+                        got[(i, j)].to_bits(),
+                        want[(i, j)].to_bits(),
+                        "{ctx}, threads {threads}: J[{i}][{j}] = {} vs {}",
+                        got[(i, j)],
+                        want[(i, j)]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structured_jacobian_is_the_numeric_one_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let samples: Vec<KspaceSample> = (0..40)
+            .map(|k| KspaceSample {
+                x: rng.gen_range(-0.3..0.3),
+                y: rng.gen_range(-0.3..0.3),
+                // Every tenth sample at v₁ = 0, where the grazing model
+                // below degenerates.
+                v1: if k % 10 == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(VOLT_MIN..VOLT_MAX)
+                },
+                v2: rng.gen_range(VOLT_MIN..VOLT_MAX),
+            })
+            .collect();
+        let rig = KspaceRig::standard(
+            GalvoSim::new(GalvoParams::nominal(), GalvoSimConfig::default()),
+            5,
+        );
+        let anchor = rig.true_kspace_params().to_vec();
+        for use_prior in [true, false] {
+            let phase_b = PhaseB::new(&samples, &anchor, use_prior);
+            for k in 0..24 {
+                let x = GalvoParams::from_vec(&anchor)
+                    .perturbed(&mut rng, 3.0, 3.0, 0.05)
+                    .to_vec();
+                assert_jacobians_match(&phase_b, &x, &format!("vector {k}, prior {use_prior}"));
+            }
+            // A first mirror parallel to the input beam at v₁ = 0: those
+            // samples' mid lines degenerate to the 1.0 sentinel at the base
+            // point, but not once an `x0`, `n1` or `r1` column tilts them.
+            let mut grazing = GalvoParams::nominal();
+            grazing.n1 = v3(0.0, 1.0, 0.0);
+            let x = grazing.to_vec();
+            assert!(phase_b.residuals(&x).iter().filter(|&&r| r == 1.0).count() >= 8);
+            assert_jacobians_match(&phase_b, &x, &format!("grazing, prior {use_prior}"));
+        }
+    }
+
+    #[test]
+    fn phase_b_fit_matches_the_numeric_jacobian_fit() {
+        let mut rig = test_rig(9);
+        let init = rig.cad_initial_guess();
+        let board = BoardConfig {
+            cols: 8,
+            rows: 6,
+            cell_m: 0.0508,
+        };
+        let samples = rig.collect_samples(&board);
+        let x0 = init.to_vec();
+        let phase_b = PhaseB::new(&samples, &x0, true);
+        let opts = LmOptions {
+            max_iters: 120,
+            ..Default::default()
+        };
+        let want = levenberg_marquardt(|p: &[f64]| phase_b.residuals(p), &x0, &opts);
+        let got = levenberg_marquardt_with(
+            |p: &[f64]| phase_b.residuals(p),
+            |x: &[f64], rel: f64, jac: &mut DMat| phase_b.jacobian_into(x, rel, jac),
+            &x0,
+            &opts,
+        );
+        let bits = |r: &LmReport| {
+            let mut b: Vec<u64> = r.params.iter().map(|v| v.to_bits()).collect();
+            b.push(r.cost.to_bits());
+            (b, r.iterations, r.n_evals, r.status)
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert!(want.iterations > 1, "{want:?}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::alignment::exhaustive_align;
 use crate::deployment::Deployment;
+use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
 use cyclops_geom::quat::Quat;
 use cyclops_geom::vec3::{v3, Vec3};
@@ -286,19 +287,20 @@ fn residuals(
 ) -> Vec<f64> {
     let tx_map = Pose6::from_slice(&params12[0..6]).to_pose();
     let rx_map = Pose6::from_slice(&params12[6..12]).to_pose();
+    // The TX model is the same for every sample: normalize its axes once.
     let txp = tx_model.transformed(&tx_map);
+    let tx_axes = txp.axes();
     let mut out = Vec::with_capacity(samples.len() * 6);
     for s in samples {
         let rxp = rx_model.transformed(&s.reported.compose(&rx_map));
         let ok = (|| {
-            let beam_t = txp.trace_line(s.voltages[0], s.voltages[1])?;
+            let beam_t = txp.trace_line_with(&tx_axes, s.voltages[0], s.voltages[1])?;
             let beam_r = rxp.trace_line(s.voltages[2], s.voltages[3])?;
             let (_, tau_t) = rxp
                 .second_mirror_plane(s.voltages[3])
                 .intersect_line(&beam_t)?;
-            let (_, tau_r) = txp
-                .second_mirror_plane(s.voltages[1])
-                .intersect_line(&beam_r)?;
+            let tx_plane = Plane::new(txp.q2, txp.mirror2_normal(&tx_axes, s.voltages[1]));
+            let (_, tau_r) = tx_plane.intersect_line(&beam_r)?;
             let g1 = beam_t.origin - tau_r;
             let g2 = beam_r.origin - tau_t;
             Some([g1.x, g1.y, g1.z, g2.x, g2.y, g2.z])

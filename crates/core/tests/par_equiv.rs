@@ -9,6 +9,9 @@
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};
 use cyclops_core::mapping::{collect_samples, MappingSample};
+use cyclops_geom::pose::Pose;
+use cyclops_geom::rotation::axis_angle;
+use cyclops_geom::vec3::v3;
 use cyclops_optics::galvo::GalvoSimConfig;
 
 fn align_at(threads: usize, seed: u64) -> AlignResult {
@@ -63,6 +66,23 @@ fn exhaustive_align_invariant_to_thread_count() {
             let res = align_cfg_at(threads, &cfg);
             assert_align_eq(&res, &reference, &format!("{name}, threads {threads}"));
         }
+    }
+    // A displaced headset, whose sweeps, and with the RX sweep its pilot
+    // row, peak far from where they do at the nominal pose.
+    let displaced = |threads: usize| {
+        cyclops_par::with_threads(threads, || {
+            let mut dep = Deployment::new(&DeploymentConfig::paper_10g(43));
+            dep.set_headset_pose(Pose::new(
+                axis_angle(v3(0.2, 1.0, 0.1).normalized(), 0.15),
+                v3(0.15, -0.1, 1.9),
+            ));
+            exhaustive_align(&mut dep)
+        })
+    };
+    let reference = displaced(1);
+    for threads in [2, 3, 8] {
+        let res = displaced(threads);
+        assert_align_eq(&res, &reference, &format!("displaced, threads {threads}"));
     }
 }
 

@@ -40,6 +40,21 @@ pub fn numeric_jacobian_into<F>(f: &F, x: &[f64], rel_step: f64, jac: &mut DMat)
 where
     F: Residual,
 {
+    central_differences_into(|xp: &[f64], _| f(xp), x, rel_step, jac);
+}
+
+/// The central differences of [`numeric_jacobian_into`] with the residual
+/// evaluated as `f(xp, j)`, where `xp` differs from `x` only in component
+/// `j`: the same steps, perturbed vectors and `(r⁺ − r⁻)·(1/2h)`, so a
+/// residual that reuses what component `j` cannot change fills `jac` with
+/// the same bits as the plain one.
+///
+/// # Panics
+/// Panics if `jac.cols != x.len()`.
+pub fn central_differences_into<F>(f: F, x: &[f64], rel_step: f64, jac: &mut DMat)
+where
+    F: Fn(&[f64], usize) -> Vec<f64> + Sync,
+{
     let n = x.len();
     let m = jac.rows;
     assert_eq!(jac.cols, n, "jacobian column count must match x.len()");
@@ -48,9 +63,9 @@ where
         let mut xp = x.to_vec();
         let h = rel_step * x[j].abs().max(1.0);
         xp[j] = x[j] + h;
-        let rp = f(&xp);
+        let rp = f(&xp, j);
         xp[j] = x[j] - h;
-        let rm = f(&xp);
+        let rm = f(&xp, j);
         debug_assert_eq!(rp.len(), m);
         debug_assert_eq!(rm.len(), m);
         let inv = 1.0 / (2.0 * h);

@@ -6,7 +6,9 @@
 //!
 //! * **K-space GMA fit (§4.1(B))** — non-linear least squares over the ~20
 //!   geometric parameters of the galvo-mirror-assembly model `G`, minimizing
-//!   board-hit error over the 266 grid samples → [`lm::levenberg_marquardt`].
+//!   board-hit error over the 266 grid samples → [`lm::levenberg_marquardt`],
+//!   and [`lm::levenberg_marquardt_with`] for the full fit, whose Jacobian
+//!   routine reuses the mirror geometry a column does not change.
 //! * **VR-space mapping fit (§4.2)** — non-linear least squares over the 12
 //!   mapping parameters minimizing the Lemma-1 error
 //!   `Σ d(p_t, τ_r) + d(p_r, τ_t)` → also LM, with
@@ -43,9 +45,9 @@ pub mod pattern;
 pub mod scalar;
 pub mod stats;
 
-pub use jacobian::{numeric_jacobian, numeric_jacobian_into, Residual};
+pub use jacobian::{central_differences_into, numeric_jacobian, numeric_jacobian_into, Residual};
 pub use linalg::DMat;
-pub use lm::{levenberg_marquardt, LmOptions, LmReport, LmStatus};
+pub use lm::{levenberg_marquardt, levenberg_marquardt_with, LmOptions, LmReport, LmStatus};
 pub use nelder_mead::{nelder_mead, nelder_mead_multistart, NmOptions, NmReport};
 pub use pattern::{
     axis_scan, grid_scan2, grid_scan2_sync, pattern_search, pattern_search_multistart,

@@ -23,7 +23,7 @@ pub enum LmStatus {
     Singular,
 }
 
-/// Options for [`levenberg_marquardt`].
+/// Options for [`levenberg_marquardt`] and [`levenberg_marquardt_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct LmOptions {
     /// Maximum outer iterations.
@@ -84,13 +84,31 @@ fn cost_of(r: &[f64]) -> f64 {
 /// how one would drive `scipy.optimize.least_squares` without analytic
 /// derivatives. The Jacobian columns are evaluated concurrently —
 /// bit-identical to the serial path — which is where the solver spends
-/// nearly all of its time on the Cyclops fits. The Jacobian, normal matrix
-/// and step vectors live in scratch buffers reused across iterations, so
-/// the per-iteration allocations are only those of the residual closure
-/// itself.
+/// nearly all of its time on the Cyclops fits.
 pub fn levenberg_marquardt<F>(f: F, x0: &[f64], opts: &LmOptions) -> LmReport
 where
     F: Residual,
+{
+    levenberg_marquardt_with(
+        &f,
+        |x: &[f64], rel_step: f64, jac: &mut DMat| numeric_jacobian_into(&f, x, rel_step, jac),
+        x0,
+        opts,
+    )
+}
+
+/// [`levenberg_marquardt`] with the Jacobian supplied by `jacobian(x,
+/// rel_step, jac)`, which must fill `jac` with the central differences of
+/// [`numeric_jacobian_into`] at `x` (`rel_step` is `opts.fd_rel_step`):
+/// each column costs two evaluations of `f` in [`LmReport::n_evals`]. A
+/// caller whose residual has structure can compute the same differences
+/// with less work. The Jacobian, normal matrix and step vectors live in
+/// scratch buffers reused across iterations, so the per-iteration
+/// allocations are only those of `f` and `jacobian`.
+pub fn levenberg_marquardt_with<F, J>(f: F, jacobian: J, x0: &[f64], opts: &LmOptions) -> LmReport
+where
+    F: Fn(&[f64]) -> Vec<f64>,
+    J: Fn(&[f64], f64, &mut DMat),
 {
     let mut x = x0.to_vec();
     let mut r = f(&x);
@@ -113,7 +131,7 @@ where
 
     for iter in 0..opts.max_iters {
         iterations = iter + 1;
-        numeric_jacobian_into(&f, &x, opts.fd_rel_step, &mut jac);
+        jacobian(&x, opts.fd_rel_step, &mut jac);
         n_evals += 2 * n;
         jac.t_mul_vec_into(&r, &mut grad);
         let grad_norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
@@ -262,6 +280,53 @@ mod tests {
         let rep = levenberg_marquardt(f, &[10.0, 7.0], &LmOptions::default());
         assert!((rep.params[0] - 1.0).abs() < 1e-6);
         assert_eq!(rep.params[1], 7.0); // untouched direction
+    }
+
+    /// A hand-written central-difference routine: the differences of
+    /// `numeric_jacobian_into`, column by column in a plain loop.
+    fn serial_jacobian(f: &impl Fn(&[f64]) -> Vec<f64>, x: &[f64], rel: f64, jac: &mut DMat) {
+        for j in 0..x.len() {
+            let mut xp = x.to_vec();
+            let h = rel * x[j].abs().max(1.0);
+            xp[j] = x[j] + h;
+            let rp = f(&xp);
+            xp[j] = x[j] - h;
+            let rm = f(&xp);
+            let inv = 1.0 / (2.0 * h);
+            for (i, (p, q)) in rp.iter().zip(&rm).enumerate() {
+                jac[(i, j)] = (p - q) * inv;
+            }
+        }
+    }
+
+    #[test]
+    fn both_entry_points_return_identical_reports() {
+        let ts: Vec<f64> = (0..15).map(|i| i as f64 * 0.3).collect();
+        let f = move |p: &[f64]| -> Vec<f64> {
+            ts.iter()
+                .map(|t| p[0] * (p[1] * t).exp() + p[2] * t.sin() - 1.5 + 0.1 * t)
+                .collect()
+        };
+        for x0 in [[1.0, 0.0, 0.0], [0.3, -0.4, 2.0], [-2.0, 0.2, 0.7]] {
+            let opts = LmOptions::default();
+            let want = levenberg_marquardt(&f, &x0, &opts);
+            for threads in [1, 4] {
+                let got = cyclops_par::with_threads(threads, || {
+                    levenberg_marquardt_with(
+                        &f,
+                        |x, rel, jac| serial_jacobian(&f, x, rel, jac),
+                        &x0,
+                        &opts,
+                    )
+                });
+                let bits = |r: &LmReport| {
+                    let mut b: Vec<u64> = r.params.iter().map(|v| v.to_bits()).collect();
+                    b.extend([r.cost.to_bits(), r.initial_cost.to_bits()]);
+                    (b, r.iterations, r.n_evals, r.status)
+                };
+                assert_eq!(bits(&got), bits(&want), "x0 {x0:?}, threads {threads}");
+            }
+        }
     }
 
     #[test]
