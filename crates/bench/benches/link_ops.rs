@@ -1,11 +1,9 @@
 //! Criterion benchmarks of the data-plane and simulation layers: the BER
-//! channel, CRC framing, SFP state machine, the §5.4 trace simulation and
+//! channel, SFP state machine, the §5.4 trace simulation and
 //! one second of the full 1 ms-slot physical simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cyclops::link::channel::FsoChannel;
-use cyclops::link::crc::crc32;
-use cyclops::link::framing::Frame;
 use cyclops::link::sfp_state::SfpLinkState;
 use cyclops::link::trace_sim::{simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
@@ -14,19 +12,6 @@ fn bench_channel(c: &mut Criterion) {
     let ch = FsoChannel::new(-25.0, 7.0);
     c.bench_function("channel: BER + frame success", |b| {
         b.iter(|| ch.frame_success_prob(black_box(-24.5), 12_000))
-    });
-}
-
-fn bench_crc_framing(c: &mut Criterion) {
-    let payload = vec![0xA5u8; 1500];
-    c.bench_function("crc32: 1500-byte frame", |b| {
-        b.iter(|| crc32(black_box(&payload)))
-    });
-    let frame = Frame::new(1, payload);
-    let enc = frame.encode();
-    c.bench_function("framing: encode 1500 B", |b| b.iter(|| frame.encode()));
-    c.bench_function("framing: decode+verify 1500 B", |b| {
-        b.iter(|| Frame::decode(black_box(&enc)).unwrap())
     });
 }
 
@@ -82,7 +67,6 @@ fn bench_trace_generation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_channel,
-    bench_crc_framing,
     bench_sfp_state,
     bench_trace_sim,
     bench_full_simulator,

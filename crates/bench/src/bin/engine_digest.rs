@@ -18,8 +18,7 @@
 //! cargo run --release -p cyclops-bench --bin engine_digest -- --write # regen golden
 //! ```
 
-use cyclops::link::engine::{DarkDebounce, SingleTx};
-use cyclops::link::handover::{HandoverSystem, Occluder, TxUnit};
+use cyclops::link::engine::{visible_margin_db, DarkDebounce, MarginSelector, SingleTx};
 use cyclops::link::trace_sim::{simulate_corpus, simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::ArbitraryMotionConfig;
@@ -252,19 +251,23 @@ fn main() {
 
     // --- Geometric handover model under a roaming occluder.
     {
-        let txs: Vec<TxUnit> = (0..3)
-            .map(|i| TxUnit {
-                pos: Vec3::new(-0.8 + 0.8 * i as f64, 2.0, 0.0),
-            })
+        let txs: Vec<Vec3> = (0..3)
+            .map(|i| Vec3::new(-0.8 + 0.8 * i as f64, 2.0, 0.0))
             .collect();
-        let mut hs = HandoverSystem::new(txs, LinkDesign::ten_g_diverging(20e-3, 2.0), 0.05);
+        let design = LinkDesign::ten_g_diverging(20e-3, 2.0);
+        let mut sel = MarginSelector::new(0.05);
+        let mut active = 0;
         let mut occ = Occluder::new(Vec3::new(-0.4, 1.0, 0.0), 0.25, 1.5, 7);
         let rx = Vec3::new(0.0, 0.0, 0.0);
         let mut d = Digest::new();
         for _ in 0..20_000 {
             occ.step(1e-3);
-            d.bool(hs.step(rx, std::slice::from_ref(&occ), 1e-3));
-            d.u64(hs.active() as u64);
+            let occluders = std::slice::from_ref(&occ);
+            let margin = |i: usize| visible_margin_db(&design, occluders, txs[i], rx);
+            let (delivering, a) = sel.step(active, txs.len(), margin, 1e-3);
+            active = a;
+            d.bool(delivering);
+            d.u64(active as u64);
         }
         emit("handover_geom", d);
     }

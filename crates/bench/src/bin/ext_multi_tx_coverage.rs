@@ -19,7 +19,6 @@
 use cyclops::core::commission;
 use cyclops::geom::vec3::v3;
 use cyclops::link::engine::{DarkDebounce, TxInstallation};
-use cyclops::link::handover::Occluder;
 use cyclops::prelude::*;
 use cyclops::vrh::motion::{ArbitraryMotion, ArbitraryMotionConfig};
 use cyclops_bench::{row, section};

@@ -15,7 +15,6 @@
 
 use cyclops::core::commission;
 use cyclops::link::engine::FleetSummary;
-use cyclops::link::handover::Occluder;
 use cyclops::prelude::*;
 
 /// Two fully-trained ceiling installations sharing one headset world

@@ -16,7 +16,6 @@ use cyclops::core::alignment::exhaustive_align;
 use cyclops::core::kspace::{self, BoardConfig, KspaceRig};
 use cyclops::core::mapping;
 use cyclops::link::engine::SessionStats;
-use cyclops::link::handover::Occluder;
 use cyclops::link::trace_sim::{simulate_corpus, TraceSimParams};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::ArbitraryMotionConfig;

@@ -41,10 +41,9 @@ pub use cyclops_link::control::{
 pub use cyclops_link::engine::{
     run_fleet, run_fleet_mixed, EngineConfig, EngineConfigError, EngineSlot, FallbackPolicy,
     FirstReport, FleetConfig, FleetConfigBuilder, FleetPool, FleetRollup, FleetRollupAcc,
-    FleetSummary, LinkPolicy, LinkSession, RfStats, SessionBuilder, SessionReport, SessionStats,
-    TxInstallation,
+    FleetSummary, LinkPolicy, LinkSession, Occluder, RfStats, SessionBuilder, SessionReport,
+    SessionStats, TxInstallation,
 };
-pub use cyclops_link::handover::{HandoverSystem, Occluder, TxUnit};
 pub use cyclops_link::registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfileDef, RegistryError,

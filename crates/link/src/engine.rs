@@ -3,9 +3,7 @@
 //!
 //! The single-TX link simulator (Figs 13–15), the full-physics multi-TX
 //! handover and the §5.4 trace drift model are *configurations* of this
-//! engine rather than bespoke loops (the geometric handover sketch in
-//! [`crate::handover`] still drives its own loop around a
-//! [`MarginSelector`]):
+//! engine rather than bespoke loops:
 //!
 //! ```text
 //!                      ┌────────────────────────────┐
@@ -37,7 +35,9 @@
 //!   frame-success (an alias of [`FsoChannel`]);
 //! * [`TxSelector`] — which ceiling unit serves the headset: pinned
 //!   ([`SingleTx`]), dark-time debounced nearest sibling ([`DarkDebounce`]),
-//!   or margin-based ([`BestMargin`], [`MarginSelector`]).
+//!   or margin-based ([`BestMargin`]). The geometric handover policy
+//!   (switch delay, hysteresis) is [`MarginSelector`], a bare state machine
+//!   its caller steps over [`visible_margin_db`].
 //!
 //! Determinism is the engine's core contract: every random draw comes from a
 //! seeded per-deployment RNG or a `mix64` stream, and the slot loop touches
@@ -60,7 +60,6 @@
 
 use crate::channel::{FsoChannel, RfChannel};
 use crate::control::{unit, ControlLink, ControlPlaneConfig, ControlStats};
-use crate::handover::Occluder;
 use crate::sfp_state::SfpLinkState;
 use crate::telemetry::{
     CommandSource, DropReason, ScopedTimer, SessionTelemetry, Telemetry, TelemetryEvent,
@@ -78,7 +77,8 @@ use cyclops_vrh::motion::{extrapolate_pose, ArbitraryMotion, ArbitraryMotionConf
 use cyclops_vrh::speeds::pose_speeds;
 use cyclops_vrh::traces::HeadTrace;
 use cyclops_vrh::tracking::TrackerConfig;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Where the headset truly is: the engine's motion component. This is the
@@ -556,6 +556,78 @@ impl TpPolicy {
 // Components: TX selection
 // ---------------------------------------------------------------------------
 
+/// A spherical occluder moving on a random walk (an arm, another person).
+#[derive(Debug, Clone)]
+pub struct Occluder {
+    /// Current centre.
+    pub center: Vec3,
+    /// Radius (metres).
+    pub radius: f64,
+    /// RMS walk speed (m/s).
+    pub speed: f64,
+    rng: StdRng,
+}
+
+impl Occluder {
+    /// Creates an occluder at a position with a seeded walk.
+    pub fn new(center: Vec3, radius: f64, speed: f64, seed: u64) -> Occluder {
+        Occluder {
+            center,
+            radius,
+            speed,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Advances the random walk by `dt` seconds (no-op for a static
+    /// occluder).
+    pub fn step(&mut self, dt: f64) {
+        let s = self.speed * dt;
+        if s <= 0.0 {
+            return;
+        }
+        self.center += Vec3::new(
+            self.rng.gen_range(-s..s),
+            self.rng.gen_range(-s..s),
+            self.rng.gen_range(-s..s),
+        );
+    }
+
+    /// Checks that the centre is finite and the radius and speed are finite
+    /// and non-negative; the session and fleet builders run this, so a bad
+    /// occluder fails there instead of panicking in [`Occluder::step`].
+    fn validate(&self) -> Result<(), EngineConfigError> {
+        let ok = |x: f64| x.is_finite() && x >= 0.0;
+        if !self.center.is_finite() {
+            Err(EngineConfigError::InvalidEnvironment(
+                "occluder center must be finite",
+            ))
+        } else if !ok(self.radius) {
+            Err(EngineConfigError::InvalidEnvironment(
+                "occluder radius must be finite and non-negative",
+            ))
+        } else if !ok(self.speed) {
+            Err(EngineConfigError::InvalidEnvironment(
+                "occluder speed must be finite and non-negative",
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// True if the segment `a → b` passes through the occluder.
+    pub fn blocks(&self, a: Vec3, b: Vec3) -> bool {
+        let ab = b - a;
+        let len = ab.norm();
+        if len < 1e-12 {
+            return a.distance(self.center) < self.radius;
+        }
+        let t = ((self.center - a).dot(ab) / (len * len)).clamp(0.0, 1.0);
+        let closest = a + ab * t;
+        closest.distance(self.center) < self.radius
+    }
+}
+
 /// Per-slot context handed to a [`TxSelector`].
 #[derive(Debug)]
 pub struct SelectCtx<'a> {
@@ -702,8 +774,24 @@ pub fn aligned_margin_db(design: &LinkDesign, tx_pos: Vec3, rx_pos: Vec3) -> f64
     design.received_power_dbm(chief, &rx) - design.sfp.rx_sensitivity_dbm
 }
 
-/// The geometric margin-based handover state machine behind
-/// [`crate::handover::HandoverSystem`] (and usable standalone): pays a
+/// [`aligned_margin_db`] behind line of sight: `-inf` when any occluder
+/// blocks the segment `tx_pos → rx_pos`. This is the margin a geometric
+/// [`MarginSelector`] steps on.
+pub fn visible_margin_db(
+    design: &LinkDesign,
+    occluders: &[Occluder],
+    tx_pos: Vec3,
+    rx_pos: Vec3,
+) -> f64 {
+    if occluders.iter().any(|o| o.blocks(tx_pos, rx_pos)) {
+        f64::NEG_INFINITY
+    } else {
+        aligned_margin_db(design, tx_pos, rx_pos)
+    }
+}
+
+/// The geometric margin-based handover state machine (margins typically
+/// from [`visible_margin_db`]; the caller holds the active unit): pays a
 /// switch delay on every handover, and — when `hysteresis_db` is set — also
 /// upgrades away from a *working* unit once a sibling's margin beats it by
 /// more than the hysteresis. A tie never triggers a switch, so two equal
@@ -2031,6 +2119,9 @@ impl<M: Motion, S: TxSelector> SessionBuilder<M, S> {
             return Err(EngineConfigError::NoUnits);
         }
         self.cfg.validate()?;
+        for o in &self.occluders {
+            o.validate()?;
+        }
         let first_report = self.first_report.unwrap_or(if self.units.len() == 1 {
             FirstReport::AfterPeriod
         } else {
@@ -2426,8 +2517,8 @@ impl FleetConfig {
     }
 
     /// Checks the configuration: at least one session, a finite positive
-    /// duration, a finite non-negative debounce, and a valid per-session
-    /// engine config.
+    /// duration, a finite non-negative debounce, valid occluder templates
+    /// and a valid per-session engine config.
     pub(crate) fn validate(&self) -> Result<(), EngineConfigError> {
         if self.n_sessions == 0 {
             return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
@@ -2441,6 +2532,9 @@ impl FleetConfig {
             return Err(EngineConfigError::InvalidFleet(
                 "debounce_s must be finite and non-negative",
             ));
+        }
+        for o in &self.occluders {
+            o.validate()?;
         }
         // Pre-validate the per-session engine config the fleet driver will
         // assemble, so bad tracker/control templates fail here instead of
@@ -3143,6 +3237,159 @@ pub(crate) mod tests {
         assert_eq!(a, 1);
     }
 
+    // -- Geometric handover: MarginSelector over visible_margin_db ---------
+
+    /// Two ceiling units 1.6 m apart, 2 m above an RX at the origin.
+    fn ceiling() -> [Vec3; 2] {
+        [v3(-0.8, 2.0, 0.0), v3(0.8, 2.0, 0.0)]
+    }
+
+    /// One 1 ms geometric handover step on the 10G diverging design; the
+    /// caller holds the active unit. Returns whether the link delivers.
+    fn geo_step(
+        sel: &mut MarginSelector,
+        active: &mut usize,
+        txs: &[Vec3],
+        rx: Vec3,
+        occluders: &[Occluder],
+    ) -> bool {
+        let design = LinkDesign::ten_g_diverging(20e-3, 2.0);
+        let margin = |i: usize| visible_margin_db(&design, occluders, txs[i], rx);
+        let (delivering, a) = sel.step(*active, txs.len(), margin, 1e-3);
+        *active = a;
+        delivering
+    }
+
+    #[test]
+    fn occluder_blocks_geometry() {
+        let o = Occluder::new(v3(0.0, 1.0, 0.0), 0.15, 0.0, 1);
+        assert!(o.blocks(v3(0.0, 2.0, 0.0), v3(0.0, 0.0, 0.0)));
+        assert!(!o.blocks(v3(1.0, 2.0, 0.0), v3(1.0, 0.0, 0.0)));
+        // Segment ending before the sphere.
+        assert!(!o.blocks(v3(0.0, 3.0, 0.0), v3(0.0, 2.0, 0.0)));
+        // A blocked unit's visible margin is -inf; an unblocked one's is
+        // the aligned margin.
+        let design = LinkDesign::ten_g_diverging(20e-3, 2.0);
+        let (tx, rx) = (v3(0.0, 2.0, 0.0), Vec3::ZERO);
+        assert_eq!(
+            visible_margin_db(&design, std::slice::from_ref(&o), tx, rx),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(
+            visible_margin_db(&design, &[], tx, rx),
+            aligned_margin_db(&design, tx, rx)
+        );
+    }
+
+    #[test]
+    fn unobstructed_link_stays_on_unit0() {
+        let mut sel = MarginSelector::new(0.05);
+        let mut active = 0;
+        for _ in 0..100 {
+            assert!(geo_step(&mut sel, &mut active, &ceiling(), Vec3::ZERO, &[]));
+        }
+        assert_eq!(active, 0);
+    }
+
+    #[test]
+    fn blocking_unit0_hands_over_to_unit1() {
+        let mut sel = MarginSelector::new(0.05);
+        let mut active = 0;
+        // Occluder square on the unit-0 path.
+        let occ = [Occluder::new(v3(-0.4, 1.0, 0.0), 0.2, 0.0, 2)];
+        let mut delivered = 0;
+        let mut outage = 0;
+        for _ in 0..200 {
+            if geo_step(&mut sel, &mut active, &ceiling(), Vec3::ZERO, &occ) {
+                delivered += 1;
+            } else {
+                outage += 1;
+            }
+        }
+        assert_eq!(active, 1);
+        // 50 ms switch ≈ 50 slots of outage, then delivery resumes.
+        assert!((45..60).contains(&outage), "outage {outage}");
+        assert!(delivered > 130);
+    }
+
+    #[test]
+    fn out_of_range_unit_is_not_selected() {
+        // A visible unit whose link cannot close at the RX distance must not
+        // be handed over to.
+        let txs = [v3(-0.8, 2.0, 0.0), v3(40.0, 2.0, 0.0)]; // 40 m away
+        let design = LinkDesign::ten_g_diverging(20e-3, 2.0);
+        assert!(
+            aligned_margin_db(&design, txs[1], Vec3::ZERO) < 0.0,
+            "far unit must be out of margin"
+        );
+        let mut sel = MarginSelector::new(0.01);
+        let mut active = 0;
+        let occ = [Occluder::new(v3(-0.4, 1.0, 0.0), 0.2, 0.0, 5)];
+        for _ in 0..100 {
+            assert!(
+                !geo_step(&mut sel, &mut active, &txs, Vec3::ZERO, &occ),
+                "no usable unit -> no delivery"
+            );
+        }
+        assert_eq!(active, 0, "must not switch to the out-of-range unit");
+    }
+
+    #[test]
+    fn all_blocked_means_no_delivery() {
+        let mut sel = MarginSelector::new(0.01);
+        let mut active = 0;
+        let occ = [
+            Occluder::new(v3(-0.4, 1.0, 0.0), 0.3, 0.0, 3),
+            Occluder::new(v3(0.4, 1.0, 0.0), 0.3, 0.0, 4),
+        ];
+        let txs = ceiling();
+        for _ in 0..50 {
+            assert!(!geo_step(&mut sel, &mut active, &txs, Vec3::ZERO, &occ));
+        }
+    }
+
+    #[test]
+    fn multi_tx_beats_single_tx_under_roaming_occlusion() {
+        // Availability comparison — the quantitative case for the §3 idea.
+        let run = |txs: &[Vec3]| -> f64 {
+            let mut sel = MarginSelector::new(0.05);
+            let mut active = 0;
+            let mut occ = Occluder::new(v3(-0.4, 1.0, 0.0), 0.25, 1.5, 7);
+            let mut ok = 0usize;
+            const N: usize = 20_000;
+            for _ in 0..N {
+                occ.step(1e-3);
+                let occ = std::slice::from_ref(&occ);
+                ok += geo_step(&mut sel, &mut active, txs, Vec3::ZERO, occ) as usize;
+            }
+            ok as f64 / N as f64
+        };
+        let single = run(&ceiling()[..1]);
+        let dual = run(&ceiling());
+        assert!(dual > single, "dual {dual} vs single {single}");
+    }
+
+    #[test]
+    fn hysteresis_upgrades_to_a_much_better_unit() {
+        // RX parked far off-centre: unit 1 is much closer (higher margin)
+        // but unit 0 still closes. Without hysteresis the selector never
+        // leaves unit 0; with it, it upgrades after the switch delay.
+        let rx = v3(0.7, 0.0, 0.0);
+        let mut plain = MarginSelector::new(0.01);
+        let mut active = 0;
+        for _ in 0..100 {
+            geo_step(&mut plain, &mut active, &ceiling(), rx, &[]);
+        }
+        assert_eq!(active, 0, "no hysteresis: never upgrade");
+        let mut greedy = MarginSelector::new(0.01);
+        greedy.hysteresis_db = Some(0.5);
+        let mut active = 0;
+        for _ in 0..100 {
+            geo_step(&mut greedy, &mut active, &ceiling(), rx, &[]);
+        }
+        assert_eq!(active, 1, "hysteresis: upgrade to better unit");
+    }
+
     #[test]
     fn trace_session_matches_simulate_trace() {
         use crate::trace_sim::{simulate_trace, TraceSimParams};
@@ -3525,6 +3772,57 @@ pub(crate) mod tests {
         // Errors render human-readable messages.
         assert!(!EngineConfigError::NoUnits.to_string().is_empty());
         assert!(!EngineConfigError::InvalidFleet("x").to_string().is_empty());
+    }
+
+    #[test]
+    fn builders_reject_invalid_occluders() {
+        // Regression: a NaN walk speed used to pass both builders and then
+        // panic inside `Occluder::step` ("empty gen_range") mid-run.
+        let c = v3(0.0, 1.0, 1.0);
+        let nan = f64::NAN;
+        let bad = [
+            Occluder::new(c, 0.1, nan, 1),
+            Occluder::new(c, 0.1, f64::INFINITY, 1),
+            Occluder::new(c, 0.1, -0.4, 1),
+            Occluder::new(c, nan, 0.4, 1),
+            Occluder::new(c, -0.1, 0.4, 1),
+            Occluder::new(v3(nan, 1.0, 1.0), 0.1, 0.4, 1),
+        ];
+        let units = two_units(913);
+        let invalid = |r: Result<(), EngineConfigError>| matches!(r, Err(EngineConfigError::InvalidEnvironment(m)) if m.contains("occluder"));
+        let session = |o: Occluder| {
+            LinkSession::builder(StaticPose(park_pose()))
+                .units(units.clone())
+                .occluder(o)
+                .build()
+                .map(drop)
+        };
+        assert_eq!(session(Occluder::new(c, 0.1, 0.4, 1)), Ok(()));
+        let fleet = |o: Occluder| FleetConfig {
+            n_sessions: 1,
+            duration_s: 0.05,
+            occluders: vec![o],
+            ..FleetConfig::default()
+        };
+        for o in bad {
+            assert!(invalid(session(o.clone())), "{o:?}");
+            assert!(invalid(
+                FleetConfig::builder().occluder(o.clone()).build().map(drop)
+            ));
+            // Fleets assembled without the builder are checked by the
+            // fallible drivers before any session runs.
+            let pool = FleetPool {
+                label: "bad".into(),
+                units: units.clone(),
+                tracker: TrackerConfig::default(),
+            };
+            assert!(invalid(
+                run_fleet_mixed(&[pool], &fleet(o.clone())).map(drop)
+            ));
+            let sched = crate::sched::SchedConfig::greedy();
+            let r = crate::sched::run_fleet_scheduled(&units, &fleet(o), &sched);
+            assert!(invalid(r.map(drop)));
+        }
     }
 
     // -- NaN-safe selector comparisons --------------------------------------

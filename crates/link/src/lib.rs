@@ -6,8 +6,6 @@
 //! * [`channel`] — received power → BER → frame-loss, anchored at the SFP's
 //!   specified sensitivity (BER 10⁻¹² at sensitivity, Gaussian-noise OOK
 //!   scaling above/below);
-//! * [`crc`] / [`framing`] — CRC-32 framing used by the loss accounting and
-//!   the quickstart examples;
 //! * [`control`] — the reliable control channel (sequence-numbered ARQ
 //!   with dedup, timeouts and capped backoff) and the deterministic
 //!   fault-injection layer (`FaultPlan`) behind the chaos suite;
@@ -27,10 +25,12 @@
 //!   validating builder, so fleets mix heterogeneous hardware;
 //! * [`trace_sim`] — the §5.4 user-trace connectivity simulation (Fig 16),
 //!   implemented with exactly the paper's drift/tolerance methodology — a
-//!   trace engine session;
-//! * [`handover`] — the multi-TX occlusion/handover extension sketched in
-//!   §3 ("to circumvent occasional occlusions ... multiple TXs on the
-//!   ceiling with appropriate handover techniques") — geometric model.
+//!   trace engine session.
+//!
+//! The §3 multi-TX extension ("to circumvent occasional occlusions ...
+//! multiple TXs on the ceiling with appropriate handover techniques") is an
+//! [`engine`] configuration: several [`engine::TxInstallation`]s, moving
+//! [`engine::Occluder`]s and a [`engine::TxSelector`].
 //!
 //! The composable environment layer (fog, rain, scintillation, human
 //! occluders) lives in [`channel`] as [`channel::EnvStage`] stacks; attach
@@ -42,10 +42,7 @@
 
 pub mod channel;
 pub mod control;
-pub mod crc;
 pub mod engine;
-pub mod framing;
-pub mod handover;
 pub mod registry;
 pub mod sched;
 pub mod sfp_state;
@@ -68,7 +65,6 @@ pub use engine::{
     FleetPool, FleetRollup, FleetSummary, LinkPolicy, LinkSession, MarginSelector, RfStats,
     SessionBuilder, SessionReport, SessionStats, SingleTx, SlotSession, TxInstallation, TxSelector,
 };
-pub use framing::Frame;
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
     GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfileDef, RegistryError,

@@ -2,10 +2,9 @@
 
 use cyclops_geom::vec3::v3;
 use cyclops_link::channel::FsoChannel;
-use cyclops_link::crc::crc32;
-use cyclops_link::engine::{windows_50ms, EngineSlot, MarginSelector};
-use cyclops_link::framing::Frame;
-use cyclops_link::handover::{HandoverSystem, TxUnit};
+use cyclops_link::engine::{
+    aligned_margin_db, visible_margin_db, windows_50ms, EngineSlot, MarginSelector,
+};
 use cyclops_link::sfp_state::SfpLinkState;
 use cyclops_link::trace_sim::{simulate_trace, TraceSimParams};
 use cyclops_optics::coupling::LinkDesign;
@@ -54,28 +53,6 @@ proptest! {
     fn bigger_frames_survive_less(p in -30.0..-24.0f64, n1 in 100u64..5_000, n2 in 5_000u64..50_000) {
         let ch = FsoChannel::new(-25.0, 7.0);
         prop_assert!(ch.frame_success_prob(p, n2) <= ch.frame_success_prob(p, n1) + 1e-12);
-    }
-
-    /// Framing round-trips arbitrary payloads; CRC flags arbitrary flips.
-    #[test]
-    fn framing_roundtrip_and_corruption(seq in any::<u64>(),
-                                        payload in prop::collection::vec(any::<u8>(), 0..512),
-                                        flip_byte in 0usize..512, flip_bit in 0u8..8) {
-        let f = Frame::new(seq, payload);
-        let enc = f.encode();
-        prop_assert_eq!(Frame::decode(&enc).unwrap(), f);
-        let pos = flip_byte % enc.len();
-        let mut bad = enc.clone();
-        bad[pos] ^= 1 << flip_bit;
-        prop_assert!(Frame::decode(&bad).is_err(), "flip at {pos} undetected");
-    }
-
-    /// CRC distributes: distinct single-byte payloads get distinct CRCs
-    /// (true for CRC-32 over 1-byte inputs).
-    #[test]
-    fn crc_distinguishes_bytes(a in any::<u8>(), b in any::<u8>()) {
-        prop_assume!(a != b);
-        prop_assert_ne!(crc32(&[a]), crc32(&[b]));
     }
 
     /// The SFP machine's total up-time never exceeds slots with signal.
@@ -211,10 +188,9 @@ proptest! {
         prop_assert_eq!(active, start, "a tie must never trigger a switch");
     }
 
-    /// The geometric system agrees: an RX equidistant from two units (a
-    /// perfect margin tie) never leaves unit 0 even with aggressive
-    /// hysteresis, while an off-centre RX with hysteresis settles on the
-    /// closer unit and stays there.
+    /// The geometric handover system agrees: an RX equidistant from two
+    /// units (a perfect margin tie) never leaves unit 0, even with
+    /// aggressive hysteresis.
     #[test]
     fn handover_system_is_stable_under_symmetry(
         y in 0.0..1.5f64,
@@ -222,19 +198,18 @@ proptest! {
         h in 0.0..3.0f64,
     ) {
         let design = LinkDesign::ten_g_diverging(20e-3, 2.0);
-        let txs = vec![
-            TxUnit { pos: v3(-0.8, 2.0, 0.0) },
-            TxUnit { pos: v3(0.8, 2.0, 0.0) },
-        ];
-        let mut hs = HandoverSystem::new(txs, design, 0.01);
-        hs.set_hysteresis_db(Some(h));
+        let txs = [v3(-0.8, 2.0, 0.0), v3(0.8, 2.0, 0.0)];
+        let mut sel = MarginSelector::new(0.01);
+        sel.hysteresis_db = Some(h);
         // x = 0 ⇒ both units are at identical range: a perfect tie.
         let rx = v3(0.0, y, z);
-        prop_assume!(hs.unit_margin_db(0, rx) >= 0.0);
+        prop_assume!(aligned_margin_db(&design, txs[0], rx) >= 0.0);
+        let mut active = 0;
         for _ in 0..120 {
-            hs.step(rx, &[], 1e-3);
+            let margin = |i: usize| visible_margin_db(&design, &[], txs[i], rx);
+            active = sel.step(active, txs.len(), margin, 1e-3).1;
         }
-        prop_assert_eq!(hs.active(), 0, "margin tie must not flip-flop");
+        prop_assert_eq!(active, 0, "margin tie must not flip-flop");
     }
 }
 

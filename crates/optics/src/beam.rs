@@ -99,9 +99,8 @@ impl BeamState {
     /// The beam after its path is folded by a mirror: the chief ray becomes
     /// `reflected` (origin at the reflection point) and the optical path
     /// travelled so far grows by `path_len`. Profile and power carry over —
-    /// mirrors are treated as lossless here; use
-    /// [`crate::mirror::clip_loss_db`] + [`BeamState::attenuated`] to account
-    /// for clipping.
+    /// mirrors are treated as lossless here; use [`BeamState::attenuated`]
+    /// to account for any clipping loss.
     pub fn folded(&self, reflected: Ray, path_len: f64) -> BeamState {
         BeamState {
             chief: reflected,

@@ -27,8 +27,6 @@
 //! * [`photodiode`] — the quadrant-monitor halo used by the exhaustive
 //!   alignment search of §4.2 (the paper surrounds the RX collimator with
 //!   four photodiodes, as in FSONet \[32\]);
-//! * [`mirror`] — finite-aperture clipping (why a wide collimated beam fails:
-//!   §5.1 "the beam can also get clipped by the TX GM");
 //! * [`safety`] — the IEC 60825 Class-1 eye-safety check discussed in §3;
 //! * [`wavelength`] — the §6 multi-wavelength (40G+) extension: CWDM lanes
 //!   and chromatic collimator penalties.
@@ -39,9 +37,7 @@
 pub mod amplifier;
 pub mod beam;
 pub mod coupling;
-pub mod footprint;
 pub mod galvo;
-pub mod mirror;
 pub mod photodiode;
 pub mod power;
 pub mod safety;

@@ -11,10 +11,6 @@
 //! * [`tracking`] — the VRH-T simulator: reports every 12–13 ms (0.7 % of
 //!   the time 14–15 ms, §5.2), with the stationary noise the paper measured
 //!   (≤1.79 mm location, ≤0.41 mrad orientation over 30 minutes).
-//! * [`imu`] — a strapdown-IMU + camera-correction model, the mechanism
-//!   behind VRH-T's noise; [`tracking::TrackerConfig::from_imu`] derives a
-//!   tracker configuration from it (and a test pins it to the aggregate
-//!   §5.2 numbers).
 //! * [`motion`] — the §5.3 test rigs as motion models: linear rail strokes,
 //!   rotation-stage sweeps, and free hand-held (Ornstein–Uhlenbeck) motion.
 //! * [`traces`] — 360°-video viewing head-motion traces: a synthetic
@@ -28,7 +24,6 @@
 #![warn(clippy::all)]
 
 pub mod headset;
-pub mod imu;
 pub mod motion;
 pub mod rand_util;
 pub mod speeds;

@@ -94,27 +94,6 @@ impl TrackerConfig {
         }
     }
 
-    /// Derives the positional noise from a physical IMU + camera-correction
-    /// model ([`crate::imu`]): simulates the dead-reckoning error process at
-    /// this tracker's report period and sets `pos_noise_sigma` to the
-    /// per-axis RMS of the bounded sawtooth it produces. Links the aggregate
-    /// noise model used everywhere to the mechanism behind it.
-    pub fn from_imu<R: rand::Rng>(imu: crate::imu::ImuConfig, rng: &mut R) -> TrackerConfig {
-        let base = TrackerConfig::default();
-        let period = (base.period_min_s + base.period_max_s) / 2.0;
-        let mut tracker = crate::imu::ImuTracker::new(imu, rng);
-        let mut sum2 = 0.0;
-        const N: usize = 4000;
-        for _ in 0..N {
-            let e = tracker.step(period, rng);
-            sum2 += e.norm_sq() / 3.0; // per-axis variance
-        }
-        TrackerConfig {
-            pos_noise_sigma: (sum2 / N as f64).sqrt(),
-            ..base
-        }
-    }
-
     /// Checks every field's range; on failure returns what is wrong and the
     /// offending value. Session builders and the hardware registry both
     /// validate through this.
@@ -359,22 +338,6 @@ mod tests {
         let fast = run_reports(TrackerConfig::high_rate(4.0), 100, 2);
         let dt = fast[99].t_sample / 99.0;
         assert!((0.0028..0.0035).contains(&dt), "mean period {dt}");
-    }
-
-    #[test]
-    fn imu_derived_config_matches_aggregate_band() {
-        // The default aggregate noise (from §5.2's measured 1.79 mm
-        // peak-to-peak) and the physical IMU+camera model must land in the
-        // same band — the consistency check that justifies the aggregate.
-        let mut rng = StdRng::seed_from_u64(99);
-        let derived = TrackerConfig::from_imu(crate::imu::ImuConfig::default(), &mut rng);
-        let aggregate = TrackerConfig::default().pos_noise_sigma;
-        assert!(
-            derived.pos_noise_sigma > aggregate / 5.0 && derived.pos_noise_sigma < aggregate * 5.0,
-            "IMU-derived σ {} vs aggregate σ {}",
-            derived.pos_noise_sigma,
-            aggregate
-        );
     }
 
     #[test]

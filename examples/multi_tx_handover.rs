@@ -10,26 +10,26 @@
 //! cargo run --release --example multi_tx_handover
 //! ```
 
-use cyclops::link::handover::{HandoverSystem, Occluder, TxUnit};
+use cyclops::link::engine::{visible_margin_db, MarginSelector};
 use cyclops::optics::coupling::LinkDesign;
-use cyclops::prelude::{EngineConfigError, Vec3};
+use cyclops::prelude::{EngineConfigError, Occluder, Vec3};
 
 fn availability(n_tx: usize, seed: u64) -> f64 {
     // Ceiling units spread over a 2 m rail above the play space.
-    let txs: Vec<TxUnit> = (0..n_tx)
+    let txs: Vec<Vec3> = (0..n_tx)
         .map(|i| {
             let x = if n_tx == 1 {
                 0.0
             } else {
                 -1.0 + 2.0 * i as f64 / (n_tx - 1) as f64
             };
-            TxUnit {
-                pos: Vec3::new(x, 2.2, 0.0),
-            }
+            Vec3::new(x, 2.2, 0.0)
         })
         .collect();
     let design = LinkDesign::ten_g_diverging(20e-3, 2.2);
-    let mut hs = HandoverSystem::new(txs, design, 0.05);
+    // Margin-based handover with a 50 ms switch; we hold the active unit.
+    let mut selector = MarginSelector::new(0.05);
+    let mut active = 0;
 
     // The user's arm: a 20 cm sphere wandering near head height.
     let mut arm = Occluder::new(Vec3::new(0.2, 1.2, 0.0), 0.20, 1.2, seed);
@@ -42,9 +42,11 @@ fn availability(n_tx: usize, seed: u64) -> f64 {
         // Keep the arm plausibly near the body.
         let pull = (Vec3::new(0.2, 1.2, 0.0) - arm.center) * 0.002;
         arm.center += pull;
-        if hs.step(rx, std::slice::from_ref(&arm), 1e-3) {
-            ok += 1;
-        }
+        let occluders = std::slice::from_ref(&arm);
+        let margin = |i: usize| visible_margin_db(&design, occluders, txs[i], rx);
+        let (delivering, a) = selector.step(active, txs.len(), margin, 1e-3);
+        active = a;
+        ok += delivering as usize;
     }
     ok as f64 / slots as f64
 }
@@ -55,7 +57,6 @@ fn availability(n_tx: usize, seed: u64) -> f64 {
 fn full_physics_act() -> Result<(), EngineConfigError> {
     use cyclops::core::commission;
     use cyclops::link::engine::DarkDebounce;
-    use cyclops::link::handover::Occluder;
     use cyclops::prelude::{
         EngineConfig, FirstReport, LinkSession, Pose, StaticPose, SystemConfig, TrackerConfig,
         TxInstallation,
