@@ -356,12 +356,14 @@ fn cmd_fleet(mut args: Vec<String>) -> Result<(), CliError> {
         });
     }
 
-    let fleet = FleetConfig::builder()
-        .n_sessions(n_sessions)
-        .duration_s(duration_s)
-        .seed(seed)
-        .environment(env)
-        .build()?;
+    let fleet = FleetConfig {
+        n_sessions,
+        duration_s,
+        seed,
+        environment: Some(env),
+        ..FleetConfig::default()
+    };
+    fleet.validate()?;
 
     let summary = match policy.as_deref() {
         None => run_fleet_mixed(&pools, &fleet)?,

@@ -76,17 +76,11 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Starts a validating builder over the default fleet configuration.
-    pub fn builder() -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            cfg: FleetConfig::default(),
-        }
-    }
-
     /// Checks the configuration: at least one session, a finite positive
     /// duration, a finite non-negative debounce, valid occluder templates
-    /// and a valid per-session engine config.
-    pub(crate) fn validate(&self) -> Result<(), EngineConfigError> {
+    /// and a valid per-session engine config. The fallible fleet drivers
+    /// run this before any session starts.
+    pub fn validate(&self) -> Result<(), EngineConfigError> {
         if self.n_sessions == 0 {
             return Err(EngineConfigError::InvalidFleet("n_sessions must be >= 1"));
         }
@@ -112,100 +106,6 @@ impl FleetConfig {
             ..EngineConfig::default()
         }
         .validate()
-    }
-}
-
-/// Validating builder for [`FleetConfig`] (entry point:
-/// [`FleetConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct FleetConfigBuilder {
-    cfg: FleetConfig,
-}
-
-impl FleetConfigBuilder {
-    /// Sets the number of concurrent sessions.
-    pub fn n_sessions(mut self, n: usize) -> Self {
-        self.cfg.n_sessions = n;
-        self
-    }
-
-    /// Sets the per-session duration (seconds).
-    pub fn duration_s(mut self, duration_s: f64) -> Self {
-        self.cfg.duration_s = duration_s;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the per-session motion model.
-    pub fn motion(mut self, motion: ArbitraryMotionConfig) -> Self {
-        self.cfg.motion = motion;
-        self
-    }
-
-    /// Sets the base pose sessions start from.
-    pub fn base_pose(mut self, base_pose: Pose) -> Self {
-        self.cfg.base_pose = base_pose;
-        self
-    }
-
-    /// Sets the control-plane template.
-    pub fn control(mut self, control: ControlPlaneConfig) -> Self {
-        self.cfg.control = Some(control);
-        self
-    }
-
-    /// Adds an occluder template.
-    pub fn occluder(mut self, occluder: Occluder) -> Self {
-        self.cfg.occluders.push(occluder);
-        self
-    }
-
-    /// Sets the handover debounce (seconds).
-    pub fn debounce_s(mut self, debounce_s: f64) -> Self {
-        self.cfg.debounce_s = debounce_s;
-        self
-    }
-
-    /// Sets the §5.3 pause-on-outage protocol.
-    pub fn pause_on_outage(mut self, pause: bool) -> Self {
-        self.cfg.pause_on_outage = pause;
-        self
-    }
-
-    /// Enables per-session telemetry counters and the fleet roll-up.
-    pub fn collect_telemetry(mut self, collect: bool) -> Self {
-        self.cfg.collect_telemetry = collect;
-        self
-    }
-
-    /// Sets the hybrid FSO/RF fallback policy for every session.
-    pub fn fallback(mut self, fallback: FallbackPolicy) -> Self {
-        self.cfg.fallback = fallback;
-        self
-    }
-
-    /// Sets the tracker timing/noise model for every session.
-    pub fn tracker(mut self, tracker: TrackerConfig) -> Self {
-        self.cfg.tracker = tracker;
-        self
-    }
-
-    /// Sets the environment template; an empty environment is stored as
-    /// `None` (the clean-air fast path).
-    pub fn environment(mut self, env: crate::channel::Environment) -> Self {
-        self.cfg.environment = if env.is_empty() { None } else { Some(env) };
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<FleetConfig, EngineConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 

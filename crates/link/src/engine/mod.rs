@@ -50,13 +50,21 @@
 //! clone of M TX installations, reduced in session-index order into a
 //! [`FleetSummary`].
 //!
-//! Sessions are configured through validating builders —
-//! [`LinkSession::builder`] / [`FleetConfig::builder`] — which check the
-//! configuration up front (`Result<_, EngineConfigError>`) and inject
+//! Sessions are built through the validating [`LinkSession::builder`], and
+//! fleets are checked by [`FleetConfig::validate`]: both reject a bad
+//! configuration up front with an [`EngineConfigError`]. The builder injects
 //! [`crate::telemetry`] observers at construction time. Telemetry is pure
 //! observation: events are emitted only after every random draw of the slot
 //! has happened, so attaching a sink cannot move the engine's RNG or float
 //! streams (pinned by the `engine_digest` identity checks).
+//!
+//! The code is split by concern. This module holds the slot clock and the
+//! configuration; `select` the occluders and TX selectors; `fallback` the
+//! RF failover machine; `session` the TP policy, [`LinkSession`] and its
+//! builder; `trace` the [`TraceSession`]; `fleet` the fleet drivers. A
+//! [`LinkSession`] slot runs five stages in order: environment and pose
+//! sync, tracking and control delivery, command apply, optics and
+//! selection, and the data plane.
 
 use crate::channel::FsoChannel;
 use crate::control::ControlPlaneConfig;

@@ -7,8 +7,7 @@ use crate::channel::FsoChannel;
 use crate::control::{ControlLink, ControlPlaneConfig, ControlStats};
 use crate::sfp_state::SfpLinkState;
 use crate::telemetry::{
-    CommandSource, DropReason, ScopedTimer, SessionTelemetry, Telemetry, TelemetryEvent,
-    TelemetrySink, VirtualClock,
+    CommandSource, DropReason, SessionTelemetry, Telemetry, TelemetryEvent, TelemetrySink,
 };
 use cyclops_core::deployment::Deployment;
 use cyclops_core::mapping::noisy_report_of;
@@ -116,72 +115,53 @@ impl TpPolicy {
         self.last_delivery_arrival = Some(t_arr);
     }
 
-    /// Issues a dead-reckoned command when reports are stale but the
-    /// velocity estimate is still fresh. Returns the issued command and its
-    /// apply time, for telemetry.
+    /// Dead reckoning: while reports are stale but the velocity estimate
+    /// is still fresh, returns the constant-velocity pose prediction at
+    /// `t_slot` for the session to steer on.
     fn dead_reckon(
         &mut self,
         t_slot: f64,
         dr: crate::control::DeadReckoningConfig,
-        unit: &mut TxInstallation,
-    ) -> Option<(f64, TpCommand)> {
-        if let (Some(&(t1, p1)), Some(arr)) = (self.deliveries.back(), self.last_delivery_arrival) {
-            // Velocity anchor: the newest delivery at least `min_baseline_s`
-            // older than the latest (falling back to the oldest we kept).
-            let (t0, p0) = self
-                .deliveries
-                .iter()
-                .rev()
-                .find(|(t, _)| t1 - t >= dr.min_baseline_s)
-                .or_else(|| self.deliveries.front())
-                .copied()
-                .unwrap();
-            // Reports stale but the velocity estimate still fresh: steer on
-            // the constant-velocity prediction.
-            if t0 < t1
-                && t_slot - arr > dr.stale_after_s
-                && t_slot - t1 <= dr.max_horizon_s
-                && t_slot - self.last_dr_t >= dr.interval_s
-            {
-                let pred = extrapolate_pose(&p0, t0, &p1, t1, t_slot);
-                let cmd = unit.ctl.on_extrapolated(&pred);
-                let settle = unit.dep.settle_estimate(
-                    cmd.voltages[0],
-                    cmd.voltages[1],
-                    cmd.voltages[2],
-                    cmd.voltages[3],
-                );
-                let apply_at = t_slot + cmd.latency_s + settle;
-                self.pending.push_back((apply_at, cmd.voltages));
-                self.last_dr_t = t_slot;
-                return Some((apply_at, cmd));
-            }
+    ) -> Option<Pose> {
+        let &(t1, p1) = self.deliveries.back()?;
+        let arr = self.last_delivery_arrival?;
+        // Velocity anchor: the newest delivery at least `min_baseline_s`
+        // older than the latest (falling back to the oldest we kept).
+        let &(t0, p0) = self
+            .deliveries
+            .iter()
+            .rev()
+            .find(|(t, _)| t1 - t >= dr.min_baseline_s)
+            .or(self.deliveries.front())?;
+        let due = t0 < t1
+            && t_slot - arr > dr.stale_after_s
+            && t_slot - t1 <= dr.max_horizon_s
+            && t_slot - self.last_dr_t >= dr.interval_s;
+        if !due {
+            return None;
         }
-        None
+        self.last_dr_t = t_slot;
+        Some(extrapolate_pose(&p0, t0, &p1, t1, t_slot))
     }
 
     /// The re-acquisition spiral: probes voltages around the last aim when
-    /// the beam is lost and tracking can't help. May re-evaluate `power` and
-    /// `signal` in place. Returns what happened, for telemetry.
-    #[allow(clippy::too_many_arguments)]
+    /// the beam is lost and tracking can't help. May re-evaluate the slot's
+    /// `power` and `signal` in place. Returns what happened, for telemetry.
     fn reacq(
         &mut self,
-        t_slot: f64,
+        st: &mut SlotState,
         rq: crate::control::ReacqConfig,
         period_max_s: f64,
-        flap_forced: bool,
         unit: &mut TxInstallation,
         channel: &ChannelModel,
-        env_att_db: f64,
-        power: &mut f64,
-        signal: &mut bool,
     ) -> ReacqActivity {
+        let t_slot = st.t;
         let mut act = ReacqActivity::default();
         // The search only rests on *solid* signal: a point at the bare
         // sensitivity edge flickers under drift, resetting the SFP hold
         // timer forever.
-        let solid = *power >= channel.sensitivity_dbm + rq.success_margin_db;
-        if (*signal && solid) || flap_forced {
+        let solid = st.power >= channel.sensitivity_dbm + rq.success_margin_db;
+        if (st.signal && solid) || st.flap_forced {
             // Solid signal (or the outage is the SFP's, not the beam's): no
             // search.
             self.signal_lost_since = None;
@@ -210,9 +190,9 @@ impl TpPolicy {
                         unit.ctl.note_reacq_step();
                         // Probe through the same environment the slot saw:
                         // fog doesn't clear because the mirror moved.
-                        *power = unit.dep.received_power_dbm() - env_att_db;
-                        *signal = *power >= channel.sensitivity_dbm;
-                        if *power >= channel.sensitivity_dbm + rq.success_margin_db {
+                        st.power = unit.dep.received_power_dbm() - st.env_att_db;
+                        st.signal = st.power >= channel.sensitivity_dbm;
+                        if st.power >= channel.sensitivity_dbm + rq.success_margin_db {
                             self.signal_lost_since = None;
                             self.spiral = None;
                             act.ended = Some(true);
@@ -431,10 +411,8 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     /// Control-stats snapshot at the end of the previous slot, for
     /// synthesizing per-slot retransmit/drop deltas.
     prev_ctrl: ControlStats,
-    /// Monotonic virtual clock (simulation time) for scoped timers.
-    clock: VirtualClock,
-    /// Timer opened at the last SFP down-transition.
-    outage_timer: Option<ScopedTimer>,
+    /// Slot end time of the last SFP down-transition (the open outage).
+    outage_start: Option<f64>,
     /// Global slot index across `run` calls (telemetry event numbering).
     slot_idx: u64,
 }
@@ -459,23 +437,23 @@ impl<M: Motion> LinkSession<M, SingleTx> {
 }
 
 impl<M: Motion, S: TxSelector> LinkSession<M, S> {
-    /// The one true constructor behind the builder. The RNG draw order
-    /// here is part of the determinism contract:
-    /// one `noisy_report_of` on unit 0's deployment RNG for the pre-start
+    /// The one true constructor, behind [`SessionBuilder::build`] (which
+    /// has already validated `b`, so it holds at least one unit). The RNG
+    /// draw order here is part of the determinism contract: one
+    /// `noisy_report_of` on unit 0's deployment RNG for the pre-start
     /// alignment, then (for [`FirstReport::AfterPeriod`] only) one
     /// `draw_period` on the same RNG.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        mut units: Vec<TxInstallation>,
-        mut motion: M,
-        occluders: Vec<Occluder>,
-        selector: S,
-        cfg: EngineConfig,
-        telemetry: Telemetry,
-        first_report: FirstReport,
-        env: Option<crate::channel::Environment>,
-    ) -> Self {
-        assert!(!units.is_empty());
+    fn assemble(b: SessionBuilder<M, S>) -> Self {
+        let SessionBuilder {
+            mut units,
+            mut motion,
+            occluders,
+            selector,
+            cfg,
+            telemetry,
+            first_report,
+            environment: env,
+        } = b;
         let relink = units[0].dep.design.sfp.relink_time_s;
         let pose0 = motion.pose_at(0.0);
         for u in units.iter_mut() {
@@ -484,17 +462,17 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         // Align unit 0 against the initial pose, before time zero.
         let clean = units[0].dep.headset.true_reported_pose();
         let rep = noisy_report_of(clean, &cfg.tracker, units[0].dep.rng());
-        let cmd = units[0].ctl.on_report(&rep);
-        units[0].dep.set_voltages(
-            cmd.voltages[0],
-            cmd.voltages[1],
-            cmd.voltages[2],
-            cmd.voltages[3],
-        );
+        let [v0, v1, v2, v3] = units[0].ctl.on_report(&rep).voltages;
+        units[0].dep.set_voltages(v0, v1, v2, v3);
         let channel = FsoChannel::new(
             units[0].dep.design.sfp.rx_sensitivity_dbm,
             units[0].dep.design.sfp.rx_overload_dbm,
         );
+        let first_report = first_report.unwrap_or(if units.len() == 1 {
+            FirstReport::AfterPeriod
+        } else {
+            FirstReport::AtZero
+        });
         let next_report_t = match first_report {
             FirstReport::AfterPeriod => cfg.tracker.draw_period(units[0].dep.rng()),
             FirstReport::AtZero => 0.0,
@@ -535,8 +513,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             env,
             tele: telemetry,
             prev_ctrl: ControlStats::default(),
-            clock: VirtualClock::default(),
-            outage_timer: None,
+            outage_start: None,
             slot_idx: 0,
         }
     }
@@ -692,48 +669,104 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
     type Record = EngineSlot;
 
     fn step_slot(&mut self, _k: usize) -> EngineSlot {
-        let slot_s = self.cfg.slot_s;
-        let t_slot = self.t + slot_s;
-        let moving = !self.cfg.pause_on_outage || self.sfp.is_up();
-        let motion_t_slot = if moving {
-            self.motion_t + slot_s
-        } else {
-            self.motion_t
-        };
-        // Telemetry is pure observation: all emission below is gated on this
-        // one flag, and every event fires only after the slot's random draws
-        // for that stage have happened, so sinks cannot perturb the streams.
-        let tele_on = self.tele.is_active();
-        self.clock.advance(slot_s);
-        let k_ev = self.slot_idx;
-        self.slot_idx += 1;
-        if tele_on {
-            self.tele
-                .emit(&TelemetryEvent::SlotStart { k: k_ev, t: t_slot });
-        }
+        let mut st = self.sync_environment();
+        self.track(&st);
+        self.apply_commands(&st);
+        self.optics_and_select(&mut st);
+        self.data_plane(&mut st);
+        self.record(&st)
+    }
+}
 
-        // 0. Environment: occluders wander.
+/// One slot's working state, handed from stage to stage of
+/// [`LinkSession::step_slot`].
+#[derive(Debug, Default)]
+struct SlotState {
+    /// Global slot index (telemetry event numbering).
+    k: u64,
+    /// Slot end time (seconds).
+    t: f64,
+    /// Motion-clock time at slot end (frozen while paused on an outage).
+    motion_t: f64,
+    /// Whether telemetry observes this slot. Telemetry is pure
+    /// observation: every emission is gated on this one flag and fires only
+    /// after its stage's random draws, so sinks cannot perturb the streams.
+    tele_on: bool,
+    /// The true pose, once synced into the unit worlds this slot.
+    pose: Option<Pose>,
+    /// RX aperture position at that pose (world, metres).
+    rx_pos: Vec3,
+    /// Line of sight to the active unit.
+    los: bool,
+    /// Received power on the active unit (dBm).
+    power: f64,
+    /// Environment path attenuation (dB).
+    env_att_db: f64,
+    /// A scheduled SFP flap forces loss of signal at the receiver.
+    flap_forced: bool,
+    /// Optical signal present at the receiver.
+    signal: bool,
+    /// True linear and angular speed over the slot.
+    lin: f64,
+    ang: f64,
+    /// Whether the link delivers data, whether RF carries it, and the
+    /// goodput (Gbps).
+    link_up: bool,
+    rf_active: bool,
+    goodput: f64,
+}
+
+impl<M: Motion, S: TxSelector> LinkSession<M, S> {
+    /// Stage 1, environment and pose sync: opens the slot, walks the
+    /// occluders and, under [`PoseTiming::SlotStart`], syncs the true pose.
+    fn sync_environment(&mut self) -> SlotState {
+        let slot_s = self.cfg.slot_s;
+        let moving = !self.cfg.pause_on_outage || self.sfp.is_up();
+        let mut st = SlotState {
+            k: self.slot_idx,
+            t: self.t + slot_s,
+            motion_t: if moving {
+                self.motion_t + slot_s
+            } else {
+                self.motion_t
+            },
+            tele_on: self.tele.is_active(),
+            los: true,
+            power: Deployment::POWER_METER_FLOOR_DBM,
+            ..SlotState::default()
+        };
+        self.slot_idx += 1;
+        if st.tele_on {
+            self.tele
+                .emit(&TelemetryEvent::SlotStart { k: st.k, t: st.t });
+        }
         for o in self.occluders.iter_mut() {
             o.step(slot_s);
         }
-
-        // 0b. Slot-start pose sync (multi-TX timing model).
-        let need_rx = self.cfg.los_gating || self.tx_positions.len() > 1;
-        let mut rx_pos = Vec3::ZERO;
-        let mut slot_pose: Option<Pose> = None;
         if self.cfg.pose_timing == PoseTiming::SlotStart {
-            let pose = self.motion.pose_at(motion_t_slot);
-            for u in self.units.iter_mut() {
-                u.dep.set_headset_pose(pose);
-            }
-            if need_rx {
-                rx_pos = self.units[self.active].dep.rx_pivot_world();
-            }
-            slot_pose = Some(pose);
+            self.sync_pose(&mut st);
         }
+        st
+    }
 
-        // 1. Tracking reports due within this slot.
-        while self.next_report_t <= t_slot {
+    /// Samples the true pose at the slot's motion time into every unit
+    /// world and records it with the RX position: the one pose sync of a
+    /// slot.
+    fn sync_pose(&mut self, st: &mut SlotState) -> Pose {
+        let pose = self.motion.pose_at(st.motion_t);
+        for u in self.units.iter_mut() {
+            u.dep.set_headset_pose(pose);
+        }
+        st.rx_pos = self.units[self.active].dep.rx_pivot_world();
+        st.pose = Some(pose);
+        pose
+    }
+
+    /// Stage 2, tracking and control delivery: the tracking reports due
+    /// this slot, the control plane's deliveries and dead reckoning, each
+    /// turned into a TP command by [`LinkSession::issue`].
+    fn track(&mut self, st: &SlotState) {
+        while self.next_report_t <= st.t {
             let rt = self.next_report_t;
             let period = self
                 .cfg
@@ -747,7 +780,7 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
             if !self.control.is_faulty() {
                 let loss_p = self.cfg.tracker.report_loss_prob;
                 if loss_p > 0.0 && self.units[self.active].dep.rng().gen_bool(loss_p) {
-                    if tele_on {
+                    if st.tele_on {
                         self.tele.emit(&TelemetryEvent::CtrlDropped {
                             t: rt,
                             n: 1,
@@ -759,9 +792,10 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
             }
             if self.cfg.pose_timing == PoseTiming::AtReport {
                 // Backdate the sampled pose to the report time.
-                let pose = self
-                    .motion
-                    .pose_at(motion_t_slot.min(self.motion_t.max(motion_t_slot - (t_slot - rt))));
+                let pose = self.motion.pose_at(
+                    st.motion_t
+                        .min(self.motion_t.max(st.motion_t - (st.t - rt))),
+                );
                 self.units[self.active].dep.set_headset_pose(pose);
             }
             let ds = self.cfg.tracker.drift_sigma_per_sqrt_s;
@@ -785,110 +819,51 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                 // Hand the report to the (faulty) control channel; the TP
                 // acts on deliveries, not submissions.
                 link.send(rt, (rt, reported));
-                if tele_on {
+                if st.tele_on {
                     self.tele.emit(&TelemetryEvent::CtrlSent { t: rt });
                 }
             } else {
                 let cmd = u.ctl.on_report(&reported);
-                let apply_at = match self.cfg.command_timing {
+                // Scheduled commands wait out the control channel as well.
+                let queue_from = match self.cfg.command_timing {
                     CommandTiming::Scheduled => {
-                        // The command is optically effective only after the
-                        // control channel, the DAC conversion AND the mirror
-                        // settle/slew.
-                        let settle = u.dep.settle_estimate(
-                            cmd.voltages[0],
-                            cmd.voltages[1],
-                            cmd.voltages[2],
-                            cmd.voltages[3],
-                        );
-                        let apply_at = rt
-                            + self.cfg.tracker.control_channel_latency_s
-                            + cmd.latency_s
-                            + settle;
-                        self.tp.pending.push_back((apply_at, cmd.voltages));
-                        apply_at
+                        Some(rt + self.cfg.tracker.control_channel_latency_s)
                     }
-                    CommandTiming::Immediate => {
-                        u.dep.set_voltages(
-                            cmd.voltages[0],
-                            cmd.voltages[1],
-                            cmd.voltages[2],
-                            cmd.voltages[3],
-                        );
-                        rt
-                    }
+                    CommandTiming::Immediate => None,
                 };
-                if tele_on {
-                    self.tele.emit(&TelemetryEvent::TpCommandIssued {
-                        t: rt,
-                        apply_at,
-                        source: CommandSource::Report,
-                        latency_s: cmd.latency_s,
-                        iters: cmd.iterations as u64,
-                        converged: cmd.converged,
-                    });
-                }
+                self.issue(st, rt, &cmd, queue_from, CommandSource::Report);
             }
         }
 
-        // 1b. Control-plane deliveries and dead reckoning. Delivered
-        // reports already carry the channel latency in their arrival time;
-        // only TP compute + settle remain.
+        // Control-plane deliveries and dead reckoning. Delivered reports
+        // already carry the channel latency in their arrival time; only TP
+        // compute + settle remain.
         if let Some(link) = self.control.link.as_mut() {
-            let delivered = link.poll(t_slot);
-            for (t_arr, (t_sample, rep_pose)) in delivered {
-                let u = &mut self.units[self.active];
-                let cmd = u.ctl.on_report(&rep_pose);
-                let settle = u.dep.settle_estimate(
-                    cmd.voltages[0],
-                    cmd.voltages[1],
-                    cmd.voltages[2],
-                    cmd.voltages[3],
-                );
-                let apply_at = t_arr + cmd.latency_s + settle;
-                self.tp.pending.push_back((apply_at, cmd.voltages));
+            for (t_arr, (t_sample, rep_pose)) in link.poll(st.t) {
+                let cmd = self.units[self.active].ctl.on_report(&rep_pose);
                 self.tp.on_delivery(t_arr, t_sample, rep_pose);
-                if tele_on {
+                if st.tele_on {
                     self.tele.emit(&TelemetryEvent::CtrlDelivered {
                         t: t_arr,
                         age_s: t_arr - t_sample,
                     });
-                    self.tele.emit(&TelemetryEvent::TpCommandIssued {
-                        t: t_arr,
-                        apply_at,
-                        source: CommandSource::Report,
-                        latency_s: cmd.latency_s,
-                        iters: cmd.iterations as u64,
-                        converged: cmd.converged,
-                    });
                 }
+                self.issue(st, t_arr, &cmd, Some(t_arr), CommandSource::Report);
             }
-            if let Some(dr) = self.cfg.control.and_then(|c| c.dead_reckoning) {
-                let issued = self
-                    .tp
-                    .dead_reckon(t_slot, dr, &mut self.units[self.active]);
-                if tele_on {
-                    if let Some((apply_at, cmd)) = issued {
-                        self.tele.emit(&TelemetryEvent::TpCommandIssued {
-                            t: t_slot,
-                            apply_at,
-                            source: CommandSource::DeadReckoned,
-                            latency_s: cmd.latency_s,
-                            iters: cmd.iterations as u64,
-                            converged: cmd.converged,
-                        });
-                    }
-                }
+            let dr = self.cfg.control.and_then(|c| c.dead_reckoning);
+            if let Some(pred) = dr.and_then(|dr| self.tp.dead_reckon(st.t, dr)) {
+                let cmd = self.units[self.active].ctl.on_extrapolated(&pred);
+                self.issue(st, st.t, &cmd, Some(st.t), CommandSource::DeadReckoned);
             }
         }
         // Synthesize per-slot retransmit/drop events from the cumulative
         // channel counters (the ARQ stack doesn't surface per-frame hooks).
-        if tele_on {
+        if st.tele_on {
             if let Some(cur) = self.control.stats() {
                 let d = cur.since(&self.prev_ctrl);
                 if d.retransmits > 0 {
                     self.tele.emit(&TelemetryEvent::CtrlRetransmit {
-                        t: t_slot,
+                        t: st.t,
                         n: d.retransmits,
                     });
                 }
@@ -899,120 +874,128 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
                     (d.gave_up, DropReason::GaveUp),
                 ] {
                     if n > 0 {
-                        self.tele.emit(&TelemetryEvent::CtrlDropped {
-                            t: t_slot,
-                            n,
-                            reason,
-                        });
+                        self.tele
+                            .emit(&TelemetryEvent::CtrlDropped { t: st.t, n, reason });
                     }
                 }
                 self.prev_ctrl = cur;
             }
         }
+    }
 
-        // 2. Apply the due commands.
-        let n_applied = self.tp.apply_due(t_slot, &mut self.units[self.active].dep);
-        if tele_on && n_applied > 0 {
-            self.tele.emit(&TelemetryEvent::TpApplied {
-                t: t_slot,
-                n: n_applied,
+    /// The one TP-command issue path, on the active unit. With
+    /// `queue_from = Some(t0)` the command is queued to apply at `t0` + TP
+    /// compute + the galvo settle estimate (the scheduled timing model);
+    /// with `None` it is applied at once. Emits `TpCommandIssued` at `t`.
+    fn issue(
+        &mut self,
+        st: &SlotState,
+        t: f64,
+        cmd: &TpCommand,
+        queue_from: Option<f64>,
+        source: CommandSource,
+    ) {
+        let [v0, v1, v2, v3] = cmd.voltages;
+        let dep = &mut self.units[self.active].dep;
+        let apply_at = match queue_from {
+            Some(t0) => {
+                let apply_at = t0 + cmd.latency_s + dep.settle_estimate(v0, v1, v2, v3);
+                self.tp.pending.push_back((apply_at, cmd.voltages));
+                apply_at
+            }
+            None => {
+                dep.set_voltages(v0, v1, v2, v3);
+                t
+            }
+        };
+        if st.tele_on {
+            self.tele.emit(&TelemetryEvent::TpCommandIssued {
+                t,
+                apply_at,
+                source,
+                latency_s: cmd.latency_s,
+                iters: cmd.iterations as u64,
+                converged: cmd.converged,
             });
         }
+    }
 
-        // 3. True pose & optics at slot end.
-        let pose = match slot_pose {
+    /// Stage 3, command apply: every queued command whose time has come
+    /// reaches the active unit's mirrors.
+    fn apply_commands(&mut self, st: &SlotState) {
+        let n = self.tp.apply_due(st.t, &mut self.units[self.active].dep);
+        if st.tele_on && n > 0 {
+            self.tele.emit(&TelemetryEvent::TpApplied { t: st.t, n });
+        }
+    }
+
+    /// Stage 4, optics and selection: the true pose at slot end, received
+    /// power through the environment, the re-acquisition spiral, and the
+    /// TX selector's handover with its immediate TP shot.
+    fn optics_and_select(&mut self, st: &mut SlotState) {
+        let slot_s = self.cfg.slot_s;
+        let pose = match st.pose {
             Some(p) => p,
-            None => {
-                let p = self.motion.pose_at(motion_t_slot);
-                for u in self.units.iter_mut() {
-                    u.dep.set_headset_pose(p);
-                }
-                if need_rx {
-                    rx_pos = self.units[self.active].dep.rx_pivot_world();
-                }
-                p
-            }
+            None => self.sync_pose(st),
         };
-        let los = if self.cfg.los_gating {
-            self.unit_los(self.active, rx_pos)
-        } else {
-            true
-        };
-        let mut power = if los {
-            self.units[self.active].dep.received_power_dbm()
-        } else {
-            Deployment::POWER_METER_FLOOR_DBM
-        };
-        // 3a. Environment: path attenuation ahead of the SFP/channel math.
+        st.los = !self.cfg.los_gating || self.unit_los(self.active, st.rx_pos);
+        if st.los {
+            st.power = self.units[self.active].dep.received_power_dbm();
+        }
+        // Environment: path attenuation ahead of the SFP/channel math.
         // Gated on attachment so clean-air sessions never evaluate a stage
         // (the power stream stays bit-identical to the pre-environment
-        // engine), and the stages draw no engine RNG — each is a pure
+        // engine), and the stages draw no engine RNG: each is a pure
         // function of (t, path) via per-stream `mix64`.
-        let env_att_db = match self.env.as_mut() {
-            Some(env) => {
-                let rx = if need_rx {
-                    rx_pos
-                } else {
-                    self.units[self.active].dep.rx_pivot_world()
-                };
-                let path_m = rx.distance(self.tx_positions[self.active]);
-                env.attenuation_db(t_slot, path_m)
-            }
-            None => 0.0,
-        };
-        if env_att_db > 0.0 {
-            power -= env_att_db;
+        if let Some(env) = self.env.as_mut() {
+            let path_m = st.rx_pos.distance(self.tx_positions[self.active]);
+            st.env_att_db = env.attenuation_db(st.t, path_m);
         }
-        let (lin, ang) = if self.cfg.track_speeds {
-            pose_speeds(&self.prev_pose, &pose, slot_s)
-        } else {
-            (0.0, 0.0)
-        };
+        if st.env_att_db > 0.0 {
+            st.power -= st.env_att_db;
+        }
+        if self.cfg.track_speeds {
+            (st.lin, st.ang) = pose_speeds(&self.prev_pose, &pose, slot_s);
+        }
         self.prev_pose = pose;
 
-        // 3b. Scheduled SFP flaps force loss-of-signal at the receiver (the
+        // Scheduled SFP flaps force loss-of-signal at the receiver (the
         // beam is fine; the transceiver isn't), and the re-acquisition
         // spiral searches for lost *beams*.
-        let flap_forced = self
+        st.flap_forced = self
             .cfg
             .control
             .and_then(|c| c.fault.flap)
-            .is_some_and(|f| f.forced_down(t_slot));
-        let mut signal = !flap_forced && power >= self.channel.sensitivity_dbm;
+            .is_some_and(|f| f.forced_down(st.t));
+        st.signal = !st.flap_forced && st.power >= self.channel.sensitivity_dbm;
         if let Some(rq) = self.cfg.control.and_then(|c| c.reacq) {
             let act = self.tp.reacq(
-                t_slot,
+                st,
                 rq,
                 self.cfg.tracker.period_max_s,
-                flap_forced,
                 &mut self.units[self.active],
                 &self.channel,
-                env_att_db,
-                &mut power,
-                &mut signal,
             );
-            if tele_on {
+            if st.tele_on {
                 if act.started {
-                    self.tele.emit(&TelemetryEvent::ReacqStarted { t: t_slot });
+                    self.tele.emit(&TelemetryEvent::ReacqStarted { t: st.t });
                 }
                 if act.probed {
-                    self.tele.emit(&TelemetryEvent::ReacqProbe { t: t_slot });
+                    self.tele.emit(&TelemetryEvent::ReacqProbe { t: st.t });
                 }
                 if let Some(recovered) = act.ended {
-                    self.tele.emit(&TelemetryEvent::ReacqEnded {
-                        t: t_slot,
-                        recovered,
-                    });
+                    self.tele
+                        .emit(&TelemetryEvent::ReacqEnded { t: st.t, recovered });
                 }
             }
         }
 
-        // 3c. TX selection (handover).
+        // TX selection (handover).
         let switch_to = self.selector.on_slot(&SelectCtx {
             active: self.active,
-            signal,
+            signal: st.signal,
             slot_s,
-            rx_pos,
+            rx_pos: st.rx_pos,
             tx_positions: &self.tx_positions,
             occluders: &self.occluders,
         });
@@ -1027,45 +1010,36 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
             let clean = u.dep.headset.true_reported_pose();
             let rep = noisy_report_of(clean, &self.cfg.tracker, u.dep.rng());
             let cmd = u.ctl.on_report(&rep);
-            u.dep.set_voltages(
-                cmd.voltages[0],
-                cmd.voltages[1],
-                cmd.voltages[2],
-                cmd.voltages[3],
-            );
-            if tele_on {
+            if st.tele_on {
                 if spiral_abandoned {
                     // The old unit's spiral dies with the handover.
                     self.tele.emit(&TelemetryEvent::ReacqEnded {
-                        t: t_slot,
+                        t: st.t,
                         recovered: false,
                     });
                 }
                 self.tele.emit(&TelemetryEvent::Handover {
-                    t: t_slot,
+                    t: st.t,
                     from: from as u32,
                     to: best as u32,
                 });
-                self.tele.emit(&TelemetryEvent::TpCommandIssued {
-                    t: t_slot,
-                    apply_at: t_slot,
-                    source: CommandSource::HandoverShot,
-                    latency_s: cmd.latency_s,
-                    iters: cmd.iterations as u64,
-                    converged: cmd.converged,
-                });
             }
+            self.issue(st, st.t, &cmd, None, CommandSource::HandoverShot);
         }
+    }
 
-        // 4. Data plane.
+    /// Stage 5, data plane: the SFP re-lock machine, outage accounting,
+    /// goodput, and the hybrid RF fallback.
+    fn data_plane(&mut self, st: &mut SlotState) {
+        let slot_s = self.cfg.slot_s;
         let was_up = self.sfp.is_up();
-        let up = self.sfp.step(signal, slot_s);
+        let up = self.sfp.step(st.signal, slot_s);
         if was_up && !up {
             self.n_outages += 1;
             self.cur_outage_s = 0.0;
-            self.outage_timer = Some(self.clock.start());
-            if tele_on {
-                self.tele.emit(&TelemetryEvent::SfpDown { t: t_slot });
+            self.outage_start = Some(st.t);
+            if st.tele_on {
+                self.tele.emit(&TelemetryEvent::SfpDown { t: st.t });
             }
         }
         if !up {
@@ -1075,88 +1049,81 @@ impl<M: Motion, S: TxSelector> SlotSession for LinkSession<M, S> {
         }
         if !was_up && up {
             let outage = self
-                .outage_timer
+                .outage_start
                 .take()
-                .map_or(self.cur_outage_s, |tm| tm.elapsed(&self.clock));
-            if tele_on {
+                .map_or(self.cur_outage_s, |t0| st.t - t0);
+            if st.tele_on {
                 self.tele.emit(&TelemetryEvent::SfpUp {
-                    t: t_slot,
+                    t: st.t,
                     outage_s: outage,
                 });
             }
         }
-        let mut goodput = if self.cfg.goodput && up {
+        if self.cfg.goodput && up {
             let rate = self.units[self.active].dep.design.sfp.optimal_goodput_gbps;
-            rate * self.fsp.frame_success_prob(power)
-        } else {
-            0.0
-        };
+            st.goodput = rate * self.fsp.frame_success_prob(st.power);
+        }
 
-        // 4b. Hybrid fallback: the RF side channel rides through FSO
-        // outages (and through the failback hold — traffic only moves back
-        // onto FSO once it has proven stable). With `FallbackPolicy::Off`
-        // this whole block is skipped: no extra world queries, no float
-        // changes, and the goldens' slot stream is preserved bit-exactly.
-        let mut rf_active = false;
+        // Hybrid fallback: the RF side channel rides through FSO outages
+        // (and through the failback hold; traffic only moves back onto FSO
+        // once it has proven stable). With `FallbackPolicy::Off` this whole
+        // block is skipped: no extra world queries, no float changes, and
+        // the goldens' slot stream is preserved bit-exactly.
         if let Some(rf) = self.rf.as_mut() {
             let was_rf = rf.policy.is_rf_active();
-            rf_active = rf.policy.step(up, slot_s);
-            if rf_active {
-                let rx = if need_rx {
-                    rx_pos
-                } else {
-                    self.units[self.active].dep.rx_pivot_world()
-                };
+            st.rf_active = rf.policy.step(up, slot_s);
+            if st.rf_active {
                 let tx = self.tx_positions[self.active];
-                let occluded = self.occluders.iter().any(|o| o.blocks(tx, rx));
-                let rf_rate = if self.cfg.goodput {
-                    rf.channel.rate_gbps(tx.distance(rx), occluded)
+                let occluded = self.occluders.iter().any(|o| o.blocks(tx, st.rx_pos));
+                st.goodput = if self.cfg.goodput {
+                    rf.channel.rate_gbps(tx.distance(st.rx_pos), occluded)
                 } else {
                     0.0
                 };
-                goodput = rf_rate;
                 self.rf_slots += 1;
-                self.rf_delivered_gb += rf_rate * slot_s;
+                self.rf_delivered_gb += st.goodput * slot_s;
             }
-            if tele_on && was_rf != rf_active {
-                if rf_active {
-                    self.tele.emit(&TelemetryEvent::RfFailover { t: t_slot });
+            if st.tele_on && was_rf != st.rf_active {
+                if st.rf_active {
+                    self.tele.emit(&TelemetryEvent::RfFailover { t: st.t });
                 } else {
                     self.tele.emit(&TelemetryEvent::RfFailback {
-                        t: t_slot,
+                        t: st.t,
                         rf_s: rf.policy.last_rf_episode_s(),
                     });
                 }
             }
         }
-        let delivering = up || rf_active;
+        st.link_up = up || st.rf_active;
+    }
 
-        let rec = EngineSlot {
-            t: t_slot,
-            active: self.active,
-            los,
-            power_dbm: power,
-            link_up: delivering,
-            rf_active,
-            goodput_gbps: goodput,
-            lin_speed: lin,
-            ang_speed: ang,
-        };
-        if tele_on {
+    /// Closes the slot: its record, the `SlotEnd` event, and the clocks.
+    fn record(&mut self, st: &SlotState) -> EngineSlot {
+        if st.tele_on {
             self.tele.emit(&TelemetryEvent::SlotEnd {
-                k: k_ev,
-                t: t_slot,
+                k: st.k,
+                t: st.t,
                 active: self.active as u32,
-                power_dbm: power,
-                margin_db: power - self.channel.sensitivity_dbm,
-                link_up: delivering,
-                rf_active,
-                goodput_gbps: goodput,
+                power_dbm: st.power,
+                margin_db: st.power - self.channel.sensitivity_dbm,
+                link_up: st.link_up,
+                rf_active: st.rf_active,
+                goodput_gbps: st.goodput,
             });
         }
-        self.t = t_slot;
-        self.motion_t = motion_t_slot;
-        rec
+        self.t = st.t;
+        self.motion_t = st.motion_t;
+        EngineSlot {
+            t: st.t,
+            active: self.active,
+            los: st.los,
+            power_dbm: st.power,
+            link_up: st.link_up,
+            rf_active: st.rf_active,
+            goodput_gbps: st.goodput,
+            lin_speed: st.lin,
+            ang_speed: st.ang,
+        }
     }
 }
 
@@ -1336,20 +1303,6 @@ impl<M: Motion, S: TxSelector> SessionBuilder<M, S> {
         for o in &self.occluders {
             o.validate()?;
         }
-        let first_report = self.first_report.unwrap_or(if self.units.len() == 1 {
-            FirstReport::AfterPeriod
-        } else {
-            FirstReport::AtZero
-        });
-        Ok(LinkSession::assemble(
-            self.units,
-            self.motion,
-            self.occluders,
-            self.selector,
-            self.cfg,
-            self.telemetry,
-            first_report,
-            self.environment,
-        ))
+        Ok(LinkSession::assemble(self))
     }
 }

@@ -1,5 +1,7 @@
 use super::*;
-use crate::telemetry::{SessionTelemetry, Telemetry, TelemetryEvent, TelemetrySink};
+use crate::telemetry::{
+    SessionTelemetry, Telemetry, TelemetryCounters, TelemetryEvent, TelemetrySink,
+};
 use cyclops_core::commission::{commission, SystemConfig};
 use cyclops_core::deployment::Deployment;
 use cyclops_core::pointing::ReacqSpiral;
@@ -537,13 +539,13 @@ fn fog_environment_attenuates_power() {
 #[test]
 fn fleet_rollup_merges_session_telemetry() {
     let units = two_units(911);
-    let cfg = FleetConfig::builder()
-        .n_sessions(3)
-        .duration_s(0.4)
-        .seed(77)
-        .collect_telemetry(true)
-        .build()
-        .expect("valid fleet config");
+    let cfg = FleetConfig {
+        n_sessions: 3,
+        duration_s: 0.4,
+        seed: 77,
+        collect_telemetry: true,
+        ..FleetConfig::default()
+    };
     let s = run_fleet(&units, &cfg);
     assert!(s.sessions.iter().all(|r| r.telemetry.is_some()));
     let r = s.rollup();
@@ -637,12 +639,21 @@ fn builders_reject_invalid_configs() {
         Some(EngineConfigError::NoUnits)
     );
     // Fleet-level validation.
+    assert_eq!(FleetConfig::default().validate(), Ok(()));
+    let c = FleetConfig {
+        n_sessions: 0,
+        ..FleetConfig::default()
+    };
     assert!(matches!(
-        FleetConfig::builder().n_sessions(0).build(),
+        c.validate(),
         Err(EngineConfigError::InvalidFleet(_))
     ));
+    let c = FleetConfig {
+        duration_s: 0.0,
+        ..FleetConfig::default()
+    };
     assert!(matches!(
-        FleetConfig::builder().duration_s(0.0).build(),
+        c.validate(),
         Err(EngineConfigError::InvalidFleet(_))
     ));
     // Errors render human-readable messages.
@@ -682,11 +693,8 @@ fn builders_reject_invalid_occluders() {
     };
     for o in bad {
         assert!(invalid(session(o.clone())), "{o:?}");
-        assert!(invalid(
-            FleetConfig::builder().occluder(o.clone()).build().map(drop)
-        ));
-        // Fleets assembled without the builder are checked by the
-        // fallible drivers before any session runs.
+        assert!(invalid(fleet(o.clone()).validate()));
+        // The fallible drivers check the fleet before any session runs.
         let pool = FleetPool {
             label: "bad".into(),
             units: units.clone(),
@@ -913,15 +921,15 @@ fn fleet_fallback_counts_rf_slots_and_never_hurts_availability() {
     let tx0 = units[0].dep.tx_world_params().q2;
     let base = v3(0.0, 0.0, 1.75);
     let fleet = |fallback: FallbackPolicy| {
-        let cfg = FleetConfig::builder()
-            .n_sessions(4)
-            .duration_s(1.5)
-            .seed(424)
-            .control(ControlPlaneConfig::hardened(FaultPlan::stress(5)))
-            .occluder(Occluder::new(tx0.lerp(base, 0.5), 0.12, 0.4, 1))
-            .fallback(fallback)
-            .build()
-            .expect("valid fleet config");
+        let cfg = FleetConfig {
+            n_sessions: 4,
+            duration_s: 1.5,
+            seed: 424,
+            control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(5))),
+            occluders: vec![Occluder::new(tx0.lerp(base, 0.5), 0.12, 0.4, 1)],
+            fallback,
+            ..FleetConfig::default()
+        };
         run_fleet(&units, &cfg).rollup()
     };
     let off = fleet(FallbackPolicy::Off);
@@ -1376,4 +1384,53 @@ fn no_occluder_means_no_handover() {
     let recs = sim.run(1.0);
     assert_eq!(sim.active(), 0);
     assert!(up_frac(&recs) > 0.98);
+}
+
+/// Every `TpCommandIssued` event is one TP solve: over a session the
+/// command count equals the reports and extrapolations its controllers
+/// gained, minus the pre-start alignment (a solve that emits no event);
+/// the dead-reckoned and handover-shot counts match their own counters.
+#[test]
+fn tp_command_events_account_for_every_solve() {
+    fn solves(units: &[TxInstallation]) -> (u64, u64) {
+        units.iter().fold((0, 0), |(r, x), u| {
+            (
+                r + u.ctl.metrics.n_reports,
+                x + u.ctl.metrics.n_extrapolated,
+            )
+        })
+    }
+    fn check<M: Motion, S: TxSelector>(
+        before: (u64, u64),
+        mut s: LinkSession<M, S>,
+        secs: f64,
+    ) -> TelemetryCounters {
+        s.run(secs);
+        let m = s.tp_metrics();
+        let e = s.telemetry().expect("counters attached").events;
+        let (reports, extrapolated) = (m.n_reports - before.0, m.n_extrapolated - before.1);
+        assert_eq!(e.tp_commands, reports + extrapolated - 1, "{e:?}");
+        assert_eq!(e.tp_dead_reckoned, extrapolated, "{e:?}");
+        assert_eq!(e.tp_handover_shots, s.n_handovers(), "{e:?}");
+        e
+    }
+    // The perfect channel: scheduled report commands on a moving rail.
+    let (dep, ctl) = commissioned(611);
+    let units = vec![TxInstallation { dep, ctl }];
+    let before = solves(&units);
+    let s = LinkSession::builder(rail(0.2))
+        .units(units)
+        .first_report(FirstReport::AfterPeriod)
+        .telemetry(Telemetry::counters())
+        .build()
+        .expect("valid single-TX config");
+    assert!(check(before, s, 2.0).tp_commands > 0);
+    // Stress faults behind ARQ with dead reckoning active.
+    let before = solves(&two_units(912)[..1]);
+    let e = check(before, chaos_session(Telemetry::counters()), 1.0);
+    assert!(e.tp_dead_reckoned > 0, "{e:?}");
+    // A two-unit session handing over around an occluder.
+    let before = solves(&two_units(902));
+    let e = check(before, occluded_session(FallbackPolicy::Off), 4.0);
+    assert!(e.tp_handover_shots > 0, "{e:?}");
 }

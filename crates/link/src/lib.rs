@@ -18,8 +18,8 @@
 //!   the paper's 50 ms iperf \[42\] windows ([`engine::windows_50ms`]);
 //!   every session is built through [`engine::LinkSession::builder`];
 //! * [`telemetry`] — deterministic engine observability: slot/TP/control/
-//!   SFP/handover events, counter + histogram aggregation, a JSONL sink,
-//!   and the virtual clock that keeps instrumented runs bit-identical;
+//!   SFP/handover events, counter + histogram aggregation and a JSONL
+//!   sink, all on simulation time so instrumented runs stay bit-identical;
 //! * [`registry`] — the hardware device registry: data-driven
 //!   SFP/galvo/headset capability profiles with named presets and a
 //!   validating builder, so fleets mix heterogeneous hardware;
@@ -61,9 +61,9 @@ pub use control::{
 };
 pub use engine::{
     run_fleet, run_fleet_mixed, run_slots, BestMargin, DarkDebounce, EngineConfig,
-    EngineConfigError, EngineSlot, FallbackPolicy, FirstReport, FleetConfig, FleetConfigBuilder,
-    FleetPool, FleetRollup, FleetSummary, LinkPolicy, LinkSession, MarginSelector, RfStats,
-    SessionBuilder, SessionReport, SessionStats, SingleTx, SlotSession, TxInstallation, TxSelector,
+    EngineConfigError, EngineSlot, FallbackPolicy, FirstReport, FleetConfig, FleetPool,
+    FleetRollup, FleetSummary, LinkPolicy, LinkSession, MarginSelector, RfStats, SessionBuilder,
+    SessionReport, SessionStats, SingleTx, SlotSession, TxInstallation, TxSelector,
 };
 pub use registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
