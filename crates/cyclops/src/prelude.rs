@@ -31,8 +31,7 @@ pub use cyclops_vrh::traces::{HeadTrace, TraceGenConfig};
 pub use cyclops_vrh::tracking::{TrackerConfig, TrackingReport, VrhTracker};
 
 pub use cyclops_link::channel::{
-    EnvChannel, EnvStage, Environment, FogStage, HumanOccluderStage, RainStage, RfChannel,
-    ScintillationStage,
+    EnvStage, Environment, FogStage, HumanOccluderStage, RainStage, RfChannel, ScintillationStage,
 };
 pub use cyclops_link::control::{
     ArqConfig, ControlLink, ControlPlaneConfig, ControlStats, DeadReckoningConfig, FaultPlan,

@@ -704,11 +704,6 @@ impl Environment {
             .sum()
     }
 
-    /// Applies the stack to a received power: `rx_dbm −` total attenuation.
-    pub fn apply_dbm(&mut self, t_s: f64, path_m: f64, rx_dbm: f64) -> f64 {
-        rx_dbm - self.attenuation_db(t_s, path_m)
-    }
-
     /// A per-session copy with every stage's random stream re-keyed by
     /// `mix64(stream, stage index)` — the fleet drivers use this so each
     /// session sees independent scintillation/crossing streams derived from
@@ -719,45 +714,6 @@ impl Environment {
             s.reseed(cyclops_par::mix64(stream, 0xe27 + j as u64));
         }
         env
-    }
-
-    /// Wraps a [`ChannelModel`](crate::engine::ChannelModel) so standalone
-    /// channel users inherit the stack: the wrapper attenuates the received
-    /// power, then delegates to the inner channel's math.
-    pub fn wrap(self, inner: FsoChannel) -> EnvChannel {
-        EnvChannel { env: self, inner }
-    }
-}
-
-/// A [`ChannelModel`](crate::engine::ChannelModel) wrapped in an
-/// [`Environment`]: every evaluation first applies the stack's attenuation
-/// at the given slot time and path, then runs the inner power→BER math —
-/// the standalone counterpart of the engine's in-loop application.
-#[derive(Debug, Clone)]
-pub struct EnvChannel {
-    /// The environment stack.
-    pub env: Environment,
-    /// The wrapped clear-air channel.
-    pub inner: FsoChannel,
-}
-
-impl EnvChannel {
-    /// Q factor after environmental attenuation.
-    pub fn q_factor(&mut self, t_s: f64, path_m: f64, rx_dbm: f64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.q_factor(p)
-    }
-
-    /// Bit-error rate after environmental attenuation.
-    pub fn ber(&mut self, t_s: f64, path_m: f64, rx_dbm: f64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.ber(p)
-    }
-
-    /// Frame success probability after environmental attenuation.
-    pub fn frame_success_prob(&mut self, t_s: f64, path_m: f64, rx_dbm: f64, n_bits: u64) -> f64 {
-        let p = self.env.apply_dbm(t_s, path_m, rx_dbm);
-        self.inner.frame_success_prob(p, n_bits)
     }
 }
 

@@ -52,8 +52,8 @@ pub mod traffic;
 pub mod video;
 
 pub use channel::{
-    EnvChannel, EnvStage, Environment, FogStage, FsoChannel, HumanOccluderStage, RainStage,
-    RfChannel, ScintillationStage,
+    EnvStage, Environment, FogStage, FsoChannel, HumanOccluderStage, RainStage, RfChannel,
+    ScintillationStage,
 };
 pub use control::{
     slots_in, ArqConfig, ControlLink, ControlPlaneConfig, ControlStats, DeadReckoningConfig,
