@@ -124,7 +124,10 @@ fn main() {
             .units(units[..n].to_vec())
             .occluder(occ)
             .selector(DarkDebounce::new(0.03))
-            .config(EngineConfig::multi_tx(TrackerConfig::default()))
+            .config(EngineConfig {
+                los_gating: true,
+                ..EngineConfig::default()
+            })
             .first_report(FirstReport::AtZero)
             .build()
             .expect("valid multi-TX config")

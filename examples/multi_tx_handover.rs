@@ -58,8 +58,7 @@ fn full_physics_act() -> Result<(), EngineConfigError> {
     use cyclops::core::commission;
     use cyclops::link::engine::DarkDebounce;
     use cyclops::prelude::{
-        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, SystemConfig, TrackerConfig,
-        TxInstallation,
+        EngineConfig, FirstReport, LinkSession, Pose, StaticPose, SystemConfig, TxInstallation,
     };
 
     println!("\n-- full-physics act: 2 trained units, occluder on unit 0 --");
@@ -81,7 +80,10 @@ fn full_physics_act() -> Result<(), EngineConfigError> {
         .units(units)
         .occluder(occ)
         .selector(DarkDebounce::new(0.03))
-        .config(EngineConfig::multi_tx(TrackerConfig::default()))
+        .config(EngineConfig {
+            los_gating: true,
+            ..EngineConfig::default()
+        })
         .first_report(FirstReport::AtZero)
         .build()?;
     let recs = sim.run(5.0);
