@@ -132,6 +132,47 @@ pub struct Deployment {
     /// RMS power-measurement noise (dB).
     pub power_noise_db: f64,
     rng: StdRng,
+    /// `2σ_φ²` of `design`, for the per-slot coupling power.
+    acceptance: Acceptance,
+}
+
+/// `design.coupling.two_sigma_phi_sq(design.theta_half)`, kept with the bits
+/// of the four design inputs it depends on. `Deployment::design` is a
+/// public field, so a reassigned design is noticed and recomputed instead
+/// of read stale.
+#[derive(Debug, Clone, Copy)]
+struct Acceptance {
+    inputs: [u64; 4],
+    two_sigma_sq: f64,
+}
+
+impl Acceptance {
+    fn inputs(d: &LinkDesign) -> [u64; 4] {
+        let c = &d.coupling;
+        [
+            d.theta_half,
+            c.sigma_phi0,
+            c.sigma_phi_gain,
+            c.sigma_phi_sat,
+        ]
+        .map(f64::to_bits)
+    }
+
+    fn new(d: &LinkDesign) -> Acceptance {
+        Acceptance {
+            inputs: Acceptance::inputs(d),
+            two_sigma_sq: d.coupling.two_sigma_phi_sq(d.theta_half),
+        }
+    }
+
+    /// `2σ_φ²` of `d`, recomputed only when `d` is not the design it was
+    /// last computed for.
+    fn two_sigma_sq(&mut self, d: &LinkDesign) -> f64 {
+        if Acceptance::inputs(d) != self.inputs {
+            *self = Acceptance::new(d);
+        }
+        self.two_sigma_sq
+    }
 }
 
 impl Deployment {
@@ -186,6 +227,7 @@ impl Deployment {
             monitor: QuadrantMonitor::default(),
             power_noise_db: cfg.power_noise_db,
             rng,
+            acceptance: Acceptance::new(&cfg.design),
         }
     }
 
@@ -260,7 +302,15 @@ impl Deployment {
     /// Received power at the RX SFP (dBm), including measurement noise,
     /// floored at [`Self::POWER_METER_FLOOR_DBM`].
     pub fn received_power_dbm(&mut self) -> f64 {
-        self.received_power_unfloored_dbm()
+        let rx_pose = self.rx_world_pose();
+        self.received_power_dbm_at(&rx_pose)
+    }
+
+    /// [`Deployment::received_power_dbm`] with the RX world pose already
+    /// composed: `rx_pose` must be [`Deployment::rx_world_pose`]. The slot
+    /// loop composes it once for the RX pivot and the power.
+    pub fn received_power_dbm_at(&mut self, rx_pose: &Pose) -> f64 {
+        self.received_power_unfloored_at(rx_pose)
             .max(Self::POWER_METER_FLOOR_DBM)
     }
 
@@ -268,12 +318,18 @@ impl Deployment {
     /// entirely) — used by the alignment search, which benefits from the
     /// far-tail gradient an ideal detector would see.
     pub fn received_power_unfloored_dbm(&mut self) -> f64 {
+        let rx_pose = self.rx_world_pose();
+        self.received_power_unfloored_at(&rx_pose)
+    }
+
+    /// [`Deployment::received_power_unfloored_dbm`] at the RX world pose
+    /// `rx_pose`, from which both the imaginary beam and the second-mirror
+    /// plane are derived.
+    fn received_power_unfloored_at(&mut self, rx_pose: &Pose) -> f64 {
+        debug_assert_eq!(*rx_pose, self.rx_world_pose(), "stale RX world pose");
         let Some(beam) = self.tx_beam() else {
             return f64::NEG_INFINITY;
         };
-        // Compute the RX world placement once and derive both the imaginary
-        // beam and the second-mirror plane from it.
-        let rx_pose = self.rx_world_pose();
         let Some(imag_body) = self.rx.output_ray(&mut self.rng) else {
             return f64::NEG_INFINITY;
         };
@@ -297,10 +353,11 @@ impl Deployment {
             return f64::NEG_INFINITY;
         }
         let w = beam.radius_at(t);
-        let eff = self
-            .design
+        let d = &self.design;
+        let two_sigma_sq = self.acceptance.two_sigma_sq(d);
+        let eff = d
             .coupling
-            .efficiency_db(w, delta, phi, self.design.theta_half);
+            .efficiency_db_with(two_sigma_sq, w, delta, phi, d.theta_half);
         let noise = if self.power_noise_db > 0.0 {
             self.power_noise_db * gauss(&mut self.rng)
         } else {
@@ -1065,6 +1122,88 @@ mod tests {
         c.set_voltages(0.1, 0.2, 0.3, 0.4);
         // Different seed → different hardware.
         assert_ne!(a.tx.truth, c.tx.truth);
+    }
+
+    /// [`Deployment::received_power_dbm`] from public parts: the noisy TX
+    /// beam and RX imaginary ray, the RX plane of the commanded
+    /// second-mirror normal, `efficiency_db` (which recomputes `σ_φ`), and
+    /// the power noise, in the reading's draw order.
+    fn reference_power_dbm(dep: &mut Deployment) -> f64 {
+        let floor = Deployment::POWER_METER_FLOOR_DBM;
+        let Some(beam) = dep.tx_beam() else {
+            return floor;
+        };
+        let Some(imag) = dep.rx_imaginary_ray() else {
+            return floor;
+        };
+        let normal = dep.rx_world_pose().apply_dir(dep.rx.second_mirror_normal());
+        let plane = Plane::new(dep.rx_pivot_world(), normal);
+        let Some((t, hit)) = plane.intersect_ray(&beam.chief) else {
+            return floor;
+        };
+        let delta = hit.distance(imag.origin);
+        let phi = beam
+            .local_ray_dir(imag.origin)
+            .angle_to(-imag.dir)
+            .min(FRAC_PI_2);
+        if phi >= FRAC_PI_2 {
+            return floor;
+        }
+        let d = dep.design;
+        let eff = d
+            .coupling
+            .efficiency_db(beam.radius_at(t), delta, phi, d.theta_half);
+        let noise = if dep.power_noise_db > 0.0 {
+            dep.power_noise_db * gauss(dep.rng())
+        } else {
+            0.0
+        };
+        (beam.power_dbm + eff + noise).max(floor)
+    }
+
+    #[test]
+    fn received_power_is_bit_identical_to_its_public_parts() {
+        // Seeded poses around alignment and voltage sets from near-aligned
+        // to far off, on the 10G design and again after `design` is
+        // reassigned to the 25G one (the cached 2σ_φ² must follow).
+        let mut rng = StdRng::seed_from_u64(71);
+        let (mut n, mut lit, mut dark) = (0, 0, 0);
+        for seed in 0..4 {
+            let mut dep = Deployment::new(&DeploymentConfig::paper_10g(40 + seed));
+            cheat_align(&mut dep);
+            let (home, aligned) = (dep.headset.world_pose, dep.voltages());
+            for design in [None, Some(LinkDesign::twenty_five_g(20.0e-3, 1.75))] {
+                if let Some(d) = design {
+                    dep.design = d;
+                }
+                for k in 0..30 {
+                    let mut off = |r: f64| rng.gen_range(-r..r);
+                    let axis = v3(off(1.0), off(1.0), off(1.0));
+                    let tilt = axis_angle(axis.try_normalized(1e-6).unwrap_or(Vec3::X), off(5e-3));
+                    let shift = v3(off(5e-3), off(5e-3), off(5e-3));
+                    dep.set_headset_pose(Pose::new(tilt * home.rot, home.trans + shift));
+                    let dv = [0.02, 0.2, 1.0][k % 3];
+                    dep.set_voltages(
+                        aligned.0 + off(dv),
+                        aligned.1 + off(dv),
+                        aligned.2 + off(dv),
+                        aligned.3 + off(dv),
+                    );
+                    let mut twin = dep.clone();
+                    let got = dep.received_power_dbm();
+                    let want = reference_power_dbm(&mut twin);
+                    assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} case {k}");
+                    assert_eq!(dep.rng(), twin.rng(), "draws differ");
+                    n += 1;
+                    lit += (got >= dep.design.sfp.rx_sensitivity_dbm) as usize;
+                    dark += (got == Deployment::POWER_METER_FLOOR_DBM) as usize;
+                }
+            }
+        }
+        assert!(
+            n >= 200 && lit >= 40 && dark >= 10,
+            "{n} cases, {lit} lit, {dark} dark"
+        );
     }
 
     /// How many uniforms (one `next_u64` each) took `before` to `after`.

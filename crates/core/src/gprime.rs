@@ -60,16 +60,9 @@ pub fn gprime(
     v_tol: f64,
     max_iters: usize,
 ) -> GPrimeResult {
-    gprime_with(
-        model,
-        &model.axes(),
-        target,
-        v_init,
-        None,
-        eps,
-        v_tol,
-        max_iters,
-    )
+    let axes = model.axes();
+    gprime_with(model, &axes, target, v_init, None, eps, v_tol, max_iters)
+        .finish(model, &axes, target)
 }
 
 /// One model beam traced on the mirror lines, with the intermediates a
@@ -90,10 +83,51 @@ impl LineTrace {
         v1: f64,
         v2: f64,
     ) -> Option<LineTrace> {
-        let mid = model.mid_line(model.mirror1_normal(axes, v1))?;
+        let mid = model.mid_line(axes, model.mirror1_normal(axes, v1))?;
         let n2p = model.mirror2_normal(axes, v2);
         let beam = model.out_line(&mid, n2p)?;
         Some(LineTrace { mid, n2p, beam })
+    }
+}
+
+/// The iteration's outcome before the closing checks of [`GPrimeResult`]:
+/// the pointing loop reads only these four fields, so it skips the miss
+/// trace that [`GPrimeSolve::finish`] adds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GPrimeSolve {
+    pub(crate) v1: f64,
+    pub(crate) v2: f64,
+    pub(crate) iterations: usize,
+    pub(crate) converged: bool,
+}
+
+impl GPrimeSolve {
+    /// The full [`GPrimeResult`]: one more line trace at the solution for
+    /// `miss_distance`, and the drive-range check.
+    pub(crate) fn finish(
+        self,
+        model: &GalvoParams,
+        axes: &GalvoAxes,
+        target: Vec3,
+    ) -> GPrimeResult {
+        let GPrimeSolve {
+            v1,
+            v2,
+            iterations,
+            converged,
+        } = self;
+        let miss_distance = model
+            .trace_line_with(axes, v1, v2)
+            .map_or(f64::INFINITY, |r| r.distance_to_point(target));
+        let lim = cyclops_optics::galvo::VOLT_MAX;
+        GPrimeResult {
+            v1,
+            v2,
+            iterations,
+            converged,
+            miss_distance,
+            in_range: v1.abs() <= lim && v2.abs() <= lim,
+        }
     }
 }
 
@@ -110,7 +144,7 @@ pub(crate) fn gprime_with(
     eps: f64,
     v_tol: f64,
     max_iters: usize,
-) -> GPrimeResult {
+) -> GPrimeSolve {
     let (mut v1, mut v2) = v_init;
     let mut iterations = 0;
     let mut converged = false;
@@ -121,7 +155,7 @@ pub(crate) fn gprime_with(
         };
         let b0 = t0.beam;
         let Some(b1) = model
-            .mid_line(model.mirror1_normal(axes, v1 + eps))
+            .mid_line(axes, model.mirror1_normal(axes, v1 + eps))
             .and_then(|mid| model.out_line(&mid, t0.n2p))
         else {
             break;
@@ -163,17 +197,11 @@ pub(crate) fn gprime_with(
             break;
         }
     }
-    let miss_distance = model
-        .trace_line_with(axes, v1, v2)
-        .map_or(f64::INFINITY, |r| r.distance_to_point(target));
-    let lim = cyclops_optics::galvo::VOLT_MAX;
-    GPrimeResult {
+    GPrimeSolve {
         v1,
         v2,
         iterations,
         converged,
-        miss_distance,
-        in_range: v1.abs() <= lim && v2.abs() <= lim,
     }
 }
 
@@ -287,6 +315,36 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn miss_distance_and_range_are_read_at_the_solution() {
+        // `gprime` reports the miss of its own solution: one full line
+        // trace there, and the ±10 V check, whatever the budget left off.
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut n, mut outside) = (0, 0);
+        for seed in 0..8 {
+            let g = model(300 + seed);
+            for _ in 0..25 {
+                let target = v3(
+                    rng.gen_range(-1.2..1.2),
+                    rng.gen_range(-1.2..1.2),
+                    rng.gen_range(1.0..2.5),
+                );
+                for (tol, iters) in [(DEFAULT_V_TOL, 20), (0.0, 1)] {
+                    let r = gprime(&g, target, (0.0, 0.0), DEFAULT_EPS_V, tol, iters);
+                    let miss = g
+                        .trace_line(r.v1, r.v2)
+                        .map_or(f64::INFINITY, |b| b.distance_to_point(target));
+                    assert_eq!(r.miss_distance.to_bits(), miss.to_bits());
+                    let lim = cyclops_optics::galvo::VOLT_MAX;
+                    assert_eq!(r.in_range, r.v1.abs() <= lim && r.v2.abs() <= lim);
+                    n += 1;
+                    outside += !r.in_range as usize;
+                }
+            }
+        }
+        assert!(outside > 0 && outside < n, "{outside} of {n} out of range");
     }
 
     #[test]

@@ -411,7 +411,7 @@ impl PhaseB<'_> {
                 SampleTrace {
                     n1p,
                     n2p: base.mirror2_normal(&axes, s.v2),
-                    mid: base.mid_line(n1p),
+                    mid: base.mid_line(&axes, n1p),
                 }
             })
             .collect();
@@ -422,10 +422,12 @@ impl PhaseB<'_> {
             let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
             for (s, b) in self.samples.iter().zip(&traces) {
                 let line = match j / 3 {
-                    0 | 1 | 3 => g.mid_line(b.n1p).and_then(|mid| g.out_line(&mid, b.n2p)),
+                    0 | 1 | 3 => g
+                        .mid_line(&axes, b.n1p)
+                        .and_then(|mid| g.out_line(&mid, b.n2p)),
                     6 => b.mid.and_then(|mid| g.out_line(&mid, b.n2p)),
                     2 | 4 => g
-                        .mid_line(g.mirror1_normal(&axes, s.v1))
+                        .mid_line(&axes, g.mirror1_normal(&axes, s.v1))
                         .and_then(|mid| g.out_line(&mid, b.n2p)),
                     5 | 7 => b
                         .mid

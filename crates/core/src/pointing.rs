@@ -16,7 +16,7 @@
 //! "In our evaluations, the above converged in 2–5 iterations."
 
 use crate::gprime::{gprime_with, LineTrace, DEFAULT_EPS_V, DEFAULT_V_TOL};
-use cyclops_optics::galvo::GalvoParams;
+use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
 
 /// Result of evaluating the pointing function.
 #[derive(Debug, Clone, Copy)]
@@ -40,24 +40,39 @@ pub fn pointing(
     v_tol: f64,
     max_iters: usize,
 ) -> PointingResult {
-    let (tx_axes, rx_axes) = (tx_vr.axes(), rx_vr.axes());
+    pointing_with(tx_vr, &tx_vr.axes(), rx_vr, init, v_tol, max_iters)
+}
+
+/// [`pointing`] with the TX model's axes already computed: the online
+/// controller's TX model depends only on its mapping, so it keeps both.
+pub(crate) fn pointing_with(
+    tx_vr: &GalvoParams,
+    tx_axes: &GalvoAxes,
+    rx_vr: &GalvoParams,
+    init: [f64; 4],
+    v_tol: f64,
+    max_iters: usize,
+) -> PointingResult {
+    let rx_axes = rx_vr.axes();
     let mut v = init;
     let mut gprime_iterations = 0usize;
     let mut iterations = 0usize;
     let mut converged = false;
     for _ in 0..max_iters {
         iterations += 1;
-        let Some(trace_t) = LineTrace::new(tx_vr, &tx_axes, v[0], v[1]) else {
+        let Some(trace_t) = LineTrace::new(tx_vr, tx_axes, v[0], v[1]) else {
             break;
         };
         let Some(trace_r) = LineTrace::new(rx_vr, &rx_axes, v[2], v[3]) else {
             break;
         };
         let (p_t, p_r) = (trace_t.beam.origin, trace_r.beam.origin);
-        // Each beam just traced is the first `b0` of its own `G'` solve.
+        // Each beam just traced is the first `b0` of its own `G'` solve,
+        // and neither solve traces its miss distance: `P` reads only the
+        // voltages and convergence.
         let gt = gprime_with(
             tx_vr,
-            &tx_axes,
+            tx_axes,
             p_r,
             (v[0], v[1]),
             Some(trace_t),

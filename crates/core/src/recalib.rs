@@ -235,7 +235,7 @@ mod tests {
         );
 
         // Mapping-only recalibration: 10 placements, K-space models reused.
-        let re = recalibrate_mapping(&mut dep, &ctl.mapping, 10, seed + 77);
+        let re = recalibrate_mapping(&mut dep, ctl.mapping(), 10, seed + 77);
         assert!(re.samples.len() >= 8);
         let v = dep.voltages();
         let mut ctl2 = TpController::new(re.trained, TpConfig::default(), [v.0, v.1, v.2, v.3]);

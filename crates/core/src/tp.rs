@@ -9,8 +9,10 @@
 //!   conversion latency at a DAQ device" plus the mirror settle time.
 
 use crate::mapping::TrainedMapping;
-use crate::pointing::{pointing, PointingResult};
+use crate::pointing::{pointing_with, PointingResult};
 use cyclops_geom::pose::Pose;
+use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
+use std::sync::Arc;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
@@ -105,8 +107,9 @@ impl TpMetrics {
 /// The online controller.
 #[derive(Debug, Clone)]
 pub struct TpController {
-    /// Trained stage-1+2 models.
-    pub mapping: TrainedMapping,
+    /// Trained models, shared by every clone (each fleet session clones
+    /// one commissioned controller).
+    trained: Arc<Trained>,
     /// Timing configuration.
     pub cfg: TpConfig,
     /// Running metrics.
@@ -114,16 +117,36 @@ pub struct TpController {
     last_voltages: [f64; 4],
 }
 
+/// A controller's trained stage-1+2 models and the TX side of every solve
+/// derived from them. Immutable, so the derived part cannot go stale.
+#[derive(Debug)]
+struct Trained {
+    mapping: TrainedMapping,
+    /// `mapping.tx_in_vr()` and its axes.
+    tx_vr: GalvoParams,
+    tx_axes: GalvoAxes,
+}
+
 impl TpController {
     /// Creates a controller; `initial_voltages` seed the warm start (e.g.
     /// the last exhaustive-alignment result).
     pub fn new(mapping: TrainedMapping, cfg: TpConfig, initial_voltages: [f64; 4]) -> TpController {
+        let tx_vr = mapping.tx_in_vr();
         TpController {
-            mapping,
+            trained: Arc::new(Trained {
+                tx_axes: tx_vr.axes(),
+                tx_vr,
+                mapping,
+            }),
             cfg,
             metrics: TpMetrics::default(),
             last_voltages: initial_voltages,
         }
+    }
+
+    /// The trained stage-1+2 models the controller points with.
+    pub fn mapping(&self) -> &TrainedMapping {
+        &self.trained.mapping
     }
 
     /// Processes one VRH-T report: computes `P(Ψ)` and returns the command.
@@ -148,10 +171,15 @@ impl TpController {
     }
 
     fn solve(&mut self, reported_pose: &Pose) -> TpCommand {
-        let tx_vr = self.mapping.tx_in_vr();
-        let rx_vr = self.mapping.rx_in_vr(reported_pose);
-        let mut res: PointingResult = pointing(
-            &tx_vr,
+        let Trained {
+            mapping,
+            tx_vr,
+            tx_axes,
+        } = &*self.trained;
+        let rx_vr = mapping.rx_in_vr(reported_pose);
+        let mut res: PointingResult = pointing_with(
+            tx_vr,
+            tx_axes,
             &rx_vr,
             self.last_voltages,
             self.cfg.v_tol,
@@ -163,7 +191,14 @@ impl TpController {
             // can strand the iteration; restart cold once, as the real
             // controller would.
             extra_evals = 2 * res.iterations + 3 * res.gprime_iterations;
-            res = pointing(&tx_vr, &rx_vr, [0.0; 4], self.cfg.v_tol, self.cfg.max_iters);
+            res = pointing_with(
+                tx_vr,
+                tx_axes,
+                &rx_vr,
+                [0.0; 4],
+                self.cfg.v_tol,
+                self.cfg.max_iters,
+            );
         }
         // Each outer iteration costs 2 traces; each G' iteration 3 traces
         // plus the plane algebra.
@@ -199,6 +234,7 @@ mod tests {
     use crate::commission::{commission, SystemConfig};
     use crate::deployment::{cheat_align, Deployment};
     use crate::mapping;
+    use crate::pointing::pointing;
     use cyclops_geom::vec3::v3;
 
     /// Builds a fully-trained controller plus its deployment.
@@ -284,6 +320,50 @@ mod tests {
         assert_eq!(m.n_reports, 20);
         assert!(m.mean_latency_s() < 2.0e-3);
         assert!(m.mean_iters() >= 1.0 && m.mean_iters() <= 6.0);
+    }
+
+    #[test]
+    fn cached_tx_model_issues_the_rebuilding_commands() {
+        // The reference rebuilds `mapping.tx_in_vr()` and its axes on
+        // every solve through the public `pointing`, with the controller's
+        // warm start, cold restart and latency accounting.
+        let (mut dep, mut ctl) = trained_controller(505);
+        let mapping = ctl.mapping().clone();
+        let mut warm = ctl.last_voltages();
+        let mut restarts = 0;
+        for k in 0..40 {
+            let pose = mapping::random_placement(dep.rng(), 1.6 + 0.01 * k as f64);
+            dep.set_headset_pose(pose);
+            let report = mapping::noisy_report(&mut dep, &Default::default());
+            // Every fourth solve gets too small a budget to converge, so
+            // it restarts cold.
+            ctl.cfg.max_iters = if k % 4 == 3 { 1 } else { 12 };
+            let cfg = ctl.cfg;
+            let cmd = ctl.on_report(&report);
+
+            let (tx_vr, rx_vr) = (mapping.tx_in_vr(), mapping.rx_in_vr(&report));
+            let mut res = pointing(&tx_vr, &rx_vr, warm, cfg.v_tol, cfg.max_iters);
+            let mut evals = 0;
+            if !res.converged {
+                restarts += 1;
+                evals = 2 * res.iterations + 3 * res.gprime_iterations;
+                res = pointing(&tx_vr, &rx_vr, [0.0; 4], cfg.v_tol, cfg.max_iters);
+            }
+            evals += 2 * res.iterations + 3 * res.gprime_iterations;
+            let latency = cfg.dac_latency_s + evals as f64 * cfg.compute_per_eval_s;
+            if res.converged {
+                warm = res.voltages;
+            }
+            assert_eq!(
+                cmd.voltages.map(f64::to_bits),
+                res.voltages.map(f64::to_bits)
+            );
+            assert_eq!(cmd.latency_s.to_bits(), latency.to_bits());
+            assert_eq!(cmd.iterations, res.iterations);
+            assert_eq!(cmd.converged, res.converged);
+        }
+        assert_eq!(ctl.metrics.n_reports, 40);
+        assert!(restarts >= 10, "{restarts} cold restarts");
     }
 
     #[test]

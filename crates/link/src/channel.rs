@@ -488,6 +488,10 @@ pub struct ScintillationStage {
     /// Fade coherence interval τ (seconds).
     pub coherence_s: f64,
     seed: u64,
+    /// The last epoch's unit deviate `gauss_at(seed, epoch)`: the fade
+    /// holds for a coherence interval of ~10 slots. The unscaled deviate,
+    /// so a changed `sigma_db` still applies.
+    last: Option<(u64, f64)>,
 }
 
 impl ScintillationStage {
@@ -511,6 +515,7 @@ impl ScintillationStage {
             sigma_db,
             coherence_s,
             seed,
+            last: None,
         })
     }
 }
@@ -522,11 +527,20 @@ impl EnvStage for ScintillationStage {
 
     fn attenuation_db(&mut self, t_s: f64, _path_m: f64) -> f64 {
         let epoch = (t_s / self.coherence_s).floor() as u64;
-        (self.sigma_db * gauss_at(self.seed, epoch)).max(0.0)
+        let g = match self.last {
+            Some((e, g)) if e == epoch => g,
+            _ => {
+                let g = gauss_at(self.seed, epoch);
+                self.last = Some((epoch, g));
+                g
+            }
+        };
+        (self.sigma_db * g).max(0.0)
     }
 
     fn reseed(&mut self, stream: u64) {
         self.seed = cyclops_par::mix64(self.seed, stream);
+        self.last = None;
     }
 
     fn boxed_clone(&self) -> Box<dyn EnvStage> {
@@ -832,5 +846,32 @@ mod tests {
         let marginal = c.frame_success_prob(-26.5, 12_000);
         assert!((0.0..1.0).contains(&marginal), "marginal {marginal}");
         assert!(c.frame_success_prob(-35.0, 12_000) < 1e-6);
+    }
+
+    #[test]
+    fn scintillation_epoch_cache_matches_the_pure_fade() {
+        // The fade of slot time t is the pure function of (seed, ⌊t/τ⌋);
+        // the cached deviate must reproduce it on every slot, under a
+        // changed sigma, and for a reseeded stream.
+        let pure = |s: &ScintillationStage, t: f64| {
+            let epoch = (t / s.coherence_s).floor() as u64;
+            (s.sigma_db * gauss_at(s.seed, epoch)).max(0.0)
+        };
+        let mut st = ScintillationStage::new(0.6, 10e-3, 77).expect("valid scintillation");
+        for k in 0..500 {
+            let t = k as f64 * 1e-3;
+            if k == 200 {
+                st.sigma_db = 1.7;
+            }
+            if k == 350 {
+                st.reseed(3);
+            }
+            let want = pure(&st, t);
+            assert_eq!(
+                st.attenuation_db(t, 1.75).to_bits(),
+                want.to_bits(),
+                "slot {k}"
+            );
+        }
     }
 }

@@ -890,10 +890,13 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         for u in self.units.iter_mut() {
             u.dep.set_headset_pose(pose);
         }
-        st.rx_pos = self.units[self.active].dep.rx_pivot_world();
+        // The RX world pose, composed once for the pivot (as
+        // `rx_pivot_world` places it) and the power.
+        let rx_pose = self.units[self.active].dep.rx_world_pose();
+        st.rx_pos = rx_pose.apply_point(self.units[self.active].dep.rx.truth.q2);
         st.los = !self.cfg.los_gating || self.unit_los(self.active, st.rx_pos);
         if st.los {
-            st.power = self.units[self.active].dep.received_power_dbm();
+            st.power = self.units[self.active].dep.received_power_dbm_at(&rx_pose);
         }
         // Environment: path attenuation ahead of the SFP/channel math.
         // Gated on attachment so clean-air sessions never evaluate a stage

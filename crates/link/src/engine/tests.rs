@@ -1522,3 +1522,86 @@ fn tp_command_events_account_for_every_solve() {
     let e = check(before, occluded_session(FallbackPolicy::Off), 4.0);
     assert!(e.tp_handover_shots > 0, "{e:?}");
 }
+
+/// Hand-held motion that records every time the session samples it.
+struct RecordingMotion {
+    inner: cyclops_vrh::motion::ArbitraryMotion,
+    times: Vec<f64>,
+}
+
+impl Motion for RecordingMotion {
+    fn pose_at(&mut self, t: f64) -> Pose {
+        self.times.push(t);
+        self.inner.pose_at(t)
+    }
+}
+
+#[test]
+fn motion_is_sampled_at_non_decreasing_times() {
+    // `ArbitraryMotion::pose_at` asserts that time never decreases, and
+    // returns its cached pose when no integration step ran since the last
+    // call. Both rest on the engine sampling the motion in time order:
+    // reports are backdated, but never before the previous slot's pose,
+    // and paused slots repeat the frozen time.
+    let motion = || RecordingMotion {
+        inner: cyclops_vrh::motion::ArbitraryMotion::new(
+            park_pose(),
+            cyclops_vrh::motion::ArbitraryMotionConfig {
+                lin_rms: 0.3,
+                ang_rms: 0.5,
+                ..Default::default()
+            },
+            77,
+        ),
+        times: Vec::new(),
+    };
+    let check = |times: &[f64], what: &str| {
+        assert!(times.len() > 4000, "{what}: {} samples", times.len());
+        for w in times.windows(2) {
+            assert!(w[1] >= w[0], "{what}: motion time {} after {}", w[1], w[0]);
+        }
+        let repeats = times.windows(2).filter(|w| w[1] == w[0]).count();
+        assert!(repeats > 0, "{what}: no paused or report-time repeats");
+    };
+
+    // Single TX: the stress fault plan under ARQ, dead reckoning and
+    // re-acquisition, with pause-on-outage.
+    let unit = two_units(913).remove(0);
+    let mut cfg = EngineConfig {
+        pause_on_outage: true,
+        ..EngineConfig::default()
+    };
+    cfg.control = Some(ControlPlaneConfig::hardened(FaultPlan::stress(17)));
+    let mut s = LinkSession::builder(motion())
+        .deployment(unit.dep, unit.ctl)
+        .config(cfg)
+        .build()
+        .expect("valid chaos config");
+    s.run(4.0);
+    let st = s.session_stats();
+    assert!(st.n_outages > 0 && st.n_extrapolated > 0, "{st:?}");
+    check(&s.motion_mut().times, "chaos");
+
+    // Two units: an occluder forcing a handover, the RF fallback, and
+    // pause-on-outage.
+    let units = two_units(902);
+    let tx0 = units[0].dep.tx_world_params().q2;
+    let occ = Occluder::new(tx0.lerp(park_pose().trans, 0.5), 0.12, 0.0, 1);
+    let mut s = LinkSession::builder(motion())
+        .units(units)
+        .occluder(occ)
+        .selector(DarkDebounce::new(0.03))
+        .config(EngineConfig {
+            los_gating: true,
+            pause_on_outage: true,
+            fallback: FallbackPolicy::RfOnOutage,
+            ..EngineConfig::default()
+        })
+        .first_report(FirstReport::AtZero)
+        .build()
+        .expect("valid multi-TX config");
+    s.run(4.0);
+    let st = s.session_stats();
+    assert!(s.n_handovers() > 0 && st.rf.rf_slots > 0, "{st:?}");
+    check(&s.motion_mut().times, "handover");
+}

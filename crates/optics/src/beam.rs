@@ -112,6 +112,20 @@ impl BeamState {
     }
 }
 
+/// `1.0 / k as f64` for `k < 32` (entry 0 unused): the same correctly
+/// rounded quotients [`capture_fraction`]'s series divides out per term,
+/// read instead of divided for the first terms, which cover the tracked
+/// link (~10 terms).
+const INV_K: [f64; 32] = {
+    let mut t = [0.0; 32];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = 1.0 / k as f64;
+        k += 1;
+    }
+    t
+};
+
 /// Fraction of a Gaussian beam's power (1/e² radius `w`) passing through a
 /// circular aperture of radius `a` whose centre is offset laterally by
 /// `delta` from the beam centre.
@@ -161,10 +175,13 @@ pub fn capture_fraction(w: f64, delta: f64, a: f64) -> f64 {
     // At term k: p = x^k/k!, q = λ^(k−1)/(k−1)!, s = S_{k−1}(λ); sum and
     // prev carry the same 2⁻²⁰⁰ factors as the terms they hold.
     let (mut p, mut q, mut s) = (1.0, 1.0, 1.0);
-    let (mut sum, mut prev, mut k, mut rescales) = (0.0, 0.0, 0.0, 0u32);
+    let (mut sum, mut prev, mut k, mut rescales) = (0.0, 0.0, 0usize, 0u32);
     loop {
-        k += 1.0;
-        let inv_k = 1.0 / k;
+        k += 1;
+        let inv_k = match INV_K.get(k) {
+            Some(&r) => r,
+            None => 1.0 / k as f64,
+        };
         p *= x * inv_k;
         let t = p * s;
         sum += t;
@@ -406,6 +423,14 @@ mod tests {
             assert!((0.0..=1.0).contains(&got), "w={w} a={a} δ={delta}: {got}");
             assert!(want >= 1e-300 && got > 0.0, "underflow: {got} vs {want}");
             assert!((got - want).abs() <= 1e-9 * want, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn inv_k_table_holds_the_runtime_quotients() {
+        for (k, &r) in INV_K.iter().enumerate().skip(1) {
+            let k = std::hint::black_box(k as f64);
+            assert_eq!(r.to_bits(), (1.0 / k).to_bits(), "k = {k}");
         }
     }
 

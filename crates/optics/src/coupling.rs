@@ -134,13 +134,36 @@ impl CouplingModel {
         -self.div_loss_db_per_mrad2 * mrad * mrad
     }
 
+    /// `2σ_φ²` for an arriving half-divergence `theta_half`: the
+    /// denominator of the angular term of [`CouplingModel::efficiency_db`],
+    /// rounded as that term rounds it.
+    pub fn two_sigma_phi_sq(&self, theta_half: f64) -> f64 {
+        let sp = self.sigma_phi(theta_half);
+        2.0 * sp * sp
+    }
+
     /// Total coupling efficiency in dB (≤ 0) for beam radius `w` at the
     /// aperture, lateral offset `delta`, incidence angle `phi`, arriving
     /// half-divergence `theta_half`.
     pub fn efficiency_db(&self, w: f64, delta: f64, phi: f64, theta_half: f64) -> f64 {
-        let sp = self.sigma_phi(theta_half);
+        let two_sigma_sq = self.two_sigma_phi_sq(theta_half);
+        self.efficiency_db_with(two_sigma_sq, w, delta, phi, theta_half)
+    }
+
+    /// [`CouplingModel::efficiency_db`] with `two_sigma_sq =
+    /// self.two_sigma_phi_sq(theta_half)` already computed: a caller at one
+    /// fixed design skips the `exp` of `σ_φ`. Bit-identical for that
+    /// argument.
+    pub fn efficiency_db_with(
+        &self,
+        two_sigma_sq: f64,
+        w: f64,
+        delta: f64,
+        phi: f64,
+        theta_half: f64,
+    ) -> f64 {
         // 10·log10(exp(−φ²/2σ²)) = −10·log10(e)·φ²/(2σ²).
-        let ang_db = -10.0 * std::f64::consts::LOG10_E * (phi * phi) / (2.0 * sp * sp);
+        let ang_db = -10.0 * std::f64::consts::LOG10_E * (phi * phi) / two_sigma_sq;
         let cross_db = -self.cross_blur_db_per_mm_mrad * (delta.abs() * 1e3) * (phi.abs() * 1e3);
         let fixed =
             ang_db + cross_db + self.divergence_loss_db(theta_half) + self.base_insertion_db;

@@ -127,12 +127,15 @@ pub struct GalvoParams {
     pub theta1: f64,
 }
 
-/// Precomputed normalized mirror axes/normals of a [`GalvoParams`]
-/// ([`GalvoParams::axes`]): hoists the four `normalized()` calls out of the
-/// per-voltage beam-path math. Derived data — rebuild after any parameter
-/// change.
+/// Precomputed normalized directions of a [`GalvoParams`]
+/// ([`GalvoParams::axes`]): hoists the five `normalized()` calls (four
+/// mirror axes/normals and the input beam) out of the per-voltage
+/// beam-path math. Derived data — rebuild after any parameter change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GalvoAxes {
+    /// `x0.normalized()`: the input beam's direction, as `Ray::new(p0, x0)`
+    /// normalizes it.
+    pub x0n: Vec3,
     /// `r1.normalized()`.
     pub r1n: Vec3,
     /// `n1.normalized()`.
@@ -208,14 +211,16 @@ impl GalvoParams {
         }
     }
 
-    /// The four normalized mirror axes/normals, computed once. `trace` /
-    /// `trace_line` / `second_mirror_plane` renormalize `r1/n1/r2/n2` on
-    /// every call; on fixed geometry (the per-slot simulation path) those
-    /// calls are loop-invariant. The cache holds the exact outputs of the
-    /// same `normalized()` calls, so tracing through it ([`
-    /// GalvoParams::trace_with`]) is bit-identical to [`GalvoParams::trace`].
+    /// The normalized input direction and mirror axes/normals, computed
+    /// once. `trace` / `trace_line` / `second_mirror_plane` renormalize
+    /// `x0/r1/n1/r2/n2` on every call; on fixed geometry (the per-slot
+    /// simulation path) those calls are loop-invariant. The cache holds the
+    /// exact outputs of the same `normalized()` calls, so tracing through
+    /// it ([`GalvoParams::trace_with`]) is bit-identical to
+    /// [`GalvoParams::trace`].
     pub fn axes(&self) -> GalvoAxes {
         GalvoAxes {
+            x0n: self.x0.normalized(),
             r1n: self.r1.normalized(),
             n1n: self.n1.normalized(),
             r2n: self.r2.normalized(),
@@ -236,7 +241,21 @@ impl GalvoParams {
     /// two axis-angle rotations and two reflections.
     #[inline]
     pub fn trace_with(&self, axes: &GalvoAxes, v1: f64, v2: f64) -> Option<Ray> {
-        self.trace_tilted(self.mirror1_normal(axes, v1), self.mirror2_normal(axes, v2))
+        self.trace_tilted(
+            axes,
+            self.mirror1_normal(axes, v1),
+            self.mirror2_normal(axes, v2),
+        )
+    }
+
+    /// The input beam from the collimator, `Ray::new(p0, x0)`, with its
+    /// direction read from `axes`.
+    #[inline]
+    fn input_ray(&self, axes: &GalvoAxes) -> Ray {
+        Ray {
+            origin: self.p0,
+            dir: axes.x0n,
+        }
     }
 
     /// The tilted first-mirror normal `n̂₁' = R(r̂₁, θ₁·v₁)·n̂₁`.
@@ -254,16 +273,16 @@ impl GalvoParams {
     /// The strict two-reflection path for already-tilted mirror normals:
     /// [`GalvoParams::mid_ray`], then [`GalvoParams::out_ray`].
     #[inline]
-    fn trace_tilted(&self, n1p: Vec3, n2p: Vec3) -> Option<Ray> {
-        self.out_ray(&self.mid_ray(n1p)?, n2p)
+    fn trace_tilted(&self, axes: &GalvoAxes, n1p: Vec3, n2p: Vec3) -> Option<Ray> {
+        self.out_ray(&self.mid_ray(axes, n1p)?, n2p)
     }
 
     /// First reflection of the strict path: the beam between the mirrors
     /// for the tilted first-mirror normal `n1p`. A sweep along `v₂` reuses
     /// it unchanged.
     #[inline]
-    fn mid_ray(&self, n1p: Vec3) -> Option<Ray> {
-        reflect_ray(&Ray::new(self.p0, self.x0), self.q1, n1p)
+    fn mid_ray(&self, axes: &GalvoAxes, n1p: Vec3) -> Option<Ray> {
+        reflect_ray(&self.input_ray(axes), self.q1, n1p)
     }
 
     /// Second reflection of the strict path: the mid-mirror beam off the
@@ -309,7 +328,7 @@ impl GalvoParams {
     /// bit-identical (see [`GalvoParams::trace_with`]).
     #[inline]
     pub fn trace_line_with(&self, axes: &GalvoAxes, v1: f64, v2: f64) -> Option<Ray> {
-        let mid = self.mid_line(self.mirror1_normal(axes, v1))?;
+        let mid = self.mid_line(axes, self.mirror1_normal(axes, v1))?;
         self.out_line(&mid, self.mirror2_normal(axes, v2))
     }
 
@@ -317,8 +336,8 @@ impl GalvoParams {
     /// mirrors for the tilted first-mirror normal `n1p`. A finite-difference
     /// step in `v₂` reuses it unchanged.
     #[inline]
-    pub fn mid_line(&self, n1p: Vec3) -> Option<Ray> {
-        let input = Ray::new(self.p0, self.x0);
+    pub fn mid_line(&self, axes: &GalvoAxes, n1p: Vec3) -> Option<Ray> {
+        let input = self.input_ray(axes);
         let (_, hit1) = Plane::new(self.q1, n1p).intersect_line(&input)?;
         Some(Ray::new(hit1, reflect_dir(input.dir, n1p)))
     }
@@ -440,7 +459,8 @@ pub struct GalvoSim {
     /// Driver non-idealities.
     pub cfg: GalvoSimConfig,
     /// Precomputed [`GalvoParams::axes`] of `truth`, so the per-slot
-    /// [`GalvoSim::output_ray`] skips the four renormalizations.
+    /// [`GalvoSim::output_ray`] skips the five renormalizations (the input
+    /// ray's direction among them).
     axes: GalvoAxes,
     v1: f64,
     v2: f64,
@@ -560,6 +580,7 @@ impl GalvoSim {
             rotate_about(n, axis, self.truth.theta1 * j)
         };
         self.truth.trace_tilted(
+            &self.axes,
             jitter(self.n1p, self.axes.r1n, u1),
             jitter(self.n2p, self.axes.r2n, u2),
         )
@@ -568,15 +589,17 @@ impl GalvoSim {
     /// The output beam at the commanded voltages without positioning noise:
     /// the trace [`GalvoSim::output_ray`] makes at zero jitter.
     pub fn noiseless_output_ray(&self) -> Option<Ray> {
-        self.truth.trace_tilted(self.n1p, self.n2p)
+        self.truth.trace_tilted(&self.axes, self.n1p, self.n2p)
     }
 
     /// The noiseless beam between the mirrors with mirror 1 commanded to
     /// `v1`: the first half of [`GalvoSim::noiseless_output_ray`] after
     /// `command(v1, _)`, whatever the second voltage.
     pub fn noiseless_mid_ray(&self, v1: f64) -> Option<Ray> {
-        self.truth
-            .mid_ray(self.truth.mirror1_normal(&self.axes, self.quantize(v1)))
+        self.truth.mid_ray(
+            &self.axes,
+            self.truth.mirror1_normal(&self.axes, self.quantize(v1)),
+        )
     }
 
     /// The body-frame second-mirror normal [`GalvoSim::command`] caches for
@@ -691,6 +714,7 @@ mod tests {
         for _ in 0..32 {
             let g = GalvoParams::nominal().perturbed(&mut rng, 2.0, 2.0, 0.05);
             let axes = g.axes();
+            assert_eq!(g.input_ray(&axes), Ray::new(g.p0, g.x0));
             for (v1, v2) in [(0.0, 0.0), (1.3, -2.7), (-9.9, 9.9), (0.123, 4.567)] {
                 // Hoisted normalizations reproduce the plain paths exactly.
                 assert_eq!(g.trace(v1, v2), g.trace_with(&axes, v1, v2));

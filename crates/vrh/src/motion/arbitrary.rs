@@ -64,12 +64,20 @@ pub struct ArbitraryMotion {
     vel: Vec3,
     omega: Vec3,
     t: f64,
+    /// The OU kick scales `σ·√(2·dt/τ)` (linear, angular) of `cfg`.
+    kick: (f64, f64),
+    /// `base ∘ (quat, pos)` as of the last [`Motion::pose_at`], or `None`
+    /// once a step has moved the state since.
+    pose: Option<Pose>,
 }
 
 impl ArbitraryMotion {
     /// Creates the motion starting at `base`, seeded for reproducibility.
     pub fn new(base: Pose, cfg: ArbitraryMotionConfig, seed: u64) -> ArbitraryMotion {
+        let root = (2.0 * cfg.dt / cfg.tau).sqrt();
         ArbitraryMotion {
+            kick: (cfg.lin_rms * root, cfg.ang_rms * root),
+            pose: None,
             cfg,
             rng: StdRng::seed_from_u64(seed),
             base,
@@ -95,11 +103,12 @@ impl ArbitraryMotion {
         crate::rand_util::gauss(&mut self.rng)
     }
 
-    fn step(&mut self, dt: f64) {
+    /// One integration step of `cfg.dt`.
+    fn step(&mut self) {
         let c = self.cfg;
+        let dt = c.dt;
         // OU: dv = −v/τ dt + σ√(2dt/τ) ξ, stationary std = σ.
-        let kick_l = c.lin_rms * (2.0 * dt / c.tau).sqrt();
-        let kick_a = c.ang_rms * (2.0 * dt / c.tau).sqrt();
+        let (kick_l, kick_a) = self.kick;
         let gl = v3(self.gauss(), self.gauss(), self.gauss());
         let ga = v3(self.gauss(), self.gauss(), self.gauss());
         self.vel += (-self.vel / c.tau - self.pos * c.tether) * dt + gl * kick_l;
@@ -122,17 +131,24 @@ impl ArbitraryMotion {
 
 impl Motion for ArbitraryMotion {
     fn pose_at(&mut self, t: f64) -> Pose {
+        // Unreachable from the engine, which samples motion at
+        // non-decreasing times (pinned by the link crate's
+        // `motion_is_sampled_at_non_decreasing_times`); the cached pose
+        // below relies on the same order.
         assert!(
             t + 1e-9 >= self.t,
             "ArbitraryMotion must be sampled with non-decreasing time"
         );
         while self.t + self.cfg.dt <= t {
-            let dt = self.cfg.dt;
-            self.step(dt);
-            self.t += dt;
+            self.step();
+            self.t += self.cfg.dt;
+            self.pose = None;
         }
-        let local = Pose::from_quat(self.quat, self.pos);
-        self.base.compose(&local)
+        // Paused slots and a report sampled at the slot-end time ask again
+        // for an unchanged state.
+        *self
+            .pose
+            .get_or_insert_with(|| self.base.compose(&Pose::from_quat(self.quat, self.pos)))
     }
 }
 
@@ -215,6 +231,25 @@ mod tests {
                 assert_eq!(p.trans, q.trans, "slot {k}");
                 assert_eq!(p.rot, q.rot, "slot {k}");
             }
+        }
+    }
+
+    #[test]
+    fn repeated_times_return_the_cached_pose() {
+        // Paused slots and report-time samples repeat a time, or advance it
+        // by less than one step: the cached pose must be the one composed
+        // afresh by a twin that sees each time once.
+        let mk =
+            || ArbitraryMotion::new(Pose::translation(v3(0.0, 0.0, 1.75)), Default::default(), 5);
+        let (mut cached, mut fresh) = (mk(), mk());
+        for k in 0..600 {
+            let t = (k / 3) as f64 * 1e-3 + (k % 3) as f64 * 2e-4;
+            let p = cached.pose_at(t);
+            let mut twin = fresh.clone();
+            twin.pose = None;
+            let q = twin.pose_at(t);
+            assert_eq!(p, q, "sample {k}");
+            fresh = twin;
         }
     }
 

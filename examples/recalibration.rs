@@ -72,7 +72,7 @@ fn main() {
 
     // Mapping-only repair: 10 exhaustive placements, grid-board models reused.
     println!("\n[re-running §4.2 only: 10 placements, K-space models untouched]");
-    let re = recalibrate_mapping(&mut dep, &ctl.mapping, 10, 4077);
+    let re = recalibrate_mapping(&mut dep, ctl.mapping(), 10, 4077);
     let v = dep.voltages();
     let mut ctl2 = TpController::new(re.trained, Default::default(), [v.0, v.1, v.2, v.3]);
     let recovered = probe(&mut dep, &mut ctl2);

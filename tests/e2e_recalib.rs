@@ -75,7 +75,7 @@ fn drift_is_flagged_and_mapping_only_recalibration_recovers() {
     );
 
     // Mapping-only repair: a handful of placements, board models untouched.
-    let re = recalibrate_mapping(&mut dep, &ctl.mapping, 10, 4077);
+    let re = recalibrate_mapping(&mut dep, ctl.mapping(), 10, 4077);
     let v = dep.voltages();
     let mut ctl2 = TpController::new(re.trained, Default::default(), [v.0, v.1, v.2, v.3]);
     let recovered = probe(&mut dep, &mut ctl2, &tracker);
