@@ -6,8 +6,9 @@
 //! * `G'` — the computational inverse (2–4 trace triples);
 //! * `P`  — the full four-voltage pointing solve (2–5 outer iterations);
 //! * received-power evaluation (the simulator's hot path);
-//! * the slot primitives under it: one Gaussian draw, one 1 ms step of
-//!   hand-held motion and one noisy galvo output beam.
+//! * the slot primitives under it: one Gaussian draw, a paired draw of two
+//!   and one noisy galvo output beam (the 1 ms hand-held motion step is in
+//!   `hot_path`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cyclops::core::deployment::{cheat_align, Deployment, DeploymentConfig};
@@ -94,13 +95,8 @@ fn bench_slot_primitives(c: &mut Criterion) {
     c.bench_function("noise: one Box–Muller draw", |b| {
         b.iter(|| cyclops::vrh::rand_util::gauss(&mut rng))
     });
-    let mut motion = ArbitraryMotion::new(Pose::IDENTITY, Default::default(), 5);
-    let mut t = 0.0;
-    c.bench_function("motion: ArbitraryMotion 1 ms step", |b| {
-        b.iter(|| {
-            t += 1e-3;
-            motion.pose_at(black_box(t))
-        })
+    c.bench_function("noise: gauss2 (two deviates)", |b| {
+        b.iter(|| cyclops::vrh::rand_util::gauss2(&mut rng))
     });
     let mut sim = GalvoSim::new(GalvoParams::nominal(), GalvoSimConfig::default());
     sim.command(0.7, -0.3);

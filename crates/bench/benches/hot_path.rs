@@ -1,7 +1,8 @@
 //! Criterion microbenches of the per-slot hot path: the three channel-math
 //! entry points (`q_factor`, `ber`, `frame_success_prob`) individually, the
-//! two physics kernels of a slot (a TP solve on a tracking report and the
-//! coupling power at a tracked pose), and one full [`LinkSession`]
+//! three physics kernels of a slot (a 1 ms hand-held motion step, a TP solve
+//! on a tracking report and the coupling power at a tracked pose), and one
+//! full [`LinkSession`]
 //! `step_slot` — the end-to-end serial cost a fleet pays per session-slot.
 //! Power inputs sweep a small grid so the optimizer cannot constant-fold the
 //! transcendental pipeline away.
@@ -61,6 +62,20 @@ fn hand_held_poses(n: usize) -> Vec<Pose> {
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let mut motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 500);
     (1..=n).map(|k| motion.pose_at(k as f64 * 8e-3)).collect()
+}
+
+/// One 1 ms step of hand-held motion: six Gaussian kicks (three paired
+/// draws), the OU update and the orientation integration.
+fn bench_motion_step(c: &mut Criterion) {
+    let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
+    let mut motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), 500);
+    let mut t = 0.0;
+    c.bench_function("vrh: ArbitraryMotion step (hand-held)", |b| {
+        b.iter(|| {
+            t += 1e-3;
+            motion.pose_at(black_box(t))
+        })
+    });
 }
 
 /// `TpController::on_report` on a commissioned unit, warm-started from the
@@ -133,6 +148,7 @@ criterion_group!(
     bench_q_factor,
     bench_ber,
     bench_frame_success,
+    bench_motion_step,
     bench_tp_solve,
     bench_coupling_power,
     bench_engine_slot

@@ -26,7 +26,7 @@ use cyclops_solver::jacobian::central_differences_into;
 use cyclops_solver::linalg::DMat;
 use cyclops_solver::lm::{levenberg_marquardt, levenberg_marquardt_with, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
-use cyclops_vrh::rand_util::gauss;
+use cyclops_vrh::rand_util::gauss2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -199,8 +199,8 @@ impl KspaceRig {
         let ray = self.rig_pose.apply_ray(&ray_body);
         let board = Plane::new(Vec3::ZERO, Vec3::Z);
         let (_, hit) = board.intersect_ray(&ray)?;
-        let nx = gauss(&mut self.rng) * self.board_noise_m;
-        let ny = gauss(&mut self.rng) * self.board_noise_m;
+        let [gx, gy] = gauss2(&mut self.rng);
+        let (nx, ny) = (gx * self.board_noise_m, gy * self.board_noise_m);
         Some((hit.x + nx, hit.y + ny))
     }
 

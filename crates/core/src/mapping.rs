@@ -217,17 +217,10 @@ pub fn noisy_report_with<R: Rng>(dep: &Deployment, cfg: &TrackerConfig, rng: &mu
 
 /// Applies VRH-T-style jitter to a clean reported pose.
 pub fn noisy_report_of<R: Rng>(clean: Pose, cfg: &TrackerConfig, rng: &mut R) -> Pose {
-    use cyclops_vrh::rand_util::gauss as g;
-    let jt = v3(
-        g(rng) * cfg.pos_noise_sigma,
-        g(rng) * cfg.pos_noise_sigma,
-        g(rng) * cfg.pos_noise_sigma,
-    );
-    let jr = v3(
-        g(rng) * cfg.ang_noise_sigma,
-        g(rng) * cfg.ang_noise_sigma,
-        g(rng) * cfg.ang_noise_sigma,
-    );
+    let [tx, ty, tz, rx, ry, rz] = cyclops_vrh::rand_util::gauss6(rng);
+    let (sp, sa) = (cfg.pos_noise_sigma, cfg.ang_noise_sigma);
+    let jt = v3(tx * sp, ty * sp, tz * sp);
+    let jr = v3(rx * sa, ry * sa, rz * sa);
     Pose::from_quat(
         Quat::from_rotation_vector(jr) * clean.quat(),
         clean.trans + jt,

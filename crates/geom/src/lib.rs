@@ -13,7 +13,8 @@
 //! * [`Ray`] / [`Plane`] / [`reflect::reflect_ray`] — beam propagation and the
 //!   mirror-reflection operator `R(p₀, x̂₀, n̂, q)` of §4.1;
 //! * [`noise::box_muller`] — the one Gaussian-noise kernel every simulated
-//!   noise source shares;
+//!   noise source shares ([`noise::box_muller2`] evaluates two at once, bit
+//!   for bit);
 //! * [`Pose`] — rigid transforms; the "12 mapping parameters" of §4.2 are two
 //!   [`Pose6`] values (6 parameters each) mapping each GMA's K-space into
 //!   VR-space.

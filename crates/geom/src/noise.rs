@@ -4,7 +4,9 @@
 //! noise, the hand-held motion's velocity kicks, scintillation — turns two
 //! uniforms into a standard normal with [`box_muller`]. Callers own the
 //! uniforms (an RNG draw or a `mix64` hash), so this module stays
-//! dependency-free and the RNG streams are the callers' business.
+//! dependency-free and the RNG streams are the callers' business. A caller
+//! that needs several deviates in a row takes them in pairs through
+//! [`box_muller2`], whose lanes equal [`box_muller`] bit for bit.
 //!
 //! The cosine is evaluated in *turns*: `cos(2πu)` for `u ∈ [0, 1]` reduces
 //! exactly to a quarter-turn remainder and a quadrant, so no `2π`
@@ -52,12 +54,28 @@ fn sin_cos_kernel(x: f64) -> (f64, f64) {
 /// serves land in a random quadrant, which a branch would mispredict.
 #[inline]
 pub fn cos_turns(u: f64) -> f64 {
+    cos_turns_lane(u)
+}
+
+/// [`cos_turns`] of two turns at once, bit for bit: the two lanes are
+/// independent, so their polynomials overlap (or share vector registers)
+/// instead of running one after the other.
+#[inline]
+pub fn cos_turns2(u: [f64; 2]) -> [f64; 2] {
+    [cos_turns_lane(u[0]), cos_turns_lane(u[1])]
+}
+
+/// The one evaluation behind [`cos_turns`] and [`cos_turns2`].
+#[inline(always)]
+fn cos_turns_lane(u: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&u), "u = {u} outside [0, 1]");
-    // Truncating `4u + ½` rounds without `f64::round` (a libm call on
-    // baseline x86-64).
-    let k = (4.0 * u + 0.5) as u64;
+    // Truncating `4u + ½ ∈ [0.5, 4.5]` rounds without `f64::round` (a libm
+    // call on baseline x86-64); the signed conversions are one instruction
+    // each way there, the unsigned ones are not.
+    let k = (4.0 * u + 0.5) as i64;
     let (s, c) = sin_cos_kernel((u - k as f64 * 0.25) * TAU);
     // cos(x + kπ/2): quadrant 0 → c, 1 → −s, 2 → −c, 3 → s.
+    let k = k as u64;
     let odd = 0u64.wrapping_sub(k & 1);
     let bits = (c.to_bits() & !odd) | (s.to_bits() & odd);
     let sign = ((k + 1) & 2) << 62;
@@ -77,7 +95,19 @@ pub const MAX_DEVIATE: f64 = 7.433_845;
 /// `√(−2 ln u₁) · cos(2πu₂)`, for `u₁ ∈ (0, 1]` and `u₂ ∈ [0, 1]`.
 #[inline]
 pub fn box_muller(u1: f64, u2: f64) -> f64 {
-    (-2.0 * u1.ln()).sqrt() * cos_turns(u2)
+    (-2.0 * u1.ln()).sqrt() * cos_turns_lane(u2)
+}
+
+/// Two [`box_muller`] deviates at once, bit for bit: lane `i` is
+/// `box_muller(u1[i], u2[i])`. The two `ln` stay scalar library calls;
+/// the square roots, products and [`cos_turns2`] run as two independent
+/// lanes, each performing the scalar kernel's IEEE operations in the same
+/// order.
+#[inline]
+pub fn box_muller2(u1: [f64; 2], u2: [f64; 2]) -> [f64; 2] {
+    let ln = [u1[0].ln(), u1[1].ln()];
+    let c = cos_turns2(u2);
+    [(-2.0 * ln[0]).sqrt() * c[0], (-2.0 * ln[1]).sqrt() * c[1]]
 }
 
 #[cfg(test)]
@@ -163,9 +193,58 @@ mod tests {
         // worst case; quarter turns hit `cos = ±1` and `0` exactly.
         for u2 in [0.0, 0.25, 0.5, 1.0] {
             assert!(box_muller(U1_MIN, u2).abs() <= MAX_DEVIATE, "u2 = {u2}");
+            for g in box_muller2([U1_MIN; 2], [u2, 1.0 - u2]) {
+                assert!(g.abs() <= MAX_DEVIATE, "u2 = {u2}");
+            }
         }
         for u in uniforms(3).take(100_000) {
             assert!(cos_turns(u).abs() <= 1.0, "u = {u}");
+        }
+    }
+
+    /// Asserts `box_muller2` (and `cos_turns2`) equal the scalar kernels bit
+    /// for bit in each lane.
+    fn assert_pair_is_two_singles(u1: [f64; 2], u2: [f64; 2]) {
+        let pair = box_muller2(u1, u2).map(f64::to_bits);
+        let singles = [box_muller(u1[0], u2[0]), box_muller(u1[1], u2[1])].map(f64::to_bits);
+        assert_eq!(pair, singles, "u1 = {u1:?}, u2 = {u2:?}");
+        assert_eq!(
+            cos_turns2(u2).map(f64::to_bits),
+            u2.map(|u| cos_turns(u).to_bits()),
+            "u2 = {u2:?}"
+        );
+    }
+
+    #[test]
+    fn paired_kernel_is_bit_identical_over_a_million_pairs() {
+        let mut us = uniforms(4);
+        let mut u = || us.next().unwrap();
+        for _ in 0..1_000_000 {
+            let u1 = [u().max(U1_MIN), u().max(U1_MIN)];
+            assert_pair_is_two_singles(u1, [u(), u()]);
+        }
+    }
+
+    #[test]
+    fn paired_kernel_is_bit_identical_at_eighth_turns_and_u1_ends() {
+        // Every eighth turn and its neighbours (the quadrant switches and
+        // the kernel-range edges), in both lanes, against both ends of u₁.
+        let mut u2s = Vec::new();
+        for i in 0..=8 {
+            let bits = (i as f64 / 8.0).to_bits();
+            for b in [bits.saturating_sub(1), bits, bits + 1] {
+                let u = f64::from_bits(b);
+                if (0.0..=1.0).contains(&u) {
+                    u2s.push(u);
+                }
+            }
+        }
+        for &a in &u2s {
+            for &b in &u2s {
+                for u1 in [[U1_MIN, 1.0], [1.0, U1_MIN], [U1_MIN; 2], [1.0; 2]] {
+                    assert_pair_is_two_singles(u1, [a, b]);
+                }
+            }
         }
     }
 

@@ -95,6 +95,14 @@ impl TpPolicy {
     ) -> Option<Pose> {
         let &(t1, p1) = self.deliveries.back()?;
         let arr = self.last_delivery_arrival?;
+        // The staleness, horizon and interval gates are plain comparisons:
+        // check them before walking the window for the anchor.
+        let due = t_slot - arr > dr.stale_after_s
+            && t_slot - t1 <= dr.max_horizon_s
+            && t_slot - self.last_dr_t >= dr.interval_s;
+        if !due {
+            return None;
+        }
         // Velocity anchor: the newest delivery at least `min_baseline_s`
         // older than the latest (falling back to the oldest we kept).
         let &(t0, p0) = self
@@ -103,15 +111,12 @@ impl TpPolicy {
             .rev()
             .find(|(t, _)| t1 - t >= dr.min_baseline_s)
             .or(self.deliveries.front())?;
-        let due = t0 < t1
-            && t_slot - arr > dr.stale_after_s
-            && t_slot - t1 <= dr.max_horizon_s
-            && t_slot - self.last_dr_t >= dr.interval_s;
-        if !due {
-            return None;
+        if t0 < t1 {
+            self.last_dr_t = t_slot;
+            Some(extrapolate_pose(&p0, t0, &p1, t1, t_slot))
+        } else {
+            None
         }
-        self.last_dr_t = t_slot;
-        Some(extrapolate_pose(&p0, t0, &p1, t1, t_slot))
     }
 
     /// The re-acquisition spiral: probes voltages around the last aim when
@@ -747,11 +752,9 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
                 let dt = (rt - self.last_report_t).max(0.0);
                 let step = ds * dt.sqrt();
                 let rng = self.units[self.active].dep.rng();
-                self.drift += cyclops_geom::vec3::v3(
-                    cyclops_vrh::rand_util::gauss(rng) * step,
-                    cyclops_vrh::rand_util::gauss(rng) * step,
-                    cyclops_vrh::rand_util::gauss(rng) * step,
-                );
+                let [dx, dy] = cyclops_vrh::rand_util::gauss2(rng);
+                let dz = cyclops_vrh::rand_util::gauss(rng);
+                self.drift += cyclops_geom::vec3::v3(dx * step, dy * step, dz * step);
             }
             self.last_report_t = rt;
             let reported = self.tracker_report(self.active);

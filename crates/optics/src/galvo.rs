@@ -22,7 +22,7 @@
 //! (p, x̂)         = R(p_mid, x̂_mid, n̂₂', q₂)
 //! ```
 
-use cyclops_geom::noise::{box_muller, MAX_DEVIATE, U1_MIN};
+use cyclops_geom::noise::{box_muller2, MAX_DEVIATE, U1_MIN};
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
@@ -571,18 +571,16 @@ impl GalvoSim {
     /// normals are used as they are, bit-identical to
     /// [`GalvoParams::trace`] at the commanded voltages.
     pub fn output_ray<R: Rng>(&self, rng: &mut R) -> Option<Ray> {
-        let Some([u1, u2]) = self.jitter_uniforms(rng) else {
+        let Some((u1, u2)) = self.jitter_uniforms(rng) else {
             return self.noiseless_output_ray();
         };
         let noise_v = self.noise_v();
-        let jitter = |n: Vec3, axis: Vec3, (ua, ub): (f64, f64)| {
-            let j = box_muller(ua, ub) * noise_v;
-            rotate_about(n, axis, self.truth.theta1 * j)
-        };
+        let [j1, j2] = box_muller2(u1, u2).map(|g| g * noise_v);
+        let jitter = |n: Vec3, axis: Vec3, j: f64| rotate_about(n, axis, self.truth.theta1 * j);
         self.truth.trace_tilted(
             &self.axes,
-            jitter(self.n1p, self.axes.r1n, u1),
-            jitter(self.n2p, self.axes.r2n, u2),
+            jitter(self.n1p, self.axes.r1n, j1),
+            jitter(self.n2p, self.axes.r2n, j2),
         )
     }
 
@@ -632,13 +630,15 @@ impl GalvoSim {
         }
     }
 
-    /// The Box–Muller uniforms of both mirrors' jitter, in draw order, or
-    /// `None` (drawing nothing) when there is no jitter.
+    /// The Box–Muller uniforms of both mirrors' jitter as `(u₁, u₂)` lanes
+    /// (lane 0 is mirror 1, drawn first), or `None` (drawing nothing) when
+    /// there is no jitter.
     #[inline]
-    fn jitter_uniforms<R: Rng>(&self, rng: &mut R) -> Option<[(f64, f64); 2]> {
+    fn jitter_uniforms<R: Rng>(&self, rng: &mut R) -> Option<([f64; 2], [f64; 2])> {
         if self.noise_v() > 0.0 {
             let mut draw = || (rng.gen_range(U1_MIN..1.0), rng.gen_range(0.0..1.0));
-            Some([draw(), draw()])
+            let ((a1, a2), (b1, b2)) = (draw(), draw());
+            Some(([a1, b1], [a2, b2]))
         } else {
             None
         }
@@ -654,6 +654,7 @@ impl GalvoSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclops_geom::noise::box_muller;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -99,18 +99,14 @@ impl ArbitraryMotion {
         self.omega.norm()
     }
 
-    fn gauss(&mut self) -> f64 {
-        crate::rand_util::gauss(&mut self.rng)
-    }
-
     /// One integration step of `cfg.dt`.
     fn step(&mut self) {
         let c = self.cfg;
         let dt = c.dt;
         // OU: dv = −v/τ dt + σ√(2dt/τ) ξ, stationary std = σ.
         let (kick_l, kick_a) = self.kick;
-        let gl = v3(self.gauss(), self.gauss(), self.gauss());
-        let ga = v3(self.gauss(), self.gauss(), self.gauss());
+        let [lx, ly, lz, ax, ay, az] = crate::rand_util::gauss6(&mut self.rng);
+        let (gl, ga) = (v3(lx, ly, lz), v3(ax, ay, az));
         self.vel += (-self.vel / c.tau - self.pos * c.tether) * dt + gl * kick_l;
         // Orientation spring: pull back towards the facing-the-TX attitude.
         let rv = self.quat.to_rotation_vector();

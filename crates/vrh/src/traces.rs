@@ -228,8 +228,6 @@ impl HeadTrace {
         let dt = cfg.period_ms * 1e-3;
         let tau = 0.8; // velocity relaxation (s)
 
-        let gauss = crate::rand_util::gauss::<StdRng>;
-
         let mut pos = Vec3::ZERO;
         let mut vel = Vec3::ZERO;
         let mut yaw = rng.gen_range(-1.0..1.0);
@@ -247,17 +245,16 @@ impl HeadTrace {
             let t_ms = k as f64 * cfg.period_ms;
             // OU updates for baseline motion.
             let kick = (2.0 * dt / tau).sqrt();
-            yaw_rate += -yaw_rate / tau * dt + cfg.yaw_rms * kick * gauss(&mut rng);
-            pitch_rate +=
-                (-pitch_rate / tau - pitch * 2.0) * dt + cfg.pitch_rms * kick * gauss(&mut rng);
-            roll_rate +=
-                (-roll_rate / tau - roll * 4.0) * dt + cfg.pitch_rms * 0.5 * kick * gauss(&mut rng);
-            for (v, p) in [
-                (&mut vel.x, pos.x),
-                (&mut vel.y, pos.y),
-                (&mut vel.z, pos.z),
+            let [g_yaw, g_pitch, g_roll, sx, sy, sz] = crate::rand_util::gauss6(&mut rng);
+            yaw_rate += -yaw_rate / tau * dt + cfg.yaw_rms * kick * g_yaw;
+            pitch_rate += (-pitch_rate / tau - pitch * 2.0) * dt + cfg.pitch_rms * kick * g_pitch;
+            roll_rate += (-roll_rate / tau - roll * 4.0) * dt + cfg.pitch_rms * 0.5 * kick * g_roll;
+            for (v, p, g) in [
+                (&mut vel.x, pos.x, sx),
+                (&mut vel.y, pos.y, sy),
+                (&mut vel.z, pos.z, sz),
             ] {
-                *v += (-*v / tau - p * 3.0) * dt + cfg.sway_rms * kick * gauss(&mut rng);
+                *v += (-*v / tau - p * 3.0) * dt + cfg.sway_rms * kick * g;
             }
             // Saccade triggering.
             if sac_t <= 0.0 && rng.gen_bool((cfg.saccade_rate * dt).min(1.0)) {
@@ -492,6 +489,49 @@ mod tests {
         let end = tr.pose_at(100.0);
         let last_sample = tr.samples.last().unwrap();
         assert!((end.trans - last_sample.pos).norm() < 1e-12);
+    }
+
+    /// FNV-1a over the bits of every sample and motion rate of `traces`.
+    fn trace_bits_hash<'a>(traces: impl IntoIterator<Item = &'a HeadTrace>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: f64| {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for tr in traces {
+            fold(tr.period_ms);
+            for s in &tr.samples {
+                let q = s.quat;
+                for x in [s.t_ms, s.pos.x, s.pos.y, s.pos.z, q.w, q.x, q.y, q.z] {
+                    fold(x);
+                }
+            }
+            for r in tr.motion_rates() {
+                for x in [r.lat_per_ms, r.ang_per_ms, r.t_report_ms] {
+                    fold(x);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins every bit of generated traces, which the `trace_corpus` golden
+    /// (on/off flags and on-fractions only) would not see move: a change to
+    /// how the noise kernel evaluates must leave these hashes alone.
+    #[test]
+    fn generated_trace_bits_are_pinned() {
+        let cfg = TraceGenConfig::default();
+        let singles: Vec<HeadTrace> = [0, 5, 42]
+            .into_iter()
+            .map(|s| HeadTrace::generate(&cfg, s))
+            .collect();
+        let corpus = HeadTrace::generate_corpus(1, 5, 2);
+        assert_eq!(
+            [trace_bits_hash(&singles), trace_bits_hash(&corpus)],
+            [0x68be_121e_8c46_9c80, 0x6629_9ac5_d5a7_3c17],
+            "generated trace bits moved"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The tracker wraps a [`Headset`] and emits [`TrackingReport`]s in VR-space.
 
 use crate::headset::Headset;
-use crate::rand_util::gauss;
+use crate::rand_util::{gauss, gauss2, gauss6};
 use cyclops_geom::pose::Pose;
 use cyclops_geom::quat::Quat;
 use cyclops_geom::vec3::{v3, Vec3};
@@ -225,20 +225,15 @@ impl VrhTracker {
         // Random-walk drift accumulates in VR-space.
         if self.cfg.drift_sigma_per_sqrt_s > 0.0 && dt > 0.0 {
             let s = self.cfg.drift_sigma_per_sqrt_s * dt.sqrt();
-            self.drift += v3(gauss(rng) * s, gauss(rng) * s, gauss(rng) * s);
+            let [dx, dy] = gauss2(rng);
+            self.drift += v3(dx * s, dy * s, gauss(rng) * s);
         }
 
         let clean = headset.true_reported_pose();
-        let jitter_t = v3(
-            gauss(rng) * self.cfg.pos_noise_sigma,
-            gauss(rng) * self.cfg.pos_noise_sigma,
-            gauss(rng) * self.cfg.pos_noise_sigma,
-        );
-        let jitter_rv = v3(
-            gauss(rng) * self.cfg.ang_noise_sigma,
-            gauss(rng) * self.cfg.ang_noise_sigma,
-            gauss(rng) * self.cfg.ang_noise_sigma,
-        );
+        let [tx, ty, tz, rx, ry, rz] = gauss6(rng);
+        let (sp, sa) = (self.cfg.pos_noise_sigma, self.cfg.ang_noise_sigma);
+        let jitter_t = v3(tx * sp, ty * sp, tz * sp);
+        let jitter_rv = v3(rx * sa, ry * sa, rz * sa);
         let noisy = Pose::from_quat(
             Quat::from_rotation_vector(jitter_rv) * clean.quat(),
             clean.trans + jitter_t + self.drift,
