@@ -23,6 +23,7 @@ use cyclops::link::engine::{visible_margin_db, DarkDebounce, MarginSelector, Sin
 use cyclops::link::trace_sim::{simulate_corpus, simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
 use cyclops::vrh::motion::ArbitraryMotionConfig;
+use cyclops_bench::ceiling_units;
 
 const GOLDEN_PATH: &str = "goldens/engine_digest.txt";
 
@@ -74,20 +75,6 @@ impl Digest {
         self.f64(s.outage_s);
         self.f64(s.longest_outage_s);
     }
-}
-
-/// Two fully-trained ceiling installations sharing one headset world (the
-/// multi-TX fixture, fast board).
-fn two_units(seed: u64) -> Vec<TxInstallation> {
-    [Vec3::new(-0.35, 0.0, 0.0), Vec3::new(0.35, 0.0, 0.0)]
-        .into_iter()
-        .map(|pos| {
-            let mut cfg = SystemConfig::fast_10g(seed);
-            cfg.deployment.tx_position = pos;
-            let (dep, ctl, ..) = cyclops::core::commission(&cfg);
-            TxInstallation { dep, ctl }
-        })
-        .collect()
 }
 
 /// The digest lines that differ between the golden file and this run, by
@@ -248,7 +235,7 @@ fn main() {
 
     // --- Multi-TX full-physics handover under a parked occluder.
     {
-        let units = two_units(902);
+        let units = ceiling_units(&SystemConfig::fast_10g(902));
         let tx0 = units[0].dep.tx_world_params().q2;
         let rx = Vec3::new(0.0, 0.0, 1.75);
         let mid = tx0.lerp(rx, 0.5);
@@ -331,7 +318,7 @@ fn main() {
     // policies (static partition, greedy max-margin, proportional-fair)
     // with the bursty viewport traffic source, folded into one digest.
     {
-        let units = two_units(905);
+        let units = ceiling_units(&SystemConfig::fast_10g(905));
         let fleet = FleetConfig {
             n_sessions: 4,
             duration_s: 1.5,

@@ -13,23 +13,9 @@
 //! cargo run --release -p cyclops-bench --bin ext_multi_user
 //! ```
 
-use cyclops::core::commission;
 use cyclops::link::engine::FleetSummary;
 use cyclops::prelude::*;
-
-/// Two fully-trained ceiling installations sharing one headset world
-/// (full-size board and mapping budget, as in the paper's prototype).
-fn two_units(seed: u64) -> Vec<TxInstallation> {
-    [Vec3::new(-0.35, 0.0, 0.0), Vec3::new(0.35, 0.0, 0.0)]
-        .into_iter()
-        .map(|pos| {
-            let mut cfg = SystemConfig::paper_10g(seed);
-            cfg.deployment.tx_position = pos;
-            let (dep, ctl, ..) = commission(&cfg);
-            TxInstallation { dep, ctl }
-        })
-        .collect()
-}
+use cyclops_bench::ceiling_units;
 
 fn print_fleet(title: &str, fleet: &FleetSummary) {
     println!("\n{title}");
@@ -119,7 +105,7 @@ fn print_fleet(title: &str, fleet: &FleetSummary) {
 
 fn main() {
     println!("ext_multi_user: training 2 ceiling installations ...");
-    let units = two_units(911);
+    let units = ceiling_units(&SystemConfig::paper_10g(911));
     let tx0 = units[0].dep.tx_world_params().q2;
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
 

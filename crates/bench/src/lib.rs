@@ -3,7 +3,8 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` for the index); this library holds the common pieces:
 //! speed-ladder throughput sweeps (the §5.3 protocol), window filtering,
-//! tolerated-speed extraction and text-table formatting.
+//! tolerated-speed extraction, the two-unit ceiling fixture and text-table
+//! formatting.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -164,6 +165,20 @@ pub fn digest_ladder(mut digest: u64, points: &[LadderPoint]) -> u64 {
         }
     }
     digest
+}
+
+/// Two commissioned installations of `cfg` on the ceiling at x = ∓0.35 m,
+/// sharing one headset world: the multi-TX fixture of the fleet bins.
+pub fn ceiling_units(cfg: &SystemConfig) -> Vec<TxInstallation> {
+    [-0.35, 0.35]
+        .into_iter()
+        .map(|x| {
+            let mut cfg = cfg.clone();
+            cfg.deployment.tx_position = Vec3::new(x, 0.0, 0.0);
+            let (dep, ctl, ..) = cyclops::core::commission(&cfg);
+            TxInstallation { dep, ctl }
+        })
+        .collect()
 }
 
 /// Prints a section header.

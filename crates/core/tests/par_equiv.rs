@@ -2,13 +2,15 @@
 //!
 //! The alignment grids and the mapping-sample collection parallelize over
 //! per-row / per-attempt deployment clones whose noise RNGs are reseeded by
-//! a pure function of (stage seed, item index) — never shared — so the
-//! results must be bit-identical at any pool width, one thread (the plain
-//! serial loop) included.
+//! a pure function of (stage seed, item index) — never shared — and the
+//! Levenberg–Marquardt fits split their Jacobian columns across workers,
+//! so the results must be bit-identical at any pool width, one thread (the
+//! plain serial loop) included.
 
 use cyclops_core::alignment::{exhaustive_align, AlignResult};
 use cyclops_core::deployment::{Deployment, DeploymentConfig};
-use cyclops_core::mapping::{collect_samples, MappingSample};
+use cyclops_core::kspace::{self, BoardConfig, KspaceRig};
+use cyclops_core::mapping::{self, collect_samples, MappingSample};
 use cyclops_geom::pose::Pose;
 use cyclops_geom::rotation::axis_angle;
 use cyclops_geom::vec3::v3;
@@ -131,5 +133,64 @@ fn sample_collection_invariant_to_thread_count_25g() {
     for threads in [2, 5] {
         let got = cyclops_par::with_threads(threads, || collect_samples(&mut base.clone(), 3, 99));
         assert_samples_eq(&got, &reference, &format!("25G, threads {threads}"));
+    }
+}
+
+/// `{:?}` prints each float in its shortest round-trip form, so equal text
+/// means equal bits for every non-NaN field.
+fn assert_same_debug<T: std::fmt::Debug>(got: &T, want: &T, ctx: &str) {
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{ctx}");
+}
+
+#[test]
+fn kspace_fit_invariant_to_thread_count() {
+    // Stage 1 end to end: fitted params, the LM report (cost included) and
+    // the board-plane error statistics.
+    let dep = Deployment::new(&DeploymentConfig::paper_10g(71));
+    let mut rig = KspaceRig::standard(dep.tx.clone(), 72);
+    let init = rig.cad_initial_guess();
+    let samples = rig.collect_samples(&BoardConfig::default());
+    let fit_at = |threads: usize| {
+        cyclops_par::with_threads(threads, || {
+            kspace::fit(&samples, &init).expect("stage-1 fit")
+        })
+    };
+    let reference = fit_at(1);
+    for threads in [2, 3, 8] {
+        assert_same_debug(&fit_at(threads), &reference, &format!("threads {threads}"));
+    }
+}
+
+#[test]
+fn mapping_train_invariant_to_thread_count() {
+    // Stage 2 end to end: placement collection and the 12-parameter fit,
+    // so the samples (and their count), the LM report and both trained
+    // maps.
+    let dep = Deployment::new(&DeploymentConfig::paper_10g(73));
+    let (tx_tr, tx_rig, rx_tr, rx_rig) =
+        kspace::train_both(&dep, &BoardConfig::default(), 73).expect("stage-1 training");
+    let (init_tx, init_rx) = mapping::rough_initial_guess(&dep, &tx_rig, &rx_rig, 0.05, 0.08, 80);
+    let train_at = |threads: usize| {
+        cyclops_par::with_threads(threads, || {
+            let mut dep = dep.clone();
+            let mt = mapping::train(
+                &mut dep,
+                &tx_tr.fitted,
+                &rx_tr.fitted,
+                init_tx,
+                init_rx,
+                8,
+                81,
+            );
+            (mt.trained, mt.samples)
+        })
+    };
+    let reference = train_at(1);
+    for threads in [2, 3, 8] {
+        assert_same_debug(
+            &train_at(threads),
+            &reference,
+            &format!("threads {threads}"),
+        );
     }
 }

@@ -313,6 +313,89 @@ fn fleet_reports_are_deterministic_and_per_session_seeded() {
     // Telemetry is off by default: no per-session or rolled-up counters.
     assert!(a.sessions.iter().all(|s| s.telemetry.is_none()));
     assert!(r.telemetry.is_none());
+
+    // The fleet drivers at pool widths {1, 2, 3, 8} on a hostile shape:
+    // the hardened control plane under the stress fault plan, a roaming
+    // occluder and the RF fallback. Five sessions split into a different
+    // set of worker chunks at every width.
+    let tx0 = units[0].dep.tx_world_params().q2;
+    let hostile = FleetConfig {
+        n_sessions: 5,
+        duration_s: 1.5,
+        seed: 424,
+        control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(5))),
+        occluders: vec![Occluder::new(
+            tx0.lerp(park_pose().trans, 0.5),
+            0.12,
+            0.4,
+            0,
+        )],
+        fallback: FallbackPolicy::RfOnOutage,
+        ..FleetConfig::default()
+    };
+    // The mixed driver adds two tracker pools, fog, scintillation and
+    // per-session telemetry.
+    let pools = ["rift-s", "quest"].map(|name| FleetPool {
+        label: name.into(),
+        units: units.clone(),
+        tracker: crate::registry::headset_profile(name)
+            .expect("registered headset")
+            .tracker,
+    });
+    let mixed = FleetConfig {
+        environment: Some(
+            crate::channel::Environment::new()
+                .stage(crate::channel::FogStage::from_density(0.3, 1550.0).expect("valid density"))
+                .stage(
+                    crate::channel::ScintillationStage::new(0.6, 10e-3, 77)
+                        .expect("valid scintillation"),
+                ),
+        ),
+        collect_telemetry: true,
+        ..hostile.clone()
+    };
+    let at = |threads: usize| {
+        cyclops_par::with_threads(threads, || {
+            (
+                run_fleet(&units, &hostile),
+                run_fleet_mixed(&pools, &mixed).expect("valid mixed fleet"),
+            )
+        })
+    };
+    let (plain1, mixed1) = at(1);
+    // The shape bites: every path the signature covers is exercised.
+    let r = plain1.rollup();
+    assert!(r.total_failovers > 0 && r.ctrl_retransmits > 0 && r.total_handovers > 0);
+    assert_eq!(mixed1.profile_rollups().len(), 2);
+    for threads in [2, 3, 8] {
+        let (plain, mixed) = at(threads);
+        assert_same_fleet(&plain, &plain1, &format!("run_fleet, {threads} threads"));
+        assert_same_fleet(
+            &mixed,
+            &mixed1,
+            &format!("run_fleet_mixed, {threads} threads"),
+        );
+    }
+}
+
+/// Every field of every report, and the per-profile rollups, must match.
+/// `{:?}` prints each float in its shortest round-trip form, so equal text
+/// means equal bits for every non-NaN field.
+fn assert_same_fleet(got: &FleetSummary, want: &FleetSummary, ctx: &str) {
+    assert_eq!(got.sessions.len(), want.sessions.len(), "{ctx}");
+    for (g, w) in got.sessions.iter().zip(&want.sessions) {
+        assert_eq!(
+            format!("{g:?}"),
+            format!("{w:?}"),
+            "{ctx}: session {}",
+            w.session
+        );
+    }
+    assert_eq!(
+        format!("{:?}", got.profile_rollups()),
+        format!("{:?}", want.profile_rollups()),
+        "{ctx}: profile rollups"
+    );
 }
 
 /// The streaming rollup accumulator: `rollup()` must match a

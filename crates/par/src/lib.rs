@@ -17,8 +17,9 @@
 //!   configuration. Work smaller than `min_chunk` per thread also runs
 //!   serially to avoid spawn overhead.
 //! * **Reproducible sizing.** Thread count resolves as: programmatic
-//!   override ([`set_threads`]) → `CYCLOPS_THREADS` env var → the machine's
-//!   available parallelism. Benchmarks pin it for stable CI numbers.
+//!   override ([`with_threads`]) → `CYCLOPS_THREADS` env var → the
+//!   machine's available parallelism. Benchmarks pin it for stable CI
+//!   numbers.
 //!
 //! The container this repo builds in cannot fetch crates.io, so rayon is
 //! not available; the implementation uses `std::thread::scope`, which is
@@ -28,29 +29,48 @@
 
 #![deny(missing_docs)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the thread count for subsequent `par_*` calls (`0` clears the
-/// override). Values above the hardware parallelism are honoured — the
-/// serial/parallel equivalence tests rely on that to exercise real thread
-/// handoffs even on small CI runners.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
+/// Held for the whole of an outermost [`with_threads`] call. The override is
+/// process-wide, so without it two tests pinning different widths at once
+/// run at each other's width.
+static PIN: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread is inside [`with_threads`] (and so holds [`PIN`]).
+    static PINNED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` with the thread count pinned to `n`, restoring the previous
-/// setting afterwards (also on panic).
+/// setting afterwards (also on panic). Values above the hardware
+/// parallelism are honoured — the serial/parallel equivalence tests rely on
+/// that to exercise real thread handoffs even on small CI runners. Calls
+/// from different threads run one at a time, so each sees its own width
+/// throughout; a nested call on the same thread re-pins. A worker spawned
+/// inside `f` must not call it.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
+    struct Restore {
+        threads: usize,
+        pinned: bool,
+    }
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::SeqCst);
+            THREAD_OVERRIDE.store(self.threads, Ordering::SeqCst);
+            PINNED.set(self.pinned);
         }
     }
-    let _restore = Restore(THREAD_OVERRIDE.swap(n, Ordering::SeqCst));
+    // Declared first, so it unlocks after `_restore` has run. The lock
+    // guards no data, so a poisoned one is as good as a clean one.
+    let _pin = (!PINNED.get()).then(|| PIN.lock().unwrap_or_else(PoisonError::into_inner));
+    let _restore = Restore {
+        threads: THREAD_OVERRIDE.swap(n, Ordering::SeqCst),
+        pinned: PINNED.replace(true),
+    };
     f()
 }
 
@@ -238,10 +258,27 @@ mod tests {
 
     #[test]
     fn with_threads_restores() {
-        set_threads(0);
-        let before = max_threads();
-        with_threads(3, || assert_eq!(max_threads(), 3));
-        assert_eq!(max_threads(), before);
+        with_threads(5, || {
+            with_threads(3, || assert_eq!(max_threads(), 3));
+            assert_eq!(max_threads(), 5);
+        });
+        // Concurrent pins do not see each other's width.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for n in [2, 7] {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        with_threads(n, || {
+                            for _ in 0..100 {
+                                assert_eq!(max_threads(), n);
+                            }
+                        });
+                    }
+                });
+            }
+        });
     }
 
     #[test]
