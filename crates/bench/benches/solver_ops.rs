@@ -1,11 +1,10 @@
 //! Criterion benchmarks of the numerical substrate: the Levenberg–Marquardt
-//! fits behind both training stages, the Nelder–Mead fallback and the
-//! pattern search behind the exhaustive alignment.
+//! fits behind both training stages and the pattern search behind the
+//! exhaustive alignment.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cyclops::solver::lm::{levenberg_marquardt, LmOptions};
-use cyclops::solver::nelder_mead::{nelder_mead, NmOptions};
-use cyclops::solver::pattern::{grid_scan2, pattern_search, PatternOptions};
+use cyclops::solver::pattern::{pattern_search, PatternOptions};
 
 fn bench_lm(c: &mut Criterion) {
     // An exponential fit of the size class of the 12-parameter mapping fit.
@@ -32,19 +31,6 @@ fn bench_lm(c: &mut Criterion) {
     });
 }
 
-fn bench_nelder_mead(c: &mut Criterion) {
-    c.bench_function("nelder-mead: 4-D rosenbrock-ish", |b| {
-        b.iter(|| {
-            let f = |x: &[f64]| {
-                (0..3)
-                    .map(|i| (1.0 - x[i]).powi(2) + 10.0 * (x[i + 1] - x[i] * x[i]).powi(2))
-                    .sum::<f64>()
-            };
-            nelder_mead(f, black_box(&[0.0; 4]), &NmOptions::default()).value
-        })
-    });
-}
-
 fn bench_pattern(c: &mut Criterion) {
     let f = |x: &[f64]| {
         (-(x[0] - 1.0).powi(2) - (x[1] - 2.0).powi(2)).exp()
@@ -54,20 +40,7 @@ fn bench_pattern(c: &mut Criterion) {
     c.bench_function("pattern: 4-D compass search", |b| {
         b.iter(|| pattern_search(f, black_box(&[0.0; 4]), &opts).value)
     });
-    c.bench_function("grid_scan2: 161x161 sweep", |b| {
-        b.iter(|| {
-            grid_scan2(
-                |x: &[f64]| (-(x[0] - 3.0).powi(2) - (x[1] + 4.0).powi(2)).exp(),
-                black_box(&[0.0, 0.0]),
-                (0, 1),
-                (-10.0, -10.0),
-                (10.0, 10.0),
-                161,
-            )
-            .value
-        })
-    });
 }
 
-criterion_group!(benches, bench_lm, bench_nelder_mead, bench_pattern);
+criterion_group!(benches, bench_lm, bench_pattern);
 criterion_main!(benches);

@@ -37,14 +37,6 @@ impl Edfa {
         }
     }
 
-    /// A pass-through (no amplifier), for ablations.
-    pub fn bypass() -> Edfa {
-        Edfa {
-            gain_db: 0.0,
-            sat_output_dbm: f64::INFINITY,
-        }
-    }
-
     /// Amplifies an input power (dBm), respecting saturation.
     pub fn amplify_dbm(&self, input_dbm: f64) -> f64 {
         (input_dbm + self.gain_db).min(self.sat_output_dbm)
@@ -75,13 +67,5 @@ mod tests {
         // calibrated link budget assumes.
         let launch = Edfa::booster_18db().amplify_dbm(2.0);
         assert_eq!(launch, 20.0);
-    }
-
-    #[test]
-    fn bypass_is_identity() {
-        let e = Edfa::bypass();
-        for p in [-30.0, 0.0, 4.0] {
-            assert_eq!(e.amplify_dbm(p), p);
-        }
     }
 }

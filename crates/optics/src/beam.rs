@@ -77,39 +77,6 @@ impl BeamState {
             None => self.chief.dir,
         }
     }
-
-    /// Applies a power change (gain or loss) in dB, returning the new beam.
-    pub fn attenuated(mut self, db: f64) -> BeamState {
-        self.power_dbm += db;
-        self
-    }
-
-    /// The beam after travelling distance `d`: exact (the underlying
-    /// hyperbola is preserved via the waist offset).
-    pub fn propagated(&self, d: f64) -> BeamState {
-        BeamState {
-            chief: Ray::new(self.chief.point_at(d), self.chief.dir),
-            waist_radius: self.waist_radius,
-            theta_half: self.theta_half,
-            waist_back: self.waist_back + d,
-            power_dbm: self.power_dbm,
-        }
-    }
-
-    /// The beam after its path is folded by a mirror: the chief ray becomes
-    /// `reflected` (origin at the reflection point) and the optical path
-    /// travelled so far grows by `path_len`. Profile and power carry over —
-    /// mirrors are treated as lossless here; use [`BeamState::attenuated`]
-    /// to account for any clipping loss.
-    pub fn folded(&self, reflected: Ray, path_len: f64) -> BeamState {
-        BeamState {
-            chief: reflected,
-            waist_radius: self.waist_radius,
-            theta_half: self.theta_half,
-            waist_back: self.waist_back + path_len,
-            power_dbm: self.power_dbm,
-        }
-    }
 }
 
 /// `1.0 / k as f64` for `k < 32` (entry 0 unused): the same correctly
@@ -246,28 +213,6 @@ mod tests {
         // Collimated: always the chief direction.
         let c = test_beam(0.0);
         assert_eq!(c.local_ray_dir(v3(0.1, 0.0, 1.0)), Vec3::Z);
-    }
-
-    #[test]
-    fn propagation_is_exact() {
-        let b = test_beam(0.004);
-        let moved = b.propagated(1.0);
-        assert!((moved.radius_at(0.0) - b.radius_at(1.0)).abs() < 1e-15);
-        // Radius continues on the same hyperbola — stepping is exact.
-        assert!((moved.radius_at(0.5) - b.radius_at(1.5)).abs() < 1e-15);
-        // Virtual source does not move.
-        let s0 = b.virtual_source().unwrap();
-        let s1 = moved.virtual_source().unwrap();
-        assert!((s0 - s1).norm() < 1e-12);
-    }
-
-    #[test]
-    fn folding_preserves_path_length() {
-        let b = test_beam(0.004);
-        // Fold at 1 m onto a new direction.
-        let folded = b.folded(Ray::new(v3(0.0, 0.0, 1.0), Vec3::X), 1.0);
-        assert!((folded.radius_at(0.75) - b.radius_at(1.75)).abs() < 1e-15);
-        assert_eq!(folded.power_dbm, b.power_dbm);
     }
 
     #[test]
@@ -440,13 +385,5 @@ mod tests {
         let narrow = capture_fraction(0.008, 0.0, a);
         let wide = capture_fraction(0.02, 0.0, a);
         assert!(narrow > wide);
-    }
-
-    #[test]
-    fn attenuation_changes_power_only() {
-        let b = test_beam(0.001);
-        let b2 = b.attenuated(-30.0);
-        assert!((b2.power_dbm - (b.power_dbm - 30.0)).abs() < 1e-12);
-        assert_eq!(b2.waist_radius, b.waist_radius);
     }
 }

@@ -307,20 +307,6 @@ impl LinkDesign {
         received_dbm >= self.sfp.rx_sensitivity_dbm
     }
 
-    /// IEC 60825 safety class of this design's launch at the given closest
-    /// accessible distance (see [`crate::safety`]). The diverging designs
-    /// are Class 1 at their deployment ranges; the amplified collimated
-    /// design is not — one of §5.1's reasons to prefer divergence.
-    pub fn safety_class(&self, access_distance_m: f64) -> crate::safety::LaserClass {
-        crate::safety::classify(
-            self.launch_power_dbm(),
-            self.launch_radius,
-            self.theta_half,
-            self.sfp.wavelength_nm,
-            access_distance_m,
-        )
-    }
-
     /// Link margin at perfect alignment over the nominal range (dB).
     pub fn nominal_margin_db(&self) -> f64 {
         let beam = self.make_beam(Ray::new(Vec3::ZERO, Vec3::Z));
@@ -491,15 +477,6 @@ mod tests {
         let m25 = LinkDesign::twenty_five_g(20.0e-3, R).nominal_margin_db();
         assert!(m25 < m10, "25G margin {m25} vs 10G {m10}");
         assert!(m25 > 0.0, "but the 25G link still closes when aligned");
-    }
-
-    #[test]
-    fn diverging_design_is_class1_at_range_collimated_is_not() {
-        use crate::safety::LaserClass;
-        let div = LinkDesign::ten_g_diverging(20.0e-3, R);
-        let col = LinkDesign::ten_g_collimated(R);
-        assert_eq!(div.safety_class(R), LaserClass::Class1);
-        assert_ne!(col.safety_class(R), LaserClass::Class1);
     }
 
     #[test]

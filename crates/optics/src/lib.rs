@@ -22,12 +22,11 @@
 //! * [`coupling`] — received-power model: aperture capture × fiber angular
 //!   acceptance × divergence penalty, with constants calibrated once against
 //!   the four measured values of the paper's Table 1;
-//! * [`sfp`] / [`amplifier`] — transceiver presets (10G ZR, 25G SFP28 LR/ER)
-//!   and the EDFA block;
+//! * [`sfp`] / [`amplifier`] — transceiver presets (10G ZR, 25G SFP28-LR,
+//!   100G QSFP28) and the EDFA block;
 //! * [`photodiode`] — the quadrant-monitor halo used by the exhaustive
 //!   alignment search of §4.2 (the paper surrounds the RX collimator with
 //!   four photodiodes, as in FSONet \[32\]);
-//! * [`safety`] — the IEC 60825 Class-1 eye-safety check discussed in §3;
 //! * [`wavelength`] — the §6 multi-wavelength (40G+) extension: CWDM lanes
 //!   and chromatic collimator penalties.
 
@@ -40,7 +39,6 @@ pub mod coupling;
 pub mod galvo;
 pub mod photodiode;
 pub mod power;
-pub mod safety;
 pub mod sfp;
 pub mod wavelength;
 
@@ -49,6 +47,6 @@ pub use beam::{capture_fraction, BeamState};
 pub use coupling::{CouplingModel, LinkDesign, ReceiverGeometry};
 pub use galvo::{GalvoError, GalvoParams, GalvoSim, GalvoSimConfig};
 pub use photodiode::QuadrantMonitor;
-pub use power::{db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm};
+pub use power::{dbm_to_mw, linear_to_db, mw_to_dbm};
 pub use sfp::SfpSpec;
 pub use wavelength::{ChromaticCollimator, WdmLink};

@@ -16,12 +16,6 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
     }
 }
 
-/// Converts a dB ratio to a linear factor.
-#[inline]
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 /// Converts a linear power ratio to dB. Returns `-inf` for a zero ratio.
 #[inline]
 pub fn linear_to_db(ratio: f64) -> f64 {
@@ -35,6 +29,12 @@ pub fn linear_to_db(ratio: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Converts a dB ratio to a linear factor: the inverse that
+    /// [`linear_to_db`] must round-trip.
+    fn db_to_linear(db: f64) -> f64 {
+        10f64.powf(db / 10.0)
+    }
 
     #[test]
     fn dbm_anchors() {

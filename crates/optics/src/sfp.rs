@@ -64,21 +64,6 @@ impl SfpSpec {
         }
     }
 
-    /// 25G SFP28-ER \[2\]: larger budget (19–25 dB) but, per §5.3.1, no
-    /// compatible NIC exists — included for the link-budget ablation.
-    pub fn sfp28_er() -> SfpSpec {
-        SfpSpec {
-            name: "SFP28-25G-ER",
-            line_rate_gbps: 25.78125,
-            optimal_goodput_gbps: 23.5,
-            tx_power_dbm: 2.0,
-            rx_sensitivity_dbm: -18.0,
-            rx_overload_dbm: 2.0,
-            relink_time_s: 2.0,
-            wavelength_nm: 1310.0,
-        }
-    }
-
     /// A 100G QSFP28-class module (§6: the TP mechanism generalizes to
     /// 40G+ links with custom optics) — used by the forward-looking ablation.
     pub fn qsfp28_100g() -> SfpSpec {
@@ -93,36 +78,26 @@ impl SfpSpec {
             wavelength_nm: 1310.0,
         }
     }
-
-    /// Link budget (dB): TX power minus sensitivity.
-    pub fn budget_db(&self) -> f64 {
-        self.tx_power_dbm - self.rx_sensitivity_dbm
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Link budget (dB): TX power minus sensitivity.
+    fn budget_db(s: SfpSpec) -> f64 {
+        s.tx_power_dbm - s.rx_sensitivity_dbm
+    }
+
     #[test]
     fn budgets_match_paper() {
         // 10G ZR budget ≈ 27 dB; SFP28-LR budget 12–18 dB (§5.3.1), i.e.
         // roughly 13 dB less than the 10G ZR.
-        let b10 = SfpSpec::sfp10g_zr().budget_db();
-        let b25 = SfpSpec::sfp28_lr().budget_db();
+        let b10 = budget_db(SfpSpec::sfp10g_zr());
+        let b25 = budget_db(SfpSpec::sfp28_lr());
         assert!((25.0..=29.0).contains(&b10), "10G budget {b10}");
         assert!((12.0..=18.0).contains(&b25), "25G budget {b25}");
         assert!((b10 - b25 - 13.0).abs() < 3.0, "difference ≈ 13 dB");
-    }
-
-    #[test]
-    fn er_budget_exceeds_lr() {
-        assert!(SfpSpec::sfp28_er().budget_db() > SfpSpec::sfp28_lr().budget_db());
-        let er = SfpSpec::sfp28_er().budget_db();
-        assert!(
-            (19.0..=25.0).contains(&er),
-            "ER budget {er} (paper: 19–25 dB)"
-        );
     }
 
     #[test]
@@ -130,7 +105,6 @@ mod tests {
         for s in [
             SfpSpec::sfp10g_zr(),
             SfpSpec::sfp28_lr(),
-            SfpSpec::sfp28_er(),
             SfpSpec::qsfp28_100g(),
         ] {
             assert!(s.optimal_goodput_gbps < s.line_rate_gbps, "{}", s.name);

@@ -111,14 +111,6 @@ impl WdmLink {
     pub fn link_closes(&self) -> bool {
         self.lane_margins_db().iter().all(|&(_, m)| m >= 0.0)
     }
-
-    /// The worst lane's margin (dB): the link's effective margin.
-    pub fn worst_lane_margin_db(&self) -> f64 {
-        self.lane_margins_db()
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -178,16 +170,5 @@ mod tests {
             .unwrap()
             .1;
         assert!(((single - center_lane) - 10.0 * 4f64.log10()).abs() < 0.3);
-    }
-
-    #[test]
-    fn worst_lane_margin_is_min() {
-        let link = WdmLink::hundred_g_cwdm4(12e-3, 1.5, ChromaticCollimator::commodity(1311.0));
-        let min = link
-            .lane_margins_db()
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(link.worst_lane_margin_db(), min);
     }
 }

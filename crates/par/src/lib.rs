@@ -162,50 +162,6 @@ where
     par_map_indexed(items.len(), min_chunk, |i| f(&items[i]))
 }
 
-/// First-wins argmax reduction over `0..n` by strictly-greater comparison —
-/// the reduction shape of every exhaustive grid scan in the workspace.
-///
-/// `eval` maps an index to a score. Returns `(index, score)` of the first
-/// index attaining the maximum (ties broken towards the lower index),
-/// exactly as the serial left-to-right `>` scan would. Work is chunked
-/// contiguously and each chunk's local first-wins maximum is combined in
-/// chunk order, which preserves the serial tie-breaking bit-for-bit.
-pub fn par_argmax<F>(n: usize, min_chunk: usize, eval: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if n == 0 {
-        return None;
-    }
-    // One result per chunk, combined in order: identical to the serial scan.
-    let threads = n
-        .checked_div(min_chunk.max(1))
-        .unwrap_or(1)
-        .clamp(1, max_threads());
-    let chunk = n.div_ceil(threads);
-    let chunk_best: Vec<(usize, f64)> = par_map_indexed(threads, 1, |k| {
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let mut best_i = lo;
-        let mut best_v = f64::NEG_INFINITY;
-        for i in lo..hi {
-            let v = eval(i);
-            if v > best_v {
-                best_v = v;
-                best_i = i;
-            }
-        }
-        (best_i, best_v)
-    });
-    let mut best = (0usize, f64::NEG_INFINITY);
-    for &(i, v) in &chunk_best {
-        if v > best.1 {
-            best = (i, v);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,28 +188,6 @@ mod tests {
         // min_chunk larger than n forces a single chunk; must still work.
         let out = par_map_indexed(5, 100, |i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn argmax_matches_serial_first_wins() {
-        // A landscape with an exact tie: first index must win at any
-        // thread count.
-        let vals: Vec<f64> = (0..997)
-            .map(|i| ((i % 91) as f64) - ((i / 200) as f64) * 0.0)
-            .collect();
-        let serial = {
-            let mut best = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in vals.iter().enumerate() {
-                if v > best.1 {
-                    best = (i, v);
-                }
-            }
-            best
-        };
-        for t in [1, 2, 3, 8, 32] {
-            let got = with_threads(t, || par_argmax(vals.len(), 7, |i| vals[i])).unwrap();
-            assert_eq!(got, serial, "threads={t}");
-        }
     }
 
     #[test]
@@ -299,6 +233,5 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(par_map_indexed(0, 1, |i| i).is_empty());
-        assert!(par_argmax(0, 1, |_| 0.0).is_none());
     }
 }

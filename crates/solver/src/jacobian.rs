@@ -14,28 +14,19 @@ impl<F: Fn(&[f64]) -> Vec<f64> + Sync> Residual for F {}
 /// differences.
 ///
 /// `f` maps a parameter vector to a residual vector of fixed length
-/// `n_residuals`. The step for parameter `j` is `rel_step · max(|xⱼ|, 1)`,
+/// `jac.rows`. The step for parameter `j` is `rel_step · max(|xⱼ|, 1)`,
 /// which behaves well across the mixed metre/radian/volt parameter scales in
 /// the Cyclops fits.
+///
+/// The result is written into a caller-owned matrix, so iterative solvers
+/// (LM) can reuse one allocation across iterations.
 ///
 /// Columns are evaluated in parallel. The result is bit-identical to the
 /// serial evaluation: each column depends only on `x` and `j`, and columns
 /// are written back in index order.
-pub fn numeric_jacobian<F>(f: &F, x: &[f64], n_residuals: usize, rel_step: f64) -> DMat
-where
-    F: Residual,
-{
-    let mut jac = DMat::zeros(n_residuals, x.len());
-    numeric_jacobian_into(f, x, rel_step, &mut jac);
-    jac
-}
-
-/// [`numeric_jacobian`] writing into a caller-owned matrix, so iterative
-/// solvers (LM) can reuse one allocation across iterations.
 ///
 /// # Panics
-/// Panics if `jac` is not `n_residuals × x.len()` (the residual length is
-/// taken from `jac.rows`).
+/// Panics if `jac.cols != x.len()`.
 pub fn numeric_jacobian_into<F>(f: &F, x: &[f64], rel_step: f64, jac: &mut DMat)
 where
     F: Residual,
@@ -84,6 +75,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn numeric_jacobian<F: Residual>(f: &F, x: &[f64], m: usize, rel_step: f64) -> DMat {
+        let mut jac = DMat::zeros(m, x.len());
+        numeric_jacobian_into(f, x, rel_step, &mut jac);
+        jac
+    }
 
     #[test]
     fn linear_function_exact() {

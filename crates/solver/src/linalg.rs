@@ -22,32 +22,9 @@ impl DMat {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> DMat {
-        let mut m = DMat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> DMat {
-        assert_eq!(data.len(), rows * cols, "dimension mismatch");
-        DMat { rows, cols, data }
-    }
-
     /// Row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Copies another matrix's contents into this one without reallocating.
@@ -63,15 +40,8 @@ impl DMat {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Computes `AᵀA` (the Gauss–Newton normal matrix).
-    pub fn gram(&self) -> DMat {
-        let mut g = DMat::zeros(self.cols, self.cols);
-        self.gram_into(&mut g);
-        g
-    }
-
-    /// [`DMat::gram`] writing into a caller-owned `cols × cols` matrix, so
-    /// iterative solvers can reuse one allocation.
+    /// Computes `AᵀA` (the Gauss–Newton normal matrix) into a caller-owned
+    /// `cols × cols` matrix, so iterative solvers can reuse one allocation.
     ///
     /// # Panics
     /// Panics if `g` is not `cols × cols`.
@@ -99,14 +69,7 @@ impl DMat {
         }
     }
 
-    /// Computes `Aᵀb`.
-    pub fn t_mul_vec(&self, b: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.t_mul_vec_into(b, &mut out);
-        out
-    }
-
-    /// [`DMat::t_mul_vec`] writing into a caller-owned vector.
+    /// Computes `Aᵀb` into a caller-owned vector.
     ///
     /// # Panics
     /// Panics if `b.len() != rows` or `out.len() != cols`.
@@ -124,33 +87,12 @@ impl DMat {
         }
     }
 
-    /// Computes `A·x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols);
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Solves `A·x = b` via Gaussian elimination with partial pivoting.
-    /// Returns `None` if the matrix is (numerically) singular.
-    ///
-    /// `self` is consumed; callers that want to keep (or reuse) the matrix
-    /// storage should use [`DMat::solve_in_place`].
-    pub fn solve(mut self, b: &[f64]) -> Option<Vec<f64>> {
-        let mut x = b.to_vec();
-        if self.solve_in_place(&mut x) {
-            Some(x)
-        } else {
-            None
-        }
-    }
-
-    /// Solves `A·x = b` in place: `x` holds `b` on entry and the solution on
-    /// exit (its contents are unspecified when `false` — singular — is
-    /// returned). The matrix is destroyed (reduced) but its allocation stays
-    /// with the caller, so iterative solvers can refill and re-solve without
-    /// churning the allocator.
+    /// Solves `A·x = b` in place by Gaussian elimination with partial
+    /// pivoting: `x` holds `b` on entry and the solution on exit (its
+    /// contents are unspecified when `false` — singular — is returned). The
+    /// matrix is destroyed (reduced) but its allocation stays with the
+    /// caller, so iterative solvers can refill and re-solve without churning
+    /// the allocator.
     ///
     /// # Panics
     /// Panics if the matrix is not square or `x.len() != rows`.
@@ -225,18 +167,39 @@ impl std::ops::IndexMut<(usize, usize)> for DMat {
 mod tests {
     use super::*;
 
+    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> DMat {
+        assert_eq!(data.len(), rows * cols, "dimension mismatch");
+        DMat { rows, cols, data }
+    }
+
+    fn solve(mut a: DMat, b: &[f64]) -> Option<Vec<f64>> {
+        let mut x = b.to_vec();
+        a.solve_in_place(&mut x).then_some(x)
+    }
+
+    /// `A·x`, the oracle the solve tests multiply back through.
+    fn mul_vec(a: &DMat, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), a.cols);
+        (0..a.rows)
+            .map(|r| a.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
+            .collect()
+    }
+
     #[test]
     fn identity_solve() {
-        let m = DMat::identity(4);
+        let mut m = DMat::zeros(4, 4);
+        for i in 0..4 {
+            m[(i, i)] = 1.0;
+        }
         let b = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(m.solve(&b).unwrap(), b);
+        assert_eq!(solve(m, &b).unwrap(), b);
     }
 
     #[test]
     fn known_system() {
         // 2x + y = 5; x + 3y = 10  →  x = 1, y = 3.
-        let m = DMat::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
-        let x = m.solve(&[5.0, 10.0]).unwrap();
+        let m = from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let x = solve(m, &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -244,16 +207,16 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_diagonal() {
         // First diagonal entry zero forces a row swap.
-        let m = DMat::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let x = m.solve(&[2.0, 3.0]).unwrap();
+        let m = from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let x = solve(m, &[2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_returns_none() {
-        let m = DMat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert!(m.solve(&[1.0, 2.0]).is_none());
+        let m = from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        assert!(solve(m, &[1.0, 2.0]).is_none());
     }
 
     #[test]
@@ -268,13 +231,10 @@ mod tests {
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let data: Vec<f64> = (0..n * n).map(|_| next()).collect();
-        let a = DMat::from_vec(n, n, data);
+        let a = from_vec(n, n, data);
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
-        let x = a
-            .clone()
-            .solve(&b)
-            .expect("random matrix should be nonsingular");
-        let bx = a.mul_vec(&x);
+        let x = solve(a.clone(), &b).expect("random matrix should be nonsingular");
+        let bx = mul_vec(&a, &x);
         for i in 0..n {
             assert!((bx[i] - b[i]).abs() < 1e-9, "component {i}");
         }
@@ -282,8 +242,8 @@ mod tests {
 
     #[test]
     fn solve_in_place_reuses_storage_and_matches_solve() {
-        let a = DMat::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
-        let expect = a.clone().solve(&[5.0, 10.0]).unwrap();
+        let a = from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let expect = solve(a.clone(), &[5.0, 10.0]).unwrap();
         let mut scratch = DMat::zeros(2, 2);
         let mut x = [5.0, 10.0];
         scratch.copy_from(&a);
@@ -293,33 +253,29 @@ mod tests {
         scratch.copy_from(&a);
         let mut y = [2.0, 3.0];
         assert!(scratch.solve_in_place(&mut y));
-        let back = a.mul_vec(&y);
+        let back = mul_vec(&a, &y);
         assert!((back[0] - 2.0).abs() < 1e-12 && (back[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn gram_and_t_mul_vec() {
         // A = [[1,2],[3,4],[5,6]]
-        let a = DMat::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let g = a.gram();
+        let a = from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut g = DMat::zeros(2, 2);
+        a.gram_into(&mut g);
         assert_eq!(g[(0, 0)], 35.0);
         assert_eq!(g[(0, 1)], 44.0);
         assert_eq!(g[(1, 0)], 44.0);
         assert_eq!(g[(1, 1)], 56.0);
-        let atb = a.t_mul_vec(&[1.0, 1.0, 1.0]);
-        assert_eq!(atb, vec![9.0, 12.0]);
+        let mut atb = [0.0; 2];
+        a.t_mul_vec_into(&[1.0, 1.0, 1.0], &mut atb);
+        assert_eq!(atb, [9.0, 12.0]);
     }
 
     #[test]
     fn mul_vec_matches_manual() {
-        let a = DMat::from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
-        let y = a.mul_vec(&[1.0, 2.0, 3.0]);
+        let a = from_vec(2, 3, vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0]);
+        let y = mul_vec(&a, &[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![7.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_vec_checks_dims() {
-        let _ = DMat::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
     }
 }

@@ -80,7 +80,7 @@ fn cost_of(r: &[f64]) -> f64 {
 /// Minimizes `½‖f(x)‖²` starting from `x0`.
 ///
 /// `f` returns the residual vector; its length must be constant. The Jacobian
-/// is computed numerically ([`crate::jacobian::numeric_jacobian`]), matching
+/// is computed numerically ([`crate::jacobian::numeric_jacobian_into`]), matching
 /// how one would drive `scipy.optimize.least_squares` without analytic
 /// derivatives. The Jacobian columns are evaluated concurrently —
 /// bit-identical to the serial path — which is where the solver spends

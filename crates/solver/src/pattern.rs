@@ -6,8 +6,7 @@
 //! authors' earlier FSONet system \[32\] — the practical implementation is a
 //! multi-resolution search: evaluate a coarse grid pattern around the current
 //! point, move to the best neighbour, shrink the step when no neighbour
-//! improves. This module implements that, plus an optional axis-aligned
-//! initial scan.
+//! improves. This module implements that.
 
 /// Options for [`pattern_search`].
 #[derive(Debug, Clone)]
@@ -127,195 +126,6 @@ where
     }
 }
 
-/// Scans each axis on a uniform grid (holding the others fixed), returning
-/// the best point found. Useful to bootstrap [`pattern_search`] when the
-/// objective is zero except in a small basin (a narrow beam far from the
-/// receiver): the scan sweeps the beam across the whole coverage cone.
-pub fn axis_scan<F>(
-    mut f: F,
-    x0: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    points_per_axis: usize,
-) -> PatternReport
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    assert!(points_per_axis >= 2, "need at least two points per axis");
-    let n = x0.len();
-    let mut x = x0.to_vec();
-    let mut best = f(&x);
-    let mut n_evals = 1usize;
-    for dim in 0..n {
-        let mut best_axis = x[dim];
-        for k in 0..points_per_axis {
-            let t = k as f64 / (points_per_axis - 1) as f64;
-            let v = lower[dim] + t * (upper[dim] - lower[dim]);
-            let mut cand = x.clone();
-            cand[dim] = v;
-            let fv = f(&cand);
-            n_evals += 1;
-            if fv > best {
-                best = fv;
-                best_axis = v;
-            }
-        }
-        x[dim] = best_axis;
-    }
-    PatternReport {
-        params: x,
-        value: best,
-        n_evals,
-    }
-}
-
-/// Jointly scans a *pair* of dimensions `(d0, d1)` on a full 2-D grid while
-/// holding the others fixed, returning the best point found.
-///
-/// This is the bootstrap for the four-voltage alignment search: the received
-/// power is zero until the TX beam grazes the receiver, so the TX voltage
-/// pair must be swept jointly across the whole coverage cone (the bench
-/// procedure that takes "1–2 mins" in §4.2).
-pub fn grid_scan2<F>(
-    mut f: F,
-    x0: &[f64],
-    dims: (usize, usize),
-    lower: (f64, f64),
-    upper: (f64, f64),
-    points_per_axis: usize,
-) -> PatternReport
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    assert!(points_per_axis >= 2);
-    let (d0, d1) = dims;
-    let mut x = x0.to_vec();
-    let mut best = f(&x);
-    let mut n_evals = 1usize;
-    let mut best_pair = (x[d0], x[d1]);
-    let step =
-        |lo: f64, hi: f64, k: usize| lo + (hi - lo) * k as f64 / (points_per_axis - 1) as f64;
-    let mut cand = x.clone();
-    for i in 0..points_per_axis {
-        cand[d0] = step(lower.0, upper.0, i);
-        for j in 0..points_per_axis {
-            cand[d1] = step(lower.1, upper.1, j);
-            let v = f(&cand);
-            n_evals += 1;
-            if v > best {
-                best = v;
-                best_pair = (cand[d0], cand[d1]);
-            }
-        }
-    }
-    x[d0] = best_pair.0;
-    x[d1] = best_pair.1;
-    PatternReport {
-        params: x,
-        value: best,
-        n_evals,
-    }
-}
-
-/// Runs [`pattern_search`] from every start in `starts` and returns the best
-/// result (highest objective; ties broken by start index).
-///
-/// The restarts run concurrently; each run is independent and the winner
-/// is selected by an index-ordered scan, so the result is bit-identical to
-/// the serial execution. `n_evals` is the total across restarts.
-///
-/// # Panics
-/// Panics if `starts` is empty.
-pub fn pattern_search_multistart<F>(
-    f: &F,
-    starts: &[Vec<f64>],
-    opts: &PatternOptions,
-) -> PatternReport
-where
-    F: crate::ScalarObjective,
-{
-    assert!(!starts.is_empty(), "need at least one start");
-    let run = |x0: &Vec<f64>| pattern_search(|x| f(x), x0, opts);
-    let reports = cyclops_par::par_map(starts, 1, run);
-
-    let total_evals: usize = reports.iter().map(|r| r.n_evals).sum();
-    let mut best = None::<PatternReport>;
-    for rep in reports {
-        // MSRV 1.75: spelled as a match rather than `Option::is_none_or`.
-        let take = match &best {
-            None => true,
-            Some(b) => rep.value > b.value,
-        };
-        if take {
-            best = Some(rep);
-        }
-    }
-    let mut best = best.unwrap();
-    best.n_evals = total_evals;
-    best
-}
-
-/// [`grid_scan2`] for `Sync` objectives: rows of the 2-D grid are evaluated
-/// on worker threads.
-///
-/// The result is bit-identical to [`grid_scan2`]: every grid point sees the
-/// same inputs, and the row results are folded in row order with the same
-/// strict-`>` comparison, reproducing the serial first-wins tie-breaking.
-pub fn grid_scan2_sync<F>(
-    f: &F,
-    x0: &[f64],
-    dims: (usize, usize),
-    lower: (f64, f64),
-    upper: (f64, f64),
-    points_per_axis: usize,
-) -> PatternReport
-where
-    F: crate::ScalarObjective,
-{
-    assert!(points_per_axis >= 2);
-    let (d0, d1) = dims;
-    let mut x = x0.to_vec();
-    let best0 = f(&x);
-    let step =
-        |lo: f64, hi: f64, k: usize| lo + (hi - lo) * k as f64 / (points_per_axis - 1) as f64;
-
-    // Each row scans d1 serially and reports its first-wins row maximum.
-    let scan_row = |i: usize| -> (f64, usize) {
-        let mut cand = x0.to_vec();
-        cand[d0] = step(lower.0, upper.0, i);
-        let mut row_best = f64::NEG_INFINITY;
-        let mut row_j = 0usize;
-        for j in 0..points_per_axis {
-            cand[d1] = step(lower.1, upper.1, j);
-            let v = f(&cand);
-            if v > row_best {
-                row_best = v;
-                row_j = j;
-            }
-        }
-        (row_best, row_j)
-    };
-
-    let rows = cyclops_par::par_map_indexed(points_per_axis, 1, scan_row);
-
-    // Fold rows in order with the serial strict-> comparison.
-    let mut best = best0;
-    let mut best_pair = (x[d0], x[d1]);
-    for (i, &(v, j)) in rows.iter().enumerate() {
-        if v > best {
-            best = v;
-            best_pair = (step(lower.0, upper.0, i), step(lower.1, upper.1, j));
-        }
-    }
-    x[d0] = best_pair.0;
-    x[d1] = best_pair.1;
-    PatternReport {
-        params: x,
-        value: best,
-        n_evals: 1 + points_per_axis * points_per_axis,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,68 +171,5 @@ mod tests {
         opts.max_evals = 5;
         let rep = pattern_search(f, &[50.0], &opts);
         assert!(rep.n_evals <= 6);
-    }
-
-    #[test]
-    fn axis_scan_finds_axis_reachable_basin() {
-        // Basin centred on the x-axis through the start point: axis_scan can
-        // walk into it one dimension at a time.
-        let f = |x: &[f64]| -((x[0] - 3.0).powi(2) + (x[1] + 4.0).powi(2));
-        let rep = axis_scan(f, &[0.0, 0.0], &[-10.0, -10.0], &[10.0, 10.0], 101);
-        assert!((rep.params[0] - 3.0).abs() < 0.11, "{:?}", rep.params);
-        assert!((rep.params[1] + 4.0).abs() < 0.11);
-    }
-
-    #[test]
-    fn multistart_pattern_finds_global_peak() {
-        // Two peaks; the one at (4, 4) is taller but needs the right start.
-        let f = |x: &[f64]| {
-            let p1 = (-(x[0] + 4.0).powi(2) - (x[1] + 4.0).powi(2)).exp();
-            let p2 = 2.0 * (-(x[0] - 4.0).powi(2) - (x[1] - 4.0).powi(2)).exp();
-            p1 + p2
-        };
-        let opts = PatternOptions::uniform(2, -10.0, 10.0, 1.0);
-        let starts = vec![vec![-4.5, -4.5], vec![0.0, 0.0], vec![4.5, 4.5]];
-        let rep = pattern_search_multistart(&f, &starts, &opts);
-        assert!((rep.params[0] - 4.0).abs() < 1e-2, "{:?}", rep.params);
-        assert!((rep.params[1] - 4.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn grid_scan2_sync_bit_identical_to_serial() {
-        // Plateaued objective with exact ties to stress tie-breaking.
-        let f = |x: &[f64]| {
-            let d2 = (x[0] - 3.0).powi(2) + (x[1] + 4.0).powi(2);
-            ((4.0 - d2).max(0.0) * 4.0).floor()
-        };
-        let serial = grid_scan2(f, &[0.0, 0.0], (0, 1), (-10.0, -10.0), (10.0, 10.0), 37);
-        for threads in [1, 2, 3, 8] {
-            let par = cyclops_par::with_threads(threads, || {
-                grid_scan2_sync(&f, &[0.0, 0.0], (0, 1), (-10.0, -10.0), (10.0, 10.0), 37)
-            });
-            assert_eq!(par.params, serial.params, "threads={threads}");
-            assert_eq!(par.value.to_bits(), serial.value.to_bits());
-            assert_eq!(par.n_evals, serial.n_evals);
-        }
-    }
-
-    #[test]
-    fn grid_scan2_finds_narrow_offaxis_basin() {
-        // Objective is zero except near (3, -4) — per-axis scans through the
-        // origin never see it; the joint 2-D grid does. This is the structure
-        // of the four-voltage alignment bootstrap.
-        let f = |x: &[f64]| {
-            let d2 = (x[0] - 3.0).powi(2) + (x[1] + 4.0).powi(2);
-            (4.0 - d2).max(0.0)
-        };
-        let axis = axis_scan(f, &[0.0, 0.0], &[-10.0, -10.0], &[10.0, 10.0], 101);
-        assert_eq!(axis.value, 0.0, "axis scan must miss the off-axis basin");
-        let rep = grid_scan2(f, &[0.0, 0.0], (0, 1), (-10.0, -10.0), (10.0, 10.0), 41);
-        assert!(rep.value > 0.0);
-        // Refine with pattern search.
-        let opts = PatternOptions::uniform(2, -10.0, 10.0, 0.5);
-        let rep2 = pattern_search(f, &rep.params, &opts);
-        assert!((rep2.params[0] - 3.0).abs() < 0.01, "{:?}", rep2.params);
-        assert!((rep2.params[1] + 4.0).abs() < 0.01);
     }
 }

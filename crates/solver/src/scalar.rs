@@ -1,43 +1,9 @@
-//! One-dimensional searches: golden-section minimization and threshold
-//! bisection.
+//! One-dimensional threshold bisection.
 //!
 //! [`bisect_threshold`] implements the §5.1 tolerance measurement: "the
 //! maximum angular movement from the aligned position for which the link
 //! remains connected" — i.e. the largest `x` for which a monotone predicate
 //! still holds.
-
-/// Golden-section minimization of a unimodal function on `[a, b]`.
-///
-/// Returns `(x_min, f(x_min))` after narrowing the bracket below `tol`.
-pub fn golden_min<F>(mut f: F, mut a: f64, mut b: f64, tol: f64) -> (f64, f64)
-where
-    F: FnMut(f64) -> f64,
-{
-    assert!(b > a, "invalid bracket");
-    const INV_PHI: f64 = 0.618_033_988_749_894_9;
-    let mut c = b - (b - a) * INV_PHI;
-    let mut d = a + (b - a) * INV_PHI;
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > tol {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - (b - a) * INV_PHI;
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + (b - a) * INV_PHI;
-            fd = f(d);
-        }
-    }
-    let x = (a + b) / 2.0;
-    let fx = f(x);
-    (x, fx)
-}
 
 /// Finds the largest `x` in `[lo, hi]` for which `pred(x)` is true, assuming
 /// `pred` is true at `lo` and monotonically switches to false somewhere in
@@ -74,19 +40,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn golden_finds_parabola_min() {
-        let (x, fx) = golden_min(|x| (x - 1.3).powi(2) + 2.0, -10.0, 10.0, 1e-8);
-        assert!((x - 1.3).abs() < 1e-6);
-        assert!((fx - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn golden_handles_boundary_min() {
-        let (x, _) = golden_min(|x| x, 0.0, 1.0, 1e-8);
-        assert!(x < 1e-6);
-    }
 
     #[test]
     fn bisect_finds_threshold() {

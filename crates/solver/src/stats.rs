@@ -64,20 +64,6 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Empirical CDF evaluated at the given thresholds: fraction of `values`
-/// `≤ t` for each `t`.
-pub fn ecdf_at(values: &[f64], thresholds: &[f64]) -> Vec<f64> {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    thresholds
-        .iter()
-        .map(|t| {
-            let cnt = sorted.partition_point(|v| v <= t);
-            cnt as f64 / sorted.len().max(1) as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,13 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_values() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        let cdf = ecdf_at(&v, &[0.5, 1.0, 2.5, 4.0, 9.0]);
-        assert_eq!(cdf, vec![0.0, 0.25, 0.5, 1.0, 1.0]);
-    }
-
-    #[test]
     fn quantile_unsorted_input() {
         let v = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(quantile(&v, 0.5), 3.0);
@@ -125,14 +104,12 @@ mod tests {
 
     /// Regression for the `partial_cmp().unwrap()` sweep: a NaN in the
     /// sample must not panic the sort. `total_cmp` places NaN above every
-    /// real value, so low quantiles and finite thresholds are unaffected.
+    /// real value, so low quantiles are unaffected.
     #[test]
     fn nan_samples_do_not_panic() {
         let v = [3.0, f64::NAN, 1.0, 2.0];
         assert_eq!(quantile(&v, 0.0), 1.0);
         assert!((quantile(&v, 1.0 / 3.0) - 2.0).abs() < 1e-12);
         assert!(quantile(&v, 1.0).is_nan());
-        let cdf = ecdf_at(&v, &[1.5, 3.5]);
-        assert_eq!(cdf, vec![0.25, 0.75]);
     }
 }

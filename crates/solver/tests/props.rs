@@ -1,10 +1,9 @@
 //! Property-based tests for the optimization substrate.
 
 use cyclops_solver::lm::{levenberg_marquardt, LmOptions};
-use cyclops_solver::nelder_mead::{nelder_mead, NmOptions};
 use cyclops_solver::pattern::{pattern_search, PatternOptions};
-use cyclops_solver::scalar::{bisect_threshold, golden_min};
-use cyclops_solver::stats::{ecdf_at, quantile, ResidualStats};
+use cyclops_solver::scalar::bisect_threshold;
+use cyclops_solver::stats::{quantile, ResidualStats};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,16 +30,6 @@ proptest! {
         prop_assert!((rep.params[1] - ty).abs() < 1e-5);
     }
 
-    /// Nelder–Mead lands in the basin of a shifted quadratic bowl.
-    #[test]
-    fn nm_finds_quadratic_minimum(cx in -4.0..4.0f64, cy in -4.0..4.0f64) {
-        let f = move |x: &[f64]| (x[0] - cx).powi(2) + 2.0 * (x[1] - cy).powi(2) + 1.0;
-        let rep = nelder_mead(f, &[0.0, 0.0], &NmOptions::default());
-        prop_assert!((rep.params[0] - cx).abs() < 1e-2);
-        prop_assert!((rep.params[1] - cy).abs() < 1e-2);
-        prop_assert!((rep.value - 1.0).abs() < 1e-3);
-    }
-
     /// Pattern search respects its box bounds.
     #[test]
     fn pattern_respects_bounds(peak in -20.0..20.0f64, lo in -5.0..-1.0f64, hi in 1.0..5.0f64) {
@@ -62,15 +51,6 @@ proptest! {
         prop_assert!(thr - t < 1e-6);
     }
 
-    /// Golden-section beats both bracket endpoints on a unimodal function.
-    #[test]
-    fn golden_beats_endpoints(c in -3.0..3.0f64) {
-        let f = move |x: f64| (x - c).powi(2);
-        let (x, fx) = golden_min(f, -5.0, 5.0, 1e-9);
-        prop_assert!(fx <= f(-5.0) && fx <= f(5.0));
-        prop_assert!((x - c).abs() < 1e-6);
-    }
-
     /// Quantiles are monotone and bounded by the extremes.
     #[test]
     fn quantiles_monotone(mut values in prop::collection::vec(-100.0..100.0f64, 2..60),
@@ -82,17 +62,6 @@ proptest! {
         values.sort_by(|x, y| x.partial_cmp(y).unwrap());
         prop_assert!(a >= values[0] - 1e-12);
         prop_assert!(b <= values[values.len() - 1] + 1e-12);
-    }
-
-    /// The empirical CDF is a monotone map into \[0, 1\].
-    #[test]
-    fn ecdf_is_monotone(values in prop::collection::vec(-10.0..10.0f64, 1..50)) {
-        let thresholds: Vec<f64> = (-10..=10).map(|k| k as f64).collect();
-        let cdf = ecdf_at(&values, &thresholds);
-        for w in cdf.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-12);
-        }
-        prop_assert!(cdf.iter().all(|&c| (0.0..=1.0).contains(&c)));
     }
 
     /// Residual statistics are internally consistent.
