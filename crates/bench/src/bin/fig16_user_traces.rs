@@ -8,7 +8,8 @@
 
 use cyclops::link::trace_sim::{replay_with_fallback, simulate_trace, TraceSimParams};
 use cyclops::prelude::*;
-use cyclops_bench::{quantile, row, section};
+use cyclops::solver::stats::quantile;
+use cyclops_bench::{row, section};
 
 /// §5.3's multi-second SFP re-lock applied to the §5.4 replay.
 const RELINK_S: f64 = 2.5;

@@ -15,19 +15,22 @@ use cyclops_bench::{row, section};
 fn main() {
     let seed = 52u64;
     section("§5.2: tracking frequency");
-    // Tracking-period statistics from the tracker simulator.
-    let mut tracker = VrhTracker::new(TrackerConfig::default());
-    let headset =
-        cyclops::vrh::headset::Headset::new(cyclops::vrh::headset::HeadsetConfig::identity());
+    // Tracking-period statistics from the tracker model: each report draws
+    // its noise, then the period to the next report.
+    let tracker = TrackerConfig::default();
+    let clean =
+        cyclops::vrh::headset::Headset::new(cyclops::vrh::headset::HeadsetConfig::identity())
+            .true_reported_pose();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let mut periods = Vec::new();
-    let mut last = 0.0;
+    let (mut t, mut last) = (0.0, 0.0);
     for i in 0..50_000 {
-        let rep = tracker.sample(&headset, &mut rng);
+        tracker.jitter(clean, &mut rng);
         if i > 0 {
-            periods.push(rep.t_sample - last);
+            periods.push(t - last);
         }
-        last = rep.t_sample;
+        last = t;
+        t += tracker.draw_period(&mut rng);
     }
     let late = periods.iter().filter(|&&p| p >= 0.0139).count() as f64 / periods.len() as f64;
     let lo = periods.iter().cloned().fold(f64::INFINITY, f64::min) * 1e3;

@@ -195,11 +195,6 @@ pub fn row(cells: &[String], widths: &[usize]) {
     println!("{}", line.trim_end());
 }
 
-/// Quantile of a sample (linear interpolation).
-pub fn quantile(values: &[f64], q: f64) -> f64 {
-    cyclops::solver::stats::quantile(values, q)
-}
-
 /// Prints the Fig-14/15-style 2-D speed-bin table: for each (linear,
 /// angular) speed bin with at least `min_windows` members, the fraction of
 /// windows at ≥95 % of `optimal_gbps`, and (optionally) the minimum power.

@@ -288,13 +288,6 @@ impl Deployment {
         Some(self.design.make_beam(ray_world))
     }
 
-    /// The RX imaginary beam (time-reversed collimator launch) in world
-    /// frame, with galvo noise.
-    pub fn rx_imaginary_ray(&mut self) -> Option<Ray> {
-        let ray_body = self.rx.output_ray(&mut self.rng)?;
-        Some(self.rx_world_pose().apply_ray(&ray_body))
-    }
-
     /// The reading floor of the power meter / SFP RSSI (dBm): anything
     /// weaker reads as this value, as on the bench.
     pub const POWER_METER_FLOOR_DBM: f64 = -90.0;
@@ -1124,6 +1117,13 @@ mod tests {
         assert_ne!(a.tx.truth, c.tx.truth);
     }
 
+    /// The RX imaginary beam (time-reversed collimator launch) in world
+    /// frame, with galvo noise.
+    fn rx_imaginary_ray(dep: &mut Deployment) -> Option<Ray> {
+        let ray_body = dep.rx.output_ray(&mut dep.rng)?;
+        Some(dep.rx_world_pose().apply_ray(&ray_body))
+    }
+
     /// [`Deployment::received_power_dbm`] from public parts: the noisy TX
     /// beam and RX imaginary ray, the RX plane of the commanded
     /// second-mirror normal, `efficiency_db` (which recomputes `σ_φ`), and
@@ -1133,7 +1133,7 @@ mod tests {
         let Some(beam) = dep.tx_beam() else {
             return floor;
         };
-        let Some(imag) = dep.rx_imaginary_ray() else {
+        let Some(imag) = rx_imaginary_ray(dep) else {
             return floor;
         };
         let normal = dep.rx_world_pose().apply_dir(dep.rx.second_mirror_normal());

@@ -186,11 +186,6 @@ impl KspaceRig {
         GalvoParams::nominal().transformed(&measured_pose)
     }
 
-    /// Galvo truth expressed in K-space (white-box analysis only).
-    pub fn true_kspace_params(&self) -> GalvoParams {
-        self.galvo.truth.transformed(&self.rig_pose)
-    }
-
     /// Fires the beam at the given voltages and reads the board hit point
     /// (with measurement noise). `None` if the beam misses the board plane.
     pub fn measure_hit(&mut self, v1: f64, v2: f64) -> Option<(f64, f64)> {
@@ -713,7 +708,7 @@ mod tests {
             GalvoSim::new(GalvoParams::nominal(), GalvoSimConfig::default()),
             5,
         );
-        let anchor = rig.true_kspace_params().to_vec();
+        let anchor = rig.galvo.truth.transformed(&rig.rig_pose).to_vec();
         for use_prior in [true, false] {
             let phase_b = PhaseB::new(&samples, &anchor, use_prior);
             for k in 0..24 {

@@ -42,15 +42,4 @@ pub mod recalib;
 pub mod tolerance;
 pub mod tp;
 
-pub use alignment::{exhaustive_align, AlignResult};
-pub use commission::{commission, CommissioningReport, SystemConfig};
-pub use deployment::{Deployment, DeploymentConfig};
-pub use gprime::{gprime, GPrimeResult};
-pub use kspace::{KspaceError, KspaceRig, KspaceTraining};
-pub use mapping::{MappingTraining, TrainedMapping};
-pub use pointing::{pointing, PointingResult};
-pub use recalib::{recalibrate_mapping, DriftMonitor};
-pub use tolerance::{lateral_tolerance, rx_angular_tolerance, tx_angular_tolerance};
-pub use tp::{TpController, TpMetrics};
-
-pub use deployment::cheat_align;
+pub use commission::commission;

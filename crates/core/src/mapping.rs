@@ -18,7 +18,6 @@ use crate::alignment::exhaustive_align;
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
-use cyclops_geom::quat::Quat;
 use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_optics::galvo::GalvoParams;
 use cyclops_solver::lm::{levenberg_marquardt, LmOptions, LmReport};
@@ -145,7 +144,7 @@ pub fn collect_samples_with(
         if res.power_dbm < d.design.sfp.rx_sensitivity_dbm {
             return None;
         }
-        let reported = noisy_report_with(&d, tracker_cfg, &mut rng);
+        let reported = tracker_cfg.jitter(d.headset.true_reported_pose(), &mut rng);
         Some((
             pose,
             MappingSample {
@@ -206,25 +205,7 @@ pub fn random_placement<R: Rng>(rng: &mut R, range: f64) -> Pose {
 /// from the deployment's own RNG.
 pub fn noisy_report(dep: &mut Deployment, cfg: &TrackerConfig) -> Pose {
     let clean = dep.headset.true_reported_pose();
-    noisy_report_of(clean, cfg, dep.rng())
-}
-
-/// One noisy VRH-T pose report of the deployment's headset (bypassing the
-/// timing machinery — mapping collection is quasi-static).
-pub fn noisy_report_with<R: Rng>(dep: &Deployment, cfg: &TrackerConfig, rng: &mut R) -> Pose {
-    noisy_report_of(dep.headset.true_reported_pose(), cfg, rng)
-}
-
-/// Applies VRH-T-style jitter to a clean reported pose.
-pub fn noisy_report_of<R: Rng>(clean: Pose, cfg: &TrackerConfig, rng: &mut R) -> Pose {
-    let [tx, ty, tz, rx, ry, rz] = cyclops_vrh::rand_util::gauss6(rng);
-    let (sp, sa) = (cfg.pos_noise_sigma, cfg.ang_noise_sigma);
-    let jt = v3(tx * sp, ty * sp, tz * sp);
-    let jr = v3(rx * sa, ry * sa, rz * sa);
-    Pose::from_quat(
-        Quat::from_rotation_vector(jr) * clean.quat(),
-        clean.trans + jt,
-    )
+    cfg.jitter(clean, dep.rng())
 }
 
 /// The learner's initial guess for the two mappings: the true composites

@@ -176,11 +176,6 @@ impl ReacqSpiral {
     pub fn center(&self) -> [f64; 4] {
         self.center
     }
-
-    /// Probes taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.k
-    }
 }
 
 /// [`pointing`] with the DAC-step tolerance and the paper's iteration budget.
@@ -379,7 +374,6 @@ mod tests {
             max_r = max_r.max(r);
         }
         assert_eq!(n, 200);
-        assert_eq!(sp.steps_taken(), 200);
         // Budget of 200 steps at 0.02 V reaches r = 0.02·√200 ≈ 0.28 V.
         assert!((max_r - 0.02 * 200f64.sqrt()).abs() < 1e-9, "max r {max_r}");
         assert!(sp.next_voltages().is_none(), "exhausted spiral stays done");

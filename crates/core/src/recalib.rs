@@ -32,8 +32,6 @@ pub struct DriftMonitor {
     ewma_dbm: f64,
     n_obs: u64,
     below_streak: u32,
-    reacq_events: u64,
-    hard_reacq_streak: u32,
 }
 
 impl DriftMonitor {
@@ -47,8 +45,6 @@ impl DriftMonitor {
             ewma_dbm: baseline_dbm,
             n_obs: 0,
             below_streak: 0,
-            reacq_events: 0,
-            hard_reacq_streak: 0,
         }
     }
 
@@ -82,29 +78,6 @@ impl DriftMonitor {
     /// Whether the smoothed power sits below the trigger threshold.
     pub fn is_drifted(&self) -> bool {
         self.ewma_dbm < self.baseline_dbm - self.threshold_db
-    }
-
-    /// Feeds one re-acquisition event: the spiral needed `spiral_steps`
-    /// probes to recover optical signal after an outage. A healthy mapping
-    /// re-closes the link from the TP command alone (zero or a handful of
-    /// probes); repeatedly needing a wide search means the TP is pointing
-    /// somewhere wrong — independent drift evidence that works even when no
-    /// post-realignment power readings are coming in (the link is down).
-    /// Returns `true` when three consecutive re-acquisitions were hard
-    /// searches (> 25 probes).
-    pub fn observe_reacquisition(&mut self, spiral_steps: u64) -> bool {
-        self.reacq_events += 1;
-        if spiral_steps > 25 {
-            self.hard_reacq_streak += 1;
-        } else {
-            self.hard_reacq_streak = 0;
-        }
-        self.hard_reacq_streak >= 3
-    }
-
-    /// Re-acquisition events observed.
-    pub fn reacq_events(&self) -> u64 {
-        self.reacq_events
     }
 }
 
@@ -169,24 +142,6 @@ mod tests {
         }
         assert!(fired);
         assert!(m.is_drifted());
-    }
-
-    #[test]
-    fn reacquisition_evidence_needs_a_streak_of_hard_searches() {
-        let mut m = DriftMonitor::new(-12.0, 3.0);
-        // Easy re-acquisitions (TP pointing fine, outage was motion): never.
-        for _ in 0..10 {
-            assert!(!m.observe_reacquisition(3));
-        }
-        // Two hard searches then an easy one: streak resets.
-        assert!(!m.observe_reacquisition(60));
-        assert!(!m.observe_reacquisition(80));
-        assert!(!m.observe_reacquisition(0));
-        assert!(!m.observe_reacquisition(60));
-        assert!(!m.observe_reacquisition(90));
-        // Third consecutive hard search: drift suspected.
-        assert!(m.observe_reacquisition(70));
-        assert_eq!(m.reacq_events(), 16);
     }
 
     #[test]

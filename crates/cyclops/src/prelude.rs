@@ -28,7 +28,7 @@ pub use cyclops_vrh::motion::{
     ArbitraryMotion, LinearRail, Motion, RotationStage, StaticPose, TracePlayback,
 };
 pub use cyclops_vrh::traces::{HeadTrace, TraceGenConfig};
-pub use cyclops_vrh::tracking::{TrackerConfig, TrackingReport, VrhTracker};
+pub use cyclops_vrh::tracking::TrackerConfig;
 
 pub use cyclops_link::channel::{
     EnvStage, Environment, FogStage, HumanOccluderStage, RainStage, RfChannel, ScintillationStage,
@@ -53,7 +53,7 @@ pub use cyclops_link::sched::{
     SessionSlotState, StaticPartition, TxScheduler,
 };
 pub use cyclops_link::telemetry::{
-    Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry, TelemetryCounters, TelemetryEvent,
+    Histogram, JsonlSink, SessionTelemetry, Telemetry, TelemetryCounters, TelemetryEvent,
     TelemetrySink,
 };
 pub use cyclops_link::trace_sim::{

@@ -28,12 +28,6 @@ impl Plane {
         (p - self.point).dot(self.normal)
     }
 
-    /// Orthogonal projection of `p` onto the plane.
-    #[inline]
-    pub fn project(&self, p: Vec3) -> Vec3 {
-        p - self.normal * self.signed_distance(p)
-    }
-
     /// Ray–plane intersection.
     ///
     /// Returns the parameter `t ≥ 0` and intersection point, or `None` if the
@@ -78,7 +72,9 @@ mod tests {
     fn projection_lands_on_plane() {
         let pl = Plane::new(v3(0.0, 0.0, 1.0), v3(0.0, 1.0, 1.0));
         let p = v3(3.0, -2.0, 5.0);
-        let q = pl.project(p);
+        // Stepping back along the unit normal by the signed distance lands
+        // on the plane.
+        let q = p - pl.normal * pl.signed_distance(p);
         assert!(pl.signed_distance(q).abs() < 1e-12);
         // Projection displacement is parallel to the normal.
         assert!((p - q).cross(pl.normal).norm() < 1e-12);

@@ -72,15 +72,6 @@ impl Ray {
     pub fn angle_to(&self, other: &Ray) -> f64 {
         self.dir.angle_to(other.dir)
     }
-
-    /// The ray with reversed direction from the same origin.
-    #[inline]
-    pub fn reversed(&self) -> Ray {
-        Ray {
-            origin: self.origin,
-            dir: -self.dir,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +136,7 @@ mod tests {
         let a = Ray::new(Vec3::ZERO, Vec3::X);
         let b = Ray::new(v3(9.0, 9.0, 9.0), Vec3::Y);
         assert!((a.angle_to(&b) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert!((a.angle_to(&a.reversed()) - std::f64::consts::PI).abs() < 1e-12);
+        let reversed = Ray::new(a.origin, -a.dir);
+        assert!((a.angle_to(&reversed) - std::f64::consts::PI).abs() < 1e-12);
     }
 }

@@ -1,83 +1,17 @@
 //! Unit conversions used throughout the workspace.
 //!
 //! Conventions: lengths in **metres**, angles in **radians**, time in
-//! **seconds** internally; the paper reports mm, mrad, deg, cm/s, deg/s and
-//! ms, so conversion helpers live here to keep call sites readable and
-//! greppable.
+//! **seconds** internally. The paper quotes voltage-to-angle slopes and
+//! motion ranges in degrees, so the one conversion the code needs lives
+//! here; the reverse direction is `f64::to_degrees`.
 
 /// Radians per degree.
-pub const RAD_PER_DEG: f64 = std::f64::consts::PI / 180.0;
+const RAD_PER_DEG: f64 = std::f64::consts::PI / 180.0;
 
 /// Converts degrees to radians.
 #[inline]
 pub fn deg_to_rad(deg: f64) -> f64 {
     deg * RAD_PER_DEG
-}
-
-/// Converts radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad / RAD_PER_DEG
-}
-
-/// Converts milliradians to radians.
-#[inline]
-pub fn mrad_to_rad(mrad: f64) -> f64 {
-    mrad * 1e-3
-}
-
-/// Converts radians to milliradians.
-#[inline]
-pub fn rad_to_mrad(rad: f64) -> f64 {
-    rad * 1e3
-}
-
-/// Converts millimetres to metres.
-#[inline]
-pub fn mm_to_m(mm: f64) -> f64 {
-    mm * 1e-3
-}
-
-/// Converts metres to millimetres.
-#[inline]
-pub fn m_to_mm(m: f64) -> f64 {
-    m * 1e3
-}
-
-/// Converts centimetres to metres.
-#[inline]
-pub fn cm_to_m(cm: f64) -> f64 {
-    cm * 1e-2
-}
-
-/// Converts metres to centimetres.
-#[inline]
-pub fn m_to_cm(m: f64) -> f64 {
-    m * 1e2
-}
-
-/// Converts inches to metres (the K-space board grid is 1-inch cells).
-#[inline]
-pub fn inch_to_m(inch: f64) -> f64 {
-    inch * 0.0254
-}
-
-/// Converts milliseconds to seconds.
-#[inline]
-pub fn ms_to_s(ms: f64) -> f64 {
-    ms * 1e-3
-}
-
-/// Converts seconds to milliseconds.
-#[inline]
-pub fn s_to_ms(s: f64) -> f64 {
-    s * 1e3
-}
-
-/// Converts microseconds to seconds.
-#[inline]
-pub fn us_to_s(us: f64) -> f64 {
-    us * 1e-6
 }
 
 #[cfg(test)]
@@ -87,28 +21,6 @@ mod tests {
     #[test]
     fn degree_radian_roundtrip() {
         assert!((deg_to_rad(180.0) - std::f64::consts::PI).abs() < 1e-12);
-        assert!((rad_to_deg(deg_to_rad(33.3)) - 33.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mrad() {
-        assert!((mrad_to_rad(5.77) - 0.00577).abs() < 1e-15);
-        assert!((rad_to_mrad(0.002) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lengths() {
-        assert!((mm_to_m(16.0) - 0.016).abs() < 1e-15);
-        assert!((m_to_mm(1.75) - 1750.0).abs() < 1e-9);
-        assert!((cm_to_m(33.0) - 0.33).abs() < 1e-15);
-        assert!((m_to_cm(0.14) - 14.0).abs() < 1e-12);
-        assert!((inch_to_m(1.0) - 0.0254).abs() < 1e-15);
-    }
-
-    #[test]
-    fn times() {
-        assert!((ms_to_s(12.5) - 0.0125).abs() < 1e-15);
-        assert!((s_to_ms(0.3) - 300.0).abs() < 1e-9);
-        assert!((us_to_s(300.0) - 0.0003).abs() < 1e-15);
+        assert!((deg_to_rad(33.3).to_degrees() - 33.3).abs() < 1e-12);
     }
 }

@@ -258,12 +258,6 @@ impl FrameSuccessCache {
         &self.channel
     }
 
-    /// The fixed frame size (bits).
-    #[inline]
-    pub fn frame_bits(&self) -> u64 {
-        self.frame_bits
-    }
-
     #[inline]
     fn compute(&self, rx_dbm: f64) -> f64 {
         self.channel.frame_success_prob(rx_dbm, self.frame_bits)

@@ -226,9 +226,10 @@ impl ControlStats {
 /// Naive truncation (`(run_s / slot_s) as usize`) silently drops the final
 /// slot whenever the quotient lands just below an integer — e.g.
 /// `0.3 / 1e-3` is `299.999…` in binary floating point, so a 300-slot run
-/// would poll only 299 slots. The engine's slot loop rounds
-/// ([`crate::engine::LinkSession::run_each`]); drivers stepping a
-/// [`ControlLink`] by hand should use this for the same contract.
+/// would poll only 299 slots. The engine's run loops
+/// ([`crate::engine::LinkSession::run_each`] and the scheduled fleet) count
+/// their slots with it; drivers stepping a [`ControlLink`] by hand should
+/// too.
 pub fn slots_in(run_s: f64, slot_s: f64) -> usize {
     (run_s / slot_s).round() as usize
 }
@@ -539,17 +540,6 @@ pub struct ControlPlaneConfig {
 }
 
 impl ControlPlaneConfig {
-    /// Fault-free plane with ARQ + DR + re-acquisition enabled — the
-    /// recommended production configuration.
-    pub fn reliable(seed: u64) -> ControlPlaneConfig {
-        ControlPlaneConfig {
-            fault: FaultPlan::clean(seed),
-            arq: Some(ArqConfig::default()),
-            dead_reckoning: Some(DeadReckoningConfig::default()),
-            reacq: Some(ReacqConfig::default()),
-        }
-    }
-
     /// The given fault plan with the full mitigation stack enabled.
     pub fn hardened(fault: FaultPlan) -> ControlPlaneConfig {
         ControlPlaneConfig {

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!                      ┌────────────────────────────┐
-//!                      │   run_slots (slot clock)   │
+//!                      │  slot clock (run / fused)  │
 //!                      └─────────────┬──────────────┘
 //!                                    │ step_slot(k)
 //!                      ┌─────────────▼──────────────┐
@@ -96,7 +96,8 @@ pub use trace::*;
 // Slot clock
 // ---------------------------------------------------------------------------
 
-/// A simulation that advances in fixed slots under [`run_slots`].
+/// A simulation that advances in fixed slots, one
+/// [`SlotSession::step_slot`] call per slot.
 ///
 /// The driver hands each session its slot *index*; the session derives its
 /// own clock from it (sessions differ in how they accumulate time — the
@@ -107,28 +108,8 @@ pub trait SlotSession {
     /// Per-slot output record.
     type Record;
     /// Advances one slot (index `k`, counted from 0 at the start of the
-    /// current [`run_slots`] call) and returns its record.
+    /// current run) and returns its record.
     fn step_slot(&mut self, k: usize) -> Self::Record;
-}
-
-/// The engine's slot clock: drives `session` for `n_slots` slots and
-/// collects the records in slot order.
-pub fn run_slots<S: SlotSession>(session: &mut S, n_slots: usize) -> Vec<S::Record> {
-    let mut out = Vec::with_capacity(n_slots);
-    for k in 0..n_slots {
-        out.push(session.step_slot(k));
-    }
-    out
-}
-
-/// Streaming form of [`run_slots`]: hands each record to `f` in slot order
-/// instead of materializing the vector. Aggregating consumers (the fleet
-/// runner folds a handful of sums per session) use this to keep a session's
-/// memory footprint independent of its duration.
-pub fn fold_slots<S: SlotSession>(session: &mut S, n_slots: usize, mut f: impl FnMut(S::Record)) {
-    for k in 0..n_slots {
-        f(session.step_slot(k));
-    }
 }
 
 // ---------------------------------------------------------------------------

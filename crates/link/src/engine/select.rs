@@ -270,11 +270,6 @@ impl MarginSelector {
         }
     }
 
-    /// Whether a switch is currently in progress.
-    pub fn switching(&self) -> bool {
-        self.switch_remaining_s > 0.0
-    }
-
     /// Advances one step. `margin(i)` must return unit `i`'s link margin in
     /// dB, `NEG_INFINITY` when it is occluded or otherwise unusable; a unit
     /// is selectable iff its margin is ≥ 0. Returns whether the link
@@ -320,5 +315,13 @@ impl MarginSelector {
             }
             None => (false, active), // everything blocked or out of reach
         }
+    }
+}
+
+#[cfg(test)]
+impl MarginSelector {
+    /// Whether a switch is currently in progress.
+    pub(crate) fn switching(&self) -> bool {
+        self.switch_remaining_s > 0.0
     }
 }

@@ -1,15 +1,14 @@
 use super::{
-    fold_slots, EngineConfig, EngineConfigError, FallbackPolicy, FirstReport, LinkPolicy, Occluder,
-    RfFallback, RfStats, SelectCtx, SingleTx, SlotSession, TxSelector,
+    EngineConfig, EngineConfigError, FallbackPolicy, FirstReport, Occluder, RfFallback, RfStats,
+    SelectCtx, SingleTx, SlotSession, TxSelector,
 };
 use crate::channel::FsoChannel;
-use crate::control::{ControlLink, ControlStats};
+use crate::control::{slots_in, ControlLink, ControlStats};
 use crate::sfp_state::SfpLinkState;
 use crate::telemetry::{
     CommandSource, DropReason, SessionTelemetry, Telemetry, TelemetryEvent, TelemetrySink,
 };
 use cyclops_core::deployment::Deployment;
-use cyclops_core::mapping::noisy_report_of;
 use cyclops_core::pointing::ReacqSpiral;
 use cyclops_core::tp::{TpCommand, TpController, TpMetrics};
 use cyclops_geom::pose::Pose;
@@ -421,7 +420,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     /// The one true constructor, behind [`SessionBuilder::build`] (which
     /// has already validated `b`, so it holds at least one unit). The RNG
     /// draw order here is part of the determinism contract: one
-    /// `noisy_report_of` on unit 0's deployment RNG for the pre-start
+    /// `TrackerConfig::jitter` on unit 0's deployment RNG for the pre-start
     /// alignment, then (for [`FirstReport::AfterPeriod`] only) one
     /// `draw_period` on the same RNG.
     fn assemble(b: SessionBuilder<M, S>) -> Self {
@@ -442,7 +441,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         }
         // Align unit 0 against the initial pose, before time zero.
         let clean = units[0].dep.headset.true_reported_pose();
-        let rep = noisy_report_of(clean, &cfg.tracker, units[0].dep.rng());
+        let rep = cfg.tracker.jitter(clean, units[0].dep.rng());
         let [v0, v1, v2, v3] = units[0].ctl.on_report(&rep).voltages;
         units[0].dep.set_voltages(v0, v1, v2, v3);
         let channel = FsoChannel::new(
@@ -499,11 +498,6 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     /// The installed units.
     pub fn units(&self) -> &[TxInstallation] {
         &self.units
-    }
-
-    /// Mutable access to the installed units.
-    pub fn units_mut(&mut self) -> &mut [TxInstallation] {
-        &mut self.units
     }
 
     /// The motion source.
@@ -565,10 +559,12 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     /// `f` in slot order without materializing the per-slot vector — the
     /// same slot loop, so the record stream is identical. Flushes the
     /// telemetry sink (if any) at the end.
-    pub fn run_each(&mut self, duration_s: f64, f: impl FnMut(EngineSlot)) {
-        let n_slots = (duration_s / self.cfg.slot_s).round() as usize;
+    pub fn run_each(&mut self, duration_s: f64, mut f: impl FnMut(EngineSlot)) {
+        let n_slots = slots_in(duration_s, self.cfg.slot_s);
         self.begin_external_run();
-        fold_slots(self, n_slots, f);
+        for k in 0..n_slots {
+            f(self.step_slot(k));
+        }
         self.end_external_run();
     }
 
@@ -609,11 +605,6 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             },
             rf_delivered_gb: self.rf_delivered_gb,
         }
-    }
-
-    /// The RF failover machine, when the fallback is enabled.
-    pub fn rf_policy(&self) -> Option<&LinkPolicy> {
-        self.rf.as_ref().map(|r| &r.policy)
     }
 
     /// TP metrics merged across all units.
@@ -747,15 +738,9 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             );
             self.units[self.active].dep.set_headset_pose(pose);
             // Tracker random-walk drift (the §4 re-calibration trigger).
-            let ds = self.cfg.tracker.drift_sigma_per_sqrt_s;
-            if ds > 0.0 {
-                let dt = (rt - self.last_report_t).max(0.0);
-                let step = ds * dt.sqrt();
-                let rng = self.units[self.active].dep.rng();
-                let [dx, dy] = cyclops_vrh::rand_util::gauss2(rng);
-                let dz = cyclops_vrh::rand_util::gauss(rng);
-                self.drift += cyclops_geom::vec3::v3(dx * step, dy * step, dz * step);
-            }
+            let dt = (rt - self.last_report_t).max(0.0);
+            let rng = self.units[self.active].dep.rng();
+            self.drift += self.cfg.tracker.drift_step(dt, rng);
             self.last_report_t = rt;
             let reported = self.tracker_report(self.active);
             if let Some(link) = self.control.as_mut() {
@@ -828,12 +813,12 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
     fn tracker_report(&mut self, i: usize) -> Pose {
         let u = &mut self.units[i];
         let mut clean = u.dep.headset.true_reported_pose();
-        // Gated like the drift walk: adding a zero drift could still turn a
+        // Gated like `drift_step`: adding a zero drift could still turn a
         // -0.0 coordinate into +0.0 and move drift-free streams.
         if self.cfg.tracker.drift_sigma_per_sqrt_s > 0.0 {
             clean.trans += self.drift;
         }
-        noisy_report_of(clean, &self.cfg.tracker, u.dep.rng())
+        self.cfg.tracker.jitter(clean, u.dep.rng())
     }
 
     /// The one TP-command issue path, on the active unit. With
@@ -1228,5 +1213,13 @@ impl<M: Motion, S: TxSelector> SessionBuilder<M, S> {
             o.validate()?;
         }
         Ok(LinkSession::assemble(self))
+    }
+}
+
+#[cfg(test)]
+impl<M: Motion, S: TxSelector> LinkSession<M, S> {
+    /// Mutable access to the installed units.
+    pub(crate) fn units_mut(&mut self) -> &mut [TxInstallation] {
+        &mut self.units
     }
 }

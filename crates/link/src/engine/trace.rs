@@ -8,7 +8,8 @@ use cyclops_vrh::traces::HeadTrace;
 
 /// The §5.4 drift-model session: plays a head trace against the paper's
 /// realignment/drift/tolerance rules, one boolean (connected?) per slot.
-/// [`crate::trace_sim::simulate_trace`] is this session under [`run_slots`](super::run_slots).
+/// [`crate::trace_sim::simulate_trace`] is this session under its fused
+/// runner, [`TraceSession::run`].
 #[derive(Debug)]
 pub struct TraceSession<'a> {
     trace: &'a HeadTrace,
@@ -49,7 +50,8 @@ impl<'a> TraceSession<'a> {
     }
 
     /// Runs the session for `n_slots`, returning the per-slot connectivity —
-    /// bit-identical to `run_slots(self, n_slots)` but several times faster
+    /// bit-identical to one [`SlotSession::step_slot`] call per slot but
+    /// several times faster
     /// (see `DESIGN.md` §12 for the measured numbers).
     ///
     /// Between events (a report arriving, a realignment completing) the only

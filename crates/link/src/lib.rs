@@ -50,31 +50,3 @@ pub mod telemetry;
 pub mod trace_sim;
 pub mod traffic;
 pub mod video;
-
-pub use channel::{
-    EnvStage, Environment, FogStage, FsoChannel, HumanOccluderStage, RainStage, RfChannel,
-    ScintillationStage,
-};
-pub use control::{
-    slots_in, ArqConfig, ControlLink, ControlPlaneConfig, ControlStats, DeadReckoningConfig,
-    FaultPlan, FlapSchedule, ReacqConfig,
-};
-pub use engine::{
-    run_fleet, run_fleet_mixed, run_slots, BestMargin, DarkDebounce, EngineConfig,
-    EngineConfigError, EngineSlot, FallbackPolicy, FirstReport, FleetConfig, FleetPool,
-    FleetRollup, FleetSummary, LinkPolicy, LinkSession, MarginSelector, RfStats, SessionBuilder,
-    SessionReport, SessionStats, SingleTx, SlotSession, TxInstallation, TxSelector,
-};
-pub use registry::{
-    galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,
-    GalvoProfileDef, HardwareProfile, HardwareProfileBuilder, HeadsetProfileDef, RegistryError,
-    SfpProfileDef,
-};
-pub use sfp_state::SfpLinkState;
-pub use telemetry::{
-    CommandSource, DropReason, Histogram, JsonlSink, NullSink, SessionTelemetry, Telemetry,
-    TelemetryCounters, TelemetryEvent, TelemetrySink,
-};
-pub use trace_sim::{
-    replay_with_fallback, simulate_trace, FallbackReplay, TraceSimParams, TraceSimResult,
-};

@@ -47,6 +47,7 @@
 //! (rate normalized by an EWMA of received service, fairness knob `alpha` —
 //! trades a little aggregate goodput for worst-session QoE).
 
+use crate::control::slots_in;
 use crate::engine::{
     build_fleet_session, EngineConfigError, EngineSlot, FleetConfig, FleetSummary, SlotSession,
     SlotSums, TxInstallation,
@@ -109,11 +110,6 @@ impl GrantSet {
     /// The session holding `unit`, if any.
     pub fn session_of(&self, unit: usize) -> Option<usize> {
         self.session_of[unit].map(|s| s as usize)
-    }
-
-    /// Units in the pool.
-    pub fn n_units(&self) -> usize {
-        self.session_of.len()
     }
 
     /// Grants currently held.
@@ -770,7 +766,7 @@ pub fn run_fleet_with_scheduler(
     }
 
     let slot_s = sessions[0].cfg().slot_s;
-    let n_slots = (fleet.duration_s / slot_s).round() as usize;
+    let n_slots = slots_in(fleet.duration_s, slot_s);
     let sens = units[0].dep.design.sfp.rx_sensitivity_dbm;
     let collect = fleet.collect_telemetry;
 

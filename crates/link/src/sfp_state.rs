@@ -27,15 +27,6 @@ impl SfpLinkState {
         }
     }
 
-    /// Creates the machine in the *down* state.
-    pub fn new_down(relink_time_s: f64) -> SfpLinkState {
-        SfpLinkState {
-            relink_time_s,
-            up: false,
-            signal_held_s: 0.0,
-        }
-    }
-
     /// Advances by `dt` seconds with the given optical-signal presence.
     /// Returns whether the link is up after the step.
     ///
@@ -75,15 +66,6 @@ impl SfpLinkState {
             0.0
         } else {
             self.signal_held_s
-        }
-    }
-
-    /// Fraction of the relink hold completed, in `[0, 1]`; 1 when up.
-    pub fn relink_progress(&self) -> f64 {
-        if self.up {
-            1.0
-        } else {
-            (self.signal_held_s / self.relink_time_s).clamp(0.0, 1.0)
         }
     }
 }
@@ -208,24 +190,20 @@ mod tests {
     fn hold_accessors_track_relink_progress() {
         let mut s = SfpLinkState::new_up(2.0);
         assert_eq!(s.signal_held_s(), 0.0);
-        assert_eq!(s.relink_progress(), 1.0);
         s.step(false, 1e-3);
         assert_eq!(s.signal_held_s(), 0.0);
-        assert_eq!(s.relink_progress(), 0.0);
         for _ in 0..1000 {
             s.step(true, 1e-3);
         }
         assert!((s.signal_held_s() - 1.0).abs() < 1e-9);
-        assert!((s.relink_progress() - 0.5).abs() < 1e-9);
-        // A flap zeroes the hold; re-lock completion pins both at "up".
+        // A flap zeroes the hold; re-lock completion pins it at "up".
         s.step(false, 1e-3);
-        assert_eq!(s.relink_progress(), 0.0);
+        assert_eq!(s.signal_held_s(), 0.0);
         for _ in 0..2000 {
             s.step(true, 1e-3);
         }
         assert!(s.is_up());
         assert_eq!(s.signal_held_s(), 0.0);
-        assert_eq!(s.relink_progress(), 1.0);
     }
 
     #[test]
@@ -238,7 +216,11 @@ mod tests {
 
     #[test]
     fn starts_down_when_requested() {
-        let mut s = SfpLinkState::new_down(0.01);
+        let mut s = SfpLinkState {
+            relink_time_s: 0.01,
+            up: false,
+            signal_held_s: 0.0,
+        };
         assert!(!s.is_up());
         for _ in 0..11 {
             s.step(true, 1e-3);

@@ -10,9 +10,9 @@
 //!   issue/apply, control-channel send/deliver/retransmit/drop, SFP
 //!   lock/unlock, handover decisions, re-acquisition spiral start/probe/end,
 //!   and fleet session start/finish;
-//! * [`TelemetrySink`] — where events go: [`NullSink`] (the default),
-//!   [`JsonlSink`] (one JSON object per line, hand-rolled — the workspace
-//!   builds offline, no serde), or any user type;
+//! * [`TelemetrySink`] — where events go: [`JsonlSink`] (one JSON object
+//!   per line, hand-rolled — the workspace builds offline, no serde) or any
+//!   user type; [`Telemetry::off`], the default, holds no sink at all;
 //! * [`Histogram`] / [`TelemetryCounters`] / [`SessionTelemetry`] —
 //!   fixed-bucket aggregation per session, merged across sessions by
 //!   `run_fleet` into a fleet-level rollup;
@@ -23,9 +23,10 @@
 //!
 //! **Determinism contract.** Telemetry is pure observation: no random draw,
 //! no float computed by the engine, and no control-flow decision depends on
-//! whether a sink is attached. The `engine_digest` bin re-runs a workload
-//! with telemetry disabled, a [`NullSink`], and a [`JsonlSink`] attached and
-//! asserts bit-identical digests at one thread and at four.
+//! whether a sink is attached. The `engine_digest` bin re-runs the chaos
+//! workload with telemetry off, with counters, and with counters plus a
+//! [`JsonlSink`] and asserts bit-identical digests; the engine's unit tests
+//! compare the slot stream under the same three settings and a custom sink.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -233,17 +234,8 @@ pub enum TelemetryEvent {
     },
 }
 
-/// Formats an `f64` as JSON (non-finite values become `null`).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Zero-allocation [`Display`](fmt::Display) form of [`jf`]: formats the
-/// float straight into the caller's buffer (same bytes as `jf`).
+/// Formats an `f64` as JSON (non-finite values become `null`) straight into
+/// the caller's buffer.
 struct Jf(f64);
 
 impl fmt::Display for Jf {
@@ -445,14 +437,6 @@ pub trait TelemetrySink: fmt::Debug + Send {
     fn flush(&mut self) {}
 }
 
-/// The default sink: discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record(&mut self, _ev: &TelemetryEvent) {}
-}
-
 /// Writes one JSON object per event, one per line (JSONL). On the first
 /// write error the sink latches failed and silently drops further events —
 /// a telemetry I/O error must never abort a simulation.
@@ -476,11 +460,6 @@ impl<W: Write + Send> JsonlSink<W> {
         }
     }
 
-    /// Events successfully written so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
     /// Whether a write error occurred (subsequent events were dropped).
     pub fn failed(&self) -> bool {
         self.failed
@@ -498,18 +477,6 @@ impl JsonlSink<io::BufWriter<std::fs::File>> {
         Ok(JsonlSink::new(io::BufWriter::new(std::fs::File::create(
             path,
         )?)))
-    }
-}
-
-impl JsonlSink<Vec<u8>> {
-    /// An in-memory sink (tests, post-run inspection).
-    pub fn in_memory() -> Self {
-        JsonlSink::new(Vec::new())
-    }
-
-    /// The accumulated JSONL text.
-    pub fn into_string(self) -> String {
-        String::from_utf8(self.out).expect("JSONL output is ASCII")
     }
 }
 
@@ -634,21 +601,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Lower edge.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper edge (exclusive).
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Per-bucket counts.
-    pub fn bucket_counts(&self) -> &[u64; HIST_BUCKETS] {
-        &self.counts
-    }
-
     /// Samples below `lo` (includes `-inf`).
     pub fn underflow(&self) -> u64 {
         self.underflow
@@ -657,11 +609,6 @@ impl Histogram {
     /// Samples at or above `hi` (includes `+inf` and `NaN`).
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Total samples recorded (buckets + rails).
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.counts.iter().sum::<u64>()
     }
 
     /// Finite samples (the population behind mean/min/max).
@@ -694,15 +641,15 @@ impl Histogram {
         format!(
             "{{\"lo\":{},\"hi\":{},\"counts\":[{}],\"underflow\":{},\"overflow\":{},\
              \"samples\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-            jf(self.lo),
-            jf(self.hi),
+            Jf(self.lo),
+            Jf(self.hi),
             counts.join(","),
             self.underflow,
             self.overflow,
             self.n_finite,
-            jf(self.mean()),
-            self.min().map_or("null".into(), jf),
-            self.max().map_or("null".into(), jf)
+            Jf(self.mean()),
+            Jf(self.min().unwrap_or(f64::NAN)),
+            Jf(self.max().unwrap_or(f64::NAN))
         )
     }
 }
@@ -1048,12 +995,6 @@ impl Telemetry {
         self.counters.as_deref()
     }
 
-    /// Detaches and returns the sink (e.g. to recover an in-memory
-    /// [`JsonlSink`] after a run).
-    pub fn take_sink(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.sink.take()
-    }
-
     /// Flushes the sink, if any.
     pub fn flush(&mut self) {
         if let Some(s) = self.sink.as_mut() {
@@ -1066,6 +1007,16 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    /// Total samples recorded (buckets + rails).
+    fn total(h: &Histogram) -> u64 {
+        h.underflow + h.overflow + h.counts.iter().sum::<u64>()
+    }
+
+    /// The JSONL text an in-memory sink wrote.
+    fn text(sink: JsonlSink<Vec<u8>>) -> String {
+        String::from_utf8(sink.into_inner()).expect("JSONL output is ASCII")
+    }
+
     #[test]
     fn histogram_bucket_edges_are_half_open() {
         let mut h = Histogram::new(0.0, 16.0);
@@ -1073,11 +1024,11 @@ mod tests {
         h.record(15.999_999); // just below hi → last bucket
         h.record(16.0); // == hi → overflow
         h.record(-1e-12); // below lo → underflow
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[HIST_BUCKETS - 1], 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[HIST_BUCKETS - 1], 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 4);
+        assert_eq!(total(&h), 4);
     }
 
     #[test]
@@ -1128,7 +1079,7 @@ mod tests {
         b.record(9.5);
         b.record(42.0);
         a.merge(&b);
-        assert_eq!(a.total(), 4);
+        assert_eq!(total(&a), 4);
         assert_eq!(a.underflow(), 1);
         assert_eq!(a.overflow(), 1);
         assert_eq!(a.samples(), 4);
@@ -1145,7 +1096,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
-        let mut sink = JsonlSink::in_memory();
+        let mut sink = JsonlSink::new(Vec::new());
         sink.record(&TelemetryEvent::SlotStart { k: 0, t: 1e-3 });
         sink.record(&TelemetryEvent::SfpUp {
             t: 0.5,
@@ -1156,9 +1107,9 @@ mod tests {
             from: 0,
             to: 1,
         });
-        assert_eq!(sink.events_written(), 3);
+        assert_eq!(sink.events, 3);
         assert!(!sink.failed());
-        let text = sink.into_string();
+        let text = text(sink);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for l in &lines {
@@ -1233,15 +1184,15 @@ mod tests {
             TelemetryEvent::RfFailover { t: 0.96 },
             TelemetryEvent::RfFailback { t: 1.2, rf_s: 0.24 },
         ];
-        let mut sink = JsonlSink::in_memory();
+        let mut sink = JsonlSink::new(Vec::new());
         let mut expected = String::new();
         for ev in &events {
             sink.record(ev);
             expected.push_str(&ev.to_json());
             expected.push('\n');
         }
-        assert_eq!(sink.events_written(), events.len() as u64);
-        assert_eq!(sink.into_string(), expected);
+        assert_eq!(sink.events, events.len() as u64);
+        assert_eq!(text(sink), expected);
     }
 
     #[test]
@@ -1311,7 +1262,7 @@ mod tests {
         assert!(!t.is_active());
         t.emit(&TelemetryEvent::SfpDown { t: 0.0 });
         assert!(t.counters_ref().is_none());
-        assert!(t.take_sink().is_none());
+        assert!(t.sink.is_none());
     }
 
     #[test]
@@ -1331,10 +1282,10 @@ mod tests {
 
     #[test]
     fn telemetry_sink_and_counters_both_observe() {
-        let mut t = Telemetry::with_sink_and_counters(Box::new(JsonlSink::in_memory()));
+        let mut t = Telemetry::with_sink_and_counters(Box::new(JsonlSink::new(Vec::new())));
         t.emit(&TelemetryEvent::CtrlSent { t: 0.0 });
         assert_eq!(t.counters_ref().unwrap().events.ctrl_sent, 1);
-        let sink = t.take_sink().unwrap();
+        let sink = t.sink.take().unwrap();
         let dbg = format!("{sink:?}");
         assert!(dbg.contains("events: 1"), "{dbg}");
     }

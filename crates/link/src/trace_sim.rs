@@ -11,14 +11,16 @@
 //! (6 mm) tolerance, the link is marked as disconnected in that timeslot."
 //!
 //! Since the engine refactor the slot loop lives in
-//! [`crate::engine::TraceSession`]; [`simulate_trace`] drives it under
-//! [`run_slots`](crate::engine::run_slots), bit-identically to the
-//! pre-refactor loop.
+//! [`crate::engine::TraceSession`]; [`simulate_trace`] drives it through its
+//! fused runner, bit-identically to one
+//! [`SlotSession::step_slot`](crate::engine::SlotSession::step_slot) call
+//! per slot and to the pre-refactor loop.
 //!
 //! [`simulate_trace`]/[`simulate_corpus`] are the Fig-16 and benchmark
-//! entry points. Code that needs per-slot control or telemetry drives
+//! entry points. Code that needs per-slot control drives
 //! [`crate::engine::TraceSession`] through
-//! [`run_slots`](crate::engine::run_slots) directly.
+//! [`SlotSession::step_slot`](crate::engine::SlotSession::step_slot)
+//! directly.
 
 use crate::engine::{FallbackPolicy, LinkPolicy, TraceSession};
 use crate::sfp_state::SfpLinkState;
@@ -196,7 +198,7 @@ pub fn replay_with_fallback(
 pub fn simulate_trace(trace: &HeadTrace, p: &TraceSimParams) -> TraceSimResult {
     let n_slots = ((trace.duration_s() * 1e3) / p.slot_ms).floor() as usize;
     let mut session = TraceSession::new(trace, *p);
-    // The fused runner is bit-identical to `run_slots(&mut session, n_slots)`
+    // The fused runner is bit-identical to one `step_slot` call per slot
     // (pinned by the trace_corpus engine-digest golden and the
     // `fused_run_matches_step_slot_exactly` test) and ~40× faster.
     let slots_on = session.run(n_slots);
@@ -228,7 +230,7 @@ pub fn simulate_corpus(traces: &[HeadTrace], p: &TraceSimParams) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_slots;
+    use crate::engine::tests::run_slots;
     use cyclops_geom::quat::Quat;
     use cyclops_geom::vec3::{v3, Vec3};
     use cyclops_vrh::traces::{TraceGenConfig, TraceSample};

@@ -73,18 +73,6 @@ impl VideoFormat {
             fps: 60.0,
         }
     }
-
-    /// Life-like per \[31\]: 8K-class field at 1800 fps (lower bound of the
-    /// 2.7–27 Tbps estimate).
-    pub fn life_like_1800() -> VideoFormat {
-        VideoFormat {
-            name: "life-like @1800 [31]",
-            width: 7680,
-            height: 4320,
-            bits_per_pixel: 45,
-            fps: 1800.0,
-        }
-    }
 }
 
 /// Which of the given formats fit in a link of `effective_gbps` goodput.
@@ -114,7 +102,16 @@ mod tests {
 
     #[test]
     fn life_like_is_terabits() {
-        let g = VideoFormat::life_like_1800().gbps();
+        // Life-like per [31]: an 8K-class field at 1800 fps (lower bound of
+        // the 2.7–27 Tbps estimate).
+        let life_like = VideoFormat {
+            name: "life-like @1800 [31]",
+            width: 7680,
+            height: 4320,
+            bits_per_pixel: 45,
+            fps: 1800.0,
+        };
+        let g = life_like.gbps();
         assert!(
             (2_000.0..27_000.0).contains(&g),
             "life-like = {g} Gbps (paper: 2.7–27 Tbps)"

@@ -967,7 +967,9 @@ mod tests {
         // NaN is rejected, not quantized.
         assert!(check_volts(f64::NAN, 0.0).is_err());
         // In-range commands pass through to `command`.
-        assert!(check_volts(0.5, -0.5).map(|()| sim.command(0.5, -0.5)).is_ok());
+        assert!(check_volts(0.5, -0.5)
+            .map(|()| sim.command(0.5, -0.5))
+            .is_ok());
         assert_ne!(sim.voltages(), (0.0, 0.0));
     }
 

@@ -189,12 +189,6 @@ impl Headset {
             .compose(&self.cfg.x_offset)
     }
 
-    /// Maps a point given in the headset body frame to world coordinates —
-    /// e.g. the RX-GMA mounted on the assembly.
-    pub fn body_to_world(&self, p: Vec3) -> Vec3 {
-        self.world_pose.apply_point(p)
-    }
-
     /// Shifts the hidden VR-space by `delta` (applied on the VR side):
     /// simulates a SLAM re-anchoring / re-localization event, after which
     /// every report is expressed in a slightly different frame. Experiment
@@ -300,7 +294,7 @@ mod tests {
             axis_angle(Vec3::Z, std::f64::consts::FRAC_PI_2),
             v3(1.0, 0.0, 0.0),
         );
-        let p = h.body_to_world(v3(1.0, 0.0, 0.0));
+        let p = h.world_pose.apply_point(v3(1.0, 0.0, 0.0));
         assert!((p - v3(1.0, 1.0, 0.0)).norm() < 1e-12);
     }
 

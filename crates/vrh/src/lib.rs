@@ -8,9 +8,12 @@
 //!   within \[the] VRH", and poses are reported "in an unknown coordinate
 //!   space (VR-space)". The learning pipeline never sees either; the
 //!   simulation holds them as ground truth.
-//! * [`tracking`] — the VRH-T simulator: reports every 12–13 ms (0.7 % of
-//!   the time 14–15 ms, §5.2), with the stationary noise the paper measured
-//!   (≤1.79 mm location, ≤0.41 mrad orientation over 30 minutes).
+//! * [`tracking`] — the VRH-T model, [`tracking::TrackerConfig`]: its
+//!   report period (12–13 ms, 0.7 % of the time 14–15 ms, §5.2), its
+//!   optional drift walk, and the stationary report noise the paper
+//!   measured (≤1.79 mm location, ≤0.41 mrad orientation over 30 minutes).
+//!   The engine and the mapping sample collection draw every report
+//!   through it.
 //! * [`motion`] — the §5.3 test rigs as motion models: linear rail strokes,
 //!   rotation-stage sweeps, and free hand-held (Ornstein–Uhlenbeck) motion.
 //! * [`traces`] — 360°-video viewing head-motion traces: a synthetic
@@ -29,8 +32,3 @@ pub mod rand_util;
 pub mod speeds;
 pub mod traces;
 pub mod tracking;
-
-pub use headset::{Headset, HeadsetConfig};
-pub use motion::{ArbitraryMotion, LinearRail, Motion, RotationStage, StaticPose, TracePlayback};
-pub use traces::{HeadTrace, TraceGenConfig, TraceSample};
-pub use tracking::{TrackerConfig, TrackingReport, VrhTracker};

@@ -89,16 +89,6 @@ impl ArbitraryMotion {
         }
     }
 
-    /// Current instantaneous linear speed (m/s).
-    pub fn linear_speed(&self) -> f64 {
-        self.vel.norm()
-    }
-
-    /// Current instantaneous angular speed (rad/s).
-    pub fn angular_speed(&self) -> f64 {
-        self.omega.norm()
-    }
-
     /// One integration step of `cfg.dt`.
     fn step(&mut self) {
         let c = self.cfg;
@@ -151,7 +141,6 @@ impl Motion for ArbitraryMotion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclops_geom::units::rad_to_deg;
 
     #[test]
     fn deterministic_per_seed() {
@@ -204,9 +193,9 @@ mod tests {
             "mean linear {mean_lin} m/s"
         );
         assert!(
-            (5.0..40.0).contains(&rad_to_deg(mean_ang)),
+            (5.0..40.0).contains(&mean_ang.to_degrees()),
             "mean angular {} deg/s",
-            rad_to_deg(mean_ang)
+            mean_ang.to_degrees()
         );
         let max_lin = lin.iter().cloned().fold(0.0, f64::max);
         assert!(max_lin <= 1.01, "cap respected: {max_lin}");

@@ -84,7 +84,6 @@ impl Motion for RotationStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclops_geom::units::rad_to_deg;
     use cyclops_geom::vec3::v3;
 
     fn stage() -> RotationStage {
@@ -96,7 +95,7 @@ mod tests {
         let s = stage();
         for i in 0..20000 {
             let (a, _) = s.angle_and_speed(i as f64 * 0.01);
-            assert!(rad_to_deg(a).abs() <= 9.0 + 1e-9);
+            assert!(a.to_degrees().abs() <= 9.0 + 1e-9);
         }
     }
 
@@ -104,7 +103,7 @@ mod tests {
     fn first_stroke_speed() {
         let s = stage();
         let (_, w) = s.angle_and_speed(1.0);
-        assert!((rad_to_deg(w) - 4.0).abs() < 1e-9);
+        assert!((w.to_degrees() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -112,7 +111,7 @@ mod tests {
         let s = stage();
         // First stroke: 18°/4°s⁻¹ = 4.5 s; second stroke at 6 deg/s.
         let (_, w) = s.angle_and_speed(4.5 + 0.2 + 1.0);
-        assert!((rad_to_deg(w) - 6.0).abs() < 1e-9);
+        assert!((w.to_degrees() - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -132,9 +131,9 @@ mod tests {
         let q2 = s.pose_at(2.010).quat();
         let w = q1.angle_to(&q2) / 0.01;
         assert!(
-            (rad_to_deg(w) - 4.0).abs() < 0.05,
+            (w.to_degrees() - 4.0).abs() < 0.05,
             "got {} deg/s",
-            rad_to_deg(w)
+            w.to_degrees()
         );
     }
 }

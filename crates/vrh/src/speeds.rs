@@ -38,17 +38,6 @@ pub fn pose_speeds(a: &Pose, b: &Pose, dt: f64) -> (f64, f64) {
     )
 }
 
-/// Mean of a window-smoothed speed series: averages each consecutive
-/// `window` samples (the paper reports speeds per 50 ms window, i.e.
-/// `window = 5` for 10 ms samples).
-pub fn window_average(series: &[f64], window: usize) -> Vec<f64> {
-    assert!(window >= 1);
-    series
-        .chunks(window)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,17 +78,6 @@ mod tests {
         let (lin, ang) = pose_speeds(&a, &b, 0.1);
         assert!((lin - 0.3).abs() < 1e-12);
         assert!(ang < 1e-9);
-    }
-
-    #[test]
-    fn window_average_shrinks_series() {
-        let s: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let w = window_average(&s, 5);
-        assert_eq!(w, vec![2.0, 7.0]);
-        // Remainder chunk averaged too.
-        let w2 = window_average(&s, 4);
-        assert_eq!(w2.len(), 3);
-        assert_eq!(w2[2], 8.5);
     }
 
     #[test]

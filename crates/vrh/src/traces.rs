@@ -376,7 +376,6 @@ impl HeadTrace {
 mod tests {
     use super::*;
     use crate::speeds::{angular_speeds, linear_speeds};
-    use cyclops_geom::units::rad_to_deg;
 
     #[test]
     fn generated_trace_has_expected_shape() {
@@ -400,7 +399,7 @@ mod tests {
             lin_max = linear_speeds(&tr).iter().fold(lin_max, |a, &v| a.max(v));
             ang_max = angular_speeds(&tr).iter().fold(ang_max, |a, &v| a.max(v));
         }
-        let ang_max_deg = rad_to_deg(ang_max);
+        let ang_max_deg = ang_max.to_degrees();
         assert!(
             (10.0..=14.5).contains(&(lin_max * 100.0)),
             "linear envelope {:.1} cm/s vs paper's ~14",
@@ -420,9 +419,9 @@ mod tests {
         let ang = angular_speeds(&tr);
         let max_ang = ang.iter().cloned().fold(0.0, f64::max);
         assert!(
-            rad_to_deg(max_ang) > 35.0,
+            max_ang.to_degrees() > 35.0,
             "max angular {} deg/s",
-            rad_to_deg(max_ang)
+            max_ang.to_degrees()
         );
     }
 

@@ -11,9 +11,13 @@
 //!   (§4: "in case of ... VRH-T drift, the only re-training that needs to be
 //!   re-done is the mapping step").
 //!
-//! The tracker wraps a [`Headset`] and emits [`TrackingReport`]s in VR-space.
+//! [`TrackerConfig`] holds the one definition of each of the tracker's
+//! three draws: [`TrackerConfig::draw_period`] (time to the next report),
+//! [`TrackerConfig::drift_step`] (one step of the drift walk) and
+//! [`TrackerConfig::jitter`] (the noise on one report). The engine's slot
+//! loop draws all three, the mapping sample collection draws `jitter`; the
+//! caller owns the clock, the accumulated drift and the RNG.
 
-use crate::headset::Headset;
 use crate::rand_util::{gauss, gauss2, gauss6};
 use cyclops_geom::pose::Pose;
 use cyclops_geom::quat::Quat;
@@ -94,6 +98,38 @@ impl TrackerConfig {
         }
     }
 
+    /// One step of the positional random-walk drift over `dt` seconds since
+    /// the previous report, in VR-space. Draws one [`gauss2`] pair and one
+    /// [`gauss`] whenever drift is enabled, even at `dt = 0`, so a caller's
+    /// RNG stream does not depend on the report spacing; with drift disabled
+    /// it draws nothing and returns zero.
+    pub fn drift_step<R: Rng>(&self, dt: f64, rng: &mut R) -> Vec3 {
+        let ds = self.drift_sigma_per_sqrt_s;
+        if ds > 0.0 {
+            let step = ds * dt.sqrt();
+            let [dx, dy] = gauss2(rng);
+            let dz = gauss(rng);
+            v3(dx * step, dy * step, dz * step)
+        } else {
+            Vec3::ZERO
+        }
+    }
+
+    /// Applies the stationary report noise to a clean reported pose: a
+    /// Gaussian translation (`pos_noise_sigma` per axis) and a Gaussian
+    /// rotation vector (`ang_noise_sigma` per axis), drawn as one
+    /// [`gauss6`].
+    pub fn jitter<R: Rng>(&self, clean: Pose, rng: &mut R) -> Pose {
+        let [tx, ty, tz, rx, ry, rz] = gauss6(rng);
+        let (sp, sa) = (self.pos_noise_sigma, self.ang_noise_sigma);
+        let jt = v3(tx * sp, ty * sp, tz * sp);
+        let jr = v3(rx * sa, ry * sa, rz * sa);
+        Pose::from_quat(
+            Quat::from_rotation_vector(jr) * clean.quat(),
+            clean.trans + jt,
+        )
+    }
+
     /// Checks every field's range; on failure returns what is wrong and the
     /// offending value. Session builders and the hardware registry both
     /// validate through this.
@@ -171,88 +207,6 @@ impl TrackerConfig {
     }
 }
 
-/// One pose report from the headset tracking system.
-#[derive(Debug, Clone, Copy)]
-pub struct TrackingReport {
-    /// Monotonic sequence number.
-    pub seq: u64,
-    /// Time the pose was sampled (seconds).
-    pub t_sample: f64,
-    /// Time the report becomes available at the TX controller (sample time +
-    /// control-channel latency).
-    pub t_available: f64,
-    /// Reported pose of the tracked point, in VR-space, including noise.
-    pub pose: Pose,
-}
-
-/// The VRH-T simulator. Drive it with [`VrhTracker::next_report_time`] /
-/// [`VrhTracker::sample`].
-#[derive(Debug, Clone)]
-pub struct VrhTracker {
-    /// Configuration in effect.
-    pub cfg: TrackerConfig,
-    seq: u64,
-    next_t: f64,
-    last_t: f64,
-    drift: Vec3,
-}
-
-impl VrhTracker {
-    /// Creates a tracker that will emit its first report at `t = 0`.
-    pub fn new(cfg: TrackerConfig) -> VrhTracker {
-        VrhTracker {
-            cfg,
-            seq: 0,
-            next_t: 0.0,
-            last_t: 0.0,
-            drift: Vec3::ZERO,
-        }
-    }
-
-    /// The time of the next report.
-    pub fn next_report_time(&self) -> f64 {
-        self.next_t
-    }
-
-    /// Samples the headset at the scheduled report time, advancing the
-    /// schedule. The caller is responsible for having set
-    /// `headset.world_pose` to the true pose at `self.next_report_time()`.
-    pub fn sample<R: Rng>(&mut self, headset: &Headset, rng: &mut R) -> TrackingReport {
-        let t = self.next_t;
-        let dt = (t - self.last_t).max(0.0);
-        self.last_t = t;
-
-        // Random-walk drift accumulates in VR-space.
-        if self.cfg.drift_sigma_per_sqrt_s > 0.0 && dt > 0.0 {
-            let s = self.cfg.drift_sigma_per_sqrt_s * dt.sqrt();
-            let [dx, dy] = gauss2(rng);
-            self.drift += v3(dx * s, dy * s, gauss(rng) * s);
-        }
-
-        let clean = headset.true_reported_pose();
-        let [tx, ty, tz, rx, ry, rz] = gauss6(rng);
-        let (sp, sa) = (self.cfg.pos_noise_sigma, self.cfg.ang_noise_sigma);
-        let jitter_t = v3(tx * sp, ty * sp, tz * sp);
-        let jitter_rv = v3(rx * sa, ry * sa, rz * sa);
-        let noisy = Pose::from_quat(
-            Quat::from_rotation_vector(jitter_rv) * clean.quat(),
-            clean.trans + jitter_t + self.drift,
-        );
-
-        // Schedule the next report.
-        self.next_t = t + self.cfg.draw_period(rng);
-
-        let rep = TrackingReport {
-            seq: self.seq,
-            t_sample: t,
-            t_available: t + self.cfg.control_channel_latency_s,
-            pose: noisy,
-        };
-        self.seq += 1;
-        rep
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,25 +214,35 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run_reports(cfg: TrackerConfig, n: usize, seed: u64) -> Vec<TrackingReport> {
-        let headset = Headset::new(HeadsetConfig::identity());
-        let mut tracker = VrhTracker::new(cfg);
+    /// Report times of `n` reports from `t = 0`, one `draw_period` each.
+    fn report_times(cfg: &TrackerConfig, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| tracker.sample(&headset, &mut rng)).collect()
+        let mut t = 0.0;
+        (0..n)
+            .map(|_| {
+                let rt = t;
+                t += cfg.draw_period(&mut rng);
+                rt
+            })
+            .collect()
+    }
+
+    fn stationary_pose() -> Pose {
+        Headset::new(HeadsetConfig::identity()).true_reported_pose()
     }
 
     #[test]
     fn periods_match_paper_distribution() {
-        let reps = run_reports(TrackerConfig::default(), 20_000, 3);
+        let times = report_times(&TrackerConfig::default(), 20_000, 3);
         let mut late = 0usize;
-        for w in reps.windows(2) {
-            let dt = w[1].t_sample - w[0].t_sample;
+        for w in times.windows(2) {
+            let dt = w[1] - w[0];
             assert!((0.0119..=0.0151).contains(&dt), "period {dt}");
             if dt >= 0.0139 {
                 late += 1;
             }
         }
-        let frac = late as f64 / (reps.len() - 1) as f64;
+        let frac = late as f64 / (times.len() - 1) as f64;
         assert!(
             (0.004..0.011).contains(&frac),
             "late fraction {frac} (paper: 0.7 %)"
@@ -289,16 +253,19 @@ mod tests {
     fn stationary_noise_magnitude_matches_paper() {
         // Stationary headset: peak-to-peak position ≈ 1.79 mm, orientation
         // ≈ 0.41 mrad (±25 % slack for finite samples).
-        let reps = run_reports(TrackerConfig::default(), 140_000, 7); // ≈ 30 min
-        let ref_pose = Headset::new(HeadsetConfig::identity()).true_reported_pose();
+        let cfg = TrackerConfig::default();
+        let ref_pose = stationary_pose();
+        let mut rng = StdRng::seed_from_u64(7);
         let mut max_pos: f64 = 0.0;
         let mut min_pos: f64 = 0.0;
         let mut max_ang: f64 = 0.0;
-        for r in &reps {
-            let dx = r.pose.trans.x - ref_pose.trans.x;
+        for _ in 0..140_000 {
+            // ≈ 30 min of reports
+            let r = cfg.jitter(ref_pose, &mut rng);
+            let dx = r.trans.x - ref_pose.trans.x;
             max_pos = max_pos.max(dx);
             min_pos = min_pos.min(dx);
-            max_ang = max_ang.max(ref_pose.quat().angle_to(&r.pose.quat()));
+            max_ang = max_ang.max(ref_pose.quat().angle_to(&r.quat()));
         }
         let p2p_mm = (max_pos - min_pos) * 1e3;
         assert!((1.2..2.6).contains(&p2p_mm), "p2p position {p2p_mm} mm");
@@ -310,28 +277,23 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_sequenced_and_latency_applied() {
-        let reps = run_reports(TrackerConfig::default(), 10, 1);
-        for (i, r) in reps.iter().enumerate() {
-            assert_eq!(r.seq, i as u64);
-            assert!((r.t_available - r.t_sample - 0.5e-3).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn ideal_tracker_is_exact() {
-        let reps = run_reports(TrackerConfig::ideal(0.01), 100, 9);
-        let truth = Headset::new(HeadsetConfig::identity()).true_reported_pose();
-        for (i, r) in reps.iter().enumerate() {
-            assert!((r.t_sample - i as f64 * 0.01).abs() < 1e-9);
-            assert!((r.pose.trans - truth.trans).norm() < 1e-15);
+        let cfg = TrackerConfig::ideal(0.01);
+        for (i, t) in report_times(&cfg, 100, 9).into_iter().enumerate() {
+            assert!((t - i as f64 * 0.01).abs() < 1e-9);
+        }
+        let truth = stationary_pose();
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..100 {
+            let r = cfg.jitter(truth, &mut rng);
+            assert!((r.trans - truth.trans).norm() < 1e-15);
         }
     }
 
     #[test]
     fn high_rate_tracker_reports_faster() {
-        let fast = run_reports(TrackerConfig::high_rate(4.0), 100, 2);
-        let dt = fast[99].t_sample / 99.0;
+        let fast = report_times(&TrackerConfig::high_rate(4.0), 100, 2);
+        let dt = fast[99] / 99.0;
         assert!((0.0028..0.0035).contains(&dt), "mean period {dt}");
     }
 
@@ -339,16 +301,39 @@ mod tests {
     fn drift_accumulates_when_enabled() {
         let cfg = TrackerConfig {
             drift_sigma_per_sqrt_s: 1e-3,
-            pos_noise_sigma: 0.0,
-            ang_noise_sigma: 0.0,
             ..Default::default()
         };
-        let reps = run_reports(cfg, 50_000, 4);
-        let first = reps.first().unwrap().pose.trans;
-        let last = reps.last().unwrap().pose.trans;
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut drift = Vec3::ZERO;
+        for _ in 0..50_000 {
+            let dt = cfg.draw_period(&mut rng);
+            drift += cfg.drift_step(dt, &mut rng);
+        }
         // Over ~10 min of 1 mm/√s random walk the position should wander
         // several cm (probability of staying within 2 mm is negligible).
-        let drift = (last - first).norm();
+        let drift = drift.norm();
         assert!(drift > 2e-3, "drift {drift}");
+    }
+
+    #[test]
+    fn drift_step_draws_three_deviates_even_at_zero_dt() {
+        let cfg = TrackerConfig {
+            drift_sigma_per_sqrt_s: 1e-3,
+            ..Default::default()
+        };
+        let mut a = StdRng::seed_from_u64(11);
+        let mut b = a.clone();
+        let step = cfg.drift_step(0.0, &mut a);
+        assert_eq!(step.norm(), 0.0);
+        gauss2(&mut b);
+        gauss(&mut b);
+        assert_eq!(
+            a, b,
+            "a zero-dt step must draw one gauss2 pair and one gauss"
+        );
+        // Disabled drift draws nothing and adds nothing.
+        let c = a.clone();
+        assert_eq!(TrackerConfig::default().drift_step(0.5, &mut a), Vec3::ZERO);
+        assert_eq!(a, c);
     }
 }
