@@ -38,6 +38,7 @@ use crate::deployment::{
     DarkCellBound, DarkRow, DarkSweep, Deployment, DARK_DBM, RX_SWEEP_POINTS, TX_SWEEP_POINTS,
 };
 use cyclops_optics::galvo::{VOLT_MAX, VOLT_MIN};
+use cyclops_optics::photodiode::PlacedMonitor;
 use cyclops_optics::power::{dbm_to_mw, mw_to_dbm};
 use cyclops_solver::pattern::{pattern_search, PatternOptions};
 use rand::rngs::StdRng;
@@ -85,7 +86,7 @@ fn par_voltage_scan<R, C>(
 ) -> (f64, f64, f64)
 where
     R: Fn(&Deployment, f64) -> C + Sync,
-    C: FnMut(&mut Deployment, usize, f64) -> f64,
+    C: FnMut(&mut Deployment, usize, f64) -> (f64, usize),
 {
     let rows =
         cyclops_par::par_map_indexed(points, 1, |i| scan_row(dep, stage_seed, points, i, &row));
@@ -99,9 +100,11 @@ where
 }
 
 /// Row `i` of [`par_voltage_scan`] on its reseeded clone of `dep`:
-/// `row(clone, v_a)` makes the row's cell reader, which reads column `j`
-/// (voltage `v_b`) as `cell(clone, j, v_b)`, in column order. Returns the
-/// row's first-wins argmax.
+/// `row(clone, v_a)` makes the row's cell reader. In column order, it reads
+/// column `j` (voltage `v_b`) as `cell(clone, j, v_b) = (score, n)`: the
+/// `n ≥ 1` cells from `j` on all read `score`, and the scan goes on at
+/// column `j + n`. Returns the row's first-wins argmax, which only the
+/// first cell of such a stretch can take.
 fn scan_row<R, C>(
     dep: &Deployment,
     stage_seed: u64,
@@ -111,25 +114,28 @@ fn scan_row<R, C>(
 ) -> (f64, f64, f64)
 where
     R: Fn(&Deployment, f64) -> C,
-    C: FnMut(&mut Deployment, usize, f64) -> f64,
+    C: FnMut(&mut Deployment, usize, f64) -> (f64, usize),
 {
     let mut d = dep.clone();
     *d.rng() = StdRng::seed_from_u64(cyclops_par::mix64(stage_seed, i as u64));
     let va = grid_volts(points, i);
     let mut cell = row(&d, va);
     let mut best = (va, VOLT_MIN, f64::NEG_INFINITY);
-    for j in 0..points {
+    let mut j = 0;
+    while j < points {
         let vb = grid_volts(points, j);
-        let s = cell(&mut d, j, vb);
+        let (s, n) = cell(&mut d, j, vb);
         if s > best.2 {
             best = (va, vb, s);
         }
+        j += n;
     }
     best
 }
 
-/// A coarse-sweep cell reader for row `va` that reads `full(d, v_b)`
-/// except where `bound` proves the reading `+0.0`.
+/// A coarse-sweep cell reader for row `va` ([`scan_row`]) that reads
+/// `full(d, v_b)` one cell at a time, except where `bound` proves a run of
+/// cells to read `+0.0`: those it steps over at once.
 ///
 /// A proved-dark cell reads `+0.0` without commanding the galvo or
 /// drawing; it only adds to the draws the row owes. Those are replayed just
@@ -143,26 +149,28 @@ fn skipping_row<'b, B: DarkSweep>(
     dep: &Deployment,
     va: f64,
     mut full: impl FnMut(&mut Deployment, f64) -> f64 + 'b,
-) -> impl FnMut(&mut Deployment, usize, f64) -> f64 + 'b {
+) -> impl FnMut(&mut Deployment, usize, f64) -> (f64, usize) + 'b {
     let mut row = bound.and_then(|b| DarkRow::new(b, dep, va));
     let mut owed = 0;
     move |d: &mut Deployment, j: usize, vb: f64| {
-        if row.as_mut().is_some_and(|r| r.skips(j)) {
-            owed += 1;
-            return 0.0;
+        let dark = row.as_mut().map_or(0, |r| r.dark_cells(j));
+        if dark > 0 {
+            owed += dark;
+            return (0.0, dark);
         }
         B::replay(d, std::mem::take(&mut owed));
-        full(d, vb)
+        (full(d, vb), 1)
     }
 }
 
-/// The Stage 1 reading of TX voltages `(va, vb)`: the monitor signal, with
-/// the RX left where it is.
-fn monitor_reading(va: f64) -> impl FnMut(&mut Deployment, f64) -> f64 {
+/// The Stage 1 reading of TX voltages `(va, vb)` on the placed `monitor`:
+/// the monitor signal, with the RX left where it is.
+fn monitor_reading(monitor: &PlacedMonitor, va: f64) -> impl FnMut(&mut Deployment, f64) -> f64 {
+    let monitor = *monitor;
     move |d: &mut Deployment, vb: f64| {
         let keep = d.voltages();
         d.set_voltages(va, vb, keep.2, keep.3);
-        d.monitor_signal()
+        d.monitor_signal_at(&monitor)
     }
 }
 
@@ -223,10 +231,12 @@ fn rx_sweep_bound(dep: &Deployment, seed_rx: u64, vt: (f64, f64)) -> Option<Dark
 fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
     // Stage 1: TX coarse sweep on the monitor signal (row-parallel). Cells
     // the monitor bound proves unlit skip the physics; their draws are owed.
+    // The monitor stays placed while only the TX voltages move.
     let seed_tx = dep.rng().next_u64();
     let bound = dep.monitor_dark_bound(&sweep_columns());
+    let monitor = *bound.monitor();
     let (ct1, ct2, _) = par_voltage_scan(dep, seed_tx, TX_SWEEP_POINTS, |d: &Deployment, va| {
-        skipping_row(Some(&bound), d, va, monitor_reading(va))
+        skipping_row(Some(&bound), d, va, monitor_reading(&monitor, va))
     });
     *n_evals += TX_SWEEP_POINTS * TX_SWEEP_POINTS;
 
@@ -235,7 +245,7 @@ fn align_tx(dep: &mut Deployment, n_evals: &mut usize) -> (f64, f64) {
         let keep = dep.voltages();
         dep.set_voltages(v[0], v[1], keep.2, keep.3);
         *n_evals += 1;
-        dep.monitor_signal()
+        dep.monitor_signal_at(&monitor)
     };
     let mut opts = PatternOptions::uniform(2, VOLT_MIN, VOLT_MAX, 0.25);
     opts.shrink_tol = 1e-3;
@@ -311,6 +321,7 @@ mod tests {
     use cyclops_geom::rotation::axis_angle;
     use cyclops_geom::vec3::v3;
     use cyclops_optics::coupling::LinkDesign;
+    use std::cell::Cell;
 
     #[test]
     fn align_reaches_near_optimal_power() {
@@ -380,33 +391,60 @@ mod tests {
         d
     }
 
+    /// What [`rows_match_full_physics`] saw of a sweep: the fractions of
+    /// its cells skipped and tested, and how many cells inside a proved run
+    /// were read in full because their column's flags forbid the skip.
+    struct SweepWalk {
+        skipped: f64,
+        tested: f64,
+        read_in_run: usize,
+    }
+
     /// Every row of a `points`² coarse sweep on `dep`, whose full reading
     /// of row `va` is `reading(va)` and which commands cell `(va, vb)` as
-    /// `command`: the skipping row's argmax has the bits of a full-physics
-    /// scan of the same row; each cell's own test agrees with the per-cell
-    /// reference `per_cell`; and every cell the row skips, by its own test
-    /// or inside a run, is one the reference proves dark. Returns the
-    /// fractions of cells skipped and of cells tested.
+    /// `command`, against a walk of the row cell by cell: the skipping
+    /// row's argmax has the bits of a full-physics scan of the same row;
+    /// each cell's own test agrees with the per-cell reference
+    /// `per_cell(cell, bound, j)`; every cell the walk skips, by its own
+    /// test or inside a run, is one the reference proves dark; and the
+    /// skipping row reads in full exactly the cells the walk does not skip,
+    /// calling its reader once per full reading or run start, not once per
+    /// cell.
     fn rows_match_full_physics<B, F>(
         dep: &Deployment,
         bound: &B,
         points: usize,
         reading: impl Fn(f64) -> F,
         command: impl Fn(&mut Deployment, f64, f64),
-        per_cell: impl Fn(&Deployment, &B) -> bool,
-    ) -> (f64, f64)
+        per_cell: impl Fn(&Deployment, &B, usize) -> bool,
+    ) -> SweepWalk
     where
         B: DarkSweep,
         F: FnMut(&mut Deployment, f64) -> f64,
     {
         let seed = dep.clone().rng().next_u64();
-        let sweep_row = |d: &Deployment, va: f64| skipping_row(Some(bound), d, va, reading(va));
+        let (calls, full_reads) = (Cell::new(0usize), Cell::new(0usize));
+        let sweep_row = |d: &Deployment, va: f64| {
+            let (calls, full_reads) = (&calls, &full_reads);
+            let mut full = reading(va);
+            let counted = move |d: &mut Deployment, vb: f64| {
+                full_reads.set(full_reads.get() + 1);
+                full(d, vb)
+            };
+            let mut cell = skipping_row(Some(bound), d, va, counted);
+            move |d: &mut Deployment, j: usize, vb: f64| {
+                calls.set(calls.get() + 1);
+                cell(d, j, vb)
+            }
+        };
         let full_row = |_: &Deployment, va: f64| {
             let mut full = reading(va);
-            move |d: &mut Deployment, _: usize, vb: f64| full(d, vb)
+            move |d: &mut Deployment, _: usize, vb: f64| (full(d, vb), 1)
         };
-        let (mut skipped, mut tested) = (0usize, 0usize);
+        let (mut skipped, mut tested, mut read_in_run) = (0usize, 0usize, 0usize);
         for i in 0..points {
+            calls.set(0);
+            full_reads.set(0);
             let got = scan_row(dep, seed, points, i, &sweep_row);
             let want = scan_row(dep, seed, points, i, &full_row);
             assert_eq!(
@@ -417,49 +455,83 @@ mod tests {
             let va = grid_volts(points, i);
             let mut cell = dep.clone();
             let row = bound.row(&cell, va);
-            let mut walk = DarkRow::new(bound, &cell, va);
+            // The cell-by-cell walk: a cell is skipped when its column
+            // allows it and it lies in the run its row's last test proved.
+            // A stretch of skipped cells starts a run at a test, or where
+            // the walk resumes after a full reading.
+            let (mut run_end, mut row_skipped, mut starts, mut resumed) = (0, 0, 0, true);
             for j in 0..points {
                 let vb = grid_volts(points, j);
                 command(&mut cell, va, vb);
-                let reference = per_cell(&cell, bound);
-                let own = bound.column_skippable(j)
-                    && row.is_some_and(|r| bound.dark_run(&r, j).is_some());
+                let reference = per_cell(&cell, bound, j);
+                let skippable = bound.column_skippable(j);
+                let own = skippable && row.is_some_and(|r| bound.dark_run(&r, j).is_some());
                 assert_eq!(own, reference, "cell ({va}, {vb})");
-                let run_end = walk.as_ref().map_or(usize::MAX, |w| w.run_end());
-                tested += usize::from(bound.column_skippable(j) && j >= run_end);
-                if walk.as_mut().is_some_and(|w| w.skips(j)) {
+                let test = row.is_some() && skippable && j >= run_end;
+                if test {
+                    tested += 1;
+                    if let Some(run) = row.and_then(|r| bound.dark_run(&r, j)) {
+                        run_end = j + 1 + run;
+                    }
+                }
+                if skippable && j < run_end {
                     assert!(reference, "skipped cell ({va}, {vb}) is not proved dark");
-                    skipped += 1;
+                    row_skipped += 1;
+                    starts += usize::from(test || resumed);
+                    resumed = false;
+                } else {
+                    read_in_run += usize::from(j < run_end);
+                    resumed = true;
                 }
             }
+            assert_eq!(
+                full_reads.get(),
+                points - row_skipped,
+                "row {i}: full readings"
+            );
+            assert_eq!(
+                calls.get(),
+                full_reads.get() + starts,
+                "row {i}: reader calls"
+            );
+            skipped += row_skipped;
         }
         let cells = (points * points) as f64;
-        (skipped as f64 / cells, tested as f64 / cells)
+        SweepWalk {
+            skipped: skipped as f64 / cells,
+            tested: tested as f64 / cells,
+            read_in_run,
+        }
     }
 
-    /// The Stage 1 sweep of `dep` as posed: `(skipped, tested)` fractions.
-    fn tx_rows_match_full_physics(dep: &Deployment) -> (f64, f64) {
+    /// The Stage 1 sweep of `dep` as posed.
+    fn tx_rows_match_full_physics(dep: &Deployment) -> SweepWalk {
         let bound = dep.monitor_dark_bound(&sweep_columns());
+        let monitor = *bound.monitor();
         rows_match_full_physics(
             dep,
             &bound,
             TX_SWEEP_POINTS,
-            monitor_reading,
+            |va| monitor_reading(&monitor, va),
             |d, va, vb| {
                 let keep = d.voltages();
                 d.set_voltages(va, vb, keep.2, keep.3);
             },
-            |d, b| d.monitor_dark_per_cell(b),
+            |d, b, _| d.monitor_dark_per_cell(b),
         )
     }
 
-    /// The Stage 3 sweep of `dep` at its refined TX voltages.
-    fn rx_rows_match_full_physics(dep: &mut Deployment) -> (f64, f64) {
+    /// The Stage 3 sweep of `dep` at its refined TX voltages, with the
+    /// plane flag of column `down` lowered when it is given.
+    fn rx_rows_match_full_physics(dep: &mut Deployment, down: Option<usize>) -> SweepWalk {
         let (vt1, vt2) = align_tx(dep, &mut 0);
         dep.set_voltages(vt1, vt2, 0.0, 0.0);
-        let bound = dep
+        let mut bound = dep
             .dark_cell_bound(&sweep_columns(), DARK_DBM)
             .expect("refined TX beam traces");
+        if let Some(k) = down {
+            bound = bound.with_plane_flag_down(k);
+        }
         rows_match_full_physics(
             dep,
             &bound,
@@ -468,7 +540,7 @@ mod tests {
             |d, va, vb| {
                 d.set_voltages(vt1, vt2, va, vb);
             },
-            |d, b| d.proves_dark_per_cell(b),
+            |d, b, j| Some(j) != down && d.proves_dark_per_cell(b),
         )
     }
 
@@ -489,16 +561,28 @@ mod tests {
                     let mut rng = StdRng::seed_from_u64(100 * k as u64 + placement);
                     dep.set_headset_pose(random_placement(&mut rng, cfg.design.nominal_range));
                     let tx = tx_rows_match_full_physics(&dep);
-                    let rx = rx_rows_match_full_physics(&mut dep);
+                    let rx = rx_rows_match_full_physics(&mut dep, None);
+                    let rates = [tx.skipped, rx.skipped, tx.tested, rx.tested];
                     if k == 0 && noise_scale == 1.0 {
                         // paper_10g: the bounds must keep firing, and the
                         // runs must spare most of the tests.
-                        assert!(tx.0 >= 0.9 && rx.0 >= 0.9, "skip rates {tx:?} {rx:?}");
-                        assert!(tx.1 <= 0.4 && rx.1 <= 0.15, "test rates {tx:?} {rx:?}");
+                        assert!(rates[0] >= 0.9 && rates[1] >= 0.9, "skip rates {rates:?}");
+                        assert!(rates[2] <= 0.4 && rates[3] <= 0.15, "test rates {rates:?}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_column_the_plane_flag_forbids_is_read_inside_a_run() {
+        // The middle column of the Stage 3 sweep, flagged as if the chief
+        // ray could miss its mirror plane: every run through it stops
+        // there, reads it in full, and resumes after it.
+        let mut dep = Deployment::new(&DeploymentConfig::paper_10g(50));
+        let walk = rx_rows_match_full_physics(&mut dep, Some(RX_SWEEP_POINTS / 2));
+        assert!(walk.read_in_run > 50, "{} cells", walk.read_in_run);
+        assert!(walk.skipped >= 0.9, "skip rate {}", walk.skipped);
     }
 
     /// The Stage 3 sweep of `dep` at TX voltages `vt` under the bound
@@ -526,7 +610,7 @@ mod tests {
             move |d: &mut Deployment, _: usize, vb: f64| {
                 let r = full(d, vb);
                 readings.borrow_mut().push(r);
-                r
+                (r, 1)
             }
         };
         let pruned =
@@ -551,14 +635,17 @@ mod tests {
         for (i, (want, got, readings)) in rows.iter().enumerate() {
             let va = grid_volts(N, i);
             let mut walk = DarkRow::new(&bound, &dep, va);
-            for (j, &r) in readings.iter().enumerate() {
-                if walk.as_mut().is_some_and(|w| w.skips(j)) {
+            let mut j = 0;
+            while j < N {
+                let dark = walk.as_mut().map_or(0, |w| w.dark_cells(j));
+                for (k, &r) in readings.iter().enumerate().skip(j).take(dark) {
                     skipped += 1;
                     match floor {
-                        Some(_) => assert!(r < l, "cell ({i}, {j}) reads {r} ≥ L = {l}"),
-                        None => assert_eq!(r, 0.0, "dark cell ({i}, {j})"),
+                        Some(_) => assert!(r < l, "cell ({i}, {k}) reads {r} ≥ L = {l}"),
+                        None => assert_eq!(r, 0.0, "dark cell ({i}, {k})"),
                     }
                 }
+                j += dark.max(1);
             }
             if want.2 >= l {
                 assert_eq!(bits(*got), bits(*want), "row {i}: {got:?} vs {want:?}");

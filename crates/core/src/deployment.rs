@@ -30,7 +30,7 @@ use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_optics::beam::BeamState;
 use cyclops_optics::coupling::{LinkDesign, ReceiverGeometry};
 use cyclops_optics::galvo::{GalvoParams, GalvoSim, GalvoSimConfig};
-use cyclops_optics::photodiode::QuadrantMonitor;
+use cyclops_optics::photodiode::{PlacedMonitor, QuadrantMonitor};
 use cyclops_vrh::headset::{Headset, HeadsetConfig};
 use cyclops_vrh::rand_util::{gauss, skip_gauss};
 use rand::rngs::StdRng;
@@ -388,9 +388,14 @@ impl Deployment {
         let rx_pose = self.rx_world_pose();
         let rx_pivot = rx_pose.apply_point(self.rx.truth.q2);
         let mirrors = MirrorColumns::new(&self.rx, columns);
-        let meets_plane = mirrors
-            .n2p
-            .map(|n2p| meets_plane_robustly(&chief, &rx_pose, rx_pivot, n2p, margin));
+        let mut plane_until = [RX_SWEEP_POINTS; RX_SWEEP_POINTS];
+        let mut next = RX_SWEEP_POINTS;
+        for j in (0..RX_SWEEP_POINTS).rev() {
+            if !meets_plane_robustly(&chief, &rx_pose, rx_pivot, mirrors.n2p[j], margin) {
+                next = j;
+            }
+            plane_until[j] = next;
+        }
         Some(DarkCellBound {
             tx_volts: self.tx.voltages(),
             source: beam.virtual_source(),
@@ -405,7 +410,7 @@ impl Deployment {
             phi_dark: dark,
             phi_lit: lit,
             mirrors,
-            meets_plane,
+            plane_until,
         })
     }
 
@@ -426,7 +431,7 @@ impl Deployment {
         MonitorDarkBound {
             mirrors: MirrorColumns::new(&self.tx, columns),
             tx_pose: self.tx_pose,
-            geom: self.monitor_geometry(),
+            monitor: self.placed_monitor(),
             profile: self.design.make_beam(Ray::new(Vec3::ZERO, Vec3::Z)),
             ring_radius: self.monitor.ring_radius,
             capture_radius: self
@@ -445,7 +450,11 @@ impl Deployment {
     /// tables and runs are tested against.
     #[cfg(test)]
     pub(crate) fn monitor_dark_per_cell(&self, b: &MonitorDarkBound) -> bool {
-        assert_eq!(self.monitor_geometry(), b.geom, "bound is for another pose");
+        assert_eq!(
+            self.placed_monitor(),
+            b.monitor,
+            "bound is for another pose"
+        );
         self.tx.noiseless_output_ray().is_some_and(|out| {
             b.landing(&self.tx_pose.apply_ray(&out))
                 .is_some_and(|l| b.clears(&l, 0, 0.0))
@@ -481,25 +490,30 @@ impl Deployment {
     /// galvo's second-mirror pivot, facing the TX), so it depends only on
     /// where the TX beam lands — not on the RX galvo steering.
     pub fn monitor_signal(&mut self) -> f64 {
+        let monitor = self.placed_monitor();
+        self.monitor_signal_at(&monitor)
+    }
+
+    /// [`Deployment::monitor_signal`] with the monitor already placed:
+    /// `monitor` must be [`Deployment::placed_monitor`]. The alignment
+    /// search places it once for all its readings at one headset pose.
+    pub(crate) fn monitor_signal_at(&mut self, monitor: &PlacedMonitor) -> f64 {
+        debug_assert_eq!(*monitor, self.placed_monitor(), "stale monitor placement");
         let Some(beam) = self.tx_beam() else {
             return 0.0;
         };
-        self.monitor.search_signal(
-            &beam,
-            &self.monitor_geometry(),
-            self.design.coupling.aperture_radius,
-        )
+        monitor.search_signal(&beam, self.design.coupling.aperture_radius)
     }
 
-    /// The monitor ring's plane: centred on the RX second-mirror pivot and
-    /// facing the TX second-mirror pivot, both exactly as
+    /// The monitor ring on its plane: centred on the RX second-mirror pivot
+    /// and facing the TX second-mirror pivot, both exactly as
     /// `GalvoParams::transformed` maps them. Only the headset pose moves
     /// it.
-    fn monitor_geometry(&self) -> ReceiverGeometry {
+    pub(crate) fn placed_monitor(&self) -> PlacedMonitor {
         let rx_q2 = self.rx_pivot_world();
         let tx_q2 = self.tx_pose.apply_point(self.tx.truth.q2);
         let axis = (tx_q2 - rx_q2).try_normalized(1e-9).unwrap_or(Vec3::Z);
-        ReceiverGeometry::new(rx_q2, axis)
+        self.monitor.place(&ReceiverGeometry::new(rx_q2, axis))
     }
 
     /// The Lemma-1 point pairs at the current voltages, computed from the
@@ -584,8 +598,15 @@ pub(crate) trait DarkSweep {
     /// when no cell of the row can be proved dark.
     fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow>;
 
+    /// The first column at or after `j` whose table flags forbid skipping a
+    /// dark cell there, or the sweep's column count when none does.
+    fn skippable_until(&self, j: usize) -> usize;
+
     /// Whether column `j`'s table flags let a dark cell there be skipped.
-    fn column_skippable(&self, j: usize) -> bool;
+    #[cfg(test)]
+    fn column_skippable(&self, j: usize) -> bool {
+        self.skippable_until(j) > j
+    }
 
     /// When cell `j` of `row` provably reads `+0.0`, how many of the
     /// following columns provably do too: `Some(0)` proves the cell alone.
@@ -597,7 +618,8 @@ pub(crate) trait DarkSweep {
 
 /// One sweep row's dark cells, asked for in column order: a cell is
 /// skipped when its column allows it and it lies in a run that
-/// [`DarkSweep::dark_run`] proved, so one test covers a whole run.
+/// [`DarkSweep::dark_run`] proved, so one test covers a whole run, and the
+/// row steps over the run's cells at once.
 pub(crate) struct DarkRow<'b, B> {
     bound: &'b B,
     row: SweepRow,
@@ -615,26 +637,23 @@ impl<'b, B: DarkSweep> DarkRow<'b, B> {
         })
     }
 
-    /// The first column the last proved run does not cover.
-    #[cfg(test)]
-    pub(crate) fn run_end(&self) -> usize {
-        self.run_end
-    }
-
-    /// Whether cell `j` reads `+0.0` without the physics; `j` must not
-    /// decrease from call to call.
+    /// How many cells from `j` on read `+0.0` without the physics: the
+    /// proved run through `j`, cut at the next column whose flags forbid a
+    /// skip; 0 when cell `j` needs its full reading. `j` must not decrease
+    /// from call to call.
     #[inline]
-    pub(crate) fn skips(&mut self, j: usize) -> bool {
-        if !self.bound.column_skippable(j) {
-            return false;
+    pub(crate) fn dark_cells(&mut self, j: usize) -> usize {
+        let open = self.bound.skippable_until(j);
+        if open == j {
+            return 0;
         }
         if j >= self.run_end {
             let Some(run) = self.bound.dark_run(&self.row, j) else {
-                return false;
+                return 0;
             };
             self.run_end = j + 1 + run;
         }
-        true
+        self.run_end.min(open) - j
     }
 }
 
@@ -748,9 +767,10 @@ pub(crate) struct DarkCellBound {
     phi_dark: f64,
     phi_lit: f64,
     mirrors: MirrorColumns<RX_SWEEP_POINTS>,
-    /// Whether the chief ray meets each column's mirror plane under any
-    /// jitter.
-    meets_plane: [bool; RX_SWEEP_POINTS],
+    /// For each column, the first column at or after it whose mirror plane
+    /// the chief ray may miss under some jitter (the plane flag is down),
+    /// or [`RX_SWEEP_POINTS`].
+    plane_until: [usize; RX_SWEEP_POINTS],
 }
 
 impl DarkCellBound {
@@ -766,6 +786,16 @@ impl DarkCellBound {
         let arriving = self.source.map_or(self.chief.dir, |src| origin - src);
         let norm = arriving.norm();
         (arriving.dot(back) / norm, norm)
+    }
+
+    /// This bound with column `k`'s plane flag down, as when the chief ray
+    /// may miss that column's mirror plane.
+    #[cfg(test)]
+    pub(crate) fn with_plane_flag_down(mut self, k: usize) -> DarkCellBound {
+        for until in &mut self.plane_until[..=k] {
+            *until = (*until).min(k);
+        }
+        self
     }
 
     /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
@@ -812,8 +842,8 @@ impl DarkSweep for DarkCellBound {
     }
 
     #[inline]
-    fn column_skippable(&self, j: usize) -> bool {
-        self.meets_plane[j]
+    fn skippable_until(&self, j: usize) -> usize {
+        self.plane_until[j]
     }
 
     /// A cell is dark when its noiseless `φ` lies inside the dark band.
@@ -888,7 +918,8 @@ struct Landing {
 pub(crate) struct MonitorDarkBound {
     mirrors: MirrorColumns<TX_SWEEP_POINTS>,
     tx_pose: Pose,
-    geom: ReceiverGeometry,
+    /// The monitor as placed for every reading of the sweep.
+    monitor: PlacedMonitor,
     /// The launched beam's profile (its chief ray is unused).
     profile: BeamState,
     ring_radius: f64,
@@ -900,19 +931,25 @@ pub(crate) struct MonitorDarkBound {
 }
 
 impl MonitorDarkBound {
+    /// The monitor as placed for the sweep's readings.
+    pub(crate) fn monitor(&self) -> &PlacedMonitor {
+        &self.monitor
+    }
+
     /// Where `chief` (world frame) lands on the monitor plane, or `None`
     /// unless it heads at the plane from in front of it.
     #[inline]
     fn landing(&self, chief: &Ray) -> Option<Landing> {
-        let n = self.geom.axis;
+        let geom = &self.monitor.rx;
+        let n = geom.axis;
         let cos = chief.dir.dot(n);
-        let ahead = (self.geom.aperture_center - chief.origin).dot(n);
+        let ahead = (geom.aperture_center - chief.origin).dot(n);
         if !(cos < 0.0 && ahead < 0.0) {
             return None;
         }
         let hit = chief.point_at(ahead / cos);
         Some(Landing {
-            dist: (hit - self.geom.aperture_center).norm(),
+            dist: (hit - geom.aperture_center).norm(),
             cos: -cos,
             depth: -ahead,
         })
@@ -958,8 +995,8 @@ impl DarkSweep for MonitorDarkBound {
     }
 
     #[inline]
-    fn column_skippable(&self, _: usize) -> bool {
-        true
+    fn skippable_until(&self, _: usize) -> usize {
+        TX_SWEEP_POINTS
     }
 
     /// A cell is dark when its own landing clears the limit. Every term of
@@ -1451,7 +1488,7 @@ mod tests {
                 let imag = bound.mirrors.out_ray(&row, j).unwrap();
                 angle_dark += usize::from(bound.dark_angle(&imag));
                 assert!(!bound.column_skippable(j), "({va}, {vb})");
-                assert!(!walk.skips(j), "({va}, {vb})");
+                assert_eq!(walk.dark_cells(j), 0, "({va}, {vb})");
                 dep.set_voltages(vt1, vt2, va, vb);
                 assert!(!dep.proves_dark_per_cell(&bound), "({va}, {vb})");
                 assert_eq!(reading_draws(&mut dep), (f64::NEG_INFINITY, 8));

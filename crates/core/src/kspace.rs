@@ -308,18 +308,27 @@ fn push_board_residual(out: &mut Vec<f64>, board: &Plane, line: Option<Ray>, s: 
     }
 }
 
+/// Each sample's mirror turns for the gain `theta1`: `(θ₁·v₁).sin_cos()`
+/// and `(θ₁·v₂).sin_cos()`. They hold for every model with that `θ₁`.
+fn mirror_turns(theta1: f64, samples: &[KspaceSample]) -> Vec<[(f64, f64); 2]> {
+    samples
+        .iter()
+        .map(|s| [(theta1 * s.v1).sin_cos(), (theta1 * s.v2).sin_cos()])
+        .collect()
+}
+
 /// Board-plane residuals of a candidate model against the samples: for each
 /// sample, the (x, y) gap between the traced hit and the recorded target.
-fn residuals(params: &GalvoParams, samples: &[KspaceSample]) -> Vec<f64> {
+/// `turns` are the samples' [`mirror_turns`] for the model's `θ₁`.
+fn residuals(
+    params: &GalvoParams,
+    samples: &[KspaceSample],
+    turns: &[[(f64, f64); 2]],
+) -> Vec<f64> {
     let (board, axes) = (board(), params.axes());
     let mut out = Vec::with_capacity(samples.len() * 2);
-    for s in samples {
-        push_board_residual(
-            &mut out,
-            &board,
-            params.trace_line_with(&axes, s.v1, s.v2),
-            s,
-        );
+    for (s, [sc1, sc2]) in samples.iter().zip(turns) {
+        push_board_residual(&mut out, &board, params.trace_line_sc(&axes, *sc1, *sc2), s);
     }
     out
 }
@@ -371,7 +380,8 @@ impl PhaseB<'_> {
     }
 
     fn residuals(&self, p: &[f64]) -> Vec<f64> {
-        let mut r = residuals(&GalvoParams::from_vec(p), self.samples);
+        let g = GalvoParams::from_vec(p);
+        let mut r = residuals(&g, self.samples, &mirror_turns(g.theta1, self.samples));
         self.push_prior(p, &mut r);
         r
     }
@@ -393,19 +403,21 @@ impl PhaseB<'_> {
     /// - `n2`, `r2` move only `n̂₂′`;
     /// - `θ₁` moves everything, so its columns trace in full.
     ///
-    /// Every reused value is the one the full trace would recompute from
-    /// the same bits, so each residual is unchanged.
+    /// Every other column keeps the base `θ₁`, so its mirror rotations take
+    /// the base point's [`mirror_turns`]. Every reused value is the one the
+    /// full trace would recompute from the same bits, so each residual is
+    /// unchanged.
     fn jacobian_into(&self, x: &[f64], rel_step: f64, jac: &mut DMat) {
         let base = GalvoParams::from_vec(x);
         let axes = base.axes();
-        let traces: Vec<SampleTrace> = self
-            .samples
+        let turns = mirror_turns(base.theta1, self.samples);
+        let traces: Vec<SampleTrace> = turns
             .iter()
-            .map(|s| {
-                let n1p = base.mirror1_normal(&axes, s.v1);
+            .map(|&[sc1, sc2]| {
+                let n1p = base.mirror1_normal_sc(&axes, sc1);
                 SampleTrace {
                     n1p,
-                    n2p: base.mirror2_normal(&axes, s.v2),
+                    n2p: base.mirror2_normal_sc(&axes, sc2),
                     mid: base.mid_line(&axes, n1p),
                 }
             })
@@ -415,18 +427,18 @@ impl PhaseB<'_> {
             let g = GalvoParams::from_vec(p);
             let axes = g.axes();
             let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
-            for (s, b) in self.samples.iter().zip(&traces) {
+            for ((s, b), &[sc1, sc2]) in self.samples.iter().zip(&traces).zip(&turns) {
                 let line = match j / 3 {
                     0 | 1 | 3 => g
                         .mid_line(&axes, b.n1p)
                         .and_then(|mid| g.out_line(&mid, b.n2p)),
                     6 => b.mid.and_then(|mid| g.out_line(&mid, b.n2p)),
                     2 | 4 => g
-                        .mid_line(&axes, g.mirror1_normal(&axes, s.v1))
+                        .mid_line(&axes, g.mirror1_normal_sc(&axes, sc1))
                         .and_then(|mid| g.out_line(&mid, b.n2p)),
                     5 | 7 => b
                         .mid
-                        .and_then(|mid| g.out_line(&mid, g.mirror2_normal(&axes, s.v2))),
+                        .and_then(|mid| g.out_line(&mid, g.mirror2_normal_sc(&axes, sc2))),
                     _ => g.trace_line_with(&axes, s.v1, s.v2),
                 };
                 push_board_residual(&mut r, &board, line, s);
@@ -488,10 +500,12 @@ pub fn fit_with_options(
         check_volts(s.v1, s.v2)?;
     }
 
-    // Phase A: 6-DoF rigid correction on top of the initial guess.
+    // Phase A: 6-DoF rigid correction on top of the initial guess. A pose
+    // leaves θ₁ alone, so every evaluation shares one table of mirror turns.
+    let turns = mirror_turns(initial.theta1, samples);
     let f_pose = |p: &[f64]| {
         let pose = Pose6::from_slice(p).to_pose();
-        residuals(&initial.transformed(&pose), samples)
+        residuals(&initial.transformed(&pose), samples, &turns)
     };
     let opts_a = LmOptions {
         max_iters: 80,

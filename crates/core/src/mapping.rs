@@ -18,8 +18,9 @@ use crate::alignment::exhaustive_align;
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
+use cyclops_geom::ray::Ray;
 use cyclops_geom::vec3::{v3, Vec3};
-use cyclops_optics::galvo::GalvoParams;
+use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
 use cyclops_solver::lm::{levenberg_marquardt, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::tracking::TrackerConfig;
@@ -251,13 +252,53 @@ pub fn rough_initial_guess(
     (perturb(&tx_true, &mut rng), perturb(&rx_true, &mut rng))
 }
 
+/// Each sample's four mirror turns, `(θ₁·v).sin_cos()` for its voltages
+/// `(v_t1, v_t2)` under the TX model's gain and `(v_r1, v_r2)` under the
+/// RX model's. A mapping moves neither gain, so one table serves the fit.
+fn mirror_turns(
+    tx_model: &GalvoParams,
+    rx_model: &GalvoParams,
+    samples: &[MappingSample],
+) -> Vec<[(f64, f64); 4]> {
+    samples
+        .iter()
+        .map(|s| {
+            let v = s.voltages;
+            [
+                (tx_model.theta1 * v[0]).sin_cos(),
+                (tx_model.theta1 * v[1]).sin_cos(),
+                (rx_model.theta1 * v[2]).sin_cos(),
+                (rx_model.theta1 * v[3]).sin_cos(),
+            ]
+        })
+        .collect()
+}
+
+/// A mapped model's output line and tilted second-mirror normal for one
+/// sample's turns `(sc1, sc2)`: the line of `trace_line`, whose own
+/// second-mirror normal is the one `second_mirror_plane` rotates to.
+fn trace_and_normal(
+    g: &GalvoParams,
+    axes: &GalvoAxes,
+    sc1: (f64, f64),
+    sc2: (f64, f64),
+) -> (Option<Ray>, Vec3) {
+    let n2p = g.mirror2_normal_sc(axes, sc2);
+    let line = g
+        .mid_line(axes, g.mirror1_normal_sc(axes, sc1))
+        .and_then(|mid| g.out_line(&mid, n2p));
+    (line, n2p)
+}
+
 /// Residuals of the Lemma-1 error for the LM fit: six components per sample
-/// (the vector gaps `p_t − τ_r` and `p_r − τ_t`).
+/// (the vector gaps `p_t − τ_r` and `p_r − τ_t`). `turns` are the samples'
+/// [`mirror_turns`].
 fn residuals(
     params12: &[f64],
     tx_model: &GalvoParams,
     rx_model: &GalvoParams,
     samples: &[MappingSample],
+    turns: &[[(f64, f64); 4]],
 ) -> Vec<f64> {
     let tx_map = Pose6::from_slice(&params12[0..6]).to_pose();
     let rx_map = Pose6::from_slice(&params12[6..12]).to_pose();
@@ -265,16 +306,14 @@ fn residuals(
     let txp = tx_model.transformed(&tx_map);
     let tx_axes = txp.axes();
     let mut out = Vec::with_capacity(samples.len() * 6);
-    for s in samples {
+    for (s, &[t1, t2, r1, r2]) in samples.iter().zip(turns) {
         let rxp = rx_model.transformed(&s.reported.compose(&rx_map));
         let ok = (|| {
-            let beam_t = txp.trace_line_with(&tx_axes, s.voltages[0], s.voltages[1])?;
-            let beam_r = rxp.trace_line(s.voltages[2], s.voltages[3])?;
-            let (_, tau_t) = rxp
-                .second_mirror_plane(s.voltages[3])
-                .intersect_line(&beam_t)?;
-            let tx_plane = Plane::new(txp.q2, txp.mirror2_normal(&tx_axes, s.voltages[1]));
-            let (_, tau_r) = tx_plane.intersect_line(&beam_r)?;
+            let (beam_t, tx_n2p) = trace_and_normal(&txp, &tx_axes, t1, t2);
+            let (beam_r, rx_n2p) = trace_and_normal(&rxp, &rxp.axes(), r1, r2);
+            let (beam_t, beam_r) = (beam_t?, beam_r?);
+            let (_, tau_t) = Plane::new(rxp.q2, rx_n2p).intersect_line(&beam_t)?;
+            let (_, tau_r) = Plane::new(txp.q2, tx_n2p).intersect_line(&beam_r)?;
             let g1 = beam_t.origin - tau_r;
             let g2 = beam_r.origin - tau_t;
             Some([g1.x, g1.y, g1.z, g2.x, g2.y, g2.z])
@@ -299,9 +338,8 @@ pub fn fit(
     let mut x0 = Vec::with_capacity(12);
     x0.extend_from_slice(&init_tx.to_array());
     x0.extend_from_slice(&init_rx.to_array());
-    let (txm, rxm) = (*tx_model, *rx_model);
-    let samples_owned: Vec<MappingSample> = samples.to_vec();
-    let f = move |p: &[f64]| residuals(p, &txm, &rxm, &samples_owned);
+    let turns = mirror_turns(tx_model, rx_model, samples);
+    let f = |p: &[f64]| residuals(p, tx_model, rx_model, samples, &turns);
     let opts = LmOptions {
         max_iters: 150,
         ..Default::default()

@@ -2,8 +2,9 @@
 //! sessions and fleets from profile + environment flags, stream telemetry
 //! JSONL, and replay synthetic head-trace corpora.
 //!
-//! Arg parsing is hand-rolled (no dependencies); every input error reports
-//! a typed message and exits with status 2, never a panic.
+//! Arg parsing is hand-rolled (no dependencies); every input error, and a
+//! telemetry trace that could not be written in full, reports a typed
+//! message and exits with status 2, never a panic.
 //!
 //! ```sh
 //! cyclops list-profiles
@@ -18,14 +19,17 @@ use cyclops::vrh::motion::ArbitraryMotionConfig;
 use cyclops::vrh::traces::{HeadTrace, TraceGenConfig};
 use cyclops_link::trace_sim::simulate_trace;
 
-/// A CLI failure: what the operator typed wasn't runnable. Everything
-/// converges here so `main` can print one line and exit 2.
+/// A CLI failure: what the operator typed wasn't runnable, or its output
+/// could not be written. Everything converges here so `main` can print one
+/// line and exit 2.
 #[derive(Debug)]
 enum CliError {
     Usage(String),
     Registry(RegistryError),
     Config(EngineConfigError),
     Io(std::io::Error),
+    /// The `--telemetry` sink lost events to a write or flush error.
+    TelemetryIncomplete(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -35,6 +39,10 @@ impl std::fmt::Display for CliError {
             CliError::Registry(e) => write!(f, "{e}"),
             CliError::Config(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
+            CliError::TelemetryIncomplete(path) => write!(
+                f,
+                "telemetry: writing {path} failed; the JSONL trace is incomplete"
+            ),
         }
     }
 }
@@ -307,7 +315,10 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         "outages:      {} (total {:.3} s, longest {:.3} s)",
         stats.n_outages, stats.outage_s, stats.longest_outage_s
     );
-    if let Some(path) = &telemetry {
+    if let Some(path) = telemetry {
+        if session.telemetry_mut().sink_failed() {
+            return Err(CliError::TelemetryIncomplete(path));
+        }
         println!("telemetry:    {path}");
     }
     if digest {

@@ -14,8 +14,16 @@ use crate::vec3::{v3, Vec3};
 /// `R = I + sin(θ)·K + (1 − cos(θ))·K²` where `K` is the cross-product matrix
 /// of the axis.
 pub fn axis_angle(axis: Vec3, angle: f64) -> Mat3 {
+    axis_angle_sc(axis, angle.sin_cos())
+}
+
+/// [`axis_angle`] from the angle's `(sin, cos)`, already computed: a caller
+/// that rotates about several axes by one angle, or by one angle many
+/// times, pays for `sin_cos` once. Bit-identical to `axis_angle(axis, θ)`
+/// when given `θ.sin_cos()`.
+#[inline]
+pub fn axis_angle_sc(axis: Vec3, (s, c): (f64, f64)) -> Mat3 {
     debug_assert!(axis.is_unit(1e-9), "axis must be a unit vector");
-    let (s, c) = angle.sin_cos();
     let t = 1.0 - c;
     let (x, y, z) = (axis.x, axis.y, axis.z);
     Mat3::from_rows(

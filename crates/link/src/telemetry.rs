@@ -435,11 +435,17 @@ pub trait TelemetrySink: fmt::Debug + Send {
     fn record(&mut self, ev: &TelemetryEvent);
     /// Flushes buffered output (no-op by default).
     fn flush(&mut self) {}
+    /// Whether a write or flush error lost events, so the sink's output is
+    /// incomplete (never, by default).
+    fn failed(&self) -> bool {
+        false
+    }
 }
 
 /// Writes one JSON object per event, one per line (JSONL). On the first
-/// write error the sink latches failed and silently drops further events —
-/// a telemetry I/O error must never abort a simulation.
+/// write or flush error the sink latches failed and silently drops further
+/// events — a telemetry I/O error must never abort a simulation; the caller
+/// reads [`TelemetrySink::failed`] once the run is over.
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     /// Reused line buffer: one event = one `write_json` into this buffer +
@@ -458,11 +464,6 @@ impl<W: Write + Send> JsonlSink<W> {
             events: 0,
             failed: false,
         }
-    }
-
-    /// Whether a write error occurred (subsequent events were dropped).
-    pub fn failed(&self) -> bool {
-        self.failed
     }
 
     /// Unwraps the inner writer.
@@ -505,7 +506,13 @@ impl<W: Write + Send> TelemetrySink for JsonlSink<W> {
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.out.flush().is_err() {
+            self.failed = true;
+        }
+    }
+
+    fn failed(&self) -> bool {
+        self.failed
     }
 }
 
@@ -1001,6 +1008,12 @@ impl Telemetry {
             s.flush();
         }
     }
+
+    /// Whether the sink, if any, lost events to an I/O error
+    /// ([`TelemetrySink::failed`]).
+    pub fn sink_failed(&self) -> bool {
+        self.sink.as_ref().is_some_and(|s| s.failed())
+    }
 }
 
 #[cfg(test)]
@@ -1118,6 +1131,35 @@ mod tests {
         assert!(lines[0].contains("\"ev\":\"slot_start\""));
         assert!(lines[1].contains("\"outage_s\":0.25"));
         assert!(lines[2].contains("\"from\":0,\"to\":1"));
+    }
+
+    /// A writer that takes every byte but fails every flush, like a
+    /// buffered file on a full disk.
+    struct FlushFails;
+
+    impl Write for FlushFails {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("no space left on device"))
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_latches_the_sink_failed() {
+        let mut t = Telemetry::with_sink(Box::new(JsonlSink::new(FlushFails)));
+        t.emit(&TelemetryEvent::SlotStart { k: 0, t: 1e-3 });
+        assert!(!t.sink_failed(), "every write succeeded");
+        t.flush();
+        assert!(t.sink_failed(), "the flush error must be reported");
+        // With no sink, or an in-memory one, nothing fails.
+        assert!(!Telemetry::counters().sink_failed());
+        let mut ok = Telemetry::with_sink(Box::new(JsonlSink::new(Vec::new())));
+        ok.emit(&TelemetryEvent::SlotStart { k: 0, t: 1e-3 });
+        ok.flush();
+        assert!(!ok.sink_failed());
     }
 
     #[test]

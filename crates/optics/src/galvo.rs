@@ -27,7 +27,7 @@ use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
 use cyclops_geom::ray::Ray;
 use cyclops_geom::reflect::{reflect_dir, reflect_ray};
-use cyclops_geom::rotation::{axis_angle, rotate_about};
+use cyclops_geom::rotation::{axis_angle, axis_angle_sc, rotate_about};
 use cyclops_geom::units::deg_to_rad;
 use cyclops_geom::vec3::{v3, Vec3};
 use rand::Rng;
@@ -260,13 +260,28 @@ impl GalvoParams {
     /// The tilted first-mirror normal `n̂₁' = R(r̂₁, θ₁·v₁)·n̂₁`.
     #[inline]
     pub fn mirror1_normal(&self, axes: &GalvoAxes, v1: f64) -> Vec3 {
-        axis_angle(axes.r1n, self.theta1 * v1) * axes.n1n
+        self.mirror1_normal_sc(axes, (self.theta1 * v1).sin_cos())
     }
 
     /// The tilted second-mirror normal `n̂₂' = R(r̂₂, θ₁·v₂)·n̂₂`.
     #[inline]
     pub fn mirror2_normal(&self, axes: &GalvoAxes, v2: f64) -> Vec3 {
-        axis_angle(axes.r2n, self.theta1 * v2) * axes.n2n
+        self.mirror2_normal_sc(axes, (self.theta1 * v2).sin_cos())
+    }
+
+    /// [`GalvoParams::mirror1_normal`] from `(θ₁·v₁).sin_cos()`, already
+    /// computed — bit-identical. A fit whose `θ₁` stays put computes each
+    /// sample's sines once.
+    #[inline]
+    pub fn mirror1_normal_sc(&self, axes: &GalvoAxes, sc1: (f64, f64)) -> Vec3 {
+        axis_angle_sc(axes.r1n, sc1) * axes.n1n
+    }
+
+    /// [`GalvoParams::mirror2_normal`] from `(θ₁·v₂).sin_cos()`, already
+    /// computed — bit-identical.
+    #[inline]
+    pub fn mirror2_normal_sc(&self, axes: &GalvoAxes, sc2: (f64, f64)) -> Vec3 {
+        axis_angle_sc(axes.r2n, sc2) * axes.n2n
     }
 
     /// The strict two-reflection path for already-tilted mirror normals:
@@ -313,6 +328,14 @@ impl GalvoParams {
     pub fn trace_line_with(&self, axes: &GalvoAxes, v1: f64, v2: f64) -> Option<Ray> {
         let mid = self.mid_line(axes, self.mirror1_normal(axes, v1))?;
         self.out_line(&mid, self.mirror2_normal(axes, v2))
+    }
+
+    /// [`GalvoParams::trace_line_with`] from `(θ₁·v₁).sin_cos()` and
+    /// `(θ₁·v₂).sin_cos()`, already computed — bit-identical.
+    #[inline]
+    pub fn trace_line_sc(&self, axes: &GalvoAxes, sc1: (f64, f64), sc2: (f64, f64)) -> Option<Ray> {
+        let mid = self.mid_line(axes, self.mirror1_normal_sc(axes, sc1))?;
+        self.out_line(&mid, self.mirror2_normal_sc(axes, sc2))
     }
 
     /// First half of [`GalvoParams::trace_line_with`]: the beam between the
@@ -686,6 +709,12 @@ mod tests {
                 // Hoisted normalizations reproduce the plain paths exactly.
                 assert_eq!(g.trace(v1, v2), g.trace_with(&axes, v1, v2));
                 assert_eq!(g.trace_line(v1, v2), g.trace_line_with(&axes, v1, v2));
+                // So do the rotations' sines, computed ahead.
+                let sc = |v: f64| (g.theta1 * v).sin_cos();
+                assert_eq!(
+                    g.trace_line_sc(&axes, sc(v1), sc(v2)),
+                    g.trace_line_with(&axes, v1, v2)
+                );
             }
         }
     }

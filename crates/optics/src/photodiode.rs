@@ -11,10 +11,11 @@
 use crate::beam::{capture_fraction, BeamState};
 use crate::coupling::ReceiverGeometry;
 use cyclops_geom::plane::Plane;
+use cyclops_geom::vec3::Vec3;
 
 /// Four photodiodes arranged on a ring around the collimator aperture, plus
 /// the aperture itself, forming the alignment-search objective.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrantMonitor {
     /// Ring radius: distance of each diode centre from the aperture centre.
     pub ring_radius: f64,
@@ -34,38 +35,66 @@ impl Default for QuadrantMonitor {
 }
 
 impl QuadrantMonitor {
-    /// The four individual diode signals (linear power fractions of the
-    /// arriving beam), ordered +u, +v, −u, −v in the aperture plane, where
-    /// (u, v) is an arbitrary-but-fixed orthonormal basis perpendicular to
-    /// the receiver axis.
-    ///
-    /// Returns `[0.0; 4]` if the beam misses the receiver plane entirely.
-    pub fn diode_signals(&self, beam: &BeamState, rx: &ReceiverGeometry) -> [f64; 4] {
-        let plane = Plane::new(rx.aperture_center, rx.axis);
-        if beam.chief.dir.dot(rx.axis) >= 0.0 {
-            return [0.0; 4];
-        }
-        let Some((t, hit)) = plane.intersect_line(&beam.chief) else {
-            return [0.0; 4];
-        };
-        if t <= 0.0 {
-            return [0.0; 4];
-        }
-        let w = beam.radius_at(t);
+    /// The monitor around the receiver aperture `rx`: its plane, ring basis
+    /// and diode centres, built once for every reading at that placement.
+    pub fn place(&self, rx: &ReceiverGeometry) -> PlacedMonitor {
+        // (u, v): an arbitrary-but-fixed orthonormal basis perpendicular to
+        // the receiver axis.
         let u = rx.axis.any_perpendicular();
         let v = rx.axis.cross(u).normalized();
-        let centers = [
-            rx.aperture_center + u * self.ring_radius,
-            rx.aperture_center + v * self.ring_radius,
-            rx.aperture_center - u * self.ring_radius,
-            rx.aperture_center - v * self.ring_radius,
-        ];
-        let mut out = [0.0; 4];
-        for (sig, c) in out.iter_mut().zip(centers) {
-            let delta = (hit - c).norm();
-            *sig = capture_fraction(w, delta, self.diode_radius);
+        let c = rx.aperture_center;
+        let r = self.ring_radius;
+        PlacedMonitor {
+            rx: *rx,
+            plane: Plane::new(rx.aperture_center, rx.axis),
+            centers: [c + u * r, c + v * r, c - u * r, c - v * r],
+            diode_radius: self.diode_radius,
         }
-        out
+    }
+}
+
+/// A [`QuadrantMonitor`] placed around one receiver aperture
+/// ([`QuadrantMonitor::place`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlacedMonitor {
+    /// The receiver aperture the ring surrounds.
+    pub rx: ReceiverGeometry,
+    plane: Plane,
+    /// Diode centres, ordered +u, +v, −u, −v in the aperture plane.
+    centers: [Vec3; 4],
+    diode_radius: f64,
+}
+
+impl PlacedMonitor {
+    /// Where the beam's chief ray meets the aperture plane, and the beam
+    /// radius there; `None` when the beam arrives from behind the plane or
+    /// never reaches it, which reads dark.
+    #[inline]
+    fn landing(&self, beam: &BeamState) -> Option<(Vec3, f64)> {
+        if beam.chief.dir.dot(self.rx.axis) >= 0.0 {
+            return None;
+        }
+        let (t, hit) = self.plane.intersect_line(&beam.chief)?;
+        if t <= 0.0 {
+            return None;
+        }
+        Some((hit, beam.radius_at(t)))
+    }
+
+    /// The four diode signals (linear power fractions of a beam of radius
+    /// `w` landing at `hit`), in the order of the centres.
+    #[inline]
+    fn diodes(&self, hit: Vec3, w: f64) -> [f64; 4] {
+        self.centers
+            .map(|c| capture_fraction(w, (hit - c).norm(), self.diode_radius))
+    }
+
+    /// The four individual diode signals; `[0.0; 4]` if the beam misses
+    /// the receiver plane entirely.
+    #[cfg(test)]
+    fn diode_signals(&self, beam: &BeamState) -> [f64; 4] {
+        self.landing(beam)
+            .map_or([0.0; 4], |(hit, w)| self.diodes(hit, w))
     }
 
     /// The alignment-search objective: total monitored power fraction —
@@ -73,26 +102,13 @@ impl QuadrantMonitor {
     /// collimator aperture (`aperture_radius`). Smooth and nonzero over a
     /// basin of roughly `ring_radius + diode_radius + w`, which is what lets
     /// the coarse search find the receiver at all.
-    pub fn search_signal(
-        &self,
-        beam: &BeamState,
-        rx: &ReceiverGeometry,
-        aperture_radius: f64,
-    ) -> f64 {
-        let plane = Plane::new(rx.aperture_center, rx.axis);
-        if beam.chief.dir.dot(rx.axis) >= 0.0 {
-            return 0.0;
-        }
-        let Some((t, hit)) = plane.intersect_line(&beam.chief) else {
+    pub fn search_signal(&self, beam: &BeamState, aperture_radius: f64) -> f64 {
+        let Some((hit, w)) = self.landing(beam) else {
             return 0.0;
         };
-        if t <= 0.0 {
-            return 0.0;
-        }
-        let w = beam.radius_at(t);
-        let delta = (hit - rx.aperture_center).norm();
+        let delta = (hit - self.rx.aperture_center).norm();
         let aperture = capture_fraction(w, delta, aperture_radius);
-        let diodes: f64 = self.diode_signals(beam, rx).iter().sum();
+        let diodes: f64 = self.diodes(hit, w).iter().sum();
         aperture + diodes
     }
 }
@@ -101,7 +117,7 @@ impl QuadrantMonitor {
 mod tests {
     use super::*;
     use cyclops_geom::ray::Ray;
-    use cyclops_geom::vec3::{v3, Vec3};
+    use cyclops_geom::vec3::v3;
 
     fn beam_at(offset_x_mm: f64) -> BeamState {
         BeamState::new(
@@ -112,14 +128,13 @@ mod tests {
         )
     }
 
-    fn rx() -> ReceiverGeometry {
-        ReceiverGeometry::new(v3(0.0, 0.0, 1.75), -Vec3::Z)
+    fn placed() -> PlacedMonitor {
+        QuadrantMonitor::default().place(&ReceiverGeometry::new(v3(0.0, 0.0, 1.75), -Vec3::Z))
     }
 
     #[test]
     fn centered_beam_gives_equal_quadrants() {
-        let m = QuadrantMonitor::default();
-        let s = m.diode_signals(&beam_at(0.0), &rx());
+        let s = placed().diode_signals(&beam_at(0.0));
         for i in 1..4 {
             assert!((s[i] - s[0]).abs() < 1e-9, "{s:?}");
         }
@@ -128,8 +143,7 @@ mod tests {
 
     #[test]
     fn offset_beam_biases_quadrants() {
-        let m = QuadrantMonitor::default();
-        let s = m.diode_signals(&beam_at(10.0), &rx());
+        let s = placed().diode_signals(&beam_at(10.0));
         // The diode on the side the beam moved towards must read more than
         // the opposite one.
         let (hi, lo) = (
@@ -141,22 +155,22 @@ mod tests {
 
     #[test]
     fn search_signal_has_wide_basin() {
-        let m = QuadrantMonitor::default();
+        let m = placed();
         // Even 25 mm off-centre, the monitor still sees the beam skirt —
         // while the 5 mm collimator aperture alone would see ~nothing.
-        let sig = m.search_signal(&beam_at(25.0), &rx(), 5e-3);
+        let sig = m.search_signal(&beam_at(25.0), 5e-3);
         assert!(sig > 1e-6, "signal {sig}");
         // And it decreases monotonically outward.
-        let closer = m.search_signal(&beam_at(10.0), &rx(), 5e-3);
-        let centered = m.search_signal(&beam_at(0.0), &rx(), 5e-3);
+        let closer = m.search_signal(&beam_at(10.0), 5e-3);
+        let centered = m.search_signal(&beam_at(0.0), 5e-3);
         assert!(centered > closer && closer > sig);
     }
 
     #[test]
     fn beam_pointing_away_reads_zero() {
-        let m = QuadrantMonitor::default();
+        let m = placed();
         let away = BeamState::new(Ray::new(Vec3::ZERO, -Vec3::Z), 2e-3, 0.0114, 20.0);
-        assert_eq!(m.search_signal(&away, &rx(), 5e-3), 0.0);
-        assert_eq!(m.diode_signals(&away, &rx()), [0.0; 4]);
+        assert_eq!(m.search_signal(&away, 5e-3), 0.0);
+        assert_eq!(m.diode_signals(&away), [0.0; 4]);
     }
 }
