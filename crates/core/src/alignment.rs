@@ -321,7 +321,7 @@ mod tests {
     use cyclops_geom::rotation::axis_angle;
     use cyclops_geom::vec3::v3;
     use cyclops_optics::coupling::LinkDesign;
-    use std::cell::Cell;
+    use std::cell::RefCell;
 
     #[test]
     fn align_reaches_near_optimal_power() {
@@ -407,9 +407,9 @@ mod tests {
     /// each cell's own test agrees with the per-cell reference
     /// `per_cell(cell, bound, j)`; every cell the walk skips, by its own
     /// test or inside a run, is one the reference proves dark; and the
-    /// skipping row reads in full exactly the cells the walk does not skip,
-    /// calling its reader once per full reading or run start, not once per
-    /// cell.
+    /// skipping row reads in full exactly the columns the walk does not
+    /// skip, and calls its reader at exactly those columns and at the
+    /// first column of each stretch the walk skips, not once per cell.
     fn rows_match_full_physics<B, F>(
         dep: &Deployment,
         bound: &B,
@@ -423,17 +423,19 @@ mod tests {
         F: FnMut(&mut Deployment, f64) -> f64,
     {
         let seed = dep.clone().rng().next_u64();
-        let (calls, full_reads) = (Cell::new(0usize), Cell::new(0usize));
+        // The columns of the row's reader calls and the voltages of its
+        // full readings, in order.
+        let (calls, full_reads) = (RefCell::new(Vec::new()), RefCell::new(Vec::new()));
         let sweep_row = |d: &Deployment, va: f64| {
             let (calls, full_reads) = (&calls, &full_reads);
             let mut full = reading(va);
-            let counted = move |d: &mut Deployment, vb: f64| {
-                full_reads.set(full_reads.get() + 1);
+            let recorded = move |d: &mut Deployment, vb: f64| {
+                full_reads.borrow_mut().push(vb.to_bits());
                 full(d, vb)
             };
-            let mut cell = skipping_row(Some(bound), d, va, counted);
+            let mut cell = skipping_row(Some(bound), d, va, recorded);
             move |d: &mut Deployment, j: usize, vb: f64| {
-                calls.set(calls.get() + 1);
+                calls.borrow_mut().push(j);
                 cell(d, j, vb)
             }
         };
@@ -443,8 +445,8 @@ mod tests {
         };
         let (mut skipped, mut tested, mut read_in_run) = (0usize, 0usize, 0usize);
         for i in 0..points {
-            calls.set(0);
-            full_reads.set(0);
+            calls.borrow_mut().clear();
+            full_reads.borrow_mut().clear();
             let got = scan_row(dep, seed, points, i, &sweep_row);
             let want = scan_row(dep, seed, points, i, &full_row);
             assert_eq!(
@@ -459,7 +461,8 @@ mod tests {
             // allows it and it lies in the run its row's last test proved.
             // A stretch of skipped cells starts a run at a test, or where
             // the walk resumes after a full reading.
-            let (mut run_end, mut row_skipped, mut starts, mut resumed) = (0, 0, 0, true);
+            let (mut run_end, mut row_skipped, mut resumed) = (0, 0, true);
+            let (mut want_calls, mut want_full) = (Vec::new(), Vec::new());
             for j in 0..points {
                 let vb = grid_volts(points, j);
                 command(&mut cell, va, vb);
@@ -477,23 +480,19 @@ mod tests {
                 if skippable && j < run_end {
                     assert!(reference, "skipped cell ({va}, {vb}) is not proved dark");
                     row_skipped += 1;
-                    starts += usize::from(test || resumed);
+                    if test || resumed {
+                        want_calls.push(j);
+                    }
                     resumed = false;
                 } else {
                     read_in_run += usize::from(j < run_end);
                     resumed = true;
+                    want_calls.push(j);
+                    want_full.push(vb.to_bits());
                 }
             }
-            assert_eq!(
-                full_reads.get(),
-                points - row_skipped,
-                "row {i}: full readings"
-            );
-            assert_eq!(
-                calls.get(),
-                full_reads.get() + starts,
-                "row {i}: reader calls"
-            );
+            assert_eq!(*full_reads.borrow(), want_full, "row {i}: full readings");
+            assert_eq!(*calls.borrow(), want_calls, "row {i}: reader calls");
             skipped += row_skipped;
         }
         let cells = (points * points) as f64;
@@ -603,7 +602,7 @@ mod tests {
         let floor = cannot_win_floor(&dep, &dark, seed, vt);
         let bound = rx_sweep_bound(&dep, seed, vt).expect("TX beam traces");
 
-        let readings = std::cell::RefCell::new(Vec::with_capacity(N));
+        let readings = RefCell::new(Vec::with_capacity(N));
         let recording = |_: &Deployment, va: f64| {
             let mut full = power_reading(vt, va);
             let readings = &readings;

@@ -488,15 +488,9 @@ impl Deployment {
     /// The photodiode-monitor feedback signal used by the coarse alignment
     /// search. The monitor ring is fixed to the RX front (centred on the RX
     /// galvo's second-mirror pivot, facing the TX), so it depends only on
-    /// where the TX beam lands — not on the RX galvo steering.
-    pub fn monitor_signal(&mut self) -> f64 {
-        let monitor = self.placed_monitor();
-        self.monitor_signal_at(&monitor)
-    }
-
-    /// [`Deployment::monitor_signal`] with the monitor already placed:
-    /// `monitor` must be [`Deployment::placed_monitor`]. The alignment
-    /// search places it once for all its readings at one headset pose.
+    /// where the TX beam lands — not on the RX galvo steering. `monitor`
+    /// must be [`Deployment::placed_monitor`]: the search places it once
+    /// for all its readings at one headset pose.
     pub(crate) fn monitor_signal_at(&mut self, monitor: &PlacedMonitor) -> f64 {
         debug_assert_eq!(*monitor, self.placed_monitor(), "stale monitor placement");
         let Some(beam) = self.tx_beam() else {
@@ -1120,10 +1114,10 @@ mod tests {
     fn monitor_signal_guides_towards_alignment() {
         let mut dep = Deployment::new(&DeploymentConfig::ideal_10g(4));
         cheat_align(&mut dep);
-        let aligned_sig = dep.monitor_signal();
+        let aligned_sig = dep.monitor_signal_at(&dep.placed_monitor());
         let (a, b, c, d) = dep.voltages();
         dep.set_voltages(a + 1.0, b, c, d); // ~44 mrad mirror = way off
-        let off_sig = dep.monitor_signal();
+        let off_sig = dep.monitor_signal_at(&dep.placed_monitor());
         assert!(aligned_sig > off_sig, "{aligned_sig} vs {off_sig}");
     }
 
@@ -1395,7 +1389,8 @@ mod tests {
                 let row = bound.row(&dep, a).unwrap();
                 assert!(bound.dark_run(&row, j).is_some(), "table at ({a}, {b})");
                 let before = full.rng().clone();
-                assert_eq!(full.monitor_signal().to_bits(), 0.0f64.to_bits());
+                let monitor = full.placed_monitor();
+                assert_eq!(full.monitor_signal_at(&monitor).to_bits(), 0.0f64.to_bits());
                 let draws = if galvo_cfg.angle_noise_rad > 0.0 {
                     4
                 } else {

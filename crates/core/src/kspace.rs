@@ -429,13 +429,9 @@ impl PhaseB<'_> {
             let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
             for ((s, b), &[sc1, sc2]) in self.samples.iter().zip(&traces).zip(&turns) {
                 let line = match j / 3 {
-                    0 | 1 | 3 => g
-                        .mid_line(&axes, b.n1p)
-                        .and_then(|mid| g.out_line(&mid, b.n2p)),
+                    0 | 1 | 3 => g.trace_line_tilted(&axes, b.n1p, b.n2p),
                     6 => b.mid.and_then(|mid| g.out_line(&mid, b.n2p)),
-                    2 | 4 => g
-                        .mid_line(&axes, g.mirror1_normal_sc(&axes, sc1))
-                        .and_then(|mid| g.out_line(&mid, b.n2p)),
+                    2 | 4 => g.trace_line_tilted(&axes, g.mirror1_normal_sc(&axes, sc1), b.n2p),
                     5 | 7 => b
                         .mid
                         .and_then(|mid| g.out_line(&mid, g.mirror2_normal_sc(&axes, sc2))),

@@ -18,9 +18,8 @@ use crate::alignment::exhaustive_align;
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
-use cyclops_geom::ray::Ray;
 use cyclops_geom::vec3::{v3, Vec3};
-use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
+use cyclops_optics::galvo::GalvoParams;
 use cyclops_solver::lm::{levenberg_marquardt, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::tracking::TrackerConfig;
@@ -274,22 +273,6 @@ fn mirror_turns(
         .collect()
 }
 
-/// A mapped model's output line and tilted second-mirror normal for one
-/// sample's turns `(sc1, sc2)`: the line of `trace_line`, whose own
-/// second-mirror normal is the one `second_mirror_plane` rotates to.
-fn trace_and_normal(
-    g: &GalvoParams,
-    axes: &GalvoAxes,
-    sc1: (f64, f64),
-    sc2: (f64, f64),
-) -> (Option<Ray>, Vec3) {
-    let n2p = g.mirror2_normal_sc(axes, sc2);
-    let line = g
-        .mid_line(axes, g.mirror1_normal_sc(axes, sc1))
-        .and_then(|mid| g.out_line(&mid, n2p));
-    (line, n2p)
-}
-
 /// Residuals of the Lemma-1 error for the LM fit: six components per sample
 /// (the vector gaps `p_t − τ_r` and `p_r − τ_t`). `turns` are the samples'
 /// [`mirror_turns`].
@@ -309,9 +292,15 @@ fn residuals(
     for (s, &[t1, t2, r1, r2]) in samples.iter().zip(turns) {
         let rxp = rx_model.transformed(&s.reported.compose(&rx_map));
         let ok = (|| {
-            let (beam_t, tx_n2p) = trace_and_normal(&txp, &tx_axes, t1, t2);
-            let (beam_r, rx_n2p) = trace_and_normal(&rxp, &rxp.axes(), r1, r2);
-            let (beam_t, beam_r) = (beam_t?, beam_r?);
+            // Each model's second-mirror normal, the one `second_mirror_plane`
+            // rotates to, serves its trace and its plane.
+            let rx_axes = rxp.axes();
+            let tx_n2p = txp.mirror2_normal_sc(&tx_axes, t2);
+            let rx_n2p = rxp.mirror2_normal_sc(&rx_axes, r2);
+            let beam_t =
+                txp.trace_line_tilted(&tx_axes, txp.mirror1_normal_sc(&tx_axes, t1), tx_n2p)?;
+            let beam_r =
+                rxp.trace_line_tilted(&rx_axes, rxp.mirror1_normal_sc(&rx_axes, r1), rx_n2p)?;
             let (_, tau_t) = Plane::new(rxp.q2, rx_n2p).intersect_line(&beam_t)?;
             let (_, tau_r) = Plane::new(txp.q2, tx_n2p).intersect_line(&beam_r)?;
             let g1 = beam_t.origin - tau_r;

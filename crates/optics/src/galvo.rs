@@ -334,8 +334,18 @@ impl GalvoParams {
     /// `(θ₁·v₂).sin_cos()`, already computed — bit-identical.
     #[inline]
     pub fn trace_line_sc(&self, axes: &GalvoAxes, sc1: (f64, f64), sc2: (f64, f64)) -> Option<Ray> {
-        let mid = self.mid_line(axes, self.mirror1_normal_sc(axes, sc1))?;
-        self.out_line(&mid, self.mirror2_normal_sc(axes, sc2))
+        self.trace_line_tilted(
+            axes,
+            self.mirror1_normal_sc(axes, sc1),
+            self.mirror2_normal_sc(axes, sc2),
+        )
+    }
+
+    /// The line path for already-tilted mirror normals `n1p`, `n2p`:
+    /// [`GalvoParams::mid_line`], then [`GalvoParams::out_line`].
+    #[inline]
+    pub fn trace_line_tilted(&self, axes: &GalvoAxes, n1p: Vec3, n2p: Vec3) -> Option<Ray> {
+        self.out_line(&self.mid_line(axes, n1p)?, n2p)
     }
 
     /// First half of [`GalvoParams::trace_line_with`]: the beam between the
