@@ -31,11 +31,13 @@ use cyclops_optics::beam::BeamState;
 use cyclops_optics::coupling::{LinkDesign, ReceiverGeometry};
 use cyclops_optics::galvo::{GalvoParams, GalvoSim, GalvoSimConfig};
 use cyclops_optics::photodiode::{PlacedMonitor, QuadrantMonitor};
+use cyclops_optics::power::mw_to_dbm;
 use cyclops_vrh::headset::{Headset, HeadsetConfig};
 use cyclops_vrh::rand_util::{gauss, skip_gauss};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::f64::consts::{FRAC_PI_2, LOG10_E};
+use std::ops::Range;
 
 /// Configuration for building a [`Deployment`].
 #[derive(Debug, Clone)]
@@ -359,17 +361,15 @@ impl Deployment {
         beam.power_dbm + eff + noise
     }
 
-    /// The noiseless geometry, angle limits and mirror tables of an RX
-    /// sweep over the second-mirror voltages `columns` at the current TX
-    /// voltages and headset pose (see [`DarkCellBound`]), proving cells
-    /// that read below `floor_dbm`; `None` when the noiseless TX beam path
-    /// is broken and no reading can be bounded. At [`DARK_DBM`] a skipped
-    /// cell reads exactly `+0.0`.
-    pub(crate) fn dark_cell_bound(
+    /// The noiseless geometry and angle limits of an RX sweep over the RX
+    /// galvo's sweep `table` at the current TX voltages and headset pose
+    /// (see [`DarkCellBound`]); `None` when the noiseless TX beam path is
+    /// broken and no reading can be bounded.
+    pub(crate) fn dark_cell_bound<'t>(
         &self,
-        columns: &[f64; RX_SWEEP_POINTS],
-        floor_dbm: f64,
-    ) -> Option<DarkCellBound> {
+        table: &'t SweepTable<RX_SWEEP_POINTS>,
+    ) -> Option<DarkCellBound<'t>> {
+        debug_assert_eq!(table.truth, self.rx.truth, "table is for another galvo");
         let chief = self.tx_pose.apply_ray(&self.tx.noiseless_output_ray()?);
         let beam = self.design.make_beam(chief);
         // A reading is at most `p_hi + ang_db(φ)`: every other coupling
@@ -379,37 +379,28 @@ impl Deployment {
             + (d.coupling.divergence_loss_db(d.theta_half) + d.coupling.base_insertion_db).max(0.0)
             + self.power_noise_db.max(0.0) * MAX_DEVIATE;
         let sigma = d.coupling.sigma_phi(d.theta_half);
-        let phi_dark = ((p_hi - floor_dbm) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
         let margin = self.jitter_margin();
-        // The angle limits as cosines (φ ∈ [0, π], so cos is decreasing);
-        // an empty interval, or the NaN angle of a floor above `p_hi`,
-        // leaves `cos_dark` at −∞, which no cell passes.
-        let (dark, lit) = (phi_dark + margin, FRAC_PI_2 - margin);
+        let lit = FRAC_PI_2 - margin;
         let rx_pose = self.rx_world_pose();
         let rx_pivot = rx_pose.apply_point(self.rx.truth.q2);
-        let mirrors = MirrorColumns::new(&self.rx, columns);
         let mut plane_until = [RX_SWEEP_POINTS; RX_SWEEP_POINTS];
         let mut next = RX_SWEEP_POINTS;
         for j in (0..RX_SWEEP_POINTS).rev() {
-            if !meets_plane_robustly(&chief, &rx_pose, rx_pivot, mirrors.n2p[j], margin) {
+            if !meets_plane_robustly(&chief, &rx_pose, rx_pivot, table.n2p[j], margin) {
                 next = j;
             }
             plane_until[j] = next;
         }
         Some(DarkCellBound {
-            tx_volts: self.tx.voltages(),
             source: beam.virtual_source(),
             chief,
             rx_pose,
-            cos_dark: if dark < lit {
-                dark.cos()
-            } else {
-                f64::NEG_INFINITY
-            },
+            p_hi,
+            sigma,
+            margin,
             cos_lit: lit.cos(),
-            phi_dark: dark,
             phi_lit: lit,
-            mirrors,
+            table,
             plane_until,
         })
     }
@@ -423,13 +414,17 @@ impl Deployment {
         4.0 * 4.0 * (self.tx.max_jitter_rad() + self.rx.max_jitter_rad()) + 1e-9
     }
 
-    /// The geometry, jitter slack and mirror table of a TX coarse sweep on
-    /// the monitor over the second-mirror voltages `columns`, at the
-    /// current headset pose (see [`MonitorDarkBound`]).
-    pub(crate) fn monitor_dark_bound(&self, columns: &[f64; TX_SWEEP_POINTS]) -> MonitorDarkBound {
+    /// The geometry and jitter slack of a TX coarse sweep on the monitor
+    /// over the TX galvo's sweep `table`, at the current headset pose (see
+    /// [`MonitorDarkBound`]).
+    pub(crate) fn monitor_dark_bound<'t>(
+        &self,
+        table: &'t SweepTable<TX_SWEEP_POINTS>,
+    ) -> MonitorDarkBound<'t> {
+        debug_assert_eq!(table.truth, self.tx.truth, "table is for another galvo");
         let tilt = self.tx.max_jitter_rad();
         MonitorDarkBound {
-            mirrors: MirrorColumns::new(&self.tx, columns),
+            table,
             tx_pose: self.tx_pose,
             monitor: self.placed_monitor(),
             profile: self.design.make_beam(Ray::new(Vec3::ZERO, Vec3::Z)),
@@ -444,12 +439,12 @@ impl Deployment {
     }
 
     /// Whether a TX sweep reading of the monitor at the current voltages is
-    /// provably `+0.0` by the per-cell form of
+    /// provably below `floor` by the per-cell form of
     /// [`MonitorDarkBound::dark_run`]: from the commanded galvo state
     /// rather than the sweep tables, and without a run. The reference the
     /// tables and runs are tested against.
     #[cfg(test)]
-    pub(crate) fn monitor_dark_per_cell(&self, b: &MonitorDarkBound) -> bool {
+    pub(crate) fn monitor_dark_per_cell(&self, b: &MonitorDarkBound, floor: &EdgeWidths) -> bool {
         assert_eq!(
             self.placed_monitor(),
             b.monitor,
@@ -457,20 +452,20 @@ impl Deployment {
         );
         self.tx.noiseless_output_ray().is_some_and(|out| {
             b.landing(&self.tx_pose.apply_ray(&out))
-                .is_some_and(|l| b.clears(&l, 0, 0.0))
+                .is_some_and(|l| b.clears(floor, &l, 0, 0.0))
         })
     }
 
-    /// The per-cell form of [`DarkCellBound::dark_run`] at the current
-    /// voltages, from the commanded galvo state rather than the sweep
-    /// tables, and without a run: the reference the tables and runs are
-    /// tested against.
+    /// The per-cell form of [`DarkCellBound::dark_run`] below `floor` at
+    /// the current voltages, from the commanded galvo state rather than
+    /// the sweep tables, and without a run: the reference the tables and
+    /// runs are tested against.
     #[cfg(test)]
-    pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound) -> bool {
+    pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound, floor: &AngleFloor) -> bool {
         let Some(imag) = self.rx.noiseless_output_ray() else {
             return false;
         };
-        b.dark_angle(&imag)
+        b.dark_angle(floor, &imag)
             && meets_plane_robustly(
                 &b.chief,
                 &b.rx_pose,
@@ -540,17 +535,29 @@ impl Deployment {
 
 /// Readings below this (dBm) convert to exactly `+0.0` mW: `dbm_to_mw`
 /// underflows below ≈ −3236 dBm.
-pub(crate) const DARK_DBM: f64 = -3400.0;
+const DARK_DBM: f64 = -3400.0;
 
-/// Points in each axis of the §4.2 RX coarse sweep; the column table of a
-/// [`DarkCellBound`] holds one entry per point.
+/// How far (dB) below a reading `best` the sweep has made its cannot-win
+/// floor sits ([`DarkSweep::floor`]). It covers the rounding of
+/// `mw_to_dbm`, `dbm_to_mw`, the coupling sum and the five-term monitor
+/// sum, all below 1e-12 dB, with room to spare.
+const WIN_SLACK_DB: f64 = 0.1;
+
+/// Points in each axis of the §4.2 RX coarse sweep; an RX sweep table holds
+/// one entry per point.
 pub(crate) const RX_SWEEP_POINTS: usize = 161;
 
-/// [`DarkCellBound::pilot_row`] samples every this-many rows and columns.
+/// The RX [`DarkSweep::pilot_row`] samples every this-many rows and
+/// columns.
 const PILOT_STRIDE: usize = 8;
 
-/// Points in each axis of the §4.2 TX coarse sweep on the monitor; the
-/// column table of a [`MonitorDarkBound`] holds one entry per point.
+/// The TX pilot search samples every this-many rows and columns, then
+/// looks this many either side of the nearest sampled landing.
+const TX_PILOT_STRIDE: usize = 4;
+const PILOT_REACH: usize = 3;
+
+/// Points in each axis of the §4.2 TX coarse sweep on the monitor; a TX
+/// sweep table holds one entry per point.
 pub(crate) const TX_SWEEP_POINTS: usize = 51;
 
 /// Metres the beam's origin on the second mirror can move per radian of
@@ -584,13 +591,28 @@ fn meets_plane_robustly(
     cos.abs() > margin.max(1e-2) && ahead > 1e-2 * cos.abs()
 }
 
-/// A coarse voltage-pair sweep whose dark cells can be skipped. Rows step
-/// the swept galvo's first mirror, columns its second; a row is tested in
+/// A coarse voltage-pair sweep whose cells can be proved below a floor
+/// and skipped. Rows step the swept galvo's first mirror, columns its
+/// second, through the voltages of its [`SweepTable`]; a row is tested in
 /// column order by a [`DarkRow`].
 pub(crate) trait DarkSweep {
-    /// Row `va`'s noiseless mid-mirror ray and run data on `dep`, or `None`
-    /// when no cell of the row can be proved dark.
-    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow>;
+    /// What a cell is proved below: a floor under a reading of the sweep,
+    /// or exact darkness.
+    type Floor: Copy;
+
+    /// The floor that proves a cell reads below `best`, a reading the
+    /// sweep has made, by [`WIN_SLACK_DB`]; below the smallest positive
+    /// normal number, the floor that proves a cell reads exactly `+0.0`.
+    fn floor(&self, best: f64) -> Self::Floor;
+
+    /// Row `i`'s noiseless mid-mirror ray and run data, or `None` when no
+    /// cell of the row can be proved dark.
+    fn row(&self, i: usize) -> Option<SweepRow>;
+
+    /// The row to scan first: the one whose noiseless geometry comes
+    /// nearest the sweep's peak. Any row is a correct pilot; one near the
+    /// peak prunes more.
+    fn pilot_row(&self) -> usize;
 
     /// The first column at or after `j` whose table flags forbid skipping a
     /// dark cell there, or the sweep's column count when none does.
@@ -602,47 +624,52 @@ pub(crate) trait DarkSweep {
         self.skippable_until(j) > j
     }
 
-    /// When cell `j` of `row` provably reads `+0.0`, how many of the
+    /// When cell `j` of `row` provably reads below `floor`, how many of the
     /// following columns provably do too: `Some(0)` proves the cell alone.
-    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize>;
+    fn dark_run(&self, floor: &Self::Floor, row: &SweepRow, j: usize) -> Option<usize>;
 
     /// Makes the RNG draws of `n` skipped readings, in order.
     fn replay(dep: &mut Deployment, n: usize);
 }
 
-/// One sweep row's dark cells, asked for in column order: a cell is
-/// skipped when its column allows it and it lies in a run that
+/// One sweep row's provably low cells, asked for in column order: a cell
+/// is skipped when its column allows it and it lies in a run that
 /// [`DarkSweep::dark_run`] proved, so one test covers a whole run, and the
-/// row steps over the run's cells at once.
-pub(crate) struct DarkRow<'b, B> {
-    bound: &'b B,
+/// row steps over the run's cells at once. A run proved below one floor
+/// stays proved when the floor rises.
+pub(crate) struct DarkRow {
     row: SweepRow,
-    /// Cells before this column are proved dark by the last run.
+    /// Cells before this column are proved low by the last run.
     run_end: usize,
 }
 
-impl<'b, B: DarkSweep> DarkRow<'b, B> {
-    /// Row `va` of `bound` on `dep`; `None` when no cell can be skipped.
-    pub(crate) fn new(bound: &'b B, dep: &Deployment, va: f64) -> Option<DarkRow<'b, B>> {
+impl DarkRow {
+    /// Row `i` of `bound`; `None` when no cell can be skipped.
+    pub(crate) fn new<B: DarkSweep>(bound: &B, i: usize) -> Option<DarkRow> {
         Some(DarkRow {
-            row: bound.row(dep, va)?,
-            bound,
+            row: bound.row(i)?,
             run_end: 0,
         })
     }
 
-    /// How many cells from `j` on read `+0.0` without the physics: the
-    /// proved run through `j`, cut at the next column whose flags forbid a
-    /// skip; 0 when cell `j` needs its full reading. `j` must not decrease
-    /// from call to call.
+    /// How many cells from `j` on `bound` proves below `floor` (or a lower
+    /// floor of an earlier call): the proved run through `j`, cut at the
+    /// next column whose flags forbid a skip; 0 when cell `j` needs its
+    /// full reading. `j` must not decrease, nor the floor fall, from call
+    /// to call.
     #[inline]
-    pub(crate) fn dark_cells(&mut self, j: usize) -> usize {
-        let open = self.bound.skippable_until(j);
+    pub(crate) fn dark_cells<B: DarkSweep>(
+        &mut self,
+        bound: &B,
+        floor: &B::Floor,
+        j: usize,
+    ) -> usize {
+        let open = bound.skippable_until(j);
         if open == j {
             return 0;
         }
         if j >= self.run_end {
-            let Some(run) = self.bound.dark_run(&self.row, j) else {
+            let Some(run) = bound.dark_run(floor, &self.row, j) else {
                 return 0;
             };
             self.run_end = j + 1 + run;
@@ -663,58 +690,62 @@ pub(crate) struct SweepRow {
     origin_rate: Option<f64>,
 }
 
-/// The swept galvo's second-mirror table of one sweep, computed once.
+/// A galvo's coarse-sweep table: rows step mirror 1 and columns mirror 2
+/// through the same `N` voltages. It holds each column's second-mirror
+/// normal and each row's noiseless mid-mirror ray, in the body frame, so
+/// it depends on the galvo alone: one table serves every alignment of
+/// that galvo, whatever the pose or the other galvo's voltages.
 #[derive(Debug, Clone)]
-struct MirrorColumns<const N: usize> {
+pub(crate) struct SweepTable<const N: usize> {
     truth: GalvoParams,
     /// Second-mirror normal at each column's quantized voltage, body frame:
     /// the value [`GalvoSim::command`] caches.
     n2p: [Vec3; N],
+    /// Each row's [`SweepRow`], `None` when its mid ray does not trace.
+    rows: [Option<SweepRow>; N],
     /// Bound on the mirror-2 rotation (rad) between neighbouring columns.
     step_rad: f64,
-    /// Bound on the rotation from the middle column's normal to any
-    /// column's normal, jitter included.
-    reach_rad: f64,
 }
 
-impl<const N: usize> MirrorColumns<N> {
-    fn new(galvo: &GalvoSim, columns: &[f64; N]) -> MirrorColumns<N> {
+impl<const N: usize> SweepTable<N> {
+    /// The table of `galvo` over the sweep voltages `volts`.
+    pub(crate) fn new(galvo: &GalvoSim, volts: &[f64; N]) -> SweepTable<N> {
         // `command` clamps and rounds to the DAC step, so two quantized
         // voltages differ by at most their raw gap plus one step, and a
         // normal turns by the gain times that.
         let gain = galvo.truth.theta1.abs();
         let dac = galvo.cfg.dac_step_v.max(0.0);
-        let step = columns
+        let step = volts
             .windows(2)
             .map(|w| (w[1] - w[0]).abs())
             .fold(0.0, f64::max);
-        let centre = columns[N / 2];
-        let reach = columns
-            .iter()
-            .map(|v| (v - centre).abs())
-            .fold(0.0, f64::max);
-        MirrorColumns {
+        let centre = volts[N / 2];
+        let reach = volts.iter().map(|v| (v - centre).abs()).fold(0.0, f64::max);
+        // The rotation from the middle column's normal to any column's
+        // normal, jitter included.
+        let reach_rad = gain * (reach + dac) + galvo.max_jitter_rad();
+        let n2p = volts.map(|v| galvo.second_mirror_normal_at(v));
+        SweepTable {
             truth: galvo.truth,
-            n2p: columns.map(|v| galvo.second_mirror_normal_at(v)),
+            rows: volts.map(|va| Self::row(galvo, n2p[N / 2], reach_rad, va)),
+            n2p,
             step_rad: gain * (step + dac),
-            reach_rad: gain * (reach + dac) + galvo.max_jitter_rad(),
         }
     }
 
-    /// Row `va` of a sweep of `galvo`. Every column's normal lies within
-    /// `reach_rad` of the middle one `n`, so with `N = (q₂ − o)·n` and
+    /// Row `va` of a sweep of `galvo` whose columns' normals all lie within
+    /// `reach_rad` of the middle one `n`. With `N = (q₂ − o)·n` and
     /// `D = d·n` for the mid ray `(o, d)` (each moving by at most its
     /// vector's norm per radian), a row where neither can reach zero hits
     /// mirror 2 ahead at every column. Its hit `o + (N/D)·d` then moves by
     /// at most `2·|q₂ − o|·|d|²/D_min²` per radian.
-    fn row(&self, galvo: &GalvoSim, va: f64) -> Option<SweepRow> {
+    fn row(galvo: &GalvoSim, n: Vec3, reach_rad: f64, va: f64) -> Option<SweepRow> {
         let mid = galvo.noiseless_mid_ray(va)?;
-        let n = self.n2p[N / 2];
-        let to_q2 = self.truth.q2 - mid.origin;
+        let to_q2 = galvo.truth.q2 - mid.origin;
         let (num, den) = (to_q2.dot(n), mid.dir.dot(n));
         let (lever, dir) = (to_q2.norm(), mid.dir.norm());
-        let den_min = den.abs() - dir * self.reach_rad;
-        let robust = num * den > 0.0 && num.abs() > lever * self.reach_rad && den_min > 1e-3;
+        let den_min = den.abs() - dir * reach_rad;
+        let robust = num * den > 0.0 && num.abs() > lever * reach_rad && den_min > 1e-3;
         Some(SweepRow {
             mid,
             origin_rate: robust.then(|| 2.0 * lever * dir * dir / (den_min * den_min)),
@@ -739,35 +770,47 @@ impl<const N: usize> MirrorColumns<N> {
 /// margin that covers the largest galvo jitter a bounded Box–Muller draw
 /// can give. At the floor [`DARK_DBM`] such a cell reads `+0.0` mW (the
 /// dark bound); at a floor below a reading the sweep itself makes, it
-/// cannot be the sweep's argmax (the cannot-win bound).
+/// cannot be the sweep's argmax (the cannot-win bound). Only the angle
+/// limit depends on the floor ([`AngleFloor`]).
 ///
 /// The second-mirror normal and the plane test depend only on the column,
 /// so they are tabled per column; the mirror-1 beam depends only on the
-/// row ([`DarkSweep::row`]). A cell is then one reflection and one angle
-/// test, the same arithmetic the commanded galvo would do.
+/// row ([`SweepTable`]). A cell is then one reflection and one angle test,
+/// the same arithmetic the commanded galvo would do.
 #[derive(Debug, Clone)]
-pub(crate) struct DarkCellBound {
-    tx_volts: (f64, f64),
+pub(crate) struct DarkCellBound<'t> {
     /// The noiseless TX chief ray and its beam's virtual source, world
     /// frame.
     chief: Ray,
     source: Option<Vec3>,
     rx_pose: Pose,
-    /// `cos φ` below which a reading is below the floor.
-    cos_dark: f64,
-    /// `cos φ` above which the full path stays under `π/2`.
+    /// The best-case reading `p_hi` (dBm) and the acceptance `σ_φ` an
+    /// [`AngleFloor`] is derived from, with the jitter margin on `φ`.
+    p_hi: f64,
+    sigma: f64,
+    margin: f64,
+    /// `cos φ` above which the full path stays under `π/2`, and that limit
+    /// as an angle, for the run bound.
     cos_lit: f64,
-    /// The same two limits as angles, for the run bound.
-    phi_dark: f64,
     phi_lit: f64,
-    mirrors: MirrorColumns<RX_SWEEP_POINTS>,
+    table: &'t SweepTable<RX_SWEEP_POINTS>,
     /// For each column, the first column at or after it whose mirror plane
     /// the chief ray may miss under some jitter (the plane flag is down),
     /// or [`RX_SWEEP_POINTS`].
     plane_until: [usize; RX_SWEEP_POINTS],
 }
 
-impl DarkCellBound {
+/// The floor of a [`DarkCellBound`]: the incidence angle beyond which a
+/// reading is below it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AngleFloor {
+    /// `cos φ` below which a reading is below the floor.
+    cos_dark: f64,
+    /// The same limit as an angle, for the run bound.
+    phi_dark: f64,
+}
+
+impl DarkCellBound<'_> {
     /// `cos φ` of the noiseless imaginary beam `imag` (RX body frame)
     /// against the TX light where it starts, and the length of the
     /// arriving vector that `cos φ` was normalized by.
@@ -782,10 +825,28 @@ impl DarkCellBound {
         (arriving.dot(back) / norm, norm)
     }
 
+    /// The angle limit of readings below `floor_dbm`.
+    fn angle_floor(&self, floor_dbm: f64) -> AngleFloor {
+        let sigma = self.sigma;
+        let phi = ((self.p_hi - floor_dbm) * 2.0 * sigma * sigma / (10.0 * LOG10_E)).sqrt();
+        let dark = phi + self.margin;
+        // The angle limit as a cosine (φ ∈ [0, π], so cos is decreasing);
+        // an empty interval, or the NaN angle of a floor above `p_hi`,
+        // leaves `cos_dark` at −∞, which no cell passes.
+        AngleFloor {
+            cos_dark: if dark < self.phi_lit {
+                dark.cos()
+            } else {
+                f64::NEG_INFINITY
+            },
+            phi_dark: dark,
+        }
+    }
+
     /// This bound with column `k`'s plane flag down, as when the chief ray
     /// may miss that column's mirror plane.
     #[cfg(test)]
-    pub(crate) fn with_plane_flag_down(mut self, k: usize) -> DarkCellBound {
+    pub(crate) fn with_plane_flag_down(mut self, k: usize) -> Self {
         for until in &mut self.plane_until[..=k] {
             *until = (*until).min(k);
         }
@@ -793,27 +854,44 @@ impl DarkCellBound {
     }
 
     /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
-    /// the TX light at an angle that reads dark under any jitter.
+    /// the TX light at an angle that reads below `floor` under any jitter.
     #[cfg(test)]
-    fn dark_angle(&self, imag: &Ray) -> bool {
+    fn dark_angle(&self, floor: &AngleFloor, imag: &Ray) -> bool {
         let cos_phi = self.incidence(imag).0;
-        cos_phi < self.cos_dark && cos_phi > self.cos_lit
+        cos_phi < floor.cos_dark && cos_phi > self.cos_lit
+    }
+}
+
+impl DarkSweep for DarkCellBound<'_> {
+    type Floor = AngleFloor;
+
+    fn floor(&self, best: f64) -> AngleFloor {
+        // Below a normal `best`, `dbm_to_mw` rounds too coarsely for a
+        // reading under the floor to stay under `best`.
+        self.angle_floor(if best >= f64::MIN_POSITIVE {
+            mw_to_dbm(best) - WIN_SLACK_DB
+        } else {
+            DARK_DBM
+        })
     }
 
-    /// The pilot row of a sweep whose rows step the RX first mirror
-    /// through `rows`: the row of the cell, among every
-    /// [`PILOT_STRIDE`]-th row and column, whose noiseless imaginary beam
-    /// meets the TX light most nearly head-on (the largest `cos φ`). Row 0
-    /// when no sampled cell traces. Any row is a correct pilot; one near
-    /// the sweep's peak prunes more.
-    pub(crate) fn pilot_row(&self, dep: &Deployment, rows: &[f64; RX_SWEEP_POINTS]) -> usize {
+    #[inline]
+    fn row(&self, i: usize) -> Option<SweepRow> {
+        self.table.rows[i]
+    }
+
+    /// The row of the cell, among every [`PILOT_STRIDE`]-th row and
+    /// column, whose noiseless imaginary beam meets the TX light most
+    /// nearly head-on (the largest `cos φ`); row 0 when no sampled cell
+    /// traces.
+    fn pilot_row(&self) -> usize {
         let mut best = (0, f64::NEG_INFINITY);
         for i in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
-            let Some(row) = self.row(dep, rows[i]) else {
+            let Some(row) = self.row(i) else {
                 continue;
             };
             for j in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
-                if let Some(imag) = self.mirrors.out_ray(&row, j) {
+                if let Some(imag) = self.table.out_ray(&row, j) {
                     let cos_phi = self.incidence(&imag).0;
                     if cos_phi > best.1 {
                         best = (i, cos_phi);
@@ -823,48 +901,38 @@ impl DarkCellBound {
         }
         best.0
     }
-}
-
-impl DarkSweep for DarkCellBound {
-    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow> {
-        debug_assert_eq!(
-            dep.tx.voltages(),
-            self.tx_volts,
-            "bound is for other TX voltages"
-        );
-        self.mirrors.row(&dep.rx, va)
-    }
 
     #[inline]
     fn skippable_until(&self, j: usize) -> usize {
         self.plane_until[j]
     }
 
-    /// A cell is dark when its noiseless `φ` lies inside the dark band.
-    /// Column by column the imaginary beam turns by at most twice the
+    /// A cell is below the floor when its noiseless `φ` lies inside the
+    /// band. Column by column the imaginary beam turns by at most twice the
     /// mirror step, and its origin moves by `shift`, which turns the
     /// arriving light by at most `2·shift/|arriving|` while the total move
     /// stays under half of `|arriving|`. So `φ` stays in the band for as
     /// many columns as that per-column turn fits into its distance to the
     /// nearer limit.
     #[inline]
-    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize> {
-        let imag = self.mirrors.out_ray(row, j)?;
+    fn dark_run(&self, floor: &AngleFloor, row: &SweepRow, j: usize) -> Option<usize> {
+        let imag = self.table.out_ray(row, j)?;
         let (cos_phi, arriving) = self.incidence(&imag);
-        if !(cos_phi < self.cos_dark && cos_phi > self.cos_lit) {
+        if !(cos_phi < floor.cos_dark && cos_phi > self.cos_lit) {
             return None;
         }
         let Some(rate) = row.origin_rate else {
             return Some(0);
         };
         let phi = cos_phi.clamp(-1.0, 1.0).acos();
-        let excess = (phi - self.phi_dark).min(self.phi_lit - phi) - ANGLE_ROUNDING_RAD;
-        let shift = rate * self.mirrors.step_rad;
+        let excess = (phi - floor.phi_dark).min(self.phi_lit - phi) - ANGLE_ROUNDING_RAD;
+        let step_rad = self.table.step_rad;
+        let shift = rate * step_rad;
         let turn = match self.source {
             Some(_) => 2.0 * shift / arriving,
             None => 0.0,
         };
-        let run = (excess / (2.0 * self.mirrors.step_rad + turn))
+        let run = (excess / (2.0 * step_rad + turn))
             .min(0.5 * arriving / shift)
             .min(RX_SWEEP_POINTS as f64);
         // Saturating: a negative or NaN run is no run.
@@ -896,21 +964,31 @@ struct Landing {
     depth: f64,
 }
 
-/// What [`MonitorDarkBound::dark_run`] needs to prove TX sweep cells dark
-/// on the photodiode monitor, computed once per sweep.
+/// What [`MonitorDarkBound::dark_run`] needs to prove TX sweep cells below
+/// a floor on the photodiode monitor, computed once per sweep.
 ///
-/// While only the TX voltages move, the monitor plane is fixed. A reading
-/// is `+0.0` when each of its five `capture_fraction` terms takes the
-/// `δ > 8w + a` early exit: the jittered landing point lies more than
-/// `8·w + max(diode radius, aperture radius)` beyond the diode ring, with
-/// `w` the beam radius at the jittered path length. The noiseless landing
-/// point is moved by at most a jitter slack, and the path length bounded,
-/// from the noiseless chief ray, the largest tilt and the plane angle.
+/// While only the TX voltages move, the monitor plane is fixed. The
+/// reading is the sum of five `capture_fraction(w, δ, a)` terms, the
+/// aperture's and the four diodes', with `w` the beam radius at the
+/// jittered path length. The noiseless landing point is moved by at most
+/// a jitter slack, and the path length bounded, from the noiseless chief
+/// ray, the largest tilt and the plane angle. A jittered landing that lies
+/// `k·w + max(diode radius, aperture radius)` beyond the diode ring then
+/// clears every disk edge by `k·w` ([`EdgeWidths`]):
+///
+/// - at `k = 8` every term takes the `δ > 8w + a` early exit and the
+///   reading is exactly `+0.0` (the dark bound);
+/// - a disk whose edge lies `t ≥ 0` beyond the landing lies inside a
+///   half-plane that far away, so its term is at most
+///   `½·exp(−2t²/w²)`, and the five sum to at most `2.5·exp(−2k²)`: at
+///   `k = √(ln(2.5/floor)/2)` the reading is below `floor` (the
+///   cannot-win bound).
+///
 /// Every other exit of the reading is `+0.0` as well, and every exit
 /// draws the same TX jitter, so only the landing needs proving.
 #[derive(Debug, Clone)]
-pub(crate) struct MonitorDarkBound {
-    mirrors: MirrorColumns<TX_SWEEP_POINTS>,
+pub(crate) struct MonitorDarkBound<'t> {
+    table: &'t SweepTable<TX_SWEEP_POINTS>,
     tx_pose: Pose,
     /// The monitor as placed for every reading of the sweep.
     monitor: PlacedMonitor,
@@ -924,7 +1002,15 @@ pub(crate) struct MonitorDarkBound {
     jitter_origin: f64,
 }
 
-impl MonitorDarkBound {
+/// The floor of a [`MonitorDarkBound`]: the beam radii `k` by which a
+/// jittered landing must clear every disk edge.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeWidths(f64);
+
+/// The `k` of the `δ > 8w + a` early exit of `capture_fraction`.
+const DARK_EDGE_WIDTHS: f64 = 8.0;
+
+impl MonitorDarkBound<'_> {
     /// The monitor as placed for the sweep's readings.
     pub(crate) fn monitor(&self) -> &PlacedMonitor {
         &self.monitor
@@ -949,8 +1035,36 @@ impl MonitorDarkBound {
         })
     }
 
-    /// A lower bound on how far beyond its dark limit every jittered ray
-    /// of the `k` columns after `l`'s lands, in a row of `origin_rate`
+    /// The noiseless landing of cell `(i, j)`.
+    fn cell_landing(&self, i: usize, j: usize) -> Option<Landing> {
+        let out = self.table.out_ray(&self.row(i)?, j)?;
+        self.landing(&self.tx_pose.apply_ray(&out))
+    }
+
+    /// The cell, among every `step`-th row of `rows` and column of `cols`,
+    /// whose noiseless landing is nearest the aperture centre (the first
+    /// such); the first row and column when none lands.
+    fn nearest_landing(
+        &self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        step: usize,
+    ) -> (usize, usize) {
+        let mut best = (f64::INFINITY, (rows.start, cols.start));
+        for i in rows.step_by(step) {
+            for j in cols.clone().step_by(step) {
+                if let Some(l) = self.cell_landing(i, j) {
+                    if l.dist < best.0 {
+                        best = (l.dist, (i, j));
+                    }
+                }
+            }
+        }
+        best.1
+    }
+
+    /// A lower bound on how far beyond its limit at `floor` every jittered
+    /// ray of the `k` columns after `l`'s lands, in a row of `origin_rate`
     /// ([`SweepRow`]); −∞ unless each such ray surely meets the plane from
     /// in front. Each column turns the chief ray by at most twice the
     /// mirror step and moves its origin by the rate times the step; the
@@ -963,8 +1077,8 @@ impl MonitorDarkBound {
     /// by at most `δo(1 + 1/|s′|)`. The path is at most
     /// `(|p| + δo)/|s′|`.
     #[inline]
-    fn excess(&self, l: &Landing, k: usize, origin_rate: f64) -> f64 {
-        let turn = self.mirrors.step_rad * k as f64;
+    fn excess(&self, floor: &EdgeWidths, l: &Landing, k: usize, origin_rate: f64) -> f64 {
+        let turn = self.table.step_rad * k as f64;
         let eps = self.jitter_dir + 2.0 * turn;
         let d_o = self.jitter_origin + origin_rate * turn;
         let cos_lo = l.cos - eps;
@@ -973,19 +1087,45 @@ impl MonitorDarkBound {
         }
         let shift = l.depth * eps / (cos_lo * cos_lo) + d_o * (1.0 + 1.0 / cos_lo);
         let w = self.profile.radius_at((l.depth + d_o) / cos_lo);
-        l.dist - self.ring_radius - shift - 8.0 * w - self.capture_radius - LANDING_ROUNDING_M
+        l.dist - self.ring_radius - shift - floor.0 * w - self.capture_radius - LANDING_ROUNDING_M
     }
 
-    /// Whether [`MonitorDarkBound::excess`] proves those rays dark.
+    /// Whether [`MonitorDarkBound::excess`] proves those rays below
+    /// `floor`.
     #[inline]
-    fn clears(&self, l: &Landing, k: usize, origin_rate: f64) -> bool {
-        self.excess(l, k, origin_rate) > 0.0
+    fn clears(&self, floor: &EdgeWidths, l: &Landing, k: usize, origin_rate: f64) -> bool {
+        self.excess(floor, l, k, origin_rate) > 0.0
     }
 }
 
-impl DarkSweep for MonitorDarkBound {
-    fn row(&self, dep: &Deployment, va: f64) -> Option<SweepRow> {
-        self.mirrors.row(&dep.tx, va)
+impl DarkSweep for MonitorDarkBound<'_> {
+    type Floor = EdgeWidths;
+
+    /// `k = √(ln(2.5/floor)/2)` at a floor [`WIN_SLACK_DB`] below `best`,
+    /// but never more than the dark bound's 8, beyond which every term is
+    /// `+0.0`.
+    fn floor(&self, best: f64) -> EdgeWidths {
+        if best < f64::MIN_POSITIVE {
+            return EdgeWidths(DARK_EDGE_WIDTHS);
+        }
+        let floor = best * 10f64.powf(-WIN_SLACK_DB / 10.0);
+        EdgeWidths(((2.5 / floor).ln() / 2.0).sqrt().min(DARK_EDGE_WIDTHS))
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> Option<SweepRow> {
+        self.table.rows[i]
+    }
+
+    /// The row of the cell whose noiseless landing comes nearest the
+    /// aperture centre: the nearest among every [`TX_PILOT_STRIDE`]-th row
+    /// and column, then the nearest within [`PILOT_REACH`] rows and columns
+    /// of it. Row 0 when no cell lands.
+    fn pilot_row(&self) -> usize {
+        const N: usize = TX_SWEEP_POINTS;
+        let (i, j) = self.nearest_landing(0..N, 0..N, TX_PILOT_STRIDE);
+        let around = |c: usize| c.saturating_sub(PILOT_REACH)..(c + PILOT_REACH + 1).min(N);
+        self.nearest_landing(around(i), around(j), 1).0
     }
 
     #[inline]
@@ -993,14 +1133,15 @@ impl DarkSweep for MonitorDarkBound {
         TX_SWEEP_POINTS
     }
 
-    /// A cell is dark when its own landing clears the limit. Every term of
-    /// the bound grows with the run length, so a run is proved by its last
-    /// cell alone, and the longest proved run is found by bisection.
+    /// A cell is below the floor when its own landing clears the limit.
+    /// Every term of the bound grows with the run length, so a run is
+    /// proved by its last cell alone, and the longest proved run is found
+    /// by bisection.
     #[inline]
-    fn dark_run(&self, row: &SweepRow, j: usize) -> Option<usize> {
-        let out = self.mirrors.out_ray(row, j)?;
+    fn dark_run(&self, floor: &EdgeWidths, row: &SweepRow, j: usize) -> Option<usize> {
+        let out = self.table.out_ray(row, j)?;
         let l = self.landing(&self.tx_pose.apply_ray(&out))?;
-        if !self.clears(&l, 0, 0.0) {
+        if !self.clears(floor, &l, 0, 0.0) {
             return None;
         }
         let Some(rate) = row.origin_rate else {
@@ -1010,7 +1151,7 @@ impl DarkSweep for MonitorDarkBound {
         let (mut proved, mut refuted) = (0, TX_SWEEP_POINTS + 1);
         while refuted - proved > 1 {
             let mid = (proved + refuted) / 2;
-            if self.clears(&l, mid, rate) {
+            if self.clears(floor, &l, mid, rate) {
                 proved = mid;
             } else {
                 refuted = mid;
@@ -1334,7 +1475,9 @@ mod tests {
         cheat_align(&mut dep);
         let (vt1, vt2, _, _) = dep.voltages();
         let columns = crate::alignment::sweep_columns();
-        let bound = dep.dark_cell_bound(&columns, DARK_DBM).unwrap();
+        let table = SweepTable::new(&dep.rx, &columns);
+        let bound = dep.dark_cell_bound(&table).unwrap();
+        let dark = bound.floor(0.0);
         // Far corners of the RX range are dark, with and without power
         // noise. Their draws, replayed late and together, leave the state
         // of the full readings made one by one.
@@ -1351,12 +1494,15 @@ mod tests {
             ] {
                 full.set_voltages(vt1, vt2, a, b);
                 assert!(
-                    full.proves_dark_per_cell(&bound),
+                    full.proves_dark_per_cell(&bound, &dark),
                     "({a}, {b}) should be provably dark"
                 );
-                let j = columns.iter().position(|&c| c == b).unwrap();
-                let row = bound.row(&dep, a).unwrap();
-                assert!(bound.dark_run(&row, j).is_some(), "table at ({a}, {b})");
+                let at = |v: f64| columns.iter().position(|&c| c == v).unwrap();
+                let row = bound.row(at(a)).unwrap();
+                assert!(
+                    bound.dark_run(&dark, &row, at(b)).is_some(),
+                    "table at ({a}, {b})"
+                );
                 let want = dbm_to_mw(full.received_power_unfloored_dbm());
                 assert_eq!(want.to_bits(), 0.0f64.to_bits());
                 owed += 1;
@@ -1379,15 +1525,20 @@ mod tests {
             cheat_align(&mut dep);
             let (_, _, vr1, vr2) = dep.voltages();
             let columns = crate::alignment::sweep_columns();
-            let bound = dep.monitor_dark_bound(&columns);
+            let table = SweepTable::new(&dep.tx, &columns);
+            let bound = dep.monitor_dark_bound(&table);
+            let dark = bound.floor(0.0);
             let mut full = dep.clone();
             let mut owed = 0;
             for (i, j) in [(1, 1), (49, 1), (1, 49), (49, 49)] {
                 let (a, b) = (columns[i], columns[j]);
                 full.set_voltages(a, b, vr1, vr2);
-                assert!(full.monitor_dark_per_cell(&bound), "({a}, {b})");
-                let row = bound.row(&dep, a).unwrap();
-                assert!(bound.dark_run(&row, j).is_some(), "table at ({a}, {b})");
+                assert!(full.monitor_dark_per_cell(&bound, &dark), "({a}, {b})");
+                let row = bound.row(i).unwrap();
+                assert!(
+                    bound.dark_run(&dark, &row, j).is_some(),
+                    "table at ({a}, {b})"
+                );
                 let before = full.rng().clone();
                 let monitor = full.placed_monitor();
                 assert_eq!(full.monitor_signal_at(&monitor).to_bits(), 0.0f64.to_bits());
@@ -1406,30 +1557,33 @@ mod tests {
 
     #[test]
     fn monitor_runs_are_the_longest_the_bound_proves() {
-        // Every run the monitor bound takes is proved at its last cell, and
-        // one column more is not.
+        // Every run the monitor bound takes, dark or below a floor, is
+        // proved at its last cell, and one column more is not.
         let dep = Deployment::new(&DeploymentConfig::paper_10g(15));
-        let columns = crate::alignment::sweep_columns();
-        let bound = dep.monitor_dark_bound(&columns);
-        let mut long_runs = 0;
-        for &va in &columns {
-            let row = bound.row(&dep, va).unwrap();
-            let rate = row.origin_rate.expect("rows meet mirror 2 robustly");
-            for j in 0..TX_SWEEP_POINTS {
-                let Some(run) = bound.dark_run(&row, j) else {
-                    continue;
-                };
-                let out = bound.mirrors.out_ray(&row, j).unwrap();
-                let l = bound.landing(&bound.tx_pose.apply_ray(&out)).unwrap();
-                assert!(bound.clears(&l, run, rate), "({va}, {j}): {run}");
-                assert!(
-                    run == TX_SWEEP_POINTS || !bound.clears(&l, run + 1, rate),
-                    "({va}, {j}): {run} is not the longest"
-                );
-                long_runs += usize::from(run >= 10);
+        let table = SweepTable::new(&dep.tx, &crate::alignment::sweep_columns());
+        let bound = dep.monitor_dark_bound(&table);
+        for best in [0.0, 1e-9, 0.3] {
+            let floor = bound.floor(best);
+            let mut long_runs = 0;
+            for i in 0..TX_SWEEP_POINTS {
+                let row = bound.row(i).unwrap();
+                let rate = row.origin_rate.expect("rows meet mirror 2 robustly");
+                for j in 0..TX_SWEEP_POINTS {
+                    let Some(run) = bound.dark_run(&floor, &row, j) else {
+                        continue;
+                    };
+                    let out = table.out_ray(&row, j).unwrap();
+                    let l = bound.landing(&bound.tx_pose.apply_ray(&out)).unwrap();
+                    assert!(bound.clears(&floor, &l, run, rate), "({i}, {j}): {run}");
+                    assert!(
+                        run == TX_SWEEP_POINTS || !bound.clears(&floor, &l, run + 1, rate),
+                        "({i}, {j}): {run} is not the longest"
+                    );
+                    long_runs += usize::from(run >= 10);
+                }
             }
+            assert!(long_runs > 100, "{long_runs} runs of 10 columns or more");
         }
-        assert!(long_runs > 100, "{long_runs} runs of 10 columns or more");
     }
 
     #[test]
@@ -1474,18 +1628,20 @@ mod tests {
         dep.set_headset_pose(Pose::translation(v3(0.0, 0.0, -1.75)));
         let (vt1, vt2, _, _) = dep.voltages();
         let columns = crate::alignment::sweep_columns();
-        let bound = dep.dark_cell_bound(&columns, DARK_DBM).unwrap();
+        let table = SweepTable::new(&dep.rx, &columns);
+        let bound = dep.dark_cell_bound(&table).unwrap();
+        let dark = bound.floor(0.0);
         let mut angle_dark = 0;
-        for &va in columns.iter().step_by(16) {
-            let row = bound.row(&dep, va).unwrap();
-            let mut walk = DarkRow::new(&bound, &dep, va).unwrap();
+        for (i, &va) in columns.iter().enumerate().step_by(16) {
+            let row = bound.row(i).unwrap();
+            let mut walk = DarkRow::new(&bound, i).unwrap();
             for (j, &vb) in columns.iter().enumerate().step_by(16) {
-                let imag = bound.mirrors.out_ray(&row, j).unwrap();
-                angle_dark += usize::from(bound.dark_angle(&imag));
+                let imag = table.out_ray(&row, j).unwrap();
+                angle_dark += usize::from(bound.dark_angle(&dark, &imag));
                 assert!(!bound.column_skippable(j), "({va}, {vb})");
-                assert_eq!(walk.dark_cells(j), 0, "({va}, {vb})");
+                assert_eq!(walk.dark_cells(&bound, &dark, j), 0, "({va}, {vb})");
                 dep.set_voltages(vt1, vt2, va, vb);
-                assert!(!dep.proves_dark_per_cell(&bound), "({va}, {vb})");
+                assert!(!dep.proves_dark_per_cell(&bound, &dark), "({va}, {vb})");
                 assert_eq!(reading_draws(&mut dep), (f64::NEG_INFINITY, 8));
             }
         }

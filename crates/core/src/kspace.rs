@@ -15,16 +15,16 @@
 
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
-use cyclops_geom::pose::Pose;
+use cyclops_geom::pose::{Pose, Pose6};
 use cyclops_geom::ray::Ray;
 use cyclops_geom::rotation::axis_angle;
 use cyclops_geom::vec3::{v3, Vec3};
 use cyclops_optics::galvo::{
-    check_volts, GalvoError, GalvoParams, GalvoSim, N_PARAMS, VOLT_MAX, VOLT_MIN,
+    check_volts, GalvoAxes, GalvoError, GalvoParams, GalvoSim, N_PARAMS, VOLT_MAX, VOLT_MIN,
 };
 use cyclops_solver::jacobian::central_differences_into;
 use cyclops_solver::linalg::DMat;
-use cyclops_solver::lm::{levenberg_marquardt, levenberg_marquardt_with, LmOptions, LmReport};
+use cyclops_solver::lm::{levenberg_marquardt_with, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::rand_util::gauss2;
 use rand::rngs::StdRng;
@@ -333,6 +333,52 @@ fn residuals(
     out
 }
 
+/// Phase A of [`fit_with_options`]: a 6-DoF rigid correction
+/// `(rv, t)` ([`Pose6`]) of the initial guess. A pose leaves `θ₁` alone, so
+/// every evaluation shares one table of mirror turns.
+struct PhaseA<'a> {
+    initial: &'a GalvoParams,
+    samples: &'a [KspaceSample],
+    turns: Vec<[(f64, f64); 2]>,
+}
+
+impl PhaseA<'_> {
+    fn model(&self, p: &[f64]) -> GalvoParams {
+        self.initial.transformed(&Pose6::from_slice(p).to_pose())
+    }
+
+    fn residuals(&self, p: &[f64]) -> Vec<f64> {
+        residuals(&self.model(p), self.samples, &self.turns)
+    }
+
+    /// The central differences of `numeric_jacobian_into` on
+    /// [`PhaseA::residuals`] at `x`, bit for bit. A translation column
+    /// (`t`, the last three) keeps the rotation vector's bits, so the moved
+    /// model keeps every direction's bits and differs from the base point
+    /// in its points alone: each sample's line takes the base point's
+    /// normals and directions ([`SampleTrace::moved_hits`]). The rotation
+    /// columns trace in full.
+    fn jacobian_into(&self, x: &[f64], rel_step: f64, jac: &mut DMat) {
+        let base = self.model(x);
+        let axes = base.axes();
+        let traces = sample_traces(&base, &axes, &self.turns);
+        let board = board();
+        let column = |p: &[f64], j: usize| {
+            if j < 3 {
+                return self.residuals(p);
+            }
+            // The moved model's axes are the base point's, bit for bit.
+            let g = self.model(p);
+            let mut r = Vec::with_capacity(2 * self.samples.len());
+            for (s, b) in self.samples.iter().zip(&traces) {
+                push_board_residual(&mut r, &board, b.moved_hits(&g, &axes), s);
+            }
+            r
+        };
+        central_differences_into(column, x, rel_step, jac);
+    }
+}
+
 /// Phase B of [`fit_with_options`]: the board residuals of the full
 /// geometric model, followed by the CAD prior's pull on each parameter.
 struct PhaseB<'a> {
@@ -342,12 +388,64 @@ struct PhaseB<'a> {
     prior_w: f64,
 }
 
-/// The base point's geometry of one sample in [`PhaseB::jacobian_into`]:
-/// both tilted mirror normals and the mid-mirror line.
+/// The base point's geometry of one sample in a structured Jacobian: both
+/// tilted mirror normals, raw and normalized (`n̂₁′`, `n̂₂′`, as the mirror
+/// planes normalize them), the mid-mirror line and the output line's
+/// (normalized) direction.
 struct SampleTrace {
     n1p: Vec3,
     n2p: Vec3,
+    n1u: Vec3,
+    n2u: Vec3,
     mid: Option<Ray>,
+    out_dir: Option<Vec3>,
+}
+
+impl SampleTrace {
+    /// The output line of a model `g`, with normalized directions `axes`,
+    /// that differs from the base point in its points `p0`, `q1`, `q2`
+    /// alone: both normals and both directions are the base point's, and
+    /// only the mirror hits move.
+    fn moved_hits(&self, g: &GalvoParams, axes: &GalvoAxes) -> Option<Ray> {
+        let mid = Ray {
+            origin: g.mirror1_hit(axes, self.n1u)?,
+            ..self.mid?
+        };
+        Some(Ray {
+            origin: g.mirror2_hit(&mid, self.n2u)?,
+            dir: self.out_dir?,
+        })
+    }
+}
+
+/// Each sample's [`SampleTrace`] for the model `base`, whose normalized
+/// directions are `axes` and mirror turns `turns`.
+fn sample_traces(
+    base: &GalvoParams,
+    axes: &GalvoAxes,
+    turns: &[[(f64, f64); 2]],
+) -> Vec<SampleTrace> {
+    turns
+        .iter()
+        .map(|&[sc1, sc2]| {
+            let (n1p, n2p) = (
+                base.mirror1_normal_sc(axes, sc1),
+                base.mirror2_normal_sc(axes, sc2),
+            );
+            let (n1u, n2u) = (n1p.normalized(), n2p.normalized());
+            let mid = base.mid_line_unit(axes, n1p, n1u);
+            SampleTrace {
+                n1p,
+                n2p,
+                n1u,
+                n2u,
+                mid,
+                out_dir: mid
+                    .and_then(|mid| base.out_line_unit(&mid, n2p, n2u))
+                    .map(|out| out.dir),
+            }
+        })
+        .collect()
 }
 
 impl PhaseB<'_> {
@@ -395,12 +493,14 @@ impl PhaseB<'_> {
     /// The central differences of `numeric_jacobian_into` on
     /// [`PhaseB::residuals`] at `x`, bit for bit. A column's perturbed
     /// vector moves one parameter, so each sample reuses the base point's
-    /// tilted normals `n̂₁′, n̂₂′` and mid-mirror line wherever that
-    /// parameter cannot change them (layout: `p0 x0 n1 q1 r1 n2 q2 r2 θ₁`):
-    /// - `p0`, `x0`, `q1` move only the mid line;
-    /// - `q2` moves only the second reflection;
-    /// - `n1`, `r1` move `n̂₁′` and the mid line;
-    /// - `n2`, `r2` move only `n̂₂′`;
+    /// normals and line directions wherever that parameter cannot change
+    /// them (layout: `p0 x0 n1 q1 r1 n2 q2 r2 θ₁`):
+    /// - `p0`, `q1`, `q2` move only the mirror hits: both normals and both
+    ///   directions are the base point's ([`SampleTrace::moved_hits`]);
+    /// - `x0` turns the input beam: both normals are the base point's;
+    /// - `n1`, `r1` move `n̂₁′` and the mid line: `n̂₂′` is the base
+    ///   point's;
+    /// - `n2`, `r2` move only `n̂₂′`: the mid line is the base point's;
     /// - `θ₁` moves everything, so its columns trace in full.
     ///
     /// Every other column keeps the base `θ₁`, so its mirror rotations take
@@ -411,17 +511,7 @@ impl PhaseB<'_> {
         let base = GalvoParams::from_vec(x);
         let axes = base.axes();
         let turns = mirror_turns(base.theta1, self.samples);
-        let traces: Vec<SampleTrace> = turns
-            .iter()
-            .map(|&[sc1, sc2]| {
-                let n1p = base.mirror1_normal_sc(&axes, sc1);
-                SampleTrace {
-                    n1p,
-                    n2p: base.mirror2_normal_sc(&axes, sc2),
-                    mid: base.mid_line(&axes, n1p),
-                }
-            })
-            .collect();
+        let traces = sample_traces(&base, &axes, &turns);
         let board = board();
         let column = |p: &[f64], j: usize| {
             let g = GalvoParams::from_vec(p);
@@ -429,9 +519,13 @@ impl PhaseB<'_> {
             let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
             for ((s, b), &[sc1, sc2]) in self.samples.iter().zip(&traces).zip(&turns) {
                 let line = match j / 3 {
-                    0 | 1 | 3 => g.trace_line_tilted(&axes, b.n1p, b.n2p),
-                    6 => b.mid.and_then(|mid| g.out_line(&mid, b.n2p)),
-                    2 | 4 => g.trace_line_tilted(&axes, g.mirror1_normal_sc(&axes, sc1), b.n2p),
+                    0 | 3 | 6 => b.moved_hits(&g, &axes),
+                    1 => g
+                        .mid_line_unit(&axes, b.n1p, b.n1u)
+                        .and_then(|mid| g.out_line_unit(&mid, b.n2p, b.n2u)),
+                    2 | 4 => g
+                        .mid_line(&axes, g.mirror1_normal_sc(&axes, sc1))
+                        .and_then(|mid| g.out_line_unit(&mid, b.n2p, b.n2u)),
                     5 | 7 => b
                         .mid
                         .and_then(|mid| g.out_line(&mid, g.mirror2_normal_sc(&axes, sc2))),
@@ -488,7 +582,6 @@ pub fn fit_with_options(
     initial: &GalvoParams,
     use_prior: bool,
 ) -> Result<KspaceTraining, KspaceError> {
-    use cyclops_geom::pose::Pose6;
     if samples.is_empty() {
         return Err(KspaceError::EmptyTrainingSet);
     }
@@ -496,19 +589,23 @@ pub fn fit_with_options(
         check_volts(s.v1, s.v2)?;
     }
 
-    // Phase A: 6-DoF rigid correction on top of the initial guess. A pose
-    // leaves θ₁ alone, so every evaluation shares one table of mirror turns.
-    let turns = mirror_turns(initial.theta1, samples);
-    let f_pose = |p: &[f64]| {
-        let pose = Pose6::from_slice(p).to_pose();
-        residuals(&initial.transformed(&pose), samples, &turns)
+    // Phase A: 6-DoF rigid correction on top of the initial guess.
+    let phase_a = PhaseA {
+        initial,
+        samples,
+        turns: mirror_turns(initial.theta1, samples),
     };
     let opts_a = LmOptions {
         max_iters: 80,
         ..Default::default()
     };
-    let rep_a = levenberg_marquardt(f_pose, &[0.0; 6], &opts_a);
-    let posed = initial.transformed(&Pose6::from_slice(&rep_a.params).to_pose());
+    let rep_a = levenberg_marquardt_with(
+        |p: &[f64]| phase_a.residuals(p),
+        |x: &[f64], rel_step: f64, jac: &mut DMat| phase_a.jacobian_into(x, rel_step, jac),
+        &[0.0; 6],
+        &opts_a,
+    );
+    let posed = phase_a.model(&rep_a.params);
 
     // Phase B: full geometric fit, with a CAD prior.
     //
@@ -572,6 +669,7 @@ mod tests {
     use super::*;
     use cyclops_optics::galvo::GalvoSimConfig;
     use cyclops_solver::jacobian::numeric_jacobian_into;
+    use cyclops_solver::lm::levenberg_marquardt;
 
     fn test_rig(seed: u64) -> KspaceRig {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -676,15 +774,33 @@ mod tests {
     /// Phase B's structured Jacobian against `numeric_jacobian_into` on
     /// its residual, bit for bit, at 1 and 4 threads.
     fn assert_jacobians_match(phase_b: &PhaseB<'_>, x: &[f64], ctx: &str) {
-        let rows = 2 * phase_b.samples.len() + N_PARAMS;
+        assert_structured_jacobian_matches(
+            2 * phase_b.samples.len() + N_PARAMS,
+            |p: &[f64]| phase_b.residuals(p),
+            |x: &[f64], rel: f64, jac: &mut DMat| phase_b.jacobian_into(x, rel, jac),
+            x,
+            ctx,
+        );
+    }
+
+    /// A structured `jacobian` of `residual` (`rows` residuals) against
+    /// `numeric_jacobian_into` at `x`, bit for bit, at 1 and 4 threads.
+    fn assert_structured_jacobian_matches(
+        rows: usize,
+        residual: impl Fn(&[f64]) -> Vec<f64> + Sync,
+        jacobian: impl Fn(&[f64], f64, &mut DMat),
+        x: &[f64],
+        ctx: &str,
+    ) {
+        let cols = x.len();
         let rel = LmOptions::default().fd_rel_step;
-        let mut want = DMat::zeros(rows, N_PARAMS);
-        numeric_jacobian_into(&|p: &[f64]| phase_b.residuals(p), x, rel, &mut want);
+        let mut want = DMat::zeros(rows, cols);
+        numeric_jacobian_into(&residual, x, rel, &mut want);
         for threads in [1, 4] {
-            let mut got = DMat::zeros(rows, N_PARAMS);
-            cyclops_par::with_threads(threads, || phase_b.jacobian_into(x, rel, &mut got));
+            let mut got = DMat::zeros(rows, cols);
+            cyclops_par::with_threads(threads, || jacobian(x, rel, &mut got));
             for i in 0..rows {
-                for j in 0..N_PARAMS {
+                for j in 0..cols {
                     assert_eq!(
                         got[(i, j)].to_bits(),
                         want[(i, j)].to_bits(),
@@ -735,6 +851,70 @@ mod tests {
             let x = grazing.to_vec();
             assert!(phase_b.residuals(&x).iter().filter(|&&r| r == 1.0).count() >= 8);
             assert_jacobians_match(&phase_b, &x, &format!("grazing, prior {use_prior}"));
+        }
+    }
+
+    #[test]
+    fn phase_a_jacobian_is_the_numeric_one_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let samples: Vec<KspaceSample> = (0..40)
+            .map(|k| KspaceSample {
+                x: rng.gen_range(-0.3..0.3),
+                y: rng.gen_range(-0.3..0.3),
+                // Every tenth sample at v₁ = 0, where the grazing model
+                // below degenerates.
+                v1: if k % 10 == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(VOLT_MIN..VOLT_MAX)
+                },
+                v2: rng.gen_range(VOLT_MIN..VOLT_MAX),
+            })
+            .collect();
+        let mut rig = KspaceRig::standard(
+            GalvoSim::new(GalvoParams::nominal(), GalvoSimConfig::default()),
+            6,
+        );
+        // A first mirror parallel to the input beam at v₁ = 0: those
+        // samples' lines degenerate to the 1.0 sentinel in every column.
+        let mut grazing = GalvoParams::nominal();
+        grazing.n1 = v3(0.0, 1.0, 0.0);
+        let cad = rig.cad_initial_guess();
+        for (name, initial) in [
+            ("CAD guess", cad),
+            ("grazing", grazing.transformed(&rig.true_rig_pose())),
+        ] {
+            let phase_a = PhaseA {
+                initial: &initial,
+                samples: &samples,
+                turns: mirror_turns(initial.theta1, &samples),
+            };
+            let sentinels = phase_a
+                .residuals(&[0.0; 6])
+                .iter()
+                .filter(|&&r| r == 1.0)
+                .count();
+            assert_eq!(
+                sentinels >= 8,
+                name == "grazing",
+                "{name}: {sentinels} sentinels"
+            );
+            for k in 0..12 {
+                let x: Vec<f64> = (0..6)
+                    .map(|i| match (k, i < 3) {
+                        (0, _) => 0.0,
+                        (_, true) => rng.gen_range(-0.05..0.05),
+                        (_, false) => rng.gen_range(-0.02..0.02),
+                    })
+                    .collect();
+                assert_structured_jacobian_matches(
+                    2 * samples.len(),
+                    |p: &[f64]| phase_a.residuals(p),
+                    |x: &[f64], rel: f64, jac: &mut DMat| phase_a.jacobian_into(x, rel, jac),
+                    &x,
+                    &format!("{name}, vector {k}"),
+                );
+            }
         }
     }
 

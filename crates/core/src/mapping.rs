@@ -14,7 +14,7 @@
 //! alignment the TX beam's origin must coincide with where the RX imaginary
 //! beam lands and vice versa, *if* the mapped models are correct.
 
-use crate::alignment::exhaustive_align;
+use crate::alignment::{align_with, SweepTables};
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
@@ -134,13 +134,14 @@ pub fn collect_samples_with(
     // the n-th acceptance and discard them; that costs only wall-clock work
     // already saved many times over.
     let base = dep.clone();
+    let tables = SweepTables::new(&base);
     let try_attempt = |k: usize| -> Option<(Pose, MappingSample)> {
         let mut rng = StdRng::seed_from_u64(cyclops_par::mix64(seed, 2 * k as u64));
         let mut d = base.clone();
         *d.rng() = StdRng::seed_from_u64(cyclops_par::mix64(seed, 2 * k as u64 + 1));
         let pose = random_placement(&mut rng, d.design.nominal_range);
         d.set_headset_pose(pose);
-        let res = exhaustive_align(&mut d);
+        let res = align_with(&mut d, &tables);
         if res.power_dbm < d.design.sfp.rx_sensitivity_dbm {
             return None;
         }

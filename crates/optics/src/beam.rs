@@ -348,6 +348,51 @@ mod tests {
         }
     }
 
+    /// The tail bound the monitor's cannot-win bound rests on: a disk
+    /// whose edge lies `δ − a ≥ 0` beyond the beam centre lies inside a
+    /// half-plane that far away, whose share of a Gaussian beam is
+    /// `½·erfc(√2·(δ − a)/w) ≤ ½·exp(−2(δ − a)²/w²)`. Checked, with a 1e-12
+    /// relative slack for the computed capture, wherever `δ ≥ a` on
+    /// [`capture_matches_high_resolution_reference`]'s grid, from the
+    /// `δ < 0.02w` closed form to either side of the `8w + a` cut.
+    #[test]
+    fn capture_is_below_the_half_plane_tail_bound() {
+        let mut closed_form = 0;
+        for w in [1e-3, 2.5e-3, 7e-3, 18.5e-3, 50e-3] {
+            for a in [0.1e-3, 1e-3, 5e-3, 20e-3] {
+                let edge = 8.0 * w + a;
+                for delta in [
+                    a,
+                    0.01 * w,
+                    0.015 * w,
+                    0.02 * w,
+                    0.075 * w,
+                    0.5 * w,
+                    2.0 * w,
+                    a + 0.5 * w,
+                    a + w,
+                    3.0 * w + a,
+                    edge * (1.0 - 1e-9),
+                    edge,
+                    edge * (1.0 + 1e-9),
+                ]
+                .into_iter()
+                .filter(|&d| d >= a)
+                {
+                    closed_form += usize::from(delta < 0.02 * w);
+                    let got = capture_fraction(w, delta, a);
+                    let t = delta - a;
+                    let bound = 0.5 * (-2.0 * t * t / (w * w)).exp();
+                    assert!(
+                        got <= bound * (1.0 + 1e-12),
+                        "w={w} a={a} δ={delta}: {got} > {bound}"
+                    );
+                }
+            }
+        }
+        assert!(closed_form >= 4, "{closed_form} closed-form cases");
+    }
+
     #[test]
     fn capture_extremes_are_finite_and_resolved() {
         assert_eq!(capture_fraction(0.01, 0.003, 0.0), 0.0);

@@ -350,12 +350,29 @@ impl GalvoParams {
 
     /// First half of [`GalvoParams::trace_line_with`]: the beam between the
     /// mirrors for the tilted first-mirror normal `n1p`. A finite-difference
-    /// step in `v₂` reuses it unchanged.
+    /// step in `v₂` reuses it unchanged. (It keeps its own body rather than
+    /// calling [`GalvoParams::mid_line_unit`]: the delegating form measured
+    /// slower in the mapping fit, which traces through it.)
     #[inline]
     pub fn mid_line(&self, axes: &GalvoAxes, n1p: Vec3) -> Option<Ray> {
         let input = self.input_ray(axes);
         let (_, hit1) = Plane::new(self.q1, n1p).intersect_line(&input)?;
         Some(Ray::new(hit1, reflect_dir(input.dir, n1p)))
+    }
+
+    /// [`GalvoParams::mid_line`] with `n1u = n1p.normalized()`, the first
+    /// mirror plane's unit normal, already computed — bit-identical.
+    #[inline]
+    pub fn mid_line_unit(&self, axes: &GalvoAxes, n1p: Vec3, n1u: Vec3) -> Option<Ray> {
+        let hit1 = self.mirror1_hit(axes, n1u)?;
+        Some(Ray::new(hit1, reflect_dir(axes.x0n, n1p)))
+    }
+
+    /// Where the input beam's line meets the first mirror's plane of unit
+    /// normal `n1u`: the origin of [`GalvoParams::mid_line_unit`].
+    #[inline]
+    pub fn mirror1_hit(&self, axes: &GalvoAxes, n1u: Vec3) -> Option<Vec3> {
+        line_hit(self.q1, n1u, &self.input_ray(axes))
     }
 
     /// Second half of [`GalvoParams::trace_line_with`]: reflects the
@@ -364,6 +381,21 @@ impl GalvoParams {
     pub fn out_line(&self, mid: &Ray, n2p: Vec3) -> Option<Ray> {
         let (_, hit2) = Plane::new(self.q2, n2p).intersect_line(mid)?;
         Some(Ray::new(hit2, reflect_dir(mid.dir, n2p)))
+    }
+
+    /// [`GalvoParams::out_line`] with `n2u = n2p.normalized()`, the second
+    /// mirror plane's unit normal, already computed — bit-identical.
+    #[inline]
+    pub fn out_line_unit(&self, mid: &Ray, n2p: Vec3, n2u: Vec3) -> Option<Ray> {
+        let hit2 = self.mirror2_hit(mid, n2u)?;
+        Some(Ray::new(hit2, reflect_dir(mid.dir, n2p)))
+    }
+
+    /// Where `mid`'s line meets the second mirror's plane of unit normal
+    /// `n2u`: the origin of [`GalvoParams::out_line_unit`].
+    #[inline]
+    pub fn mirror2_hit(&self, mid: &Ray, n2u: Vec3) -> Option<Vec3> {
+        line_hit(self.q2, n2u, mid)
     }
 
     /// The plane of the second mirror at voltage `v2`.
@@ -422,6 +454,18 @@ impl GalvoParams {
             theta1: v[24],
         }
     }
+}
+
+/// Where `ray`'s line meets the plane through `point` with unit normal
+/// `unit`: the hit of `Plane::new(point, n).intersect_line(ray)` for
+/// `unit = n.normalized()`, bit for bit.
+#[inline]
+fn line_hit(point: Vec3, unit: Vec3, ray: &Ray) -> Option<Vec3> {
+    let plane = Plane {
+        point,
+        normal: unit,
+    };
+    plane.intersect_line(ray).map(|(_, hit)| hit)
 }
 
 /// Hardware non-idealities of the galvo driver chain.

@@ -42,6 +42,9 @@ impl DMat {
 
     /// Computes `AᵀA` (the Gauss–Newton normal matrix) into a caller-owned
     /// `cols × cols` matrix, so iterative solvers can reuse one allocation.
+    /// Each entry sums its rows' products in row order, skipping the rows
+    /// whose left factor is zero; the inner loop runs over slices, so it
+    /// vectorizes without changing a bit.
     ///
     /// # Panics
     /// Panics if `g` is not `cols × cols`.
@@ -49,27 +52,29 @@ impl DMat {
         let n = self.cols;
         assert_eq!((g.rows, g.cols), (n, n), "gram_into dimension mismatch");
         g.data.fill(0.0);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..n {
-                let ri = row[i];
+        if n == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact(n) {
+            for (i, (&ri, g_row)) in row.iter().zip(g.data.chunks_exact_mut(n)).enumerate() {
                 if ri == 0.0 {
                     continue;
                 }
-                for j in i..n {
-                    g[(i, j)] += ri * row[j];
+                for (gij, &rj) in g_row[i..].iter_mut().zip(&row[i..]) {
+                    *gij += ri * rj;
                 }
             }
         }
         // Mirror the upper triangle.
         for i in 0..n {
             for j in 0..i {
-                g[(i, j)] = g[(j, i)];
+                g.data[i * n + j] = g.data[j * n + i];
             }
         }
     }
 
-    /// Computes `Aᵀb` into a caller-owned vector.
+    /// Computes `Aᵀb` into a caller-owned vector: each entry sums its rows'
+    /// products in row order, skipping zero entries of `b`.
     ///
     /// # Panics
     /// Panics if `b.len() != rows` or `out.len() != cols`.
@@ -77,11 +82,14 @@ impl DMat {
         assert_eq!(b.len(), self.rows);
         assert_eq!(out.len(), self.cols);
         out.fill(0.0);
-        for (r, &br) in b.iter().enumerate() {
+        if self.cols == 0 {
+            return;
+        }
+        for (row, &br) in self.data.chunks_exact(self.cols).zip(b) {
             if br == 0.0 {
                 continue;
             }
-            for (o, &a) in out.iter_mut().zip(self.row(r)) {
+            for (o, &a) in out.iter_mut().zip(row) {
                 *o += a * br;
             }
         }
@@ -92,7 +100,8 @@ impl DMat {
     /// contents are unspecified when `false` — singular — is returned). The
     /// matrix is destroyed (reduced) but its allocation stays with the
     /// caller, so iterative solvers can refill and re-solve without churning
-    /// the allocator.
+    /// the allocator. Row updates run over slices; every entry takes the
+    /// operations of the textbook indexed loops in the same order.
     ///
     /// # Panics
     /// Panics if the matrix is not square or `x.len() != rows`.
@@ -100,13 +109,14 @@ impl DMat {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(x.len(), self.rows);
         let n = self.rows;
+        let a = &mut self.data;
 
         for col in 0..n {
             // Partial pivot.
             let mut pivot = col;
-            let mut best = self[(col, col)].abs();
+            let mut best = a[col * n + col].abs();
             for r in (col + 1)..n {
-                let v = self[(r, col)].abs();
+                let v = a[r * n + col].abs();
                 if v > best {
                     best = v;
                     pivot = r;
@@ -115,34 +125,35 @@ impl DMat {
             if best < 1e-300 {
                 return false;
             }
+            let (upper, lower) = a.split_at_mut((col + 1) * n);
+            let pivot_row = &mut upper[col * n + col..];
             if pivot != col {
-                self.data.swap(pivot * n + col, col * n + col);
-                for c in (col + 1)..n {
-                    self.data.swap(pivot * n + c, col * n + c);
-                }
+                let other = &mut lower[(pivot - col - 1) * n..][col..n];
+                pivot_row.swap_with_slice(other);
                 x.swap(pivot, col);
             }
-            let diag = self[(col, col)];
-            for r in (col + 1)..n {
-                let factor = self[(r, col)] / diag;
+            let (diag, pivot_rest) = (pivot_row[0], &pivot_row[1..]);
+            let (x_col, x_lower) = x[col..].split_first_mut().expect("col < n");
+            for (row, xr) in lower.chunks_exact_mut(n).zip(x_lower) {
+                let factor = row[col] / diag;
                 if factor == 0.0 {
                     continue;
                 }
-                self[(r, col)] = 0.0;
-                for c in (col + 1)..n {
-                    let v = self[(col, c)];
-                    self[(r, c)] -= factor * v;
+                row[col] = 0.0;
+                for (v, &p) in row[col + 1..].iter_mut().zip(pivot_rest) {
+                    *v -= factor * p;
                 }
-                x[r] -= factor * x[col];
+                *xr -= factor * *x_col;
             }
         }
         // Back substitution.
         for col in (0..n).rev() {
+            let row = &a[col * n..(col + 1) * n];
             let mut s = x[col];
-            for c in (col + 1)..n {
-                s -= self[(col, c)] * x[c];
+            for (v, xc) in row[col + 1..].iter().zip(&x[col + 1..]) {
+                s -= v * xc;
             }
-            x[col] = s / self[(col, col)];
+            x[col] = s / row[col];
         }
         true
     }
@@ -183,6 +194,172 @@ mod tests {
         (0..a.rows)
             .map(|r| a.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
+    }
+
+    /// The indexed `AᵀA` loop [`DMat::gram_into`] replaced: the reference
+    /// its slice loop must match bit for bit.
+    fn gram_reference(a: &DMat, g: &mut DMat) {
+        let n = a.cols;
+        g.data.fill(0.0);
+        for r in 0..a.rows {
+            let row = a.row(r);
+            for i in 0..n {
+                let ri = row[i];
+                if ri == 0.0 {
+                    continue;
+                }
+                for j in i..n {
+                    g[(i, j)] += ri * row[j];
+                }
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                g[(i, j)] = g[(j, i)];
+            }
+        }
+    }
+
+    /// The indexed `Aᵀb` loop [`DMat::t_mul_vec_into`] replaced.
+    fn t_mul_vec_reference(a: &DMat, b: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for (r, &br) in b.iter().enumerate() {
+            if br == 0.0 {
+                continue;
+            }
+            for c in 0..a.cols {
+                out[c] += a[(r, c)] * br;
+            }
+        }
+    }
+
+    /// The indexed elimination [`DMat::solve_in_place`] replaced.
+    fn solve_reference(a: &mut DMat, x: &mut [f64]) -> bool {
+        let n = a.rows;
+        for col in 0..n {
+            let mut pivot = col;
+            let mut best = a[(col, col)].abs();
+            for r in (col + 1)..n {
+                let v = a[(r, col)].abs();
+                if v > best {
+                    best = v;
+                    pivot = r;
+                }
+            }
+            if best < 1e-300 {
+                return false;
+            }
+            if pivot != col {
+                a.data.swap(pivot * n + col, col * n + col);
+                for c in (col + 1)..n {
+                    a.data.swap(pivot * n + c, col * n + c);
+                }
+                x.swap(pivot, col);
+            }
+            let diag = a[(col, col)];
+            for r in (col + 1)..n {
+                let factor = a[(r, col)] / diag;
+                if factor == 0.0 {
+                    continue;
+                }
+                a[(r, col)] = 0.0;
+                for c in (col + 1)..n {
+                    let v = a[(col, c)];
+                    a[(r, c)] -= factor * v;
+                }
+                x[r] -= factor * x[col];
+            }
+        }
+        for col in (0..n).rev() {
+            let mut s = x[col];
+            for c in (col + 1)..n {
+                s -= a[(col, c)] * x[c];
+            }
+            x[col] = s / a[(col, col)];
+        }
+        true
+    }
+
+    /// A seeded stream of entries in `[−1, 1)` over six decades of scale,
+    /// a quarter of them `±0.0`.
+    fn entries(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
+            match (state >> 20) % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                k => u * 10f64.powi(k as i32 - 4),
+            }
+        }
+    }
+
+    fn random_matrix(rows: usize, cols: usize, next: &mut impl FnMut() -> f64) -> DMat {
+        from_vec(rows, cols, (0..rows * cols).map(|_| next()).collect())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn slice_kernels_match_the_indexed_loops_bit_for_bit() {
+        let mut next = entries(7);
+        // The K-space Phase B shape (149 × 25), the mapping fit's (12
+        // columns) and some small and degenerate ones.
+        for (rows, cols) in [(149, 25), (72, 12), (3, 2), (1, 1), (0, 4), (5, 1), (9, 9)] {
+            for _ in 0..4 {
+                let a = random_matrix(rows, cols, &mut next);
+                let (mut got, mut want) = (DMat::zeros(cols, cols), DMat::zeros(cols, cols));
+                a.gram_into(&mut got);
+                gram_reference(&a, &mut want);
+                assert_eq!(bits(&got.data), bits(&want.data), "gram {rows}×{cols}");
+
+                let b: Vec<f64> = (0..rows).map(|_| next()).collect();
+                let (mut got, mut want) = (vec![1.0; cols], vec![2.0; cols]);
+                a.t_mul_vec_into(&b, &mut got);
+                t_mul_vec_reference(&a, &b, &mut want);
+                assert_eq!(bits(&got), bits(&want), "Aᵀb {rows}×{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_solve_matches_the_indexed_elimination_bit_for_bit() {
+        let mut next = entries(11);
+        let mut swaps = 0;
+        for n in [1, 2, 3, 6, 12, 25] {
+            for k in 0..6 {
+                let mut a = random_matrix(n, n, &mut next);
+                match k {
+                    // A zero diagonal: every column must pivot.
+                    0 => (0..n).for_each(|i| a[(i, i)] = 0.0),
+                    // Singular: the last row repeats the first.
+                    1 if n > 1 => (0..n).for_each(|c| a[(n - 1, c)] = a[(0, c)]),
+                    // Singular: an all-zero column.
+                    2 => (0..n).for_each(|r| a[(r, n / 2)] = 0.0),
+                    _ => {}
+                }
+                swaps += (0..n)
+                    .filter(|&c| (c + 1..n).any(|r| a[(r, c)].abs() > a[(c, c)].abs()))
+                    .count();
+                let b: Vec<f64> = (0..n).map(|_| next()).collect();
+                let (mut got_a, mut want_a) = (a.clone(), a.clone());
+                let (mut got_x, mut want_x) = (b.clone(), b);
+                let got = got_a.solve_in_place(&mut got_x);
+                let want = solve_reference(&mut want_a, &mut want_x);
+                assert_eq!(got, want, "n {n}, case {k}");
+                assert_eq!(bits(&got_x), bits(&want_x), "x, n {n}, case {k}");
+                assert_eq!(bits(&got_a.data), bits(&want_a.data), "A, n {n}, case {k}");
+                if k == 2 {
+                    assert!(!got, "a zero column is singular (n {n})");
+                }
+            }
+        }
+        assert!(swaps > 50, "{swaps} pivot swaps");
     }
 
     #[test]
