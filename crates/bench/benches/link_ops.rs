@@ -33,6 +33,20 @@ fn bench_trace_sim(c: &mut Criterion) {
     c.bench_function("trace_sim: one 60 s trace (60k slots)", |b| {
         b.iter(|| simulate_trace(black_box(&trace), &p).on_fraction)
     });
+    // Tighter tolerances of the benchmark's trace sweep: at 0.875× many
+    // realignment intervals cross the tolerance mid-interval (walked slot
+    // by slot), at 0.5× every slot is off.
+    for (scale, label) in [(0.875, "crossing-heavy"), (0.5, "all off")] {
+        let q = TraceSimParams {
+            tol_lat_m: p.tol_lat_m * scale,
+            tol_ang_rad: p.tol_ang_rad * scale,
+            ..p
+        };
+        c.bench_function(
+            &format!("trace_sim: one 60 s trace at {scale}× tolerance ({label})"),
+            |b| b.iter(|| simulate_trace(black_box(&trace), &q).on_fraction),
+        );
+    }
 }
 
 fn bench_full_simulator(c: &mut Criterion) {

@@ -12,7 +12,7 @@
 //!
 //! Since the engine refactor the slot loop lives in
 //! [`crate::engine::TraceSession`]; [`simulate_trace`] drives it through its
-//! fused runner, bit-identically to one
+//! interval runner, bit-identically to one
 //! [`SlotSession::step_slot`](crate::engine::SlotSession::step_slot) call
 //! per slot and to the pre-refactor loop.
 //!
@@ -198,9 +198,9 @@ pub fn replay_with_fallback(
 pub fn simulate_trace(trace: &HeadTrace, p: &TraceSimParams) -> TraceSimResult {
     let n_slots = ((trace.duration_s() * 1e3) / p.slot_ms).floor() as usize;
     let mut session = TraceSession::new(trace, *p);
-    // The fused runner is bit-identical to one `step_slot` call per slot
+    // The interval runner is bit-identical to one `step_slot` call per slot
     // (pinned by the trace_corpus engine-digest golden and the
-    // `fused_run_matches_step_slot_exactly` test) and ~40× faster.
+    // `fused_run_matches_step_slot_exactly` test) and several times faster.
     let slots_on = session.run(n_slots);
     let on = slots_on.iter().filter(|&&b| b).count();
     let on_fraction = on as f64 / slots_on.len().max(1) as f64;
@@ -217,7 +217,7 @@ pub fn simulate_trace(trace: &HeadTrace, p: &TraceSimParams) -> TraceSimResult {
 /// evaluated on worker threads and collected in input order — bit-identical
 /// to the serial loop.
 pub fn simulate_corpus(traces: &[HeadTrace], p: &TraceSimParams) -> Vec<f64> {
-    // Counting path: same fused loop as `simulate_trace`, no per-slot
+    // Counting path: same runner as `simulate_trace`, no per-slot
     // vector — the CDF only needs each trace's on-fraction.
     let one = |t: &HeadTrace| {
         let n_slots = ((t.duration_s() * 1e3) / p.slot_ms).floor() as usize;
@@ -419,20 +419,52 @@ mod tests {
         assert_ne!(a.slots_on, c.slots_on, "seed must matter");
     }
 
+    /// Slots [`simulate_trace`] runs over `trace`.
+    fn trace_slots(trace: &HeadTrace, p: &TraceSimParams) -> usize {
+        ((trace.duration_s() * 1e3) / p.slot_ms).floor() as usize
+    }
+
+    /// Asserts that `run`, `run_count` and one `step_slot` call per slot
+    /// agree over `n_slots`; returns the per-slot flags.
+    fn assert_runners_agree(trace: &HeadTrace, p: &TraceSimParams, n_slots: usize) -> Vec<bool> {
+        let naive = run_slots(&mut TraceSession::new(trace, *p), n_slots);
+        let run = TraceSession::new(trace, *p).run(n_slots);
+        assert_eq!(naive, run, "interval run diverged (p = {p:?})");
+        let count = TraceSession::new(trace, *p).run_count(n_slots);
+        let expect = naive.iter().filter(|&&b| b).count();
+        assert_eq!(count, expect, "counting run diverged (p = {p:?})");
+        naive
+    }
+
+    /// `trace` with every timestamp after the first moved by up to
+    /// ±`jitter_ms / 2` (still increasing for a jitter below the period),
+    /// so report slots stop repeating.
+    fn jittered(trace: HeadTrace, jitter_ms: f64, seed: u64) -> HeadTrace {
+        let mut samples = trace.samples;
+        for (i, s) in samples.iter_mut().enumerate().skip(1) {
+            let u = crate::control::unit(cyclops_par::mix64(seed, i as u64));
+            s.t_ms += jitter_ms * (u - 0.5);
+        }
+        HeadTrace::new(trace.period_ms, samples)
+    }
+
     #[test]
     fn fused_run_matches_step_slot_exactly() {
-        // The fused TraceSession::run must equal the naive per-slot loop
-        // bit-for-bit, across loss/DR configurations, generated and uniform
-        // traces, and non-default slot lengths (including slot/report-period
-        // ratios that stress the segment-boundary comparisons).
+        // The interval runner (TraceSession::run / run_count) must equal the
+        // naive per-slot loop bit-for-bit, across loss/DR configurations,
+        // generated and uniform traces, non-default slot lengths (including
+        // slot/report-period ratios that stress the slot-boundary
+        // comparisons) and every fallback the runner takes.
+        let gen = |seed| HeadTrace::generate(&TraceGenConfig::default(), seed);
+        let base = TraceSimParams::default();
         let mut cases: Vec<(HeadTrace, TraceSimParams)> = vec![
-            (uniform_trace(0.0, 0.0, 5.0), TraceSimParams::default()),
-            (uniform_trace(0.14, 0.4, 10.0), TraceSimParams::default()),
+            (uniform_trace(0.0, 0.0, 5.0), base),
+            (uniform_trace(0.14, 0.4, 10.0), base),
             (
                 uniform_trace(0.18, 0.0, 10.0),
                 TraceSimParams {
                     slot_ms: 0.5,
-                    ..Default::default()
+                    ..base
                 },
             ),
             (
@@ -440,29 +472,218 @@ mod tests {
                 TraceSimParams {
                     slot_ms: 0.7, // non-divisor of the 10 ms report period
                     realign_latency_ms: 1.3,
-                    ..Default::default()
+                    ..base
                 },
             ),
         ];
         for i in 0..6 {
             cases.push((
-                HeadTrace::generate(&TraceGenConfig::default(), 9_100 + i),
+                gen(9_100 + i),
                 TraceSimParams {
                     report_loss_prob: 0.2,
                     loss_seed: 41,
                     dead_reckoning: i % 2 == 0,
-                    ..Default::default()
+                    ..base
                 },
             ));
         }
+        // The benchmark sweep's all-off (0.5×), crossing-heavy (0.875×) and
+        // all-on (2×) tolerance scales, on both axes and on each alone,
+        // reliable and with report loss under dead reckoning.
+        for (i, scale) in [0.5, 0.875, 2.0].into_iter().enumerate() {
+            for (sl, sa) in [(scale, scale), (scale, 1.0), (1.0, scale)] {
+                let p = TraceSimParams {
+                    tol_lat_m: base.tol_lat_m * sl,
+                    tol_ang_rad: base.tol_ang_rad * sa,
+                    ..base
+                };
+                let lossy = TraceSimParams {
+                    report_loss_prob: 0.05,
+                    loss_seed: 7 + i as u64,
+                    dead_reckoning: true,
+                    ..p
+                };
+                cases.push((gen(9_200 + i as u64), p));
+                cases.push((gen(9_200 + i as u64), lossy));
+            }
+        }
+        // Loss without dead reckoning; zero, negative and negatively scaled
+        // residuals; jittered report times.
+        let lossy = |seed, dead_reckoning| TraceSimParams {
+            report_loss_prob: 0.3,
+            loss_seed: seed,
+            dead_reckoning,
+            ..base
+        };
+        cases.push((gen(9_300), lossy(5, false)));
+        cases.push((
+            gen(9_301),
+            TraceSimParams {
+                residual_lat_m: 0.0,
+                residual_ang_rad: 0.0,
+                ..base
+            },
+        ));
+        cases.push((
+            gen(9_302),
+            TraceSimParams {
+                residual_lat_m: -2e-3,
+                residual_ang_rad: -1e-3,
+                ..lossy(6, true)
+            },
+        ));
+        cases.push((
+            gen(9_303),
+            TraceSimParams {
+                dr_residual_scale: -1.5,
+                ..lossy(3, true)
+            },
+        ));
+        cases.push((jittered(gen(9_304), 4.0, 1), lossy(2, true)));
+        // Realignments completing after, exactly at, and before the next
+        // report, in the report slot itself, and slots holding two reports.
+        for latency in [12.0, 10.0, 9.5, 0.0, -0.5] {
+            let p = TraceSimParams {
+                realign_latency_ms: latency,
+                ..base
+            };
+            cases.push((gen(9_305), p));
+        }
+        let p = TraceSimParams {
+            slot_ms: 12.0,
+            ..base
+        };
+        cases.push((gen(9_306), p));
+        // Negative and NaN drift increments: a decreasing timestamp pair and
+        // a NaN position (traces `HeadTrace::from_csv` would reject).
+        let mut samples = gen(9_307).samples;
+        samples[100].t_ms = samples[99].t_ms - 5.0;
+        samples[300].pos.x = f64::NAN;
+        cases.push((HeadTrace::new(10.0, samples), lossy(4, true)));
+        // Negative increments from a residual above the tolerance: every
+        // seventh timestamp steps back, so the drift falls for 20 ms after
+        // its realignment and turns disconnected slots back on.
+        let mut samples = uniform_trace(0.3, 0.0, 6.0).samples;
+        for i in (7..samples.len()).step_by(7) {
+            samples[i].t_ms = samples[i - 1].t_ms - 5.0;
+        }
+        let p = TraceSimParams {
+            residual_lat_m: base.tol_lat_m + 3e-3,
+            ..base
+        };
+        cases.push((HeadTrace::new(10.0, samples), p));
+        // A tolerance equal to a drift value the slot loop reaches, and its
+        // ±1-ulp neighbours: the interval proof must not round a tie either
+        // way. Slot 500 is the last slot before a realignment completes, so
+        // it holds its interval's largest drift; bisecting over the
+        // tolerance's bits finds the smallest tolerance that keeps it
+        // connected — exactly the drift value there. The third trace starts
+        // each interval 1 km below zero, so its drift sums cancel and no
+        // relative rounding bound holds for them.
+        for (trace, lateral, p) in [
+            (uniform_trace(0.16, 0.0, 6.0), true, base),
+            (uniform_trace(0.0, 0.6, 6.0), false, base),
+            (
+                uniform_trace(100_001.98, 0.0, 6.0),
+                true,
+                TraceSimParams {
+                    residual_lat_m: -1e3,
+                    ..base
+                },
+            ),
+        ] {
+            let with_tol = |tol: f64| {
+                if lateral {
+                    TraceSimParams {
+                        tol_lat_m: tol,
+                        ..p
+                    }
+                } else {
+                    TraceSimParams {
+                        tol_ang_rad: tol,
+                        ..p
+                    }
+                }
+            };
+            let slot_500_on =
+                |tol: f64| run_slots(&mut TraceSession::new(&trace, with_tol(tol)), 501)[500];
+            let (mut off, mut on) = (0.0f64.to_bits(), 1.0f64.to_bits());
+            assert!(!slot_500_on(f64::from_bits(off)) && slot_500_on(f64::from_bits(on)));
+            while on - off > 1 {
+                let mid = off + (on - off) / 2;
+                if slot_500_on(f64::from_bits(mid)) {
+                    on = mid;
+                } else {
+                    off = mid;
+                }
+            }
+            for tol in [off, on, on + 1].map(f64::from_bits) {
+                cases.push((trace.clone(), with_tol(tol)));
+            }
+        }
+
         for (trace, p) in &cases {
-            let n_slots = ((trace.duration_s() * 1e3) / p.slot_ms).floor() as usize;
-            let naive = run_slots(&mut TraceSession::new(trace, *p), n_slots);
-            let fused = TraceSession::new(trace, *p).run(n_slots);
-            assert_eq!(naive, fused, "fused run diverged (p = {p:?})");
-            let count = TraceSession::new(trace, *p).run_count(n_slots);
-            let expect = naive.iter().filter(|&&b| b).count();
-            assert_eq!(count, expect, "counting run diverged (p = {p:?})");
+            assert_runners_agree(trace, p, trace_slots(trace, p));
+        }
+    }
+
+    #[test]
+    fn traces_without_reports_never_drift() {
+        // Fewer than two samples publish no report: no realignment, no
+        // drift, every slot connected — on every runner.
+        let sample = TraceSample {
+            t_ms: 250.0,
+            pos: v3(0.1, 0.2, 0.3),
+            quat: Quat::IDENTITY,
+        };
+        let p = TraceSimParams::default();
+        for trace in [
+            HeadTrace::new(10.0, vec![]),
+            HeadTrace::new(10.0, vec![sample]),
+        ] {
+            assert_eq!(assert_runners_agree(&trace, &p, 60), vec![true; 60]);
+            let r = simulate_trace(&trace, &p);
+            assert_eq!(r.slots_on.len(), trace_slots(&trace, &p));
+            assert_eq!(r.off_slots(), 0);
+            assert_eq!(simulate_corpus(std::slice::from_ref(&trace), &p).len(), 1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random parameters over short generated traces, jittered or not:
+        /// the interval runner matches one `step_slot` call per slot.
+        #[test]
+        fn prop_interval_runner_matches_step_slot(
+            seed in 0u64..1_000_000,
+            secs in 0.0f64..3.0,
+            jitter_ms in 0.0f64..6.0,
+            slot_ms in 0.25f64..12.0,
+            latency in -1.0f64..14.0,
+            (res_lat, res_ang) in (-2e-3f64..8e-3, -1e-3f64..5e-3),
+            (tol_lat, tol_ang) in (-1e-3f64..1.2e-2, -1e-3f64..1.5e-2),
+            (loss, dead_reckoning, dr_scale) in
+                (0.0f64..0.5, proptest::prelude::any::<bool>(), -1.0f64..3.0),
+        ) {
+            let cfg = TraceGenConfig {
+                duration_s: secs,
+                ..Default::default()
+            };
+            let trace = jittered(HeadTrace::generate(&cfg, seed), jitter_ms, seed);
+            let p = TraceSimParams {
+                slot_ms,
+                realign_latency_ms: latency,
+                residual_lat_m: res_lat,
+                residual_ang_rad: res_ang,
+                tol_lat_m: tol_lat,
+                tol_ang_rad: tol_ang,
+                report_loss_prob: loss,
+                loss_seed: seed,
+                dead_reckoning,
+                dr_residual_scale: dr_scale,
+            };
+            assert_runners_agree(&trace, &p, trace_slots(&trace, &p) + 5);
         }
     }
 
@@ -528,5 +749,45 @@ mod tests {
         let r = simulate_trace(&uniform_trace(0.25, 0.0, 5.0), &p);
         // 0.25 m/s × 10 ms = 2.5 mm < 6 mm → fully connected.
         assert!(r.on_fraction > 0.999, "{}", r.on_fraction);
+    }
+
+    /// Pins `simulate_corpus` at the benchmark trace sweep's 80 points (8
+    /// lateral × 5 angular tolerance scales, each reliable and with 5 %
+    /// report loss under dead reckoning) on 8 generated traces: the
+    /// `trace_corpus` golden sees only the default tolerances. FNV-1a over
+    /// the on-fractions' bits, recorded before the interval runner.
+    #[test]
+    fn sweep_fractions_are_pinned() {
+        use cyclops_par::mix64;
+        let base = TraceSimParams::default();
+        let traces: Vec<HeadTrace> = (0..8)
+            .map(|i| HeadTrace::generate(&TraceGenConfig::default(), mix64(1, i)))
+            .collect();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut point = 0u64;
+        for sl in [0.5, 0.625, 0.75, 0.875, 1.0, 1.25, 1.5, 2.0] {
+            for sa in [0.5, 0.75, 1.0, 1.5, 2.0] {
+                let p = TraceSimParams {
+                    tol_lat_m: base.tol_lat_m * sl,
+                    tol_ang_rad: base.tol_ang_rad * sa,
+                    ..base
+                };
+                let lossy = TraceSimParams {
+                    report_loss_prob: 0.05,
+                    loss_seed: mix64(1, point),
+                    dead_reckoning: true,
+                    ..p
+                };
+                point += 1;
+                for q in [p, lossy] {
+                    for f in simulate_corpus(&traces, &q) {
+                        for b in f.to_bits().to_le_bytes() {
+                            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xc5ac_33bd_8d5d_6ff7, "sweep on-fractions moved");
     }
 }

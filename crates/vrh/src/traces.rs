@@ -327,8 +327,13 @@ impl HeadTrace {
 
     /// Parses the CSV produced by [`HeadTrace::to_csv`] (or the real dataset
     /// exported into the same layout).
+    ///
+    /// Every row is validated: it must hold eight finite numbers, its
+    /// timestamp must exceed the previous row's, and its quaternion must
+    /// have a norm that can be normalized. The error names the offending
+    /// line. A trace also needs at least two samples.
     pub fn from_csv(csv: &str) -> Result<HeadTrace, String> {
-        let mut samples = Vec::new();
+        let mut samples: Vec<TraceSample> = Vec::new();
         for (ln, line) in csv.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || (ln == 0 && line.starts_with("t_ms")) {
@@ -348,26 +353,51 @@ impl HeadTrace {
                     .trim()
                     .parse()
                     .map_err(|e| format!("line {}: field {}: {}", ln + 1, i + 1, e))?;
+                if !vals[i].is_finite() {
+                    return Err(format!(
+                        "line {}: field {}: {} is not finite",
+                        ln + 1,
+                        i + 1,
+                        vals[i]
+                    ));
+                }
+            }
+            if let Some(prev) = samples.last() {
+                if vals[0] <= prev.t_ms {
+                    return Err(format!(
+                        "line {}: timestamp {} ms does not increase on {} ms",
+                        ln + 1,
+                        vals[0],
+                        prev.t_ms
+                    ));
+                }
+            }
+            let quat = Quat {
+                w: vals[4],
+                x: vals[5],
+                y: vals[6],
+                z: vals[7],
+            };
+            // `Quat::normalized`'s precondition; a norm that overflows
+            // would normalize to zero.
+            let norm = quat.norm();
+            if !(norm > 1e-300 && norm.is_finite()) {
+                return Err(format!(
+                    "line {}: quaternion of norm {} cannot be normalized",
+                    ln + 1,
+                    norm
+                ));
             }
             samples.push(TraceSample {
                 t_ms: vals[0],
                 pos: v3(vals[1], vals[2], vals[3]),
-                quat: Quat {
-                    w: vals[4],
-                    x: vals[5],
-                    y: vals[6],
-                    z: vals[7],
-                }
-                .normalized(),
+                quat: quat.normalized(),
             });
         }
         if samples.len() < 2 {
             return Err("trace needs at least two samples".into());
         }
         let period_ms = samples[1].t_ms - samples[0].t_ms;
-        if period_ms <= 0.0 {
-            return Err("non-increasing timestamps".into());
-        }
         Ok(HeadTrace::new(period_ms, samples))
     }
 }
@@ -467,6 +497,24 @@ mod tests {
         .is_err());
         // Single sample: not enough.
         assert!(HeadTrace::from_csv("0,0,0,0,1,0,0,0\n").is_err());
+        // Every row is checked, and the error names the row's line.
+        let rejects = |rows: &str, needle: &str| {
+            let csv = format!("t_ms,x,y,z,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n10,0,0,0,1,0,0,0\n{rows}");
+            let err = HeadTrace::from_csv(&csv).expect_err(rows);
+            assert!(
+                err.starts_with("line 4: ") && err.contains(needle),
+                "{rows}: {err}"
+            );
+        };
+        rejects("10,0,0,0,1,0,0,0\n", "does not increase"); // repeated timestamp
+        rejects("5,0,0,0,1,0,0,0\n", "does not increase"); // decreasing timestamp
+        rejects("20,NaN,0,0,1,0,0,0\n", "field 2: NaN is not finite");
+        rejects("20,0,0,0,1,0,0,inf\n", "field 8: inf is not finite");
+        rejects("20,0,0,0,0,0,0,0\n", "cannot be normalized"); // zero quaternion
+        rejects("20,0,0,0,1e200,1e200,0,0\n", "cannot be normalized"); // norm overflows
+                                                                       // A decreasing first pair is caught on its own line too.
+        let err = HeadTrace::from_csv("10,0,0,0,1,0,0,0\n0,0,0,0,1,0,0,0\n").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
     }
 
     #[test]
