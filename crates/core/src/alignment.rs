@@ -46,6 +46,7 @@ use cyclops_optics::power::dbm_to_mw;
 use cyclops_solver::pattern::{pattern_search, PatternOptions};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::ops::Range;
 
 /// Result of an exhaustive alignment.
 #[derive(Debug, Clone, Copy)]
@@ -122,23 +123,20 @@ where
     B: DarkSweep + Sync,
     F: FnMut(&mut Deployment, f64) -> f64,
 {
-    let row = |i: usize, start: f64| {
-        let va = grid_volts(points, i);
-        scan_row(
-            dep,
-            stage_seed,
-            points,
-            i,
-            skipping_row(bound, i, start, reading(va)),
-        )
+    // Every row starting from one reading shares its floor.
+    let row = |i: usize, start: f64, floor: Option<(&B, B::Floor)>| {
+        let full = reading(grid_volts(points, i));
+        sweep_row(dep, stage_seed, points, floor, i, start, full)
     };
+    let floor = |start: f64| bound.map(|b| (b, b.floor(start)));
     let pilot_row = bound.map_or(0, B::pilot_row);
-    let pilot = row(pilot_row, 0.0);
+    let pilot = row(pilot_row, 0.0, floor(0.0));
+    let others = floor(pilot.2);
     let rows = cyclops_par::par_map_indexed(points, 1, |i| {
         if i == pilot_row {
             pilot
         } else {
-            row(i, pilot.2)
+            row(i, pilot.2, others)
         }
     });
     let mut best = (VOLT_MIN, VOLT_MIN, f64::NEG_INFINITY);
@@ -148,6 +146,31 @@ where
         }
     }
     best
+}
+
+/// Row `i` of [`coarse_sweep`] from `start`, read by `full` where the
+/// bound proves nothing; `bound` comes with its floor at `start`. When the
+/// row bound proves every cell of the row below that floor and no
+/// column's flags forbid a skip, the row is one stretch of `+0.0` cells:
+/// it returns `(v_a, v_b of column 0, +0.0)`, as its scan would, without
+/// cloning `dep` or drawing. Otherwise the scan skips what the row bound
+/// proves ([`DarkSweep::lit_columns`]) and what the runs prove.
+fn sweep_row<B: DarkSweep>(
+    dep: &Deployment,
+    stage_seed: u64,
+    points: usize,
+    bound: Option<(&B, B::Floor)>,
+    i: usize,
+    start: f64,
+    full: impl FnMut(&mut Deployment, f64) -> f64,
+) -> (f64, f64, f64) {
+    let lit = bound.map(|(b, floor)| b.lit_columns(&floor, i));
+    let proved = lit.as_ref().is_some_and(Range::is_empty);
+    if proved && bound.is_some_and(|(b, _)| b.skippable_until(0) == points) {
+        return (grid_volts(points, i), grid_volts(points, 0), 0.0);
+    }
+    let cell = skipping_row(bound, i, start, lit, full);
+    scan_row(dep, stage_seed, points, i, cell)
 }
 
 /// Row `i` of [`coarse_sweep`] on its reseeded clone of `dep`, read by
@@ -180,9 +203,11 @@ fn scan_row(
 
 /// A coarse-sweep cell reader for row `i` ([`scan_row`]) that reads
 /// `full(d, v_b)` one cell at a time, except where `bound` proves a run of
-/// cells to read below the row's best so far, which starts at `start`, or
-/// exactly `+0.0` while that is not a positive normal number: those it
-/// steps over at once, reading `+0.0`.
+/// cells to read below the row's best so far, which starts at `start` (the
+/// bound comes with its floor there), or exactly `+0.0` while that is not
+/// a positive normal number: those it
+/// steps over at once, reading `+0.0`, and likewise every cell outside
+/// the columns `lit` the row bound leaves.
 ///
 /// A skipped cell reads `+0.0` without commanding the galvo or drawing; it
 /// only adds to the draws the row owes. Those are replayed just before the
@@ -192,12 +217,13 @@ fn scan_row(
 /// still owed at the end of the row are never made: the row's clone is
 /// discarded and nothing reads its RNG again.
 fn skipping_row<'b, B: DarkSweep>(
-    bound: Option<&'b B>,
+    bound: Option<(&'b B, B::Floor)>,
     i: usize,
     start: f64,
+    lit: Option<Range<usize>>,
     mut full: impl FnMut(&mut Deployment, f64) -> f64 + 'b,
 ) -> impl FnMut(&mut Deployment, usize, f64) -> (f64, usize) + 'b {
-    let mut row = bound.and_then(|b| Some((b, DarkRow::new(b, i)?, b.floor(start))));
+    let mut row = bound.and_then(|(b, floor)| Some((b, DarkRow::new(b, i, lit?)?, floor)));
     let (mut best, mut owed) = (start, 0);
     move |d: &mut Deployment, j: usize, vb: f64| {
         if let Some((b, row, floor)) = row.as_mut() {
@@ -337,7 +363,7 @@ fn align_rx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{cheat_align, Deployment, DeploymentConfig};
+    use crate::deployment::{cheat_align, Deployment, DeploymentConfig, SweepRow};
     use crate::mapping::random_placement;
     use cyclops_geom::pose::Pose;
     use cyclops_geom::rotation::axis_angle;
@@ -415,11 +441,13 @@ mod tests {
     }
 
     /// What [`rows_match_full_physics`] saw of a sweep: the fractions of
-    /// its cells skipped and tested, and how many cells inside a proved run
-    /// were read in full because their column's flags forbid the skip.
+    /// its cells skipped, tested by runs and proved by the row bound, and
+    /// how many cells inside a proved run were read in full because their
+    /// column's flags forbid the skip.
     struct SweepWalk {
         skipped: f64,
         tested: f64,
+        row_proved: f64,
         read_in_run: usize,
     }
 
@@ -431,6 +459,11 @@ mod tests {
     /// Each row is checked against a walk of it cell by cell over its
     /// full-physics readings, whose floor rises with its best reading so
     /// far as the production row's does:
+    /// - the row bound's proved cells at the row start's floor
+    ///   ([`DarkSweep::lit_columns`]) are a run before the lit columns and
+    ///   one after them: every such cell is proved by the per-cell reference
+    ///   at that floor, and the walk tests cells inside the lit columns
+    ///   only;
     /// - each cell's own test agrees with the per-cell reference
     ///   `per_cell(cell, bound, floor, j)` at the walk's floor;
     /// - every cell the walk skips, by its own test or inside a run, is one
@@ -444,7 +477,9 @@ mod tests {
     ///   walk skips, not once per cell;
     /// - its first-wins argmax has the bits of the full-physics row's when
     ///   that row's best reaches the row's start, and stays below it
-    ///   otherwise.
+    ///   otherwise; [`sweep_row`], which returns a proved row without a
+    ///   scan when no column's flags forbid a skip, gives the same bits
+    ///   and full readings.
     ///
     /// Returns the walk's rates and `L`.
     #[allow(clippy::too_many_arguments)]
@@ -474,6 +509,7 @@ mod tests {
         let full_reads = RefCell::new(Vec::new());
         let physics = RefCell::new(Vec::new());
         let (mut skipped, mut tested, mut read_in_run) = (0usize, 0usize, 0usize);
+        let mut row_proved = 0;
         for i in 0..points {
             let va = grid_volts(points, i);
             calls.borrow_mut().clear();
@@ -485,13 +521,21 @@ mod tests {
                 physics.borrow_mut().push(r);
                 (r, 1)
             });
-            let mut full = reading(va);
+            let lit = bound.lit_columns(&bound.floor(start(i)), i);
+            row_proved += points - lit.len();
+            let (mut full, mut swept_full) = (reading(va), reading(va));
             let recorded = |d: &mut Deployment, vb: f64| {
                 let r = full(d, vb);
                 full_reads.borrow_mut().push((vb.to_bits(), r.to_bits()));
                 r
             };
-            let mut cell = skipping_row(Some(bound), i, start(i), recorded);
+            let mut cell = skipping_row(
+                Some((bound, bound.floor(start(i)))),
+                i,
+                start(i),
+                Some(lit.clone()),
+                recorded,
+            );
             let got = scan_row(dep, seed, points, i, |d: &mut Deployment, j, vb| {
                 calls.borrow_mut().push(j);
                 cell(d, j, vb)
@@ -502,16 +546,39 @@ mod tests {
             } else {
                 assert!(got.2 < start(i), "row {i}: {got:?} vs {want:?}");
             }
+            let swept_reads = RefCell::new(Vec::new());
+            let swept_recorded = |d: &mut Deployment, vb: f64| {
+                let r = swept_full(d, vb);
+                swept_reads.borrow_mut().push((vb.to_bits(), r.to_bits()));
+                r
+            };
+            let swept = sweep_row(
+                dep,
+                seed,
+                points,
+                Some((bound, bound.floor(start(i)))),
+                i,
+                start(i),
+                swept_recorded,
+            );
+            assert_eq!(bits(swept), bits(got), "row {i}: sweep_row");
+            assert_eq!(
+                *swept_reads.borrow(),
+                *full_reads.borrow(),
+                "row {i}: sweep_row"
+            );
 
             // The cell-by-cell walk: a cell is skipped when its column
-            // allows it and it lies in the run its row's last test proved.
-            // A stretch of skipped cells starts a run at a test, or where
-            // the walk resumes after a full reading.
+            // allows it and it lies outside the lit columns, proved by the
+            // row bound at the row start's floor, or in the run its row's
+            // last test proved. A stretch of skipped cells starts a run at
+            // a test, or where the walk resumes after a full reading.
             let physics = physics.borrow();
             let row = bound.row(i);
             let mut cell = dep.clone();
             let mut best = start(i);
             let mut floor = bound.floor(best);
+            let (lit_floor, lit_best) = (floor, best);
             let (mut run_end, mut run_floor, mut run_best) = (0, floor, best);
             let mut resumed = true;
             let (mut want_calls, mut want_full) = (Vec::new(), Vec::new());
@@ -522,20 +589,29 @@ mod tests {
                 let proved = |f: &B::Floor| row.and_then(|row| bound.dark_run(f, &row, j));
                 let own = skippable && proved(&floor).is_some();
                 assert_eq!(own, per_cell(&cell, bound, &floor, j), "cell ({va}, {vb})");
-                let test = row.is_some() && skippable && j >= run_end;
+                let by_row = !lit.contains(&j);
+                let test = skippable && !by_row && row.is_some() && j >= run_end;
                 if test {
                     tested += 1;
                     if let Some(run) = proved(&floor) {
-                        (run_end, run_floor, run_best) = (j + 1 + run, floor, best);
+                        let end = j + 1 + run;
+                        let end = if end >= lit.end { points } else { end };
+                        (run_end, run_floor, run_best) = (end, floor, best);
                     }
                 }
-                if skippable && j < run_end {
+                let in_run = !by_row && j < run_end;
+                if skippable && (by_row || in_run) {
+                    let (proof_floor, proof_best) = if by_row {
+                        (lit_floor, lit_best)
+                    } else {
+                        (run_floor, run_best)
+                    };
                     assert!(
-                        per_cell(&cell, bound, &run_floor, j),
+                        per_cell(&cell, bound, &proof_floor, j),
                         "skipped cell ({va}, {vb}) is not proved below its floor"
                     );
-                    if run_best >= f64::MIN_POSITIVE {
-                        assert!(r < run_best, "skipped cell ({va}, {vb}) reads {r}");
+                    if proof_best >= f64::MIN_POSITIVE {
+                        assert!(r < proof_best, "skipped cell ({va}, {vb}) reads {r}");
                     } else {
                         assert_eq!(r.to_bits(), 0.0f64.to_bits(), "cell ({va}, {vb})");
                     }
@@ -545,7 +621,7 @@ mod tests {
                     }
                     resumed = false;
                 } else {
-                    read_in_run += usize::from(j < run_end);
+                    read_in_run += usize::from(by_row || in_run);
                     resumed = true;
                     want_calls.push(j);
                     want_full.push((vb.to_bits(), r.to_bits()));
@@ -562,6 +638,7 @@ mod tests {
         let walk = SweepWalk {
             skipped: skipped as f64 / cells,
             tested: tested as f64 / cells,
+            row_proved: row_proved as f64 / cells,
             read_in_run,
         };
         (walk, l)
@@ -672,10 +749,13 @@ mod tests {
                     let (rx, _) = rx_rows_match_full_physics(&dep, 0, vt, None, false);
                     let rates = [tx.skipped, rx.skipped, tx.tested, rx.tested];
                     if k == 0 && noise_scale == 1.0 {
-                        // paper_10g: the bounds must keep firing, and the
-                        // runs must spare most of the tests.
+                        // paper_10g: the bounds must keep firing, the row
+                        // bound must prove most cells, and the runs must
+                        // spare most of the tests.
                         assert!(rates[0] >= 0.9 && rates[1] >= 0.9, "skip rates {rates:?}");
                         assert!(rates[2] <= 0.4 && rates[3] <= 0.15, "test rates {rates:?}");
+                        let proved = [tx.row_proved, rx.row_proved];
+                        assert!(proved.iter().all(|&p| p >= 0.9), "row rates {proved:?}");
                     }
                 }
             }
@@ -844,6 +924,134 @@ mod tests {
         let (l, skipped) = cannot_win_sweep_is_sound(&dep, (VOLT_MAX, VOLT_MAX));
         assert_eq!(l, 0.0);
         assert!(skipped > 0.0, "the dark bound still skips");
+    }
+
+    /// A bound that counts its row tests and run tests.
+    struct Counted<'b, B> {
+        bound: &'b B,
+        row_tests: AtomicUsize,
+        run_tests: AtomicUsize,
+    }
+
+    impl<'b, B> Counted<'b, B> {
+        fn new(bound: &'b B) -> Self {
+            Counted {
+                bound,
+                row_tests: AtomicUsize::new(0),
+                run_tests: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl<B: DarkSweep> DarkSweep for Counted<'_, B> {
+        type Floor = B::Floor;
+
+        fn floor(&self, best: f64) -> B::Floor {
+            self.bound.floor(best)
+        }
+
+        fn row(&self, i: usize) -> Option<SweepRow> {
+            self.bound.row(i)
+        }
+
+        fn pilot_row(&self) -> usize {
+            self.bound.pilot_row()
+        }
+
+        fn skippable_until(&self, j: usize) -> usize {
+            self.bound.skippable_until(j)
+        }
+
+        fn lit_columns(&self, floor: &B::Floor, i: usize) -> Range<usize> {
+            self.row_tests.fetch_add(1, Ordering::Relaxed);
+            self.bound.lit_columns(floor, i)
+        }
+
+        fn dark_run(&self, floor: &B::Floor, row: &SweepRow, j: usize) -> Option<usize> {
+            self.run_tests.fetch_add(1, Ordering::Relaxed);
+            self.bound.dark_run(floor, row, j)
+        }
+
+        fn replay(dep: &mut Deployment, n: usize) {
+            B::replay(dep, n)
+        }
+    }
+
+    /// One coarse sweep of `dep` from `seed` under `bound`, counted: its
+    /// row tests, run tests and full readings.
+    fn sweep_work<B, F>(
+        dep: &Deployment,
+        seed: u64,
+        points: usize,
+        bound: &B,
+        reading: impl Fn(f64) -> F + Sync,
+    ) -> [usize; 3]
+    where
+        B: DarkSweep + Sync,
+        F: FnMut(&mut Deployment, f64) -> f64,
+    {
+        let counted = Counted::new(bound);
+        let reads = AtomicUsize::new(0);
+        coarse_sweep(dep, seed, points, Some(&counted), |va| {
+            let mut full = reading(va);
+            let reads = &reads;
+            move |d: &mut Deployment, vb: f64| {
+                reads.fetch_add(1, Ordering::Relaxed);
+                full(d, vb)
+            }
+        });
+        [counted.row_tests, counted.run_tests, reads].map(AtomicUsize::into_inner)
+    }
+
+    /// The work of both coarse sweeps on the benchmark fixture's geometry:
+    /// two `paper_10g(911)` units 0.7 m apart, each aligned at the first
+    /// twelve placements its mapping collection draws (seed 920), 24
+    /// alignments in all. Each sweep makes one row test per row; its run
+    /// tests and full readings are capped a little above the measured
+    /// counts, so that a bound which stops firing fails here. Measured over
+    /// the 24 alignments: Stage 1 makes 386 run tests and 260 full
+    /// readings, Stage 3 774 and 658. Before the row bound they made 7.7 k
+    /// and 16.4 k run tests, and 260 and 941 full readings.
+    #[test]
+    fn fixture_sweeps_stay_under_their_work_ceilings() {
+        const ALIGNMENTS: usize = 12;
+        let (mut stage1, mut stage3) = ([0usize; 3], [0usize; 3]);
+        for x in [-0.35, 0.35] {
+            let mut cfg = DeploymentConfig::paper_10g(911);
+            cfg.tx_position = v3(x, 0.0, 0.0);
+            let base = Deployment::new(&cfg);
+            let tables = SweepTables::new(&base);
+            for k in 0..ALIGNMENTS as u64 {
+                let mut rng = StdRng::seed_from_u64(cyclops_par::mix64(920, 2 * k));
+                let mut dep = base.clone();
+                *dep.rng() = StdRng::seed_from_u64(cyclops_par::mix64(920, 2 * k + 1));
+                dep.set_headset_pose(random_placement(&mut rng, cfg.design.nominal_range));
+
+                let bound = dep.monitor_dark_bound(&tables.tx);
+                let monitor = *bound.monitor();
+                let seed = dep.clone().rng().next_u64();
+                let work = sweep_work(&dep, seed, TX_SWEEP_POINTS, &bound, |va| {
+                    monitor_reading(&monitor, va)
+                });
+                stage1 = std::array::from_fn(|n| stage1[n] + work[n]);
+
+                let vt = align_tx(&mut dep, Some(&bound), &mut 0);
+                dep.set_voltages(vt.0, vt.1, 0.0, 0.0);
+                let seed = dep.rng().next_u64();
+                let bound = dep.dark_cell_bound(&tables.rx).expect("TX beam traces");
+                let work = sweep_work(&dep, seed, RX_SWEEP_POINTS, &bound, |va| {
+                    power_reading(vt, va)
+                });
+                stage3 = std::array::from_fn(|n| stage3[n] + work[n]);
+            }
+        }
+        let [rows1, runs1, reads1] = stage1;
+        let [rows3, runs3, reads3] = stage3;
+        let alignments = 2 * ALIGNMENTS;
+        assert_eq!(rows1, alignments * TX_SWEEP_POINTS, "stage 1 {stage1:?}");
+        assert_eq!(rows3, alignments * RX_SWEEP_POINTS, "stage 3 {stage3:?}");
+        assert!(runs1 <= 420 && reads1 <= 260, "stage 1 {stage1:?}");
+        assert!(runs3 <= 840 && reads3 <= 700, "stage 3 {stage3:?}");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! power is maximized exactly at the Lemma-1 coincidence — which is the
 //! physical content of the lemma.
 
+use crate::trig2::{Span, Trig2, Turns};
 use cyclops_geom::noise::MAX_DEVIATE;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::Pose;
@@ -391,14 +392,41 @@ impl Deployment {
             }
             plane_until[j] = next;
         }
+        let source = beam.virtual_source();
+        let cos_lit = lit.cos();
+        // The arriving light at a row's middle-column origin, as a unit
+        // vector in the RX body frame, and how far every column's origin
+        // can turn it. A row gets a row bound when every column's `φ` stays
+        // under `φ_lit` by that turn: `cos(φ_lit − δ) ≤ cos φ_lit + δ`.
+        let to_body = rx_pose.rot.transpose();
+        // In the body frame the arriving light at `h` is `h + R⁻¹(t − s)`.
+        let from_source = source.map(|src| to_body * (rx_pose.trans - src));
+        let chief_body = to_body * (chief.dir / chief.dir.norm());
+        let incidence = |row: &SweepRow| {
+            let o = row.origin?;
+            let (unit, turn) = match from_source {
+                Some(s) => {
+                    let arriving = o.hit + s;
+                    let norm = arriving.norm();
+                    let near = o.spread < 0.5 * norm;
+                    near.then(|| (arriving / norm, 2.0 * o.spread / norm))?
+                }
+                None => (chief_body, 0.0),
+            };
+            let cos_phi = row.reflected_dot(-unit);
+            let turn = turn + ANGLE_ROUNDING_RAD;
+            let (min, max) = table.extremes(&cos_phi);
+            (min > cos_lit + turn).then_some(RowIncidence { cos_phi, max, turn })
+        };
         Some(DarkCellBound {
-            source: beam.virtual_source(),
+            source,
+            row_incidence: table.rows.map(|row| row.as_ref().and_then(incidence)),
             chief,
             rx_pose,
             p_hi,
             sigma,
             margin,
-            cos_lit: lit.cos(),
+            cos_lit,
             phi_lit: lit,
             table,
             plane_until,
@@ -423,7 +451,7 @@ impl Deployment {
     ) -> MonitorDarkBound<'t> {
         debug_assert_eq!(table.truth, self.tx.truth, "table is for another galvo");
         let tilt = self.tx.max_jitter_rad();
-        MonitorDarkBound {
+        let mut bound = MonitorDarkBound {
             table,
             tx_pose: self.tx_pose,
             monitor: self.placed_monitor(),
@@ -435,7 +463,12 @@ impl Deployment {
                 .max(self.design.coupling.aperture_radius),
             jitter_dir: 4.0 * tilt,
             jitter_origin: 2.0 * JITTER_LEVER_M * tilt,
-        }
+            row_landing: [None; TX_SWEEP_POINTS],
+        };
+        bound.row_landing = table
+            .rows
+            .map(|row| row.as_ref().and_then(|row| bound.row_landing_of(row)));
+        bound
     }
 
     /// Whether a TX sweep reading of the monitor at the current voltages is
@@ -547,15 +580,6 @@ const WIN_SLACK_DB: f64 = 0.1;
 /// one entry per point.
 pub(crate) const RX_SWEEP_POINTS: usize = 161;
 
-/// The RX [`DarkSweep::pilot_row`] samples every this-many rows and
-/// columns.
-const PILOT_STRIDE: usize = 8;
-
-/// The TX pilot search samples every this-many rows and columns, then
-/// looks this many either side of the nearest sampled landing.
-const TX_PILOT_STRIDE: usize = 4;
-const PILOT_REACH: usize = 3;
-
 /// Points in each axis of the §4.2 TX coarse sweep on the monitor; a TX
 /// sweep table holds one entry per point.
 pub(crate) const TX_SWEEP_POINTS: usize = 51;
@@ -570,6 +594,11 @@ const JITTER_LEVER_M: f64 = 1.0;
 /// angle (rad).
 const LANDING_ROUNDING_M: f64 = 1e-6;
 const ANGLE_ROUNDING_RAD: f64 = 1e-9;
+
+/// Rounding slack of a row bound's [`Trig2`] values and slopes: their
+/// coefficients and evaluations are sums of a few unit-scale products,
+/// each good to about 1e-16.
+const TRIG_ROUNDING: f64 = 1e-12;
 
 /// The smallest `|cos|` between a TX chief ray and the monitor plane that
 /// the landing bound accepts: nearer grazing, the landing point runs away.
@@ -598,7 +627,7 @@ fn meets_plane_robustly(
 pub(crate) trait DarkSweep {
     /// What a cell is proved below: a floor under a reading of the sweep,
     /// or exact darkness.
-    type Floor: Copy;
+    type Floor: Copy + Sync;
 
     /// The floor that proves a cell reads below `best`, a reading the
     /// sweep has made, by [`WIN_SLACK_DB`]; below the smallest positive
@@ -618,6 +647,13 @@ pub(crate) trait DarkSweep {
     /// dark cell there, or the sweep's column count when none does.
     fn skippable_until(&self, j: usize) -> usize;
 
+    /// The columns of row `i` that one closed-form test of the whole row
+    /// (the row bound) cannot prove below `floor`: every cell outside them
+    /// provably reads below it. They are run-tested ([`DarkRow`]); proved
+    /// cells are skipped wherever their column's flags allow. When the
+    /// whole row is proved the range is [`ROW_PROVED`].
+    fn lit_columns(&self, floor: &Self::Floor, i: usize) -> Range<usize>;
+
     /// Whether column `j`'s table flags let a dark cell there be skipped.
     #[cfg(test)]
     fn column_skippable(&self, j: usize) -> bool {
@@ -632,31 +668,54 @@ pub(crate) trait DarkSweep {
     fn replay(dep: &mut Deployment, n: usize);
 }
 
+/// The lit columns of a row the row bound proves as a whole
+/// ([`DarkSweep::lit_columns`]): empty, and past every column, so every
+/// column comes before them.
+pub(crate) const ROW_PROVED: Range<usize> = usize::MAX..usize::MAX;
+
+/// The first row of the largest value among `values`, `None` where a row
+/// has none; row 0 when no row has one.
+fn best_row(values: impl Iterator<Item = Option<f64>>) -> usize {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (i, v) in values.enumerate() {
+        if let Some(v) = v.filter(|&v| v > best.1) {
+            best = (i, v);
+        }
+    }
+    best.0
+}
+
 /// One sweep row's provably low cells, asked for in column order: a cell
-/// is skipped when its column allows it and it lies in a run that
-/// [`DarkSweep::dark_run`] proved, so one test covers a whole run, and the
-/// row steps over the run's cells at once. A run proved below one floor
-/// stays proved when the floor rises.
+/// is skipped when its column allows it and it lies outside the row
+/// bound's lit columns, or in a run that [`DarkSweep::dark_run`] proved,
+/// so one test covers a whole run, and the row steps over the run's cells
+/// at once. A cell proved below one floor stays proved when the floor
+/// rises.
 pub(crate) struct DarkRow {
     row: SweepRow,
     /// Cells before this column are proved low by the last run.
     run_end: usize,
+    /// The row bound proved every cell outside these columns.
+    lit: Range<usize>,
 }
 
 impl DarkRow {
-    /// Row `i` of `bound`; `None` when no cell can be skipped.
-    pub(crate) fn new<B: DarkSweep>(bound: &B, i: usize) -> Option<DarkRow> {
+    /// Row `i` of `bound`, whose row bound proved every cell outside the
+    /// columns `lit`; `None` when no cell can be skipped.
+    pub(crate) fn new<B: DarkSweep>(bound: &B, i: usize, lit: Range<usize>) -> Option<DarkRow> {
         Some(DarkRow {
             row: bound.row(i)?,
             run_end: 0,
+            lit,
         })
     }
 
     /// How many cells from `j` on `bound` proves below `floor` (or a lower
-    /// floor of an earlier call): the proved run through `j`, cut at the
-    /// next column whose flags forbid a skip; 0 when cell `j` needs its
-    /// full reading. `j` must not decrease, nor the floor fall, from call
-    /// to call.
+    /// floor of an earlier call), cut at the next column whose flags forbid
+    /// a skip; 0 when cell `j` needs its full reading. Before the lit
+    /// columns that is up to them; after them, and inside them once a run
+    /// reaches their end, the rest of the row. `j` must not decrease, nor
+    /// the floor fall, from call to call.
     #[inline]
     pub(crate) fn dark_cells<B: DarkSweep>(
         &mut self,
@@ -668,26 +727,60 @@ impl DarkRow {
         if open == j {
             return 0;
         }
+        let lit = &self.lit;
+        if j < lit.start {
+            return lit.start.min(open) - j;
+        }
+        if j >= lit.end {
+            return open - j;
+        }
         if j >= self.run_end {
             let Some(run) = bound.dark_run(floor, &self.row, j) else {
                 return 0;
             };
             self.run_end = j + 1 + run;
+            if self.run_end >= lit.end {
+                self.run_end = usize::MAX;
+            }
         }
         self.run_end.min(open) - j
     }
 }
 
-/// A sweep row's noiseless mid-mirror ray and what bounds its runs.
+/// A sweep row's noiseless mid-mirror ray and what bounds its runs and
+/// the row as a whole.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SweepRow {
     /// The swept galvo's noiseless beam between its mirrors, body frame.
     mid: Ray,
     /// How far (m) the beam's origin on the second mirror can move per
-    /// radian of mirror-2 rotation anywhere in the row; `None` when the
-    /// mid ray does not meet mirror 2 robustly at every column, so that no
-    /// run may cross one.
-    origin_rate: Option<f64>,
+    /// radian of mirror-2 rotation anywhere in the row, and the noiseless
+    /// origin at the middle column with a bound (m) on how far any
+    /// column's origin lies from it; `None` when the mid ray does not meet
+    /// mirror 2 robustly at every column, so that no run may cross one and
+    /// no row bound holds.
+    origin: Option<RowOrigin>,
+    /// The row's reflected direction `d′(α) = d − 2(d·n(α))·n(α)` as vector
+    /// coefficients of `1, cos α, sin α, cos 2α, sin 2α` in the mirror-2
+    /// rotation `α`, so that `x·d′` is the [`Trig2`] of the dot products
+    /// ([`SweepRow::reflected_dot`]).
+    reflected: [Vec3; 5],
+}
+
+impl SweepRow {
+    /// `x·d′(α)` along the row as a [`Trig2`] in the mirror-2 rotation `α`,
+    /// for the row's reflected direction `d′` and a body vector `x`.
+    fn reflected_dot(&self, x: Vec3) -> Trig2 {
+        Trig2(self.reflected.map(|v| x.dot(v)))
+    }
+}
+
+/// See [`SweepRow::origin`].
+#[derive(Debug, Clone, Copy)]
+struct RowOrigin {
+    rate: f64,
+    hit: Vec3,
+    spread: f64,
 }
 
 /// A galvo's coarse-sweep table: rows step mirror 1 and columns mirror 2
@@ -705,6 +798,11 @@ pub(crate) struct SweepTable<const N: usize> {
     rows: [Option<SweepRow>; N],
     /// Bound on the mirror-2 rotation (rad) between neighbouring columns.
     step_rad: f64,
+    /// The span of the columns' mirror-2 rotations, each column's own
+    /// [`Turns`], and whether the rotation grows with the column.
+    span: Span,
+    column_turns: [Turns; N],
+    rising: bool,
 }
 
 impl<const N: usize> SweepTable<N> {
@@ -725,11 +823,24 @@ impl<const N: usize> SweepTable<N> {
         // normal, jitter included.
         let reach_rad = gain * (reach + dac) + galvo.max_jitter_rad();
         let n2p = volts.map(|v| galvo.second_mirror_normal_at(v));
+        // The tilted second-mirror normal is `n(α) = b₀ + cos α·b₁ + sin α·b₂`
+        // in the mirror-2 rotation `α` (Rodrigues): `b₀ = (n̂₂·r̂₂)·r̂₂`,
+        // `b₁ = n̂₂ − b₀`, `b₂ = r̂₂ × n̂₂`.
+        let axes = galvo.truth.axes();
+        let b0 = axes.r2n * axes.n2n.dot(axes.r2n);
+        let basis = [b0, axes.n2n - b0, axes.r2n.cross(axes.n2n)];
+        // The rotations `command` applies: θ₁ times each quantized voltage.
+        let alphas = volts.map(|v| galvo.truth.theta1 * galvo.quantize(v));
+        let lo = alphas.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = alphas.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         SweepTable {
             truth: galvo.truth,
-            rows: volts.map(|va| Self::row(galvo, n2p[N / 2], reach_rad, va)),
+            rows: volts.map(|va| Self::row(galvo, n2p[N / 2], reach_rad, &basis, va)),
             n2p,
             step_rad: gain * (step + dac),
+            span: Span::new(lo, hi),
+            column_turns: alphas.map(Turns::of),
+            rising: alphas[N - 1] >= alphas[0],
         }
     }
 
@@ -739,23 +850,118 @@ impl<const N: usize> SweepTable<N> {
     /// vector's norm per radian), a row where neither can reach zero hits
     /// mirror 2 ahead at every column. Its hit `o + (N/D)·d` then moves by
     /// at most `2·|q₂ − o|·|d|²/D_min²` per radian.
-    fn row(galvo: &GalvoSim, n: Vec3, reach_rad: f64, va: f64) -> Option<SweepRow> {
+    ///
+    /// The hit moves along the mid ray only. From the middle column's hit
+    /// `h` it lies `(e·n′)/(d·n′)` along `d`, with `e = q₂ − h` and `n′` the
+    /// column's normal; `e·n = 0`, and `n′ − n` is normal to the rotation
+    /// axis `r̂₂` with norm at most the rotation. So every column's hit lies
+    /// within `|e⊥|·|d|·reach/D_min` of `h`, `e⊥` being `e` less its `r̂₂`
+    /// part (DESIGN.md §8, "row bound").
+    fn row(
+        galvo: &GalvoSim,
+        n: Vec3,
+        reach_rad: f64,
+        basis: &[Vec3; 3],
+        va: f64,
+    ) -> Option<SweepRow> {
         let mid = galvo.noiseless_mid_ray(va)?;
         let to_q2 = galvo.truth.q2 - mid.origin;
         let (num, den) = (to_q2.dot(n), mid.dir.dot(n));
         let (lever, dir) = (to_q2.norm(), mid.dir.norm());
         let den_min = den.abs() - dir * reach_rad;
         let robust = num * den > 0.0 && num.abs() > lever * reach_rad && den_min > 1e-3;
+        let origin = || {
+            let hit = galvo.truth.out_ray(&mid, n)?.origin;
+            let e = galvo.truth.q2 - hit;
+            let axis = galvo.truth.axes().r2n;
+            let e_perp = e - axis * e.dot(axis);
+            Some(RowOrigin {
+                rate: 2.0 * lever * dir * dir / (den_min * den_min),
+                hit,
+                spread: e_perp.norm() * dir * reach_rad / den_min,
+            })
+        };
         Some(SweepRow {
             mid,
-            origin_rate: robust.then(|| 2.0 * lever * dir * dir / (den_min * den_min)),
+            origin: if robust { origin() } else { None },
+            reflected: Self::reflected(mid.dir, basis),
         })
+    }
+
+    /// [`SweepRow::reflected`] for the mid direction `d`. With
+    /// `p = d·n(α)` and `q = x·n(α)`, both of degree 1 (`pₖ = d·bₖ`,
+    /// `qₖ = x·bₖ`), `x·d′ = x·d − 2pq`, and `pq`'s `cos²`, `sin²` and
+    /// `cos·sin` terms make the second harmonic.
+    fn reflected(d: Vec3, [b0, b1, b2]: &[Vec3; 3]) -> [Vec3; 5] {
+        let [p0, p1, p2] = [*b0, *b1, *b2].map(|b| d.dot(b));
+        [
+            d - *b0 * (2.0 * p0) - *b1 * p1 - *b2 * p2,
+            (*b1 * p0 + *b0 * p1) * -2.0,
+            (*b2 * p0 + *b0 * p2) * -2.0,
+            -(*b1 * p1 - *b2 * p2),
+            -(*b2 * p1 + *b1 * p2),
+        ]
     }
 
     /// The noiseless output ray at column `j` of `row`, body frame.
     #[inline]
     fn out_ray(&self, row: &SweepRow, j: usize) -> Option<Ray> {
         self.truth.out_ray(&row.mid, self.n2p[j])
+    }
+
+    /// Bounds `(lower, upper)` of `f` over the row's columns, with the
+    /// rounding slack [`TRIG_ROUNDING`].
+    fn extremes(&self, f: &Trig2) -> (f64, f64) {
+        let (min, max) = f.extremes(&self.span);
+        (min - TRIG_ROUNDING, max + TRIG_ROUNDING)
+    }
+
+    /// The columns of a row, not proved as a whole, where `f` may reach
+    /// `limit`, as a range outside of which every column's `f` is below
+    /// it, with [`TRIG_ROUNDING`] to spare. Where `f` rises and then falls
+    /// over the row ([`Trig2::rises_then_falls`]), a column whose `f` is
+    /// below `limit` while `f` still rises towards it from column 0 proves
+    /// every column before it, and likewise from the last column; binary
+    /// searches find the widest such ends. Else the whole row.
+    fn lit_columns(&self, f: &Trig2, limit: f64) -> Range<usize> {
+        if !f.rises_then_falls(&self.span) {
+            return 0..N;
+        }
+        let below = |j: usize| f.at(&self.column_turns[j]) + TRIG_ROUNDING < limit;
+        // The slope towards higher columns.
+        let slope = |j: usize| {
+            let d = f.slope(&self.column_turns[j]);
+            if self.rising {
+                d
+            } else {
+                -d
+            }
+        };
+        // Invariants: every column before `lo` opens a proved prefix, and
+        // the suffix from `hi` (if below N) is proved.
+        let (mut lo, mut hi) = (0, N);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if below(mid) && slope(mid) > TRIG_ROUNDING {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let start = lo;
+        hi = N;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if below(mid) && slope(mid) < -TRIG_ROUNDING {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        if start == hi {
+            return ROW_PROVED;
+        }
+        start..hi
     }
 }
 
@@ -798,14 +1004,29 @@ pub(crate) struct DarkCellBound<'t> {
     /// the chief ray may miss under some jitter (the plane flag is down),
     /// or [`RX_SWEEP_POINTS`].
     plane_until: [usize; RX_SWEEP_POINTS],
+    /// Each row's incidence for the row bound, `None` where it has none.
+    row_incidence: [Option<RowIncidence>; RX_SWEEP_POINTS],
+}
+
+/// A row's noiseless `cos φ` against the arriving light at its
+/// middle-column origin, as a [`Trig2`] in the mirror-2 rotation, with an
+/// upper bound `max` over the row's columns, and a bound `turn` (rad) on
+/// how far the other columns' origins turn the arriving light from there,
+/// rounding slack included.
+#[derive(Debug, Clone, Copy)]
+struct RowIncidence {
+    cos_phi: Trig2,
+    max: f64,
+    turn: f64,
 }
 
 /// The floor of a [`DarkCellBound`]: the incidence angle beyond which a
 /// reading is below it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AngleFloor {
-    /// `cos φ` below which a reading is below the floor.
+    /// `cos φ` below which a reading is below the floor, and `sin φ` there.
     cos_dark: f64,
+    sin_dark: f64,
     /// The same limit as an angle, for the run bound.
     phi_dark: f64,
 }
@@ -833,12 +1054,14 @@ impl DarkCellBound<'_> {
         // The angle limit as a cosine (φ ∈ [0, π], so cos is decreasing);
         // an empty interval, or the NaN angle of a floor above `p_hi`,
         // leaves `cos_dark` at −∞, which no cell passes.
+        let (sin_dark, cos_dark) = if dark < self.phi_lit {
+            dark.sin_cos()
+        } else {
+            (0.0, f64::NEG_INFINITY)
+        };
         AngleFloor {
-            cos_dark: if dark < self.phi_lit {
-                dark.cos()
-            } else {
-                f64::NEG_INFINITY
-            },
+            cos_dark,
+            sin_dark,
             phi_dark: dark,
         }
     }
@@ -880,26 +1103,33 @@ impl DarkSweep for DarkCellBound<'_> {
         self.table.rows[i]
     }
 
-    /// The row of the cell, among every [`PILOT_STRIDE`]-th row and
-    /// column, whose noiseless imaginary beam meets the TX light most
-    /// nearly head-on (the largest `cos φ`); row 0 when no sampled cell
-    /// traces.
+    /// The row whose noiseless imaginary beam meets the TX light most
+    /// nearly head-on: the largest row maximum of `cos φ` (the first such);
+    /// row 0 when no row has a row bound.
     fn pilot_row(&self) -> usize {
-        let mut best = (0, f64::NEG_INFINITY);
-        for i in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
-            let Some(row) = self.row(i) else {
-                continue;
-            };
-            for j in (0..RX_SWEEP_POINTS).step_by(PILOT_STRIDE) {
-                if let Some(imag) = self.table.out_ray(&row, j) {
-                    let cos_phi = self.incidence(&imag).0;
-                    if cos_phi > best.1 {
-                        best = (i, cos_phi);
-                    }
-                }
-            }
+        best_row(self.row_incidence.iter().map(|r| r.map(|r| r.max)))
+    }
+
+    /// A column whose noiseless `φ` against the middle column's arriving
+    /// light lies more than the row's `turn` inside the dark band is dark:
+    /// its own arriving light is within `turn` of the middle column's, so
+    /// its `φ` is within `turn` of that angle (DESIGN.md §8, "row bound").
+    /// The whole row is dark when its `max` is below
+    /// `cos(φ_dark + turn) ≥ cos φ_dark − turn·sin φ_dark − turn²/2`.
+    #[inline]
+    fn lit_columns(&self, floor: &AngleFloor, i: usize) -> Range<usize> {
+        let Some(r) = self.row_incidence[i] else {
+            return 0..RX_SWEEP_POINTS;
+        };
+        let turn = r.turn;
+        if r.max < floor.cos_dark - turn * floor.sin_dark - 0.5 * turn * turn {
+            return ROW_PROVED;
         }
-        best.0
+        if floor.cos_dark == f64::NEG_INFINITY {
+            return 0..RX_SWEEP_POINTS;
+        }
+        self.table
+            .lit_columns(&r.cos_phi, (floor.phi_dark + turn).cos())
     }
 
     #[inline]
@@ -921,7 +1151,7 @@ impl DarkSweep for DarkCellBound<'_> {
         if !(cos_phi < floor.cos_dark && cos_phi > self.cos_lit) {
             return None;
         }
-        let Some(rate) = row.origin_rate else {
+        let Some(RowOrigin { rate, .. }) = row.origin else {
             return Some(0);
         };
         let phi = cos_phi.clamp(-1.0, 1.0).acos();
@@ -1000,6 +1230,23 @@ pub(crate) struct MonitorDarkBound<'t> {
     /// its origin (m).
     jitter_dir: f64,
     jitter_origin: f64,
+    /// Each row's landing for the row bound, `None` where it has none.
+    row_landing: [Option<RowLanding>; TX_SWEEP_POINTS],
+}
+
+/// What the row bound knows of the jittered landings in a monitor-sweep
+/// row. `cos_c` is the noiseless `cos θ` between a column's chief ray and
+/// the direction from the middle column's origin to the aperture centre,
+/// at distance `dist`, and `max` an upper bound of it over the row's
+/// columns. A column's every jittered landing clears every disk edge by
+/// `k·w` once `dist·sin θ > need + k·w`.
+#[derive(Debug, Clone, Copy)]
+struct RowLanding {
+    cos_c: Trig2,
+    max: f64,
+    dist: f64,
+    need: f64,
+    w: f64,
 }
 
 /// The floor of a [`MonitorDarkBound`]: the beam radii `k` by which a
@@ -1035,32 +1282,50 @@ impl MonitorDarkBound<'_> {
         })
     }
 
-    /// The noiseless landing of cell `(i, j)`.
-    fn cell_landing(&self, i: usize, j: usize) -> Option<Landing> {
-        let out = self.table.out_ray(&self.row(i)?, j)?;
-        self.landing(&self.tx_pose.apply_ray(&out))
-    }
-
-    /// The cell, among every `step`-th row of `rows` and column of `cols`,
-    /// whose noiseless landing is nearest the aperture centre (the first
-    /// such); the first row and column when none lands.
-    fn nearest_landing(
-        &self,
-        rows: Range<usize>,
-        cols: Range<usize>,
-        step: usize,
-    ) -> (usize, usize) {
-        let mut best = (f64::INFINITY, (rows.start, cols.start));
-        for i in rows.step_by(step) {
-            for j in cols.clone().step_by(step) {
-                if let Some(l) = self.cell_landing(i, j) {
-                    if l.dist < best.0 {
-                        best = (l.dist, (i, j));
-                    }
-                }
-            }
+    /// The row bound's [`RowLanding`] of `row`, `None` unless every
+    /// noiseless chief ray of the row heads at the monitor plane from in
+    /// front, clear of grazing by the jitter, and within a right angle of
+    /// the aperture centre's direction.
+    ///
+    /// From the middle column's origin `h` (world), at distance `D` from
+    /// the aperture centre `c` and `p` from the plane, every column's
+    /// origin lies within the row's spread `s`, so within `p + s` of the
+    /// plane. A chief ray of direction `d` then passes `c` at
+    /// `D·sin θ − s` or more, `θ` being the angle between `d` and `c − h`,
+    /// and its landing lies at least that far from `c`. Over the row,
+    /// `cos θ` and the plane `cos` are [`Trig2`]s in the mirror-2
+    /// rotation. The per-cell landing bound's shift, path and beam radius
+    /// all grow with the depth and fall with the plane `cos`, so at the
+    /// row's extremes they bound every cell's (DESIGN.md §8, "row bound").
+    fn row_landing_of(&self, row: &SweepRow) -> Option<RowLanding> {
+        let o = row.origin?;
+        let table = self.table;
+        let to_body = self.tx_pose.rot.transpose();
+        let geom = &self.monitor.rx;
+        let to_c = geom.aperture_center - self.tx_pose.apply_point(o.hit);
+        let dist = to_c.norm();
+        let depth = -to_c.dot(geom.axis);
+        let cos_c = row.reflected_dot(to_body * (to_c / dist));
+        let cos_n = row.reflected_dot(-(to_body * geom.axis));
+        let (eps, d_o) = (self.jitter_dir, self.jitter_origin);
+        let cos_lo = table.extremes(&cos_n).0 - eps;
+        let (min, max) = table.extremes(&cos_c);
+        if !(cos_lo > MIN_LANDING_COS && depth - o.spread > d_o && min > 0.0) {
+            return None;
         }
-        best.1
+        let depth_max = depth + o.spread;
+        let shift = depth_max * eps / (cos_lo * cos_lo) + d_o * (1.0 + 1.0 / cos_lo);
+        Some(RowLanding {
+            cos_c,
+            max,
+            dist,
+            need: o.spread
+                + self.ring_radius
+                + shift
+                + self.capture_radius
+                + 2.0 * LANDING_ROUNDING_M,
+            w: self.profile.radius_at((depth_max + d_o) / cos_lo),
+        })
     }
 
     /// A lower bound on how far beyond its limit at `floor` every jittered
@@ -1117,15 +1382,31 @@ impl DarkSweep for MonitorDarkBound<'_> {
         self.table.rows[i]
     }
 
-    /// The row of the cell whose noiseless landing comes nearest the
-    /// aperture centre: the nearest among every [`TX_PILOT_STRIDE`]-th row
-    /// and column, then the nearest within [`PILOT_REACH`] rows and columns
-    /// of it. Row 0 when no cell lands.
+    /// The row whose noiseless chief rays come nearest the direction of
+    /// the aperture centre: the largest row maximum of that `cos` (the
+    /// first such); row 0 when no row has a row bound.
     fn pilot_row(&self) -> usize {
-        const N: usize = TX_SWEEP_POINTS;
-        let (i, j) = self.nearest_landing(0..N, 0..N, TX_PILOT_STRIDE);
-        let around = |c: usize| c.saturating_sub(PILOT_REACH)..(c + PILOT_REACH + 1).min(N);
-        self.nearest_landing(around(i), around(j), 1).0
+        best_row(self.row_landing.iter().map(|r| r.map(|r| r.max)))
+    }
+
+    /// A column clears the floor's `k` beam radii when its `cos θ` is below
+    /// `√(1 − q²)`, `q = (need + k·w)/D`; the whole row does when its `max`
+    /// is, that is when `max² + q² < 1` (`max > 0`), with `1e-12` to spare
+    /// for the rounding of the squares.
+    #[inline]
+    fn lit_columns(&self, floor: &EdgeWidths, i: usize) -> Range<usize> {
+        let Some(r) = self.row_landing[i] else {
+            return 0..TX_SWEEP_POINTS;
+        };
+        let q = (r.need + floor.0 * r.w) / r.dist;
+        if r.max * r.max + q * q < 1.0 - 1e-12 {
+            return ROW_PROVED;
+        }
+        if q < 1.0 {
+            self.table.lit_columns(&r.cos_c, (1.0 - q * q).sqrt())
+        } else {
+            0..TX_SWEEP_POINTS
+        }
     }
 
     #[inline]
@@ -1144,7 +1425,7 @@ impl DarkSweep for MonitorDarkBound<'_> {
         if !self.clears(floor, &l, 0, 0.0) {
             return None;
         }
-        let Some(rate) = row.origin_rate else {
+        let Some(RowOrigin { rate, .. }) = row.origin else {
             return Some(0);
         };
         // Runs up to `proved` are proved; `refuted` is not.
@@ -1567,7 +1848,7 @@ mod tests {
             let mut long_runs = 0;
             for i in 0..TX_SWEEP_POINTS {
                 let row = bound.row(i).unwrap();
-                let rate = row.origin_rate.expect("rows meet mirror 2 robustly");
+                let rate = row.origin.expect("rows meet mirror 2 robustly").rate;
                 for j in 0..TX_SWEEP_POINTS {
                     let Some(run) = bound.dark_run(&floor, &row, j) else {
                         continue;
@@ -1634,7 +1915,7 @@ mod tests {
         let mut angle_dark = 0;
         for (i, &va) in columns.iter().enumerate().step_by(16) {
             let row = bound.row(i).unwrap();
-            let mut walk = DarkRow::new(&bound, i).unwrap();
+            let mut walk = DarkRow::new(&bound, i, 0..RX_SWEEP_POINTS).unwrap();
             for (j, &vb) in columns.iter().enumerate().step_by(16) {
                 let imag = table.out_ray(&row, j).unwrap();
                 angle_dark += usize::from(bound.dark_angle(&dark, &imag));

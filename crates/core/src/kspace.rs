@@ -325,12 +325,22 @@ fn residuals(
     samples: &[KspaceSample],
     turns: &[[(f64, f64); 2]],
 ) -> Vec<f64> {
-    let (board, axes) = (board(), params.axes());
     let mut out = Vec::with_capacity(samples.len() * 2);
-    for (s, [sc1, sc2]) in samples.iter().zip(turns) {
-        push_board_residual(&mut out, &board, params.trace_line_sc(&axes, *sc1, *sc2), s);
-    }
+    push_residuals(&mut out, params, samples, turns);
     out
+}
+
+/// Pushes the [`residuals`] of `params` onto `out`.
+fn push_residuals(
+    out: &mut Vec<f64>,
+    params: &GalvoParams,
+    samples: &[KspaceSample],
+    turns: &[[(f64, f64); 2]],
+) {
+    let (board, axes) = (board(), params.axes());
+    for (s, [sc1, sc2]) in samples.iter().zip(turns) {
+        push_board_residual(out, &board, params.trace_line_sc(&axes, *sc1, *sc2), s);
+    }
 }
 
 /// Phase A of [`fit_with_options`]: a 6-DoF rigid correction
@@ -363,17 +373,15 @@ impl PhaseA<'_> {
         let axes = base.axes();
         let traces = sample_traces(&base, &axes, &self.turns);
         let board = board();
-        let column = |p: &[f64], j: usize| {
+        let column = |p: &[f64], j: usize, r: &mut Vec<f64>| {
+            let g = self.model(p);
             if j < 3 {
-                return self.residuals(p);
+                return push_residuals(r, &g, self.samples, &self.turns);
             }
             // The moved model's axes are the base point's, bit for bit.
-            let g = self.model(p);
-            let mut r = Vec::with_capacity(2 * self.samples.len());
             for (s, b) in self.samples.iter().zip(&traces) {
-                push_board_residual(&mut r, &board, b.moved_hits(&g, &axes), s);
+                push_board_residual(r, &board, b.moved_hits(&g, &axes), s);
             }
-            r
         };
         central_differences_into(column, x, rel_step, jac);
     }
@@ -513,10 +521,9 @@ impl PhaseB<'_> {
         let turns = mirror_turns(base.theta1, self.samples);
         let traces = sample_traces(&base, &axes, &turns);
         let board = board();
-        let column = |p: &[f64], j: usize| {
+        let column = |p: &[f64], j: usize, r: &mut Vec<f64>| {
             let g = GalvoParams::from_vec(p);
             let axes = g.axes();
-            let mut r = Vec::with_capacity(2 * self.samples.len() + N_PARAMS);
             for ((s, b), &[sc1, sc2]) in self.samples.iter().zip(&traces).zip(&turns) {
                 let line = match j / 3 {
                     0 | 3 | 6 => b.moved_hits(&g, &axes),
@@ -531,10 +538,9 @@ impl PhaseB<'_> {
                         .and_then(|mid| g.out_line(&mid, g.mirror2_normal_sc(&axes, sc2))),
                     _ => g.trace_line_with(&axes, s.v1, s.v2),
                 };
-                push_board_residual(&mut r, &board, line, s);
+                push_board_residual(r, &board, line, s);
             }
-            self.push_prior(p, &mut r);
-            r
+            self.push_prior(p, r);
         };
         central_differences_into(column, x, rel_step, jac);
     }

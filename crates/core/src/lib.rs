@@ -41,5 +41,6 @@ pub mod pointing;
 pub mod recalib;
 pub mod tolerance;
 pub mod tp;
+mod trig2;
 
 pub use commission::commission;

@@ -18,9 +18,12 @@ use crate::alignment::{align_with, SweepTables};
 use crate::deployment::Deployment;
 use cyclops_geom::plane::Plane;
 use cyclops_geom::pose::{Pose, Pose6};
+use cyclops_geom::ray::Ray;
 use cyclops_geom::vec3::{v3, Vec3};
-use cyclops_optics::galvo::GalvoParams;
-use cyclops_solver::lm::{levenberg_marquardt, LmOptions, LmReport};
+use cyclops_optics::galvo::{GalvoAxes, GalvoParams};
+use cyclops_solver::jacobian::central_differences_into;
+use cyclops_solver::linalg::DMat;
+use cyclops_solver::lm::{levenberg_marquardt_with, LmOptions, LmReport};
 use cyclops_solver::stats::ResidualStats;
 use cyclops_vrh::tracking::TrackerConfig;
 use rand::rngs::StdRng;
@@ -274,6 +277,80 @@ fn mirror_turns(
         .collect()
 }
 
+/// One model's part of a sample's Lemma-1 residual: its second-mirror
+/// pivot `q₂`, its tilted second-mirror normal (which serves its trace and
+/// its plane, the normal `second_mirror_plane` rotates to) and its output
+/// line.
+struct Side {
+    q2: Vec3,
+    n2p: Vec3,
+    beam: Option<Ray>,
+}
+
+impl Side {
+    /// The side of the model `g`, with normalized directions `axes`, at the
+    /// mirror turns `sc1`, `sc2`.
+    fn new(g: &GalvoParams, axes: &GalvoAxes, sc1: (f64, f64), sc2: (f64, f64)) -> Side {
+        let n2p = g.mirror2_normal_sc(axes, sc2);
+        Side {
+            q2: g.q2,
+            n2p,
+            beam: g.trace_line_tilted(axes, g.mirror1_normal_sc(axes, sc1), n2p),
+        }
+    }
+}
+
+/// Each sample's TX [`Side`] under the mapping `tx_map`. The TX model is
+/// the same for every sample, so its axes are normalized once.
+fn tx_sides(tx_map: &[f64], tx_model: &GalvoParams, turns: &[[(f64, f64); 4]]) -> Vec<Side> {
+    let txp = tx_model.transformed(&Pose6::from_slice(tx_map).to_pose());
+    let axes = txp.axes();
+    turns
+        .iter()
+        .map(|&[t1, t2, _, _]| Side::new(&txp, &axes, t1, t2))
+        .collect()
+}
+
+/// Each sample's RX [`Side`] under the mapping `rx_map`, placed by the
+/// sample's report.
+fn rx_sides(
+    rx_map: &[f64],
+    rx_model: &GalvoParams,
+    samples: &[MappingSample],
+    turns: &[[(f64, f64); 4]],
+) -> Vec<Side> {
+    let rx_map = Pose6::from_slice(rx_map).to_pose();
+    samples
+        .iter()
+        .zip(turns)
+        .map(|(s, &[_, _, r1, r2])| {
+            let rxp = rx_model.transformed(&s.reported.compose(&rx_map));
+            Side::new(&rxp, &rxp.axes(), r1, r2)
+        })
+        .collect()
+}
+
+/// Pushes one sample's six Lemma-1 residual components, the vector gaps
+/// `p_t − τ_r` and `p_r − τ_t`, or six `1.0` when a trace degenerates.
+fn push_lemma_residual(out: &mut Vec<f64>, tx: &Side, rx: &Side) {
+    let gaps = (|| {
+        let (beam_t, beam_r) = (tx.beam?, rx.beam?);
+        let (_, tau_t) = Plane::new(rx.q2, rx.n2p).intersect_line(&beam_t)?;
+        let (_, tau_r) = Plane::new(tx.q2, tx.n2p).intersect_line(&beam_r)?;
+        let g1 = beam_t.origin - tau_r;
+        let g2 = beam_r.origin - tau_t;
+        Some([g1.x, g1.y, g1.z, g2.x, g2.y, g2.z])
+    })();
+    out.extend_from_slice(&gaps.unwrap_or([1.0; 6]));
+}
+
+/// Pushes the residuals of the sides `tx` and `rx`, sample by sample.
+fn push_residuals(out: &mut Vec<f64>, tx: &[Side], rx: &[Side]) {
+    for (tx, rx) in tx.iter().zip(rx) {
+        push_lemma_residual(out, tx, rx);
+    }
+}
+
 /// Residuals of the Lemma-1 error for the LM fit: six components per sample
 /// (the vector gaps `p_t − τ_r` and `p_r − τ_t`). `turns` are the samples'
 /// [`mirror_turns`].
@@ -284,36 +361,42 @@ fn residuals(
     samples: &[MappingSample],
     turns: &[[(f64, f64); 4]],
 ) -> Vec<f64> {
-    let tx_map = Pose6::from_slice(&params12[0..6]).to_pose();
-    let rx_map = Pose6::from_slice(&params12[6..12]).to_pose();
-    // The TX model is the same for every sample: normalize its axes once.
-    let txp = tx_model.transformed(&tx_map);
-    let tx_axes = txp.axes();
     let mut out = Vec::with_capacity(samples.len() * 6);
-    for (s, &[t1, t2, r1, r2]) in samples.iter().zip(turns) {
-        let rxp = rx_model.transformed(&s.reported.compose(&rx_map));
-        let ok = (|| {
-            // Each model's second-mirror normal, the one `second_mirror_plane`
-            // rotates to, serves its trace and its plane.
-            let rx_axes = rxp.axes();
-            let tx_n2p = txp.mirror2_normal_sc(&tx_axes, t2);
-            let rx_n2p = rxp.mirror2_normal_sc(&rx_axes, r2);
-            let beam_t =
-                txp.trace_line_tilted(&tx_axes, txp.mirror1_normal_sc(&tx_axes, t1), tx_n2p)?;
-            let beam_r =
-                rxp.trace_line_tilted(&rx_axes, rxp.mirror1_normal_sc(&rx_axes, r1), rx_n2p)?;
-            let (_, tau_t) = Plane::new(rxp.q2, rx_n2p).intersect_line(&beam_t)?;
-            let (_, tau_r) = Plane::new(txp.q2, tx_n2p).intersect_line(&beam_r)?;
-            let g1 = beam_t.origin - tau_r;
-            let g2 = beam_r.origin - tau_t;
-            Some([g1.x, g1.y, g1.z, g2.x, g2.y, g2.z])
-        })();
-        match ok {
-            Some(r) => out.extend_from_slice(&r),
-            None => out.extend_from_slice(&[1.0; 6]),
-        }
-    }
+    push_residuals(
+        &mut out,
+        &tx_sides(&params12[0..6], tx_model, turns),
+        &rx_sides(&params12[6..12], rx_model, samples, turns),
+    );
     out
+}
+
+/// The central differences of `numeric_jacobian_into` on [`residuals`] at
+/// `x`, bit for bit. A TX-map column (the first six) leaves the RX
+/// mapping's bits, and so every sample's RX [`Side`], as at `x`; an RX-map
+/// column leaves the TX sides. Each column recomputes only the other side.
+fn jacobian_into(
+    x: &[f64],
+    rel_step: f64,
+    jac: &mut DMat,
+    tx_model: &GalvoParams,
+    rx_model: &GalvoParams,
+    samples: &[MappingSample],
+    turns: &[[(f64, f64); 4]],
+) {
+    let tx_base = tx_sides(&x[0..6], tx_model, turns);
+    let rx_base = rx_sides(&x[6..12], rx_model, samples, turns);
+    let column = |p: &[f64], j: usize, out: &mut Vec<f64>| {
+        if j < 6 {
+            push_residuals(out, &tx_sides(&p[0..6], tx_model, turns), &rx_base);
+        } else {
+            push_residuals(
+                out,
+                &tx_base,
+                &rx_sides(&p[6..12], rx_model, samples, turns),
+            );
+        }
+    };
+    central_differences_into(column, x, rel_step, jac);
 }
 
 /// Fits the 12 mapping parameters (§4.2 step 3).
@@ -330,11 +413,14 @@ pub fn fit(
     x0.extend_from_slice(&init_rx.to_array());
     let turns = mirror_turns(tx_model, rx_model, samples);
     let f = |p: &[f64]| residuals(p, tx_model, rx_model, samples, &turns);
+    let jacobian = |x: &[f64], rel_step: f64, jac: &mut DMat| {
+        jacobian_into(x, rel_step, jac, tx_model, rx_model, samples, &turns)
+    };
     let opts = LmOptions {
         max_iters: 150,
         ..Default::default()
     };
-    let report = levenberg_marquardt(f, &x0, &opts);
+    let report = levenberg_marquardt_with(f, jacobian, &x0, &opts);
     TrainedMapping {
         tx_model: *tx_model,
         rx_model: *rx_model,
@@ -425,6 +511,64 @@ mod tests {
             seed.wrapping_add(9),
         );
         (dep, mt)
+    }
+
+    /// The structured [`jacobian_into`] against `numeric_jacobian_into` on
+    /// [`residuals`], bit for bit, at 1 and 4 threads: at the identity
+    /// mapping and seven random ones, over samples whose voltages span the
+    /// sweep range, one of them with an RX model whose mirror-2 plane is
+    /// parallel to its mid beam, so that its trace degenerates to the `1.0`
+    /// sentinel.
+    #[test]
+    fn structured_mapping_jacobian_is_the_numeric_one_bit_for_bit() {
+        use cyclops_solver::jacobian::numeric_jacobian_into;
+        let mut rng = StdRng::seed_from_u64(5);
+        let nominal = GalvoParams::nominal();
+        let tx_model = nominal.perturbed(&mut rng, 1.0, 1.0, 0.02);
+        // Mirror 2 turns about its own normal, so at `v_r1 = 0` the mid beam
+        // runs along its plane.
+        let rx_model = GalvoParams {
+            n2: nominal.r2,
+            ..nominal
+        };
+        let samples: Vec<MappingSample> = (0..12)
+            .map(|k| MappingSample {
+                voltages: [0, 1, 2, 3].map(|m| match (k, m) {
+                    (0, 2) => 0.0,
+                    _ => rng.gen_range(-10.0..10.0),
+                }),
+                reported: random_placement(&mut rng, 1.75),
+            })
+            .collect();
+        let turns = mirror_turns(&tx_model, &rx_model, &samples);
+        let residual = |p: &[f64]| residuals(p, &tx_model, &rx_model, &samples, &turns);
+        let rel = LmOptions::default().fd_rel_step;
+        let mut sentinels = 0;
+        for k in 0..8 {
+            let x: Vec<f64> = (0..12)
+                .map(|i| {
+                    let scale = if i % 6 < 3 { 0.3 } else { 0.5 };
+                    scale * rng.gen_range(-1.0..1.0) * f64::from(k > 0)
+                })
+                .collect();
+            sentinels += residual(&x).iter().filter(|&&r| r == 1.0).count();
+            let mut want = DMat::zeros(6 * samples.len(), 12);
+            numeric_jacobian_into(&residual, &x, rel, &mut want);
+            for threads in [1, 4] {
+                let mut got = DMat::zeros(6 * samples.len(), 12);
+                cyclops_par::with_threads(threads, || {
+                    jacobian_into(&x, rel, &mut got, &tx_model, &rx_model, &samples, &turns)
+                });
+                let bits = |m: &DMat| -> Vec<u64> {
+                    (0..m.rows)
+                        .flat_map(|r| m.row(r).to_vec())
+                        .map(f64::to_bits)
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "point {k}, {threads} threads");
+            }
+        }
+        assert!(sentinels > 0, "no trace degenerated");
     }
 
     #[test]

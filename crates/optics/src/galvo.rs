@@ -575,7 +575,7 @@ impl GalvoSim {
 
     /// The voltage a command of `v` puts on a mirror: clamped to ±10 V and
     /// rounded to the DAC step.
-    fn quantize(&self, v: f64) -> f64 {
+    pub fn quantize(&self, v: f64) -> f64 {
         let c = v.clamp(VOLT_MIN, VOLT_MAX);
         if self.cfg.dac_step_v > 0.0 {
             (c / self.cfg.dac_step_v).round() * self.cfg.dac_step_v

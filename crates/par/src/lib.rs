@@ -19,7 +19,9 @@
 //! * **Reproducible sizing.** Thread count resolves as: programmatic
 //!   override ([`with_threads`]) → `CYCLOPS_THREADS` env var → the
 //!   machine's available parallelism. Benchmarks pin it for stable CI
-//!   numbers.
+//!   numbers. The env var and the available parallelism are read once, at
+//!   the first unpinned call, and kept for the life of the process; the
+//!   [`with_threads`] override stays dynamic.
 //!
 //! The container this repo builds in cannot fetch crates.io, so rayon is
 //! not available; the implementation uses `std::thread::scope`, which is
@@ -30,8 +32,9 @@
 #![deny(missing_docs)]
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -76,19 +79,35 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// The thread count `par_*` calls will use: override → `CYCLOPS_THREADS` →
 /// available hardware parallelism. Always ≥ 1.
+///
+/// Without an override, the count is resolved once per process, at the
+/// first such call: a later change to `CYCLOPS_THREADS` is not seen.
+/// (Reading the available parallelism reads cgroup files on Linux, which
+/// costs microseconds per call.)
 pub fn max_threads() -> usize {
     let ovr = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if ovr > 0 {
         return ovr;
     }
-    if let Ok(v) = std::env::var("CYCLOPS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    static RESOLVED: OnceLock<usize> = OnceLock::new();
+    *RESOLVED.get_or_init(|| {
+        resolve_threads(
+            std::env::var("CYCLOPS_THREADS").ok().as_deref(),
+            std::thread::available_parallelism,
+        )
+    })
+}
+
+/// The thread count for the `CYCLOPS_THREADS` value `env`: a positive
+/// integer is taken as given, and anything else defers to `hardware`.
+fn resolve_threads(
+    env: Option<&str>,
+    hardware: impl FnOnce() -> std::io::Result<std::num::NonZeroUsize>,
+) -> usize {
+    match env.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => hardware().map_or(1, |n| n.get()),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Whether the fork-join path is compiled in. Always `true`: the thread
@@ -123,32 +142,63 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    let Some(chunk) = chunk_len(n, min_chunk) else {
+        return (0..n).map(f).collect();
+    };
+    let mut out: Vec<R> = Vec::with_capacity(n);
+    for (_, block) in spawn_blocks(n, chunk, |block| block.map(&f).collect::<Vec<R>>()) {
+        out.extend(block);
+    }
+    out
+}
+
+/// Runs `f` once per block of `0..n`, returning each block with its result
+/// in index order: the blocks are the contiguous, non-empty chunks of
+/// [`par_map_indexed`], at most [`max_threads`] of at least `min_chunk`
+/// indices each, one thread per block. One block, `0..n`, runs on the
+/// calling thread.
+pub fn par_blocks<R, F>(n: usize, min_chunk: usize, f: F) -> Vec<(Range<usize>, R)>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    match chunk_len(n, min_chunk) {
+        None => vec![(0..n, f(0..n))],
+        Some(chunk) => spawn_blocks(n, chunk, f),
+    }
+}
+
+/// The length of each thread's chunk of `0..n`: at most [`max_threads`]
+/// chunks of at least `min_chunk` indices; `None` when one chunk suffices.
+fn chunk_len(n: usize, min_chunk: usize) -> Option<usize> {
     let threads = n
         .checked_div(min_chunk.max(1))
         .unwrap_or(1)
         .clamp(1, max_threads());
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<R> = Vec::with_capacity(n);
+    (threads > 1).then(|| n.div_ceil(threads))
+}
+
+/// `f` over the `chunk`-long blocks of `0..n`, one scoped thread each, in
+/// index order.
+fn spawn_blocks<R, F>(n: usize, chunk: usize, f: F) -> Vec<(Range<usize>, R)>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..n.div_ceil(chunk))
             .map(|k| {
-                s.spawn(move || {
-                    let lo = k * chunk;
-                    let hi = ((k + 1) * chunk).min(n);
-                    (lo..hi).map(f).collect::<Vec<R>>()
-                })
+                let block = k * chunk..((k + 1) * chunk).min(n);
+                s.spawn(move || (block.clone(), f(block)))
             })
             .collect();
-        for h in handles {
-            // Panics inside workers propagate to the caller.
-            out.extend(h.join().expect("cyclops-par worker panicked"));
-        }
-    });
-    out
+        // Panics inside workers propagate to the caller.
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cyclops-par worker panicked"))
+            .collect()
+    })
 }
 
 /// Maps a slice through `f`, returning results in input order. See
@@ -184,6 +234,24 @@ mod tests {
     }
 
     #[test]
+    fn blocks_cover_the_indices_in_order() {
+        for (n, min_chunk, threads) in [(0, 1, 4), (1, 1, 4), (9, 1, 4), (25, 1, 2), (10, 3, 8)] {
+            let blocks = with_threads(threads, || par_blocks(n, min_chunk, |b| b.len()));
+            let ranges: Vec<_> = blocks.iter().map(|(b, _)| b.clone()).collect();
+            assert!(blocks.iter().all(|(b, len)| b.len() == *len));
+            assert_eq!(ranges.first().map(|b| b.start), Some(0));
+            assert_eq!(ranges.last().map(|b| b.end), Some(n));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(n == 0 || ranges.iter().all(|b| !b.is_empty()));
+            assert!(ranges.len() <= threads.max(1));
+        }
+        assert_eq!(
+            with_threads(1, || par_blocks(7, 1, |b| b)),
+            vec![(0..7, 0..7)]
+        );
+    }
+
+    #[test]
     fn small_inputs_run_serial() {
         // min_chunk larger than n forces a single chunk; must still work.
         let out = par_map_indexed(5, 100, |i| i);
@@ -213,6 +281,29 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn thread_count_resolves_once_per_process() {
+        let hw = || Ok(std::num::NonZeroUsize::new(6).unwrap());
+        let no_hw = || Err(std::io::Error::other("no cgroup"));
+        assert_eq!(resolve_threads(Some(" 3 "), hw), 3);
+        assert_eq!(resolve_threads(Some("0"), hw), 6);
+        assert_eq!(resolve_threads(Some("many"), hw), 6);
+        assert_eq!(resolve_threads(None, hw), 6);
+        assert_eq!(resolve_threads(None, no_hw), 1);
+        // Unpinned calls keep the first resolution, whatever the env var
+        // says later; a pin still overrides it and is undone after.
+        let first = with_threads(0, max_threads);
+        let before = std::env::var_os("CYCLOPS_THREADS");
+        std::env::set_var("CYCLOPS_THREADS", if first == 1 { "2" } else { "1" });
+        assert_eq!(with_threads(0, max_threads), first);
+        assert_eq!(with_threads(first + 4, max_threads), first + 4);
+        assert_eq!(with_threads(0, max_threads), first);
+        match before {
+            Some(v) => std::env::set_var("CYCLOPS_THREADS", v),
+            None => std::env::remove_var("CYCLOPS_THREADS"),
+        }
     }
 
     #[test]

@@ -31,43 +31,86 @@ pub fn numeric_jacobian_into<F>(f: &F, x: &[f64], rel_step: f64, jac: &mut DMat)
 where
     F: Residual,
 {
-    central_differences_into(|xp: &[f64], _| f(xp), x, rel_step, jac);
+    central_differences_into(
+        |xp: &[f64], _, out: &mut Vec<f64>| out.extend_from_slice(&f(xp)),
+        x,
+        rel_step,
+        jac,
+    );
 }
 
 /// The central differences of [`numeric_jacobian_into`] with the residual
-/// evaluated as `f(xp, j)`, where `xp` differs from `x` only in component
-/// `j`: the same steps, perturbed vectors and `(r⁺ − r⁻)·(1/2h)`, so a
-/// residual that reuses what component `j` cannot change fills `jac` with
-/// the same bits as the plain one.
+/// at `xp` appended to an empty vector by `f(xp, j, out)`, where `xp`
+/// differs from `x` only in component `j`: the same steps, perturbed
+/// vectors and `(r⁺ − r⁻)·(1/2h)`, so a residual that reuses what
+/// component `j` cannot change fills `jac` with the same bits as the plain
+/// one.
+///
+/// The columns are split into the blocks of [`cyclops_par::par_blocks`],
+/// one per thread. Each block keeps one perturbed vector and one `r⁺`,
+/// `r⁻` pair for all its columns, and writes its differences into the
+/// matrix at one thread, or into a row-major block whose row slices are
+/// copied into the matrix otherwise. Every entry is the same subtraction
+/// and product either way.
 ///
 /// # Panics
 /// Panics if `jac.cols != x.len()`.
 pub fn central_differences_into<F>(f: F, x: &[f64], rel_step: f64, jac: &mut DMat)
 where
-    F: Fn(&[f64], usize) -> Vec<f64> + Sync,
+    F: Fn(&[f64], usize, &mut Vec<f64>) + Sync,
 {
     let n = x.len();
     let m = jac.rows;
     assert_eq!(jac.cols, n, "jacobian column count must match x.len()");
+    if n == 0 {
+        return;
+    }
+    if cyclops_par::max_threads() == 1 {
+        differences(&f, x, rel_step, m, 0..n, |i, j, v| jac[(i, j)] = v);
+        return;
+    }
+    let blocks = cyclops_par::par_blocks(n, 1, |cols| {
+        let w = cols.len();
+        let mut out = vec![0.0; m * w];
+        differences(&f, x, rel_step, m, cols, |i, c, v| out[i * w + c] = v);
+        out
+    });
+    for (cols, out) in &blocks {
+        for (i, row) in out.chunks_exact(cols.len()).enumerate() {
+            jac.row_mut(i)[cols.clone()].copy_from_slice(row);
+        }
+    }
+}
 
-    let eval_col = |j: usize| -> Vec<f64> {
-        let mut xp = x.to_vec();
+/// The central differences of `f` at `x` for the columns `cols`: entry
+/// `(i, j)`, column `j` being the `k`-th of `cols`, goes to `put(i, k, v)`.
+/// One perturbed vector and one `r⁺`, `r⁻` pair serve every column.
+fn differences<F>(
+    f: &F,
+    x: &[f64],
+    rel_step: f64,
+    m: usize,
+    cols: std::ops::Range<usize>,
+    mut put: impl FnMut(usize, usize, f64),
+) where
+    F: Fn(&[f64], usize, &mut Vec<f64>),
+{
+    let mut xp = x.to_vec();
+    let (mut rp, mut rm) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    for (k, j) in cols.enumerate() {
         let h = rel_step * x[j].abs().max(1.0);
         xp[j] = x[j] + h;
-        let rp = f(&xp, j);
+        rp.clear();
+        f(&xp, j, &mut rp);
         xp[j] = x[j] - h;
-        let rm = f(&xp, j);
+        rm.clear();
+        f(&xp, j, &mut rm);
+        xp[j] = x[j];
         debug_assert_eq!(rp.len(), m);
         debug_assert_eq!(rm.len(), m);
         let inv = 1.0 / (2.0 * h);
-        rp.iter().zip(&rm).map(|(p, q)| (p - q) * inv).collect()
-    };
-
-    let cols = cyclops_par::par_map_indexed(n, 1, eval_col);
-
-    for (j, col) in cols.iter().enumerate() {
-        for (i, &v) in col.iter().enumerate() {
-            jac[(i, j)] = v;
+        for (i, (p, q)) in rp.iter().zip(&rm).enumerate() {
+            put(i, k, (p - q) * inv);
         }
     }
 }

@@ -328,6 +328,11 @@ impl HeadTrace {
     /// Parses the CSV produced by [`HeadTrace::to_csv`] (or the real dataset
     /// exported into the same layout).
     ///
+    /// The trace's frame is the generator's: Y up, positions in metres,
+    /// and orientations as head-to-trace quaternions, so that a head turn
+    /// is a rotation about +Y. `TracePlayback` (`crate::motion`) carries
+    /// such a trace into the deployment's Z-up world.
+    ///
     /// Every row is validated: it must hold eight finite numbers, its
     /// timestamp must exceed the previous row's, and its quaternion must
     /// have a norm that can be normalized. The error names the offending
