@@ -38,7 +38,7 @@ fn run_session(
     sys: &CyclopsSystem,
     env: Option<&Environment>,
     fallback: FallbackPolicy,
-) -> (Vec<EngineSlot>, SessionStats) {
+) -> SessionReport {
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     // Gentle hand-held motion (fig 15's lowest mixed intensity) under the
     // paper's §5.3 protocol: the operator pauses on link loss and resumes
@@ -59,32 +59,8 @@ fn run_session(
         builder = builder.environment(env.clone());
     }
     let mut session = builder.build().expect("valid engine config");
-    let recs = session.run(DURATION_S);
-    let stats = session.session_stats();
-    (recs, stats)
-}
-
-struct Row {
-    name: &'static str,
-    up_frac: f64,
-    signal_frac: f64,
-    rf_frac: f64,
-    goodput: f64,
-    outages: u64,
-    longest_s: f64,
-}
-
-fn row(name: &'static str, recs: &[EngineSlot], stats: &SessionStats, sens: f64) -> Row {
-    let n = recs.len().max(1) as f64;
-    Row {
-        name,
-        up_frac: recs.iter().filter(|r| r.link_up).count() as f64 / n,
-        signal_frac: recs.iter().filter(|r| r.power_dbm >= sens).count() as f64 / n,
-        rf_frac: recs.iter().filter(|r| r.rf_active).count() as f64 / n,
-        goodput: recs.iter().map(|r| r.goodput_gbps).sum::<f64>() / n,
-        outages: stats.n_outages,
-        longest_s: stats.longest_outage_s,
-    }
+    session.run_each(DURATION_S, |_| {});
+    session.report(0, SEED)
 }
 
 fn main() {
@@ -102,7 +78,6 @@ fn main() {
         ..hw.system_config(SEED)
     };
     let sys = CyclopsSystem::commission(&cfg);
-    let sens = sys.dep.design.sfp.rx_sensitivity_dbm;
     let wavelength = sys.dep.design.sfp.wavelength_nm;
 
     // The hostile environment: dense fog (Kim model at the SFP wavelength)
@@ -118,23 +93,28 @@ fn main() {
         hostile.stage_names()
     );
 
-    let (clean_recs, clean_stats) = run_session(&sys, None, FallbackPolicy::Off);
-    let (fog_recs, fog_stats) = run_session(&sys, Some(&hostile), FallbackPolicy::Off);
-    let (rf_recs, rf_stats) = run_session(&sys, Some(&hostile), FallbackPolicy::RfOnOutage);
-
+    let clean = run_session(&sys, None, FallbackPolicy::Off);
+    let fog = run_session(&sys, Some(&hostile), FallbackPolicy::Off);
+    let rf = run_session(&sys, Some(&hostile), FallbackPolicy::RfOnOutage);
     let rows = [
-        row("clean, fso-only", &clean_recs, &clean_stats, sens),
-        row("fog+crossings, fso-only", &fog_recs, &fog_stats, sens),
-        row("fog+crossings, rf-fallback", &rf_recs, &rf_stats, sens),
+        ("clean, fso-only", &clean),
+        ("fog+crossings, fso-only", &fog),
+        ("fog+crossings, rf-fallback", &rf),
     ];
     println!(
         "{:<28} {:>8} {:>8} {:>8} {:>9} {:>8} {:>9}",
         "scenario", "up_frac", "signal", "rf_frac", "gbps", "outages", "longest_s"
     );
-    for r in &rows {
+    for (name, r) in &rows {
         println!(
             "{:<28} {:>8.4} {:>8.4} {:>8.4} {:>9.3} {:>8} {:>9.3}",
-            r.name, r.up_frac, r.signal_frac, r.rf_frac, r.goodput, r.outages, r.longest_s
+            name,
+            r.up_frac,
+            r.signal_frac,
+            r.rf_frac,
+            r.mean_goodput_gbps,
+            r.stats.n_outages,
+            r.stats.longest_outage_s
         );
     }
 
@@ -145,11 +125,10 @@ fn main() {
         "density", "atten_dB", "up_frac", "signal"
     );
     for d in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let fog = FogStage::from_density(d, wavelength).expect("valid density");
-        let mut env = Environment::new().stage(fog);
+        let stage = FogStage::from_density(d, wavelength).expect("valid density");
+        let mut env = Environment::new().stage(stage);
         let att = env.attenuation_db(0.0, 1.75);
-        let (recs, stats) = run_session(&sys, Some(&env), FallbackPolicy::Off);
-        let r = row("fog", &recs, &stats, sens);
+        let r = run_session(&sys, Some(&env), FallbackPolicy::Off);
         println!(
             "{d:>8.2} {att:>9.2} {:>8.4} {:>8.4}",
             r.up_frac, r.signal_frac
@@ -157,7 +136,6 @@ fn main() {
     }
 
     // Strict ablation asserts: the scenario ordering is the experiment.
-    let (clean, fog, rf) = (&rows[0], &rows[1], &rows[2]);
     assert!(
         clean.up_frac >= 0.90,
         "clean 25G baseline must be healthy: up {}",
@@ -170,7 +148,7 @@ fn main() {
         fog.up_frac
     );
     assert!(
-        fog.outages >= 1,
+        fog.stats.n_outages >= 1,
         "crossings must force at least one SFP relink"
     );
     assert!(
@@ -185,10 +163,10 @@ fn main() {
         rf.rf_frac
     );
     assert!(
-        rf.goodput < clean.goodput,
+        rf.mean_goodput_gbps < clean.mean_goodput_gbps,
         "RF recovery is degraded service, not free: clean {} rf {}",
-        clean.goodput,
-        rf.goodput
+        clean.mean_goodput_gbps,
+        rf.mean_goodput_gbps
     );
     println!("\nablation asserts hold: clean -> fog drop, RF recovery");
 }

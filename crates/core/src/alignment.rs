@@ -585,7 +585,7 @@ mod tests {
             for (j, &r) in physics.iter().enumerate() {
                 let vb = grid_volts(points, j);
                 command(&mut cell, va, vb);
-                let skippable = bound.column_skippable(j);
+                let skippable = bound.skippable_until(j) > j;
                 let proved = |f: &B::Floor| row.and_then(|row| bound.dark_run(f, &row, j));
                 let own = skippable && proved(&floor).is_some();
                 assert_eq!(own, per_cell(&cell, bound, &floor, j), "cell ({va}, {vb})");

@@ -471,43 +471,6 @@ impl Deployment {
         bound
     }
 
-    /// Whether a TX sweep reading of the monitor at the current voltages is
-    /// provably below `floor` by the per-cell form of
-    /// [`MonitorDarkBound::dark_run`]: from the commanded galvo state
-    /// rather than the sweep tables, and without a run. The reference the
-    /// tables and runs are tested against.
-    #[cfg(test)]
-    pub(crate) fn monitor_dark_per_cell(&self, b: &MonitorDarkBound, floor: &EdgeWidths) -> bool {
-        assert_eq!(
-            self.placed_monitor(),
-            b.monitor,
-            "bound is for another pose"
-        );
-        self.tx.noiseless_output_ray().is_some_and(|out| {
-            b.landing(&self.tx_pose.apply_ray(&out))
-                .is_some_and(|l| b.clears(floor, &l, 0, 0.0))
-        })
-    }
-
-    /// The per-cell form of [`DarkCellBound::dark_run`] below `floor` at
-    /// the current voltages, from the commanded galvo state rather than
-    /// the sweep tables, and without a run: the reference the tables and
-    /// runs are tested against.
-    #[cfg(test)]
-    pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound, floor: &AngleFloor) -> bool {
-        let Some(imag) = self.rx.noiseless_output_ray() else {
-            return false;
-        };
-        b.dark_angle(floor, &imag)
-            && meets_plane_robustly(
-                &b.chief,
-                &b.rx_pose,
-                self.rx_pivot_world(),
-                self.rx.second_mirror_normal(),
-                self.jitter_margin(),
-            )
-    }
-
     /// True if the link currently closes (received power ≥ sensitivity).
     pub fn link_up(&mut self) -> bool {
         self.received_power_dbm() >= self.design.sfp.rx_sensitivity_dbm
@@ -653,12 +616,6 @@ pub(crate) trait DarkSweep {
     /// cells are skipped wherever their column's flags allow. When the
     /// whole row is proved the range is [`ROW_PROVED`].
     fn lit_columns(&self, floor: &Self::Floor, i: usize) -> Range<usize>;
-
-    /// Whether column `j`'s table flags let a dark cell there be skipped.
-    #[cfg(test)]
-    fn column_skippable(&self, j: usize) -> bool {
-        self.skippable_until(j) > j
-    }
 
     /// When cell `j` of `row` provably reads below `floor`, how many of the
     /// following columns provably do too: `Some(0)` proves the cell alone.
@@ -1064,24 +1021,6 @@ impl DarkCellBound<'_> {
             sin_dark,
             phi_dark: dark,
         }
-    }
-
-    /// This bound with column `k`'s plane flag down, as when the chief ray
-    /// may miss that column's mirror plane.
-    #[cfg(test)]
-    pub(crate) fn with_plane_flag_down(mut self, k: usize) -> Self {
-        for until in &mut self.plane_until[..=k] {
-            *until = (*until).min(k);
-        }
-        self
-    }
-
-    /// Whether the noiseless imaginary beam `imag` (RX body frame) meets
-    /// the TX light at an angle that reads below `floor` under any jitter.
-    #[cfg(test)]
-    fn dark_angle(&self, floor: &AngleFloor, imag: &Ray) -> bool {
-        let cos_phi = self.incidence(imag).0;
-        cos_phi < floor.cos_dark && cos_phi > self.cos_lit
     }
 }
 
@@ -1495,6 +1434,66 @@ mod tests {
     use cyclops_geom::mat3::Mat3;
     use cyclops_optics::power::dbm_to_mw;
     use rand::RngCore;
+
+    impl Deployment {
+        /// Whether a TX sweep reading of the monitor at the current
+        /// voltages is provably below `floor` by the per-cell form of
+        /// [`MonitorDarkBound::dark_run`]: from the commanded galvo state
+        /// rather than the sweep tables, and without a run. The reference
+        /// the tables and runs are tested against.
+        pub(crate) fn monitor_dark_per_cell(
+            &self,
+            b: &MonitorDarkBound,
+            floor: &EdgeWidths,
+        ) -> bool {
+            assert_eq!(
+                self.placed_monitor(),
+                b.monitor,
+                "bound is for another pose"
+            );
+            self.tx.noiseless_output_ray().is_some_and(|out| {
+                b.landing(&self.tx_pose.apply_ray(&out))
+                    .is_some_and(|l| b.clears(floor, &l, 0, 0.0))
+            })
+        }
+
+        /// The per-cell form of [`DarkCellBound::dark_run`] below `floor`
+        /// at the current voltages, from the commanded galvo state rather
+        /// than the sweep tables, and without a run: the reference the
+        /// tables and runs are tested against.
+        pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound, floor: &AngleFloor) -> bool {
+            let Some(imag) = self.rx.noiseless_output_ray() else {
+                return false;
+            };
+            b.dark_angle(floor, &imag)
+                && meets_plane_robustly(
+                    &b.chief,
+                    &b.rx_pose,
+                    self.rx_pivot_world(),
+                    self.rx.second_mirror_normal(),
+                    self.jitter_margin(),
+                )
+        }
+    }
+
+    impl DarkCellBound<'_> {
+        /// This bound with column `k`'s plane flag down, as when the chief
+        /// ray may miss that column's mirror plane.
+        pub(crate) fn with_plane_flag_down(mut self, k: usize) -> Self {
+            for until in &mut self.plane_until[..=k] {
+                *until = (*until).min(k);
+            }
+            self
+        }
+
+        /// Whether the noiseless imaginary beam `imag` (RX body frame)
+        /// meets the TX light at an angle that reads below `floor` under
+        /// any jitter.
+        fn dark_angle(&self, floor: &AngleFloor, imag: &Ray) -> bool {
+            let cos_phi = self.incidence(imag).0;
+            cos_phi < floor.cos_dark && cos_phi > self.cos_lit
+        }
+    }
 
     #[test]
     fn aligned_link_closes_with_expected_power() {
@@ -1919,7 +1918,7 @@ mod tests {
             for (j, &vb) in columns.iter().enumerate().step_by(16) {
                 let imag = table.out_ray(&row, j).unwrap();
                 angle_dark += usize::from(bound.dark_angle(&dark, &imag));
-                assert!(!bound.column_skippable(j), "({va}, {vb})");
+                assert!(bound.skippable_until(j) <= j, "({va}, {vb})");
                 assert_eq!(walk.dark_cells(&bound, &dark, j), 0, "({va}, {vb})");
                 dep.set_voltages(vt1, vt2, va, vb);
                 assert!(!dep.proves_dark_per_cell(&bound, &dark), "({va}, {vb})");

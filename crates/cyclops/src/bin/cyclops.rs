@@ -247,18 +247,18 @@ fn cmd_list_profiles() {
     }
 }
 
-/// Folds a slot stream into the engine-digest discipline (`mix64` over the
-/// public fields), so CI can assert bit-identity across flag spellings.
-fn slot_digest(recs: &[EngineSlot]) -> u64 {
-    let mut d = 0x0063_7963_6c6f_7073_u64; // "cyclops"
-    let mut fold = |x: u64| d = cyclops_par::mix64(d ^ x, 0x9e37_79b9_7f4a_7c15);
-    for r in recs {
-        fold(r.t.to_bits());
-        fold(r.power_dbm.to_bits());
-        fold(r.link_up as u64);
-        fold(r.goodput_gbps.to_bits());
-    }
-    d
+/// Folds one slot into a running digest in the engine-digest discipline
+/// (`mix64` over the public fields), so CI can assert bit-identity across
+/// flag spellings.
+fn slot_digest(d: u64, r: &EngineSlot) -> u64 {
+    [
+        r.t.to_bits(),
+        r.power_dbm.to_bits(),
+        r.link_up as u64,
+        r.goodput_gbps.to_bits(),
+    ]
+    .into_iter()
+    .fold(d, |d, x| cyclops_par::mix64(d ^ x, 0x9e37_79b9_7f4a_7c15))
 }
 
 fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
@@ -287,7 +287,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
 
     eprintln!("commissioning {} (seed {seed})...", hw.label());
     let sys = CyclopsSystem::commission(&hw.system_config(seed));
-    let sens = sys.dep.design.sfp.rx_sensitivity_dbm;
     let base = Pose::translation(Vec3::new(0.0, 0.0, 1.75));
     let motion = ArbitraryMotion::new(base, ArbitraryMotionConfig::default(), seed ^ 0x611);
     let mut builder = sys
@@ -299,21 +298,20 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         builder = builder.telemetry_sink(Box::new(sink));
     }
     let mut session = builder.build()?;
-    let recs = session.run(duration_s);
+    let mut run_digest = 0x0063_7963_6c6f_7073_u64; // "cyclops"
+    session.run_each(duration_s, |rec| run_digest = slot_digest(run_digest, &rec));
+    let r = session.report(0, seed);
 
-    let n = recs.len().max(1) as f64;
-    let up = recs.iter().filter(|r| r.link_up).count() as f64 / n;
-    let sig = recs.iter().filter(|r| r.power_dbm >= sens).count() as f64 / n;
-    let rf = recs.iter().filter(|r| r.rf_active).count() as f64 / n;
-    let goodput = recs.iter().map(|r| r.goodput_gbps).sum::<f64>() / n;
-    let stats = session.session_stats();
     println!("profile:      {}", hw.label());
-    println!("slots:        {}", recs.len());
-    println!("availability: {up:.4} (signal {sig:.4}, rf-carried {rf:.4})");
-    println!("goodput:      {goodput:.3} Gbps mean");
+    println!("slots:        {}", r.slots);
+    println!(
+        "availability: {:.4} (signal {:.4}, rf-carried {:.4})",
+        r.up_frac, r.signal_frac, r.rf_frac
+    );
+    println!("goodput:      {:.3} Gbps mean", r.mean_goodput_gbps);
     println!(
         "outages:      {} (total {:.3} s, longest {:.3} s)",
-        stats.n_outages, stats.outage_s, stats.longest_outage_s
+        r.stats.n_outages, r.stats.outage_s, r.stats.longest_outage_s
     );
     if let Some(path) = telemetry {
         if session.telemetry_mut().sink_failed() {
@@ -322,7 +320,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         println!("telemetry:    {path}");
     }
     if digest {
-        println!("digest:       {:016x}", slot_digest(&recs));
+        println!("digest:       {run_digest:016x}");
     }
     Ok(())
 }

@@ -39,8 +39,8 @@ pub use cyclops_link::control::{
 };
 pub use cyclops_link::engine::{
     run_fleet, run_fleet_mixed, EngineConfig, EngineConfigError, EngineSlot, FallbackPolicy,
-    FirstReport, FleetConfig, FleetPool, FleetRollup, FleetRollupAcc, FleetSummary, LinkPolicy,
-    LinkSession, Occluder, RfStats, SessionBuilder, SessionReport, SessionStats, TxInstallation,
+    FirstReport, FleetConfig, FleetPool, FleetRollup, FleetSummary, LinkPolicy, LinkSession,
+    Occluder, RfStats, SessionBuilder, SessionReport, SessionStats, TxInstallation,
 };
 pub use cyclops_link::registry::{
     galvo_profile, galvo_profiles, headset_profile, headset_profiles, sfp_profile, sfp_profiles,

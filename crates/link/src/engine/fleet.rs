@@ -1,12 +1,12 @@
 use super::{
-    BestMargin, EngineConfig, EngineConfigError, EngineSlot, FallbackPolicy, FirstReport,
-    LinkSession, Occluder, SessionStats, TxInstallation, TxSelector,
+    BestMargin, EngineConfig, EngineConfigError, FallbackPolicy, FirstReport, LinkSession,
+    Occluder, SessionStats, TxInstallation,
 };
 use crate::control::ControlPlaneConfig;
 use crate::telemetry::{SessionTelemetry, Telemetry, TelemetryEvent};
 use cyclops_geom::pose::Pose;
 use cyclops_geom::vec3::Vec3;
-use cyclops_vrh::motion::{ArbitraryMotion, ArbitraryMotionConfig, Motion};
+use cyclops_vrh::motion::{ArbitraryMotion, ArbitraryMotionConfig};
 use cyclops_vrh::tracking::TrackerConfig;
 
 // ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ pub struct SessionReport {
 }
 
 /// Fleet-level rollup of the per-session counters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FleetRollup {
     /// Sessions run.
     pub n_sessions: usize,
@@ -209,79 +209,24 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// Aggregates the per-session counters. Streams the reports through a
-    /// [`FleetRollupAcc`] in session order, so the result is bit-identical
-    /// to the historical single-fold implementation.
+    /// Aggregates the per-session counters, in session order.
     pub fn rollup(&self) -> FleetRollup {
-        let mut acc = FleetRollupAcc::new();
-        for s in &self.sessions {
-            acc.absorb(s);
-        }
-        acc.finish()
+        fold_rollup(&self.sessions)
     }
 }
 
-/// Streaming accumulator behind [`FleetSummary::rollup`]: absorbs
-/// [`SessionReport`]s one at a time, so a fleet rollup needs O(1) memory
-/// instead of a materialized report vector.
-///
-/// Mean-valued [`FleetRollup`] fields are carried as running sums and only
-/// divided in [`FleetRollupAcc::finish`], so `absorb`-in-session-order
-/// reproduces the historical fold bit-for-bit.
-#[derive(Debug, Clone)]
-pub struct FleetRollupAcc {
-    r: FleetRollup,
-    n_sched: usize,
-    avail_sum: f64,
-    stall_frac_sum: f64,
-    jain_sum: f64,
-    jain_sum_sq: f64,
-}
-
-impl Default for FleetRollupAcc {
-    fn default() -> Self {
-        FleetRollupAcc::new()
-    }
-}
-
-impl FleetRollupAcc {
-    /// An empty accumulator.
-    pub fn new() -> FleetRollupAcc {
-        FleetRollupAcc {
-            r: FleetRollup {
-                n_sessions: 0,
-                total_slots: 0,
-                mean_up_frac: 0.0,
-                mean_signal_frac: 0.0,
-                min_up_frac: f64::INFINITY,
-                sum_goodput_gbps: 0.0,
-                total_handovers: 0,
-                total_outages: 0,
-                worst_outage_s: 0.0,
-                total_extrapolated: 0,
-                total_reacq_steps: 0,
-                ctrl_sent: 0,
-                ctrl_delivered: 0,
-                ctrl_retransmits: 0,
-                mean_rf_frac: 0.0,
-                total_failovers: 0,
-                total_failbacks: 0,
-                total_rf_slots: 0,
-                rf_delivered_gb: 0.0,
-                telemetry: None,
-                sched: None,
-            },
-            n_sched: 0,
-            avail_sum: 0.0,
-            stall_frac_sum: 0.0,
-            jain_sum: 0.0,
-            jain_sum_sq: 0.0,
-        }
-    }
-
-    /// Folds one session report into the accumulator.
-    pub fn absorb(&mut self, s: &SessionReport) {
-        let r = &mut self.r;
+/// The one fleet fold, shared by [`FleetSummary::rollup`] and
+/// [`FleetSummary::profile_rollups`]: sums the reports in the order given
+/// and only then divides the means, so a rollup in session order is
+/// bit-identical at any thread count.
+fn fold_rollup<'a>(reports: impl IntoIterator<Item = &'a SessionReport>) -> FleetRollup {
+    let mut r = FleetRollup {
+        min_up_frac: f64::INFINITY,
+        ..FleetRollup::default()
+    };
+    let (mut n_sched, mut avail_sum, mut stall_frac_sum) = (0usize, 0.0, 0.0);
+    let (mut jain_sum, mut jain_sum_sq) = (0.0, 0.0);
+    for s in reports {
         r.n_sessions += 1;
         r.total_slots += s.slots;
         r.mean_up_frac += s.up_frac;
@@ -324,39 +269,34 @@ impl FleetRollupAcc {
             sr.worst_stall_s = sr.worst_stall_s.max(sc.stall_s);
             sr.total_stall_events += sc.stall_events;
             sr.total_frames_played += sc.frames_played;
-            self.n_sched += 1;
-            self.avail_sum += sc.availability;
-            self.stall_frac_sum += sc.stall_frac;
+            n_sched += 1;
+            avail_sum += sc.availability;
+            stall_frac_sum += sc.stall_frac;
             if sc.admitted {
-                self.jain_sum += sc.mean_served_gbps;
-                self.jain_sum_sq += sc.mean_served_gbps * sc.mean_served_gbps;
+                jain_sum += sc.mean_served_gbps;
+                jain_sum_sq += sc.mean_served_gbps * sc.mean_served_gbps;
             }
         }
     }
-
-    /// Finalizes the rollup: divides the running sums into means and
-    /// computes the Jain fairness index over the admitted sessions.
-    pub fn finish(mut self) -> FleetRollup {
-        let n = self.r.n_sessions;
-        if n > 0 {
-            self.r.mean_up_frac /= n as f64;
-            self.r.mean_signal_frac /= n as f64;
-            self.r.mean_rf_frac /= n as f64;
-        } else {
-            self.r.min_up_frac = 0.0;
-        }
-        if let Some(sr) = self.r.sched.as_mut() {
-            let ns = self.n_sched.max(1) as f64;
-            sr.mean_availability = self.avail_sum / ns;
-            sr.mean_stall_frac = self.stall_frac_sum / ns;
-            sr.fairness_jain = if self.jain_sum_sq > 0.0 {
-                (self.jain_sum * self.jain_sum) / (sr.n_admitted.max(1) as f64 * self.jain_sum_sq)
-            } else {
-                1.0
-            };
-        }
-        self.r
+    let n = r.n_sessions;
+    if n > 0 {
+        r.mean_up_frac /= n as f64;
+        r.mean_signal_frac /= n as f64;
+        r.mean_rf_frac /= n as f64;
+    } else {
+        r.min_up_frac = 0.0;
     }
+    if let Some(sr) = r.sched.as_mut() {
+        let ns = n_sched.max(1) as f64;
+        sr.mean_availability = avail_sum / ns;
+        sr.mean_stall_frac = stall_frac_sum / ns;
+        sr.fairness_jain = if jain_sum_sq > 0.0 {
+            (jain_sum * jain_sum) / (sr.n_admitted.max(1) as f64 * jain_sum_sq)
+        } else {
+            1.0
+        };
+    }
+    r
 }
 
 /// The concrete session type fleet drivers run.
@@ -430,81 +370,30 @@ pub(crate) fn build_fleet_session(
     (session, seed)
 }
 
-/// Streaming per-slot sums a fleet session folds into its report — shared
-/// by [`run_fleet`]'s internal fold and the scheduled driver so the
-/// derived [`SessionReport`] fields are computed identically on both paths
-/// (counts and running sums; no duration-proportional buffering).
-pub(crate) struct SlotSums {
-    pub(crate) slots: usize,
-    n_up: usize,
-    n_sig: usize,
-    n_rf: usize,
-    goodput_sum: f64,
-    power_sum: f64,
-}
-
-impl SlotSums {
-    pub(crate) fn new() -> SlotSums {
-        SlotSums {
-            slots: 0,
-            n_up: 0,
-            n_sig: 0,
-            n_rf: 0,
-            goodput_sum: 0.0,
-            power_sum: 0.0,
-        }
-    }
-
-    pub(crate) fn absorb(&mut self, r: &EngineSlot, sens_dbm: f64) {
-        self.slots += 1;
-        self.n_up += r.link_up as usize;
-        self.n_sig += (r.power_dbm >= sens_dbm) as usize;
-        self.n_rf += r.rf_active as usize;
-        self.goodput_sum += r.goodput_gbps;
-        self.power_sum += r.power_dbm;
-    }
-
-    pub(crate) fn report<M: Motion, S: TxSelector>(
-        &self,
-        i: usize,
-        seed: u64,
-        session: &LinkSession<M, S>,
-    ) -> SessionReport {
-        let n = self.slots.max(1) as f64;
-        let tp = session.tp_metrics();
-        SessionReport {
-            session: i,
-            seed,
-            slots: self.slots,
-            up_frac: self.n_up as f64 / n,
-            signal_frac: self.n_sig as f64 / n,
-            mean_goodput_gbps: self.goodput_sum / n,
-            rf_frac: self.n_rf as f64 / n,
-            mean_power_dbm: self.power_sum / n,
-            handovers: session.n_handovers(),
-            stats: session.session_stats(),
-            tp_reports: tp.n_reports,
-            tp_failures: tp.n_failures,
-            telemetry: session.telemetry().copied(),
-            sched: None,
-            profile: None,
-        }
-    }
-}
-
 /// Runs one fleet session (index `i`) against a private clone of `units`.
 fn run_fleet_session(units: &[TxInstallation], cfg: &FleetConfig, i: usize) -> SessionReport {
     let (mut session, seed) = build_fleet_session(units, cfg, i);
-    let sens = units[0].dep.design.sfp.rx_sensitivity_dbm;
-    let mut sums = SlotSums::new();
-    session.run_each(cfg.duration_s, |r| sums.absorb(&r, sens));
+    session.run_each(cfg.duration_s, |_| {});
+    end_fleet_session(&mut session, cfg, i, seed)
+}
+
+/// Closes fleet session `i`, shared by [`run_fleet`] and the scheduled
+/// driver: emits the `SessionEnd` telemetry event and returns the
+/// session's report.
+pub(crate) fn end_fleet_session(
+    session: &mut FleetSession,
+    cfg: &FleetConfig,
+    i: usize,
+    seed: u64,
+) -> SessionReport {
+    let report = session.report(i, seed);
     if cfg.collect_telemetry {
         session.telemetry_mut().emit(&TelemetryEvent::SessionEnd {
             session: i as u64,
-            slots: sums.slots as u64,
+            slots: report.slots as u64,
         });
     }
-    sums.report(i, seed, &session)
+    report
 }
 
 /// Runs `cfg.n_sessions` independently-seeded sessions, each against its
@@ -586,11 +475,8 @@ impl FleetSummary {
         pools
             .into_iter()
             .map(|p| {
-                let mut acc = FleetRollupAcc::new();
-                for s in self.sessions.iter().filter(|s| s.profile == Some(p)) {
-                    acc.absorb(s);
-                }
-                (p, acc.finish())
+                let pool = self.sessions.iter().filter(|s| s.profile == Some(p));
+                (p, fold_rollup(pool))
             })
             .collect()
     }

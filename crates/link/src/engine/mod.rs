@@ -38,7 +38,7 @@
 //! * [`TxSelector`] — which ceiling unit serves the headset: pinned
 //!   ([`SingleTx`]), dark-time debounced nearest sibling ([`DarkDebounce`]),
 //!   or margin-based ([`BestMargin`]). The geometric handover policy
-//!   (switch delay, hysteresis) is [`MarginSelector`], a bare state machine
+//!   (switch delay) is [`MarginSelector`], a bare state machine
 //!   its caller steps over [`visible_margin_db`].
 //!
 //! Determinism is the engine's core contract: every random draw comes from a

@@ -244,28 +244,22 @@ pub fn visible_margin_db(
 }
 
 /// The geometric margin-based handover state machine (margins typically
-/// from [`visible_margin_db`]; the caller holds the active unit): pays a
-/// switch delay on every handover, and — when `hysteresis_db` is set — also
-/// upgrades away from a *working* unit once a sibling's margin beats it by
-/// more than the hysteresis. A tie never triggers a switch, so two equal
-/// units cannot flip-flop.
+/// from [`visible_margin_db`]; the caller holds the active unit): switches
+/// only when the active unit is unusable, to the usable unit with the best
+/// margin, and pays a switch delay on every handover. A working unit is
+/// never left, so two equal units cannot flip-flop.
 #[derive(Debug, Clone, Copy)]
 pub struct MarginSelector {
     /// Time a switch takes (re-steer + re-lock), seconds.
     pub switch_time_s: f64,
-    /// Greedy-upgrade hysteresis (dB): `None` switches only when the active
-    /// unit is unusable (the legacy behavior); `Some(h)` also switches when
-    /// a sibling's margin exceeds the active unit's by more than `h`.
-    pub hysteresis_db: Option<f64>,
     switch_remaining_s: f64,
 }
 
 impl MarginSelector {
-    /// Creates the state machine (no greedy upgrades).
+    /// Creates the state machine.
     pub fn new(switch_time_s: f64) -> MarginSelector {
         MarginSelector {
             switch_time_s,
-            hysteresis_db: None,
             switch_remaining_s: 0.0,
         }
     }
@@ -285,26 +279,12 @@ impl MarginSelector {
             self.switch_remaining_s -= dt;
             return (false, active);
         }
-        let m_active = margin(active);
-        if m_active >= 0.0 {
-            if let Some(h) = self.hysteresis_db {
-                // Greedy upgrade: only on a *strict* improvement beyond the
-                // hysteresis — equal margins never switch.
-                // The `>= 0.0` filter already excludes NaN margins (NaN
-                // compares false); total_cmp makes the max itself NaN-proof.
-                let best = (0..n)
-                    .filter(|&i| i != active && margin(i) >= 0.0)
-                    .max_by(|&a, &b| margin(a).total_cmp(&margin(b)));
-                if let Some(b) = best {
-                    if margin(b) > m_active + h {
-                        self.switch_remaining_s = self.switch_time_s;
-                        return (false, b);
-                    }
-                }
-            }
+        if margin(active) >= 0.0 {
             return (true, active);
         }
-        // Pick the usable unit with the highest margin.
+        // Pick the usable unit with the highest margin. The `>= 0.0` filter
+        // excludes NaN margins (NaN compares false); total_cmp makes the max
+        // itself NaN-proof.
         let best = (0..n)
             .filter(|&i| margin(i) >= 0.0)
             .max_by(|&a, &b| margin(a).total_cmp(&margin(b)));

@@ -1,6 +1,6 @@
 use super::{
     EngineConfig, EngineConfigError, FallbackPolicy, FirstReport, Occluder, RfFallback, RfStats,
-    SelectCtx, SingleTx, SlotSession, TxSelector,
+    SelectCtx, SessionReport, SingleTx, SlotSession, TxSelector,
 };
 use crate::channel::FsoChannel;
 use crate::control::{slots_in, ControlLink, ControlStats};
@@ -369,19 +369,11 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     prev_pose: Pose,
     /// Cached TX aperture positions (ceiling units do not move).
     tx_positions: Vec<Vec3>,
-    n_handovers: u64,
-    /// Outage accounting.
-    n_outages: u64,
-    outage_s: f64,
-    cur_outage_s: f64,
-    longest_outage_s: f64,
+    /// Every per-slot count and sum the session reports, counted once.
+    tally: SlotTally,
     /// RF fallback attachment (`None` iff [`FallbackPolicy::Off`], which
     /// keeps the data plane on the pre-fallback fast path).
     rf: Option<RfFallback>,
-    /// Slots carried by the RF fallback.
-    rf_slots: u64,
-    /// Gigabits delivered over the RF fallback (Σ rate · slot).
-    rf_delivered_gb: f64,
     /// Composable environment attachment (`None` = clean air, which keeps
     /// the power path bit-identical to the pre-environment engine).
     env: Option<crate::channel::Environment>,
@@ -392,8 +384,37 @@ pub struct LinkSession<M: Motion, S: TxSelector> {
     prev_ctrl: ControlStats,
     /// Slot end time of the last SFP down-transition (the open outage).
     outage_start: Option<f64>,
-    /// Global slot index across `run` calls (telemetry event numbering).
-    slot_idx: u64,
+}
+
+/// The session's one fold of its slots, across all `run` calls: the sums
+/// behind [`SessionReport`]'s fractions and means, and the handover,
+/// outage and RF counters behind [`SessionStats`]. [`LinkSession::report`]
+/// and [`LinkSession::session_stats`] read it.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotTally {
+    /// Slots run (also the next slot's global index).
+    slots: u64,
+    /// Slots with the link up.
+    up: u64,
+    /// Slots with received power at or above the SFP sensitivity.
+    signal: u64,
+    /// Slots carried by the RF fallback.
+    rf: u64,
+    /// Σ goodput (Gbps).
+    goodput_sum: f64,
+    /// Σ received power (dBm).
+    power_sum: f64,
+    /// Gigabits delivered over the RF fallback (Σ rate · slot).
+    rf_delivered_gb: f64,
+    /// Handovers performed.
+    handovers: u64,
+    /// Link-down episodes entered.
+    outages: u64,
+    /// Total and current-episode link-down time, and the longest episode
+    /// (seconds).
+    outage_s: f64,
+    cur_outage_s: f64,
+    longest_outage_s: f64,
 }
 
 impl<M: Motion> LinkSession<M, SingleTx> {
@@ -476,22 +497,15 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             last_report_t: 0.0,
             prev_pose: Pose::IDENTITY,
             tx_positions,
-            n_handovers: 0,
-            n_outages: 0,
-            outage_s: 0.0,
-            cur_outage_s: 0.0,
-            longest_outage_s: 0.0,
+            tally: SlotTally::default(),
             rf: match cfg.fallback {
                 FallbackPolicy::Off => None,
                 FallbackPolicy::RfOnOutage => Some(RfFallback::default()),
             },
-            rf_slots: 0,
-            rf_delivered_gb: 0.0,
             env,
             tele: telemetry,
             prev_ctrl: ControlStats::default(),
             outage_start: None,
-            slot_idx: 0,
         }
     }
 
@@ -527,7 +541,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
 
     /// Handovers performed so far.
     pub fn n_handovers(&self) -> u64 {
-        self.n_handovers
+        self.tally.handovers
     }
 
     /// The session's aggregated telemetry, when counter aggregation was
@@ -595,15 +609,43 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
                 .map(|u| u.ctl.metrics.n_extrapolated)
                 .sum(),
             n_reacq_steps: self.units.iter().map(|u| u.ctl.metrics.n_reacq_steps).sum(),
-            n_outages: self.n_outages,
-            outage_s: self.outage_s,
-            longest_outage_s: self.longest_outage_s,
+            n_outages: self.tally.outages,
+            outage_s: self.tally.outage_s,
+            longest_outage_s: self.tally.longest_outage_s,
             rf: RfStats {
                 failovers: self.rf.as_ref().map_or(0, |r| r.policy.n_failovers()),
                 failbacks: self.rf.as_ref().map_or(0, |r| r.policy.n_failbacks()),
-                rf_slots: self.rf_slots,
+                rf_slots: self.tally.rf,
             },
-            rf_delivered_gb: self.rf_delivered_gb,
+            rf_delivered_gb: self.tally.rf_delivered_gb,
+        }
+    }
+
+    /// The session's report across all [`LinkSession::run`] calls, stamped
+    /// with its fleet index and seed: the slot fractions and means of its
+    /// tally, its handovers, [`LinkSession::session_stats`], its TP counts
+    /// and its telemetry counters. The one place a [`SessionReport`] is
+    /// built; `sched` and `profile` are left to the fleet drivers.
+    pub fn report(&self, session: usize, seed: u64) -> SessionReport {
+        let t = &self.tally;
+        let n = t.slots.max(1) as f64;
+        let tp = self.tp_metrics();
+        SessionReport {
+            session,
+            seed,
+            slots: t.slots as usize,
+            up_frac: t.up as f64 / n,
+            signal_frac: t.signal as f64 / n,
+            mean_goodput_gbps: t.goodput_sum / n,
+            rf_frac: t.rf as f64 / n,
+            mean_power_dbm: t.power_sum / n,
+            handovers: t.handovers,
+            stats: self.session_stats(),
+            tp_reports: tp.n_reports,
+            tp_failures: tp.n_failures,
+            telemetry: self.telemetry().copied(),
+            sched: None,
+            profile: None,
         }
     }
 
@@ -680,7 +722,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         let slot_s = self.cfg.slot_s;
         let moving = !self.cfg.pause_on_outage || self.sfp.is_up();
         let st = SlotState {
-            k: self.slot_idx,
+            k: self.tally.slots,
             t: self.t + slot_s,
             motion_t: if moving {
                 self.motion_t + slot_s
@@ -692,7 +734,6 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             power: Deployment::POWER_METER_FLOOR_DBM,
             ..SlotState::default()
         };
-        self.slot_idx += 1;
         if st.tele_on {
             self.tele
                 .emit(&TelemetryEvent::SlotStart { k: st.k, t: st.t });
@@ -947,7 +988,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
             let from = self.active;
             let spiral_abandoned = self.tp.spiral.is_some();
             self.active = best;
-            self.n_handovers += 1;
+            self.tally.handovers += 1;
             self.tp.clear_inflight();
             // One immediate TP shot on the new unit.
             let rep = self.tracker_report(best);
@@ -976,24 +1017,25 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         let slot_s = self.cfg.slot_s;
         let was_up = self.sfp.is_up();
         let up = self.sfp.step(st.signal, slot_s);
+        let tally = &mut self.tally;
         if was_up && !up {
-            self.n_outages += 1;
-            self.cur_outage_s = 0.0;
+            tally.outages += 1;
+            tally.cur_outage_s = 0.0;
             self.outage_start = Some(st.t);
             if st.tele_on {
                 self.tele.emit(&TelemetryEvent::SfpDown { t: st.t });
             }
         }
         if !up {
-            self.outage_s += slot_s;
-            self.cur_outage_s += slot_s;
-            self.longest_outage_s = self.longest_outage_s.max(self.cur_outage_s);
+            tally.outage_s += slot_s;
+            tally.cur_outage_s += slot_s;
+            tally.longest_outage_s = tally.longest_outage_s.max(tally.cur_outage_s);
         }
         if !was_up && up {
             let outage = self
                 .outage_start
                 .take()
-                .map_or(self.cur_outage_s, |t0| st.t - t0);
+                .map_or(tally.cur_outage_s, |t0| st.t - t0);
             if st.tele_on {
                 self.tele.emit(&TelemetryEvent::SfpUp {
                     t: st.t,
@@ -1018,8 +1060,7 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
                 let tx = self.tx_positions[self.active];
                 let occluded = self.occluders.iter().any(|o| o.blocks(tx, st.rx_pos));
                 st.goodput = rf.channel.rate_gbps(tx.distance(st.rx_pos), occluded);
-                self.rf_slots += 1;
-                self.rf_delivered_gb += st.goodput * slot_s;
+                self.tally.rf_delivered_gb += st.goodput * slot_s;
             }
             if st.tele_on && was_rf != st.rf_active {
                 if st.rf_active {
@@ -1035,8 +1076,16 @@ impl<M: Motion, S: TxSelector> LinkSession<M, S> {
         st.link_up = up || st.rf_active;
     }
 
-    /// Closes the slot: its record, the `SlotEnd` event, and the clocks.
+    /// Closes the slot: its tally, its record, the `SlotEnd` event, and
+    /// the clocks.
     fn record(&mut self, st: &SlotState) -> EngineSlot {
+        let tally = &mut self.tally;
+        tally.slots += 1;
+        tally.up += st.link_up as u64;
+        tally.signal += (st.power >= self.channel.sensitivity_dbm) as u64;
+        tally.rf += st.rf_active as u64;
+        tally.goodput_sum += st.goodput;
+        tally.power_sum += st.power;
         if st.tele_on {
             self.tele.emit(&TelemetryEvent::SlotEnd {
                 k: st.k,

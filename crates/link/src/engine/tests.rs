@@ -109,19 +109,6 @@ fn margin_selector_without_hysteresis_matches_legacy_semantics() {
     assert!(sel.switching());
 }
 
-#[test]
-fn margin_selector_hysteresis_upgrades_only_past_threshold() {
-    let mut sel = MarginSelector::new(0.0);
-    sel.hysteresis_db = Some(2.0);
-    // 1 dB better: below hysteresis, stay.
-    let (d, a) = sel.step(0, 2, |i| if i == 0 { 5.0 } else { 6.0 }, 1e-3);
-    assert!(d);
-    assert_eq!(a, 0);
-    // 3 dB better: upgrade.
-    let (_, a) = sel.step(0, 2, |i| if i == 0 { 5.0 } else { 8.0 }, 1e-3);
-    assert_eq!(a, 1);
-}
-
 // -- Geometric handover: MarginSelector over visible_margin_db ---------
 
 /// Two ceiling units 1.6 m apart, 2 m above an RX at the origin.
@@ -255,24 +242,16 @@ fn multi_tx_beats_single_tx_under_roaming_occlusion() {
 }
 
 #[test]
-fn hysteresis_upgrades_to_a_much_better_unit() {
+fn margin_selector_never_leaves_a_working_unit() {
     // RX parked far off-centre: unit 1 is much closer (higher margin)
-    // but unit 0 still closes. Without hysteresis the selector never
-    // leaves unit 0; with it, it upgrades after the switch delay.
+    // but unit 0 still closes, so the selector never leaves unit 0.
     let rx = v3(0.7, 0.0, 0.0);
-    let mut plain = MarginSelector::new(0.01);
+    let mut sel = MarginSelector::new(0.01);
     let mut active = 0;
     for _ in 0..100 {
-        geo_step(&mut plain, &mut active, &ceiling(), rx, &[]);
+        geo_step(&mut sel, &mut active, &ceiling(), rx, &[]);
     }
-    assert_eq!(active, 0, "no hysteresis: never upgrade");
-    let mut greedy = MarginSelector::new(0.01);
-    greedy.hysteresis_db = Some(0.5);
-    let mut active = 0;
-    for _ in 0..100 {
-        geo_step(&mut greedy, &mut active, &ceiling(), rx, &[]);
-    }
-    assert_eq!(active, 1, "hysteresis: upgrade to better unit");
+    assert_eq!(active, 0, "a working unit is never left");
 }
 
 #[test]
@@ -444,6 +423,175 @@ fn rollup_matches_manual_fold() {
     assert_eq!(direct.min_up_frac.to_bits(), min_up.to_bits());
     assert_eq!(direct.sum_goodput_gbps.to_bits(), sum_goodput.to_bits());
     assert_eq!(direct.total_handovers, handovers);
+}
+
+/// `report()` is the fold of the records `run` returned, bit for bit,
+/// over every session shape: the RF fallback off and on, the hardened
+/// control plane, an environment, multi-unit handovers, and a run split
+/// over several `run` calls. The session's other copies of its counts
+/// agree with it: `rf_slots` with `rf_frac`, the telemetry counters, the
+/// fleet driver's report, and the `SessionEnd` slot count.
+#[test]
+fn session_report_is_the_fold_of_its_records() {
+    /// The slot counts of the `SessionEnd` events a session emits.
+    #[derive(Debug)]
+    struct Ends(Arc<Mutex<Vec<u64>>>);
+    impl TelemetrySink for Ends {
+        fn record(&mut self, ev: &TelemetryEvent) {
+            if let TelemetryEvent::SessionEnd { slots, .. } = *ev {
+                self.0.lock().expect("sink lock").push(slots);
+            }
+        }
+    }
+
+    /// Runs `s` for each of `runs` in turn and checks its report against
+    /// the concatenated records.
+    fn check<M: Motion, S: TxSelector>(
+        s: &mut LinkSession<M, S>,
+        runs: &[f64],
+        ctx: &str,
+    ) -> SessionReport {
+        let recs: Vec<EngineSlot> = runs.iter().flat_map(|&d| s.run(d)).collect();
+        let r = s.report(7, 42);
+        let slot_s = s.cfg().slot_s;
+        let sens = s.units()[0].dep.design.sfp.rx_sensitivity_dbm;
+        let n = recs.len().max(1) as f64;
+        let frac = |f: fn(&EngineSlot) -> bool| recs.iter().filter(|x| f(x)).count() as f64 / n;
+        let mean = |f: fn(&EngineSlot) -> f64| recs.iter().map(f).sum::<f64>() / n;
+        assert_eq!((r.session, r.seed, r.slots), (7, 42, recs.len()), "{ctx}");
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(bits(r.up_frac), bits(frac(|x| x.link_up)), "{ctx}");
+        assert_eq!(bits(r.rf_frac), bits(frac(|x| x.rf_active)), "{ctx}");
+        let signal = recs.iter().filter(|x| x.power_dbm >= sens).count() as f64 / n;
+        assert_eq!(bits(r.signal_frac), bits(signal), "{ctx}");
+        assert_eq!(
+            bits(r.mean_goodput_gbps),
+            bits(mean(|x| x.goodput_gbps)),
+            "{ctx}"
+        );
+        assert_eq!(bits(r.mean_power_dbm), bits(mean(|x| x.power_dbm)), "{ctx}");
+        let rf_gb = recs
+            .iter()
+            .filter(|x| x.rf_active)
+            .fold(0.0, |a, x| a + x.goodput_gbps * slot_s);
+        assert_eq!(bits(r.stats.rf_delivered_gb), bits(rf_gb), "{ctx}");
+        let mut prev = 0;
+        let mut handovers = 0;
+        for x in &recs {
+            handovers += u64::from(x.active != prev);
+            prev = x.active;
+        }
+        assert_eq!(r.handovers, handovers, "{ctx}");
+        assert_eq!(r.handovers, s.n_handovers(), "{ctx}");
+        if s.cfg().fallback == FallbackPolicy::Off {
+            // Without RF, a slot delivers iff the SFP is up (it starts up).
+            let (mut outages, mut down_s, mut cur, mut longest) = (0, 0.0, 0.0, 0.0_f64);
+            let mut was_up = true;
+            for x in &recs {
+                if was_up && !x.link_up {
+                    outages += 1;
+                    cur = 0.0;
+                }
+                if !x.link_up {
+                    down_s += slot_s;
+                    cur += slot_s;
+                    longest = longest.max(cur);
+                }
+                was_up = x.link_up;
+            }
+            assert_eq!(r.stats.n_outages, outages, "{ctx}");
+            assert_eq!(bits(r.stats.outage_s), bits(down_s), "{ctx}");
+            assert_eq!(bits(r.stats.longest_outage_s), bits(longest), "{ctx}");
+        }
+        let rf_slots = (r.rf_frac * r.slots as f64).round() as u64;
+        assert_eq!(r.stats.rf.rf_slots, rf_slots, "{ctx}");
+        let c = r.telemetry.expect("counters attached").events;
+        assert_eq!(c.slots, r.slots as u64, "{ctx}");
+        assert_eq!(c.rf_slots, r.stats.rf.rf_slots, "{ctx}");
+        assert_eq!(c.handovers, r.handovers, "{ctx}");
+        assert_eq!(c.sfp_downs, r.stats.n_outages, "{ctx}");
+        r
+    }
+
+    // Two units, one occluded: handovers, with the RF fallback off and on.
+    for fallback in [FallbackPolicy::Off, FallbackPolicy::RfOnOutage] {
+        let ctx = format!("occluded, {fallback:?}");
+        let r = check(&mut occluded_session(fallback), &[0.6, 0.4], &ctx);
+        assert!(r.handovers > 0 && r.stats.n_outages > 0, "{ctx}: {r:?}");
+        assert_eq!(
+            r.rf_frac > 0.0,
+            fallback == FallbackPolicy::RfOnOutage,
+            "{ctx}"
+        );
+    }
+    // The hardened control plane under the stress fault plan, with SFP
+    // flaps forcing two outages.
+    let unit = two_units(912).remove(0);
+    let fault = FaultPlan {
+        flap: Some(FlapSchedule {
+            first_s: 0.05,
+            period_s: 3.0,
+            down_s: 0.05,
+        }),
+        ..FaultPlan::stress(17)
+    };
+    let mut chaos = LinkSession::builder(StaticPose(park_pose()))
+        .deployment(unit.dep, unit.ctl)
+        .config(EngineConfig {
+            control: Some(ControlPlaneConfig::hardened(fault)),
+            ..EngineConfig::default()
+        })
+        .telemetry(Telemetry::counters())
+        .build()
+        .expect("valid chaos config");
+    let r = check(&mut chaos, &[1.5, 1.2, 0.8], "chaos");
+    assert_eq!(r.stats.n_outages, 2, "{r:?}");
+    assert!(r.stats.control.is_some_and(|c| c.retransmits > 0), "{r:?}");
+
+    // A fleet session: two units, the hardened control plane, a roaming
+    // occluder, the RF fallback and fog with scintillation, run in three
+    // pieces. Its report is the fleet driver's, and `SessionEnd` carries
+    // its slot count.
+    let units = two_units(911);
+    let tx0 = units[0].dep.tx_world_params().q2;
+    let cfg = FleetConfig {
+        n_sessions: 2,
+        duration_s: 1.0,
+        seed: 424,
+        control: Some(ControlPlaneConfig::hardened(FaultPlan::stress(5))),
+        occluders: vec![Occluder::new(
+            tx0.lerp(park_pose().trans, 0.5),
+            0.12,
+            0.4,
+            0,
+        )],
+        fallback: FallbackPolicy::RfOnOutage,
+        environment: Some(
+            crate::channel::Environment::new()
+                .stage(crate::channel::FogStage::from_density(0.3, 1550.0).expect("valid density"))
+                .stage(
+                    crate::channel::ScintillationStage::new(0.6, 10e-3, 77)
+                        .expect("valid scintillation"),
+                ),
+        ),
+        collect_telemetry: true,
+        ..FleetConfig::default()
+    };
+    let fleet = run_fleet(&units, &cfg);
+    for (i, want) in fleet.sessions.iter().enumerate() {
+        let ctx = format!("fleet session {i}");
+        let (mut s, seed) = build_fleet_session(&units, &cfg, i);
+        let ends = Arc::new(Mutex::new(Vec::new()));
+        *s.telemetry_mut() = Telemetry::with_sink_and_counters(Box::new(Ends(ends.clone())));
+        s.telemetry_mut().emit(&TelemetryEvent::SessionStart {
+            session: i as u64,
+            seed,
+        });
+        check(&mut s, &[0.3, 0.45, 0.25], &ctx);
+        let r = end_fleet_session(&mut s, &cfg, i, seed);
+        assert_eq!(format!("{r:?}"), format!("{want:?}"), "{ctx}");
+        assert_eq!(*ends.lock().expect("sink lock"), [r.slots as u64], "{ctx}");
+    }
 }
 
 use crate::control::FaultPlan;
@@ -843,10 +991,6 @@ fn selectors_survive_nan_margins_from_degenerate_geometry() {
     // All margins NaN: nothing usable, stay put, no panic.
     let mut ms = MarginSelector::new(0.0);
     assert_eq!(ms.step(1, 3, |_| nan, 1e-3), (false, 1));
-    // Greedy-upgrade path with a NaN sibling in the pool.
-    let mut ms = MarginSelector::new(0.0);
-    ms.hysteresis_db = Some(1.0);
-    assert_eq!(ms.step(1, 3, |i| [nan, 1.0, 3.0][i], 1e-3), (false, 2));
 }
 
 // -- Hybrid FSO/RF fallback ---------------------------------------------

@@ -49,8 +49,8 @@
 
 use crate::control::slots_in;
 use crate::engine::{
-    build_fleet_session, EngineConfigError, EngineSlot, FleetConfig, FleetSummary, SlotSession,
-    SlotSums, TxInstallation,
+    build_fleet_session, end_fleet_session, EngineConfigError, EngineSlot, FleetConfig,
+    FleetSummary, SlotSession, TxInstallation,
 };
 use crate::telemetry::TelemetryEvent;
 use crate::traffic::{TrafficConfig, TrafficSource};
@@ -775,7 +775,6 @@ pub fn run_fleet_with_scheduler(
         .iter()
         .map(|&s| TrafficSource::new(sched.traffic, mix64(s, 0x7ea_ff1c)))
         .collect();
-    let mut sums: Vec<SlotSums> = (0..n).map(|_| SlotSums::new()).collect();
     let mut acc: Vec<SchedSessionStats> = admitted
         .iter()
         .map(|&a| SchedSessionStats {
@@ -815,7 +814,6 @@ pub fn run_fleet_with_scheduler(
         recs.clear();
         for i in 0..n {
             let rec = sessions[i].step_slot(k);
-            sums[i].absorb(&rec, sens);
             traffic[i].arrive_until(rec.t);
             let fso_up = rec.link_up && !rec.rf_active;
             states[i] = SessionSlotState {
@@ -890,20 +888,14 @@ pub fn run_fleet_with_scheduler(
         }
     }
 
-    // Reports: the physics fields are byte-for-byte what run_fleet folds;
-    // the scheduling/QoE accounting rides alongside.
+    // Reports: the physics fields are each session's own report, as in
+    // run_fleet; the scheduling/QoE accounting rides alongside.
     let mut reports = Vec::with_capacity(n);
     for (i, mut session) in sessions.into_iter().enumerate() {
         session.end_external_run();
-        if collect {
-            session.telemetry_mut().emit(&TelemetryEvent::SessionEnd {
-                session: i as u64,
-                slots: sums[i].slots as u64,
-            });
-        }
-        let mut rep = sums[i].report(i, seeds[i], &session);
+        let mut rep = end_fleet_session(&mut session, fleet, i, seeds[i]);
         let ts = traffic[i].stats();
-        let slots = sums[i].slots.max(1) as f64;
+        let slots = rep.slots.max(1) as f64;
         let dur = slots * slot_s;
         let a = &mut acc[i];
         a.availability = a.served_slots as f64 / slots;

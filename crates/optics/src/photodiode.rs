@@ -89,14 +89,6 @@ impl PlacedMonitor {
             .map(|c| capture_fraction(w, (hit - c).norm(), self.diode_radius))
     }
 
-    /// The four individual diode signals; `[0.0; 4]` if the beam misses
-    /// the receiver plane entirely.
-    #[cfg(test)]
-    fn diode_signals(&self, beam: &BeamState) -> [f64; 4] {
-        self.landing(beam)
-            .map_or([0.0; 4], |(hit, w)| self.diodes(hit, w))
-    }
-
     /// The alignment-search objective: total monitored power fraction —
     /// the sum of the four diode signals plus the power entering the
     /// collimator aperture (`aperture_radius`). Smooth and nonzero over a
@@ -118,6 +110,15 @@ mod tests {
     use super::*;
     use cyclops_geom::ray::Ray;
     use cyclops_geom::vec3::v3;
+
+    impl PlacedMonitor {
+        /// The four individual diode signals; `[0.0; 4]` if the beam
+        /// misses the receiver plane entirely.
+        fn diode_signals(&self, beam: &BeamState) -> [f64; 4] {
+            self.landing(beam)
+                .map_or([0.0; 4], |(hit, w)| self.diodes(hit, w))
+        }
+    }
 
     fn beam_at(offset_x_mm: f64) -> BeamState {
         BeamState::new(
