@@ -30,11 +30,11 @@
 //! cannot be the sweep's argmax. A skipped cell's noise draws are replayed
 //! before the row's next full reading, so every full reading, the argmax,
 //! `n_evals` and every draw a later reading sees are those of the full
-//! physics. A skipped cell's margin, over a bound on how fast the geometry
-//! moves per column, also clears the next columns of its row with the one
-//! test (DESIGN.md §8, "dark-cell bound", "monitor bound", "run bound",
-//! "cannot-win bound", "monitor cannot-win bound" and "pilot-first
-//! sweep").
+//! physics. One closed-form test of a whole row proves every cell outside
+//! the few lit columns near its peak, and only those are tested cell by
+//! cell (DESIGN.md §8, "dark-cell bound", "monitor bound", "cannot-win
+//! bound", "monitor cannot-win bound", "pilot-first sweep" and "row
+//! bound").
 
 use crate::deployment::{
     DarkCellBound, DarkRow, DarkSweep, Deployment, MonitorDarkBound, SweepTable, RX_SWEEP_POINTS,
@@ -154,7 +154,7 @@ where
 /// column's flags forbid a skip, the row is one stretch of `+0.0` cells:
 /// it returns `(v_a, v_b of column 0, +0.0)`, as its scan would, without
 /// cloning `dep` or drawing. Otherwise the scan skips what the row bound
-/// proves ([`DarkSweep::lit_columns`]) and what the runs prove.
+/// proves ([`DarkSweep::lit_columns`]) and what the per-cell tests prove.
 fn sweep_row<B: DarkSweep>(
     dep: &Deployment,
     stage_seed: u64,
@@ -202,12 +202,12 @@ fn scan_row(
 }
 
 /// A coarse-sweep cell reader for row `i` ([`scan_row`]) that reads
-/// `full(d, v_b)` one cell at a time, except where `bound` proves a run of
-/// cells to read below the row's best so far, which starts at `start` (the
+/// `full(d, v_b)` one cell at a time, except where `bound` proves cells
+/// to read below the row's best so far, which starts at `start` (the
 /// bound comes with its floor there), or exactly `+0.0` while that is not
-/// a positive normal number: those it
-/// steps over at once, reading `+0.0`, and likewise every cell outside
-/// the columns `lit` the row bound leaves.
+/// a positive normal number: those it steps over, reading `+0.0`, one at
+/// a time inside the columns `lit` the row bound leaves and each stretch
+/// of them outside those columns at once.
 ///
 /// A skipped cell reads `+0.0` without commanding the galvo or drawing; it
 /// only adds to the draws the row owes. Those are replayed just before the
@@ -441,14 +441,14 @@ mod tests {
     }
 
     /// What [`rows_match_full_physics`] saw of a sweep: the fractions of
-    /// its cells skipped, tested by runs and proved by the row bound, and
-    /// how many cells inside a proved run were read in full because their
-    /// column's flags forbid the skip.
+    /// its cells skipped, tested one by one and proved by the row bound,
+    /// and how many cells proved, by the row bound or their own test, were
+    /// read in full because their column's flags forbid the skip.
     struct SweepWalk {
         skipped: f64,
         tested: f64,
         row_proved: f64,
-        read_in_run: usize,
+        read_proved: usize,
     }
 
     /// Every row of a `points`² coarse sweep from `seed` on `dep` under
@@ -460,21 +460,21 @@ mod tests {
     /// full-physics readings, whose floor rises with its best reading so
     /// far as the production row's does:
     /// - the row bound's proved cells at the row start's floor
-    ///   ([`DarkSweep::lit_columns`]) are a run before the lit columns and
-    ///   one after them: every such cell is proved by the per-cell reference
-    ///   at that floor, and the walk tests cells inside the lit columns
-    ///   only;
+    ///   ([`DarkSweep::lit_columns`]) are a stretch before the lit columns
+    ///   and one after them: every such cell is proved by the per-cell
+    ///   reference at that floor, and the walk tests every cell inside the
+    ///   lit columns, and no other;
     /// - each cell's own test agrees with the per-cell reference
     ///   `per_cell(cell, bound, floor, j)` at the walk's floor;
-    /// - every cell the walk skips, by its own test or inside a run, is one
-    ///   the reference proves below the floor its run was proved at, and
+    /// - every cell the walk skips, by the row bound or its own test, is
+    ///   one the reference proves below the floor it was proved at, and
     ///   reads below the row's best at that time in full physics, or
     ///   exactly `+0.0` while that best is not a positive normal number;
     /// - the production row reads in full exactly the columns the walk does
     ///   not skip, with the bits of the full-physics readings there (so
     ///   every skipped cell's draws were replayed), and calls its reader at
     ///   exactly those columns and at the first column of each stretch the
-    ///   walk skips, not once per cell;
+    ///   walk skips, each tested cell starting one, not once per cell;
     /// - its first-wins argmax has the bits of the full-physics row's when
     ///   that row's best reaches the row's start, and stays below it
     ///   otherwise; [`sweep_row`], which returns a proved row without a
@@ -508,7 +508,7 @@ mod tests {
         let calls = RefCell::new(Vec::new());
         let full_reads = RefCell::new(Vec::new());
         let physics = RefCell::new(Vec::new());
-        let (mut skipped, mut tested, mut read_in_run) = (0usize, 0usize, 0usize);
+        let (mut skipped, mut tested, mut read_proved) = (0usize, 0usize, 0usize);
         let mut row_proved = 0;
         for i in 0..points {
             let va = grid_volts(points, i);
@@ -570,41 +570,32 @@ mod tests {
 
             // The cell-by-cell walk: a cell is skipped when its column
             // allows it and it lies outside the lit columns, proved by the
-            // row bound at the row start's floor, or in the run its row's
-            // last test proved. A stretch of skipped cells starts a run at
-            // a test, or where the walk resumes after a full reading.
+            // row bound at the row start's floor, or its own test proves it
+            // at the walk's floor. A stretch of skipped cells starts at a
+            // tested cell, or where the walk resumes after a full reading.
             let physics = physics.borrow();
             let row = bound.row(i);
             let mut cell = dep.clone();
             let mut best = start(i);
             let mut floor = bound.floor(best);
             let (lit_floor, lit_best) = (floor, best);
-            let (mut run_end, mut run_floor, mut run_best) = (0, floor, best);
             let mut resumed = true;
             let (mut want_calls, mut want_full) = (Vec::new(), Vec::new());
             for (j, &r) in physics.iter().enumerate() {
                 let vb = grid_volts(points, j);
                 command(&mut cell, va, vb);
                 let skippable = bound.skippable_until(j) > j;
-                let proved = |f: &B::Floor| row.and_then(|row| bound.dark_run(f, &row, j));
-                let own = skippable && proved(&floor).is_some();
-                assert_eq!(own, per_cell(&cell, bound, &floor, j), "cell ({va}, {vb})");
+                let own = row.is_some_and(|row| bound.proves_cell(&floor, &row, j));
+                let want = per_cell(&cell, bound, &floor, j);
+                assert_eq!(skippable && own, want, "cell ({va}, {vb})");
                 let by_row = !lit.contains(&j);
-                let test = skippable && !by_row && row.is_some() && j >= run_end;
-                if test {
-                    tested += 1;
-                    if let Some(run) = proved(&floor) {
-                        let end = j + 1 + run;
-                        let end = if end >= lit.end { points } else { end };
-                        (run_end, run_floor, run_best) = (end, floor, best);
-                    }
-                }
-                let in_run = !by_row && j < run_end;
-                if skippable && (by_row || in_run) {
+                let test = skippable && !by_row && row.is_some();
+                tested += usize::from(test);
+                if skippable && (by_row || own) {
                     let (proof_floor, proof_best) = if by_row {
                         (lit_floor, lit_best)
                     } else {
-                        (run_floor, run_best)
+                        (floor, best)
                     };
                     assert!(
                         per_cell(&cell, bound, &proof_floor, j),
@@ -621,7 +612,7 @@ mod tests {
                     }
                     resumed = false;
                 } else {
-                    read_in_run += usize::from(by_row || in_run);
+                    read_proved += usize::from(by_row || own);
                     resumed = true;
                     want_calls.push(j);
                     want_full.push((vb.to_bits(), r.to_bits()));
@@ -639,7 +630,7 @@ mod tests {
             skipped: skipped as f64 / cells,
             tested: tested as f64 / cells,
             row_proved: row_proved as f64 / cells,
-            read_in_run,
+            read_proved,
         };
         (walk, l)
     }
@@ -749,9 +740,9 @@ mod tests {
                     let (rx, _) = rx_rows_match_full_physics(&dep, 0, vt, None, false);
                     let rates = [tx.skipped, rx.skipped, tx.tested, rx.tested];
                     if k == 0 && noise_scale == 1.0 {
-                        // paper_10g: the bounds must keep firing, the row
-                        // bound must prove most cells, and the runs must
-                        // spare most of the tests.
+                        // paper_10g: the bounds must keep firing, and the
+                        // row bound must prove most cells and leave few to
+                        // test.
                         assert!(rates[0] >= 0.9 && rates[1] >= 0.9, "skip rates {rates:?}");
                         assert!(rates[2] <= 0.4 && rates[3] <= 0.15, "test rates {rates:?}");
                         let proved = [tx.row_proved, rx.row_proved];
@@ -763,13 +754,15 @@ mod tests {
     }
 
     #[test]
-    fn a_column_the_plane_flag_forbids_is_read_inside_a_run() {
+    fn a_column_the_plane_flag_forbids_is_read_in_and_out_of_the_lit_columns() {
         // The middle column of the Stage 3 sweep, flagged as if the chief
-        // ray could miss its mirror plane: every run through it stops
-        // there, reads it in full, and resumes after it.
+        // ray could miss its mirror plane: every stretch the row bound
+        // proves around the lit columns stops there, reads it in full, and
+        // resumes after it, and inside the lit columns it is read however
+        // its own test comes out.
         let (dep, vt) = refined(&Deployment::new(&DeploymentConfig::paper_10g(50)));
         let (walk, _) = rx_rows_match_full_physics(&dep, 0, vt, Some(RX_SWEEP_POINTS / 2), false);
-        assert!(walk.read_in_run > 50, "{} cells", walk.read_in_run);
+        assert!(walk.read_proved > 50, "{} cells", walk.read_proved);
         assert!(walk.skipped >= 0.9, "skip rate {}", walk.skipped);
     }
 
@@ -926,11 +919,11 @@ mod tests {
         assert!(skipped > 0.0, "the dark bound still skips");
     }
 
-    /// A bound that counts its row tests and run tests.
+    /// A bound that counts its row tests and cell tests.
     struct Counted<'b, B> {
         bound: &'b B,
         row_tests: AtomicUsize,
-        run_tests: AtomicUsize,
+        cell_tests: AtomicUsize,
     }
 
     impl<'b, B> Counted<'b, B> {
@@ -938,7 +931,7 @@ mod tests {
             Counted {
                 bound,
                 row_tests: AtomicUsize::new(0),
-                run_tests: AtomicUsize::new(0),
+                cell_tests: AtomicUsize::new(0),
             }
         }
     }
@@ -967,9 +960,9 @@ mod tests {
             self.bound.lit_columns(floor, i)
         }
 
-        fn dark_run(&self, floor: &B::Floor, row: &SweepRow, j: usize) -> Option<usize> {
-            self.run_tests.fetch_add(1, Ordering::Relaxed);
-            self.bound.dark_run(floor, row, j)
+        fn proves_cell(&self, floor: &B::Floor, row: &SweepRow, j: usize) -> bool {
+            self.cell_tests.fetch_add(1, Ordering::Relaxed);
+            self.bound.proves_cell(floor, row, j)
         }
 
         fn replay(dep: &mut Deployment, n: usize) {
@@ -978,7 +971,7 @@ mod tests {
     }
 
     /// One coarse sweep of `dep` from `seed` under `bound`, counted: its
-    /// row tests, run tests and full readings.
+    /// row tests, cell tests and full readings.
     fn sweep_work<B, F>(
         dep: &Deployment,
         seed: u64,
@@ -1000,18 +993,18 @@ mod tests {
                 full(d, vb)
             }
         });
-        [counted.row_tests, counted.run_tests, reads].map(AtomicUsize::into_inner)
+        [counted.row_tests, counted.cell_tests, reads].map(AtomicUsize::into_inner)
     }
 
     /// The work of both coarse sweeps on the benchmark fixture's geometry:
     /// two `paper_10g(911)` units 0.7 m apart, each aligned at the first
     /// twelve placements its mapping collection draws (seed 920), 24
-    /// alignments in all. Each sweep makes one row test per row; its run
-    /// tests and full readings are capped a little above the measured
-    /// counts, so that a bound which stops firing fails here. Measured over
-    /// the 24 alignments: Stage 1 makes 386 run tests and 260 full
-    /// readings, Stage 3 774 and 658. Before the row bound they made 7.7 k
-    /// and 16.4 k run tests, and 260 and 941 full readings.
+    /// alignments in all. Each sweep makes one row test per row; its cell
+    /// tests are capped a little above the measured counts and its full
+    /// readings at them, so that a bound which stops firing fails here.
+    /// Measured over the 24 alignments: Stage 1 makes 442 cell tests and
+    /// 260 full readings, Stage 3 1,014 and 658. Before the row bound they
+    /// made 7.7 k and 16.4 k run tests, and 260 and 941 full readings.
     #[test]
     fn fixture_sweeps_stay_under_their_work_ceilings() {
         const ALIGNMENTS: usize = 12;
@@ -1045,13 +1038,13 @@ mod tests {
                 stage3 = std::array::from_fn(|n| stage3[n] + work[n]);
             }
         }
-        let [rows1, runs1, reads1] = stage1;
-        let [rows3, runs3, reads3] = stage3;
+        let [rows1, cells1, reads1] = stage1;
+        let [rows3, cells3, reads3] = stage3;
         let alignments = 2 * ALIGNMENTS;
         assert_eq!(rows1, alignments * TX_SWEEP_POINTS, "stage 1 {stage1:?}");
         assert_eq!(rows3, alignments * RX_SWEEP_POINTS, "stage 3 {stage3:?}");
-        assert!(runs1 <= 420 && reads1 <= 260, "stage 1 {stage1:?}");
-        assert!(runs3 <= 840 && reads3 <= 700, "stage 3 {stage3:?}");
+        assert!(cells1 <= 460 && reads1 <= 260, "stage 1 {stage1:?}");
+        assert!(cells3 <= 1050 && reads3 <= 658, "stage 3 {stage3:?}");
     }
 
     #[test]

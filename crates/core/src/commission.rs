@@ -93,9 +93,9 @@ pub struct CommissioningReport {
 /// Runs the full §4 deployment procedure: returns the bench, its trained TP
 /// controller (warm-started at the bench's current voltages), the training
 /// diagnostics and the mapping training set. At one thread on a shared
-/// 2-vCPU x86-64 host it takes about 0.013 s for [`SystemConfig::fast_10g`]
-/// and 0.042 s for [`SystemConfig::paper_10g`] (seed 42, best of 3); host
-/// load can add half again.
+/// 2-vCPU x86-64 host it takes about 0.007 s for [`SystemConfig::fast_10g`]
+/// and 0.022 s for [`SystemConfig::paper_10g`] (seed 42, best of 15); host
+/// load can double that.
 ///
 /// Panics if stage 1 fails or stage 2 cannot align enough placements — a
 /// deployment whose link cannot close over its working volume.

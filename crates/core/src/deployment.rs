@@ -553,8 +553,8 @@ pub(crate) const TX_SWEEP_POINTS: usize = 51;
 /// few centimetres (a test pins it below a tenth of this).
 const JITTER_LEVER_M: f64 = 1.0;
 
-/// Rounding slack of the monitor landing bound (m) and of the RX run's
-/// angle (rad).
+/// Rounding slack of the monitor landing bound (m) and of the RX row
+/// bound's angle (rad).
 const LANDING_ROUNDING_M: f64 = 1e-6;
 const ANGLE_ROUNDING_RAD: f64 = 1e-9;
 
@@ -597,8 +597,8 @@ pub(crate) trait DarkSweep {
     /// normal number, the floor that proves a cell reads exactly `+0.0`.
     fn floor(&self, best: f64) -> Self::Floor;
 
-    /// Row `i`'s noiseless mid-mirror ray and run data, or `None` when no
-    /// cell of the row can be proved dark.
+    /// Row `i`'s noiseless mid-mirror ray and row-bound data, or `None`
+    /// when no cell of the row can be proved dark.
     fn row(&self, i: usize) -> Option<SweepRow>;
 
     /// The row to scan first: the one whose noiseless geometry comes
@@ -612,14 +612,13 @@ pub(crate) trait DarkSweep {
 
     /// The columns of row `i` that one closed-form test of the whole row
     /// (the row bound) cannot prove below `floor`: every cell outside them
-    /// provably reads below it. They are run-tested ([`DarkRow`]); proved
-    /// cells are skipped wherever their column's flags allow. When the
-    /// whole row is proved the range is [`ROW_PROVED`].
+    /// provably reads below it. Their cells are tested one by one
+    /// ([`DarkRow`]); proved cells are skipped wherever their column's flags
+    /// allow. When the whole row is proved the range is [`ROW_PROVED`].
     fn lit_columns(&self, floor: &Self::Floor, i: usize) -> Range<usize>;
 
-    /// When cell `j` of `row` provably reads below `floor`, how many of the
-    /// following columns provably do too: `Some(0)` proves the cell alone.
-    fn dark_run(&self, floor: &Self::Floor, row: &SweepRow, j: usize) -> Option<usize>;
+    /// Whether cell `j` of `row` provably reads below `floor`.
+    fn proves_cell(&self, floor: &Self::Floor, row: &SweepRow, j: usize) -> bool;
 
     /// Makes the RNG draws of `n` skipped readings, in order.
     fn replay(dep: &mut Deployment, n: usize);
@@ -644,14 +643,11 @@ fn best_row(values: impl Iterator<Item = Option<f64>>) -> usize {
 
 /// One sweep row's provably low cells, asked for in column order: a cell
 /// is skipped when its column allows it and it lies outside the row
-/// bound's lit columns, or in a run that [`DarkSweep::dark_run`] proved,
-/// so one test covers a whole run, and the row steps over the run's cells
-/// at once. A cell proved below one floor stays proved when the floor
-/// rises.
+/// bound's lit columns or [`DarkSweep::proves_cell`] proves it, and the row
+/// steps over each stretch of skipped cells at once. A cell proved below
+/// one floor stays proved when the floor rises.
 pub(crate) struct DarkRow {
     row: SweepRow,
-    /// Cells before this column are proved low by the last run.
-    run_end: usize,
     /// The row bound proved every cell outside these columns.
     lit: Range<usize>,
 }
@@ -662,24 +658,19 @@ impl DarkRow {
     pub(crate) fn new<B: DarkSweep>(bound: &B, i: usize, lit: Range<usize>) -> Option<DarkRow> {
         Some(DarkRow {
             row: bound.row(i)?,
-            run_end: 0,
             lit,
         })
     }
 
-    /// How many cells from `j` on `bound` proves below `floor` (or a lower
-    /// floor of an earlier call), cut at the next column whose flags forbid
-    /// a skip; 0 when cell `j` needs its full reading. Before the lit
-    /// columns that is up to them; after them, and inside them once a run
-    /// reaches their end, the rest of the row. `j` must not decrease, nor
-    /// the floor fall, from call to call.
+    /// How many cells from `j` on `bound` proves below `floor` (outside
+    /// the lit columns, below the lower floor the row bound proved them
+    /// at), cut at the next column whose flags forbid a skip; 0 when cell
+    /// `j` needs its full reading. Before the lit columns that is up to
+    /// them; inside them, the cell alone; after them, and from the last lit
+    /// cell when it is proved, the rest of the row. `floor` must not lie
+    /// below the one the lit columns were found at.
     #[inline]
-    pub(crate) fn dark_cells<B: DarkSweep>(
-        &mut self,
-        bound: &B,
-        floor: &B::Floor,
-        j: usize,
-    ) -> usize {
+    pub(crate) fn dark_cells<B: DarkSweep>(&self, bound: &B, floor: &B::Floor, j: usize) -> usize {
         let open = bound.skippable_until(j);
         if open == j {
             return 0;
@@ -688,34 +679,27 @@ impl DarkRow {
         if j < lit.start {
             return lit.start.min(open) - j;
         }
-        if j >= lit.end {
-            return open - j;
+        if j < lit.end && !bound.proves_cell(floor, &self.row, j) {
+            return 0;
         }
-        if j >= self.run_end {
-            let Some(run) = bound.dark_run(floor, &self.row, j) else {
-                return 0;
-            };
-            self.run_end = j + 1 + run;
-            if self.run_end >= lit.end {
-                self.run_end = usize::MAX;
-            }
+        if j + 1 >= lit.end {
+            open - j
+        } else {
+            1
         }
-        self.run_end.min(open) - j
     }
 }
 
-/// A sweep row's noiseless mid-mirror ray and what bounds its runs and
-/// the row as a whole.
+/// A sweep row's noiseless mid-mirror ray and what bounds the row as a
+/// whole.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SweepRow {
     /// The swept galvo's noiseless beam between its mirrors, body frame.
     mid: Ray,
-    /// How far (m) the beam's origin on the second mirror can move per
-    /// radian of mirror-2 rotation anywhere in the row, and the noiseless
-    /// origin at the middle column with a bound (m) on how far any
-    /// column's origin lies from it; `None` when the mid ray does not meet
-    /// mirror 2 robustly at every column, so that no run may cross one and
-    /// no row bound holds.
+    /// The noiseless origin on the second mirror at the middle column,
+    /// with a bound (m) on how far any column's origin lies from it;
+    /// `None` when the mid ray does not meet mirror 2 robustly at every
+    /// column, so that no row bound holds.
     origin: Option<RowOrigin>,
     /// The row's reflected direction `d′(α) = d − 2(d·n(α))·n(α)` as vector
     /// coefficients of `1, cos α, sin α, cos 2α, sin 2α` in the mirror-2
@@ -735,7 +719,6 @@ impl SweepRow {
 /// See [`SweepRow::origin`].
 #[derive(Debug, Clone, Copy)]
 struct RowOrigin {
-    rate: f64,
     hit: Vec3,
     spread: f64,
 }
@@ -753,8 +736,6 @@ pub(crate) struct SweepTable<const N: usize> {
     n2p: [Vec3; N],
     /// Each row's [`SweepRow`], `None` when its mid ray does not trace.
     rows: [Option<SweepRow>; N],
-    /// Bound on the mirror-2 rotation (rad) between neighbouring columns.
-    step_rad: f64,
     /// The span of the columns' mirror-2 rotations, each column's own
     /// [`Turns`], and whether the rotation grows with the column.
     span: Span,
@@ -770,10 +751,6 @@ impl<const N: usize> SweepTable<N> {
         // normal turns by the gain times that.
         let gain = galvo.truth.theta1.abs();
         let dac = galvo.cfg.dac_step_v.max(0.0);
-        let step = volts
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
-            .fold(0.0, f64::max);
         let centre = volts[N / 2];
         let reach = volts.iter().map(|v| (v - centre).abs()).fold(0.0, f64::max);
         // The rotation from the middle column's normal to any column's
@@ -794,7 +771,6 @@ impl<const N: usize> SweepTable<N> {
             truth: galvo.truth,
             rows: volts.map(|va| Self::row(galvo, n2p[N / 2], reach_rad, &basis, va)),
             n2p,
-            step_rad: gain * (step + dac),
             span: Span::new(lo, hi),
             column_turns: alphas.map(Turns::of),
             rising: alphas[N - 1] >= alphas[0],
@@ -805,15 +781,14 @@ impl<const N: usize> SweepTable<N> {
     /// `reach_rad` of the middle one `n`. With `N = (q₂ − o)·n` and
     /// `D = d·n` for the mid ray `(o, d)` (each moving by at most its
     /// vector's norm per radian), a row where neither can reach zero hits
-    /// mirror 2 ahead at every column. Its hit `o + (N/D)·d` then moves by
-    /// at most `2·|q₂ − o|·|d|²/D_min²` per radian.
+    /// mirror 2 ahead at every column.
     ///
-    /// The hit moves along the mid ray only. From the middle column's hit
-    /// `h` it lies `(e·n′)/(d·n′)` along `d`, with `e = q₂ − h` and `n′` the
-    /// column's normal; `e·n = 0`, and `n′ − n` is normal to the rotation
-    /// axis `r̂₂` with norm at most the rotation. So every column's hit lies
-    /// within `|e⊥|·|d|·reach/D_min` of `h`, `e⊥` being `e` less its `r̂₂`
-    /// part (DESIGN.md §8, "row bound").
+    /// Its hit `o + (N/D)·d` moves along the mid ray only. From the middle
+    /// column's hit `h` it lies `(e·n′)/(d·n′)` along `d`, with `e = q₂ − h`
+    /// and `n′` the column's normal; `e·n = 0`, and `n′ − n` is normal to
+    /// the rotation axis `r̂₂` with norm at most the rotation. So every
+    /// column's hit lies within `|e⊥|·|d|·reach/D_min` of `h`, `e⊥` being
+    /// `e` less its `r̂₂` part (DESIGN.md §8, "row bound").
     fn row(
         galvo: &GalvoSim,
         n: Vec3,
@@ -833,7 +808,6 @@ impl<const N: usize> SweepTable<N> {
             let axis = galvo.truth.axes().r2n;
             let e_perp = e - axis * e.dot(axis);
             Some(RowOrigin {
-                rate: 2.0 * lever * dir * dir / (den_min * den_min),
                 hit,
                 spread: e_perp.norm() * dir * reach_rad / den_min,
             })
@@ -922,7 +896,7 @@ impl<const N: usize> SweepTable<N> {
     }
 }
 
-/// What [`DarkCellBound::dark_run`] needs to prove RX sweep cells below a
+/// What [`DarkCellBound::proves_cell`] needs to prove RX sweep cells below a
 /// floor from noiseless geometry alone, computed once per sweep.
 ///
 /// While only the RX voltages move, the TX beam and the RX pose are fixed.
@@ -953,7 +927,7 @@ pub(crate) struct DarkCellBound<'t> {
     sigma: f64,
     margin: f64,
     /// `cos φ` above which the full path stays under `π/2`, and that limit
-    /// as an angle, for the run bound.
+    /// as an angle.
     cos_lit: f64,
     phi_lit: f64,
     table: &'t SweepTable<RX_SWEEP_POINTS>,
@@ -984,23 +958,21 @@ pub(crate) struct AngleFloor {
     /// `cos φ` below which a reading is below the floor, and `sin φ` there.
     cos_dark: f64,
     sin_dark: f64,
-    /// The same limit as an angle, for the run bound.
+    /// The same limit as an angle, for the row bound.
     phi_dark: f64,
 }
 
 impl DarkCellBound<'_> {
     /// `cos φ` of the noiseless imaginary beam `imag` (RX body frame)
-    /// against the TX light where it starts, and the length of the
-    /// arriving vector that `cos φ` was normalized by.
+    /// against the TX light where it starts.
     #[inline]
-    fn incidence(&self, imag: &Ray) -> (f64, f64) {
+    fn incidence(&self, imag: &Ray) -> f64 {
         // The direction the TX light travels where the imaginary beam
         // starts (`BeamState::local_ray_dir`, unnormalized).
         let origin = self.rx_pose.apply_point(imag.origin);
         let back = -self.rx_pose.apply_dir(imag.dir);
         let arriving = self.source.map_or(self.chief.dir, |src| origin - src);
-        let norm = arriving.norm();
-        (arriving.dot(back) / norm, norm)
+        arriving.dot(back) / arriving.norm()
     }
 
     /// The angle limit of readings below `floor_dbm`.
@@ -1077,35 +1049,13 @@ impl DarkSweep for DarkCellBound<'_> {
     }
 
     /// A cell is below the floor when its noiseless `φ` lies inside the
-    /// band. Column by column the imaginary beam turns by at most twice the
-    /// mirror step, and its origin moves by `shift`, which turns the
-    /// arriving light by at most `2·shift/|arriving|` while the total move
-    /// stays under half of `|arriving|`. So `φ` stays in the band for as
-    /// many columns as that per-column turn fits into its distance to the
-    /// nearer limit.
+    /// band.
     #[inline]
-    fn dark_run(&self, floor: &AngleFloor, row: &SweepRow, j: usize) -> Option<usize> {
-        let imag = self.table.out_ray(row, j)?;
-        let (cos_phi, arriving) = self.incidence(&imag);
-        if !(cos_phi < floor.cos_dark && cos_phi > self.cos_lit) {
-            return None;
-        }
-        let Some(RowOrigin { rate, .. }) = row.origin else {
-            return Some(0);
-        };
-        let phi = cos_phi.clamp(-1.0, 1.0).acos();
-        let excess = (phi - floor.phi_dark).min(self.phi_lit - phi) - ANGLE_ROUNDING_RAD;
-        let step_rad = self.table.step_rad;
-        let shift = rate * step_rad;
-        let turn = match self.source {
-            Some(_) => 2.0 * shift / arriving,
-            None => 0.0,
-        };
-        let run = (excess / (2.0 * step_rad + turn))
-            .min(0.5 * arriving / shift)
-            .min(RX_SWEEP_POINTS as f64);
-        // Saturating: a negative or NaN run is no run.
-        Some(run as usize)
+    fn proves_cell(&self, floor: &AngleFloor, row: &SweepRow, j: usize) -> bool {
+        self.table.out_ray(row, j).is_some_and(|imag| {
+            let cos_phi = self.incidence(&imag);
+            cos_phi < floor.cos_dark && cos_phi > self.cos_lit
+        })
     }
 
     /// A skipped reading reaches its power-noise draw, so each is the TX
@@ -1133,7 +1083,7 @@ struct Landing {
     depth: f64,
 }
 
-/// What [`MonitorDarkBound::dark_run`] needs to prove TX sweep cells below
+/// What [`MonitorDarkBound::proves_cell`] needs to prove TX sweep cells below
 /// a floor on the photodiode monitor, computed once per sweep.
 ///
 /// While only the TX voltages move, the monitor plane is fixed. The
@@ -1267,12 +1217,9 @@ impl MonitorDarkBound<'_> {
         })
     }
 
-    /// A lower bound on how far beyond its limit at `floor` every jittered
-    /// ray of the `k` columns after `l`'s lands, in a row of `origin_rate`
-    /// ([`SweepRow`]); −∞ unless each such ray surely meets the plane from
-    /// in front. Each column turns the chief ray by at most twice the
-    /// mirror step and moves its origin by the rate times the step; the
-    /// jitter adds its own slack.
+    /// Whether every jittered ray of the noiseless chief ray landing at
+    /// `l` surely meets the plane from in front, and lands beyond its limit
+    /// at `floor`.
     ///
     /// A unit direction `d` from origin `o` lands at `o + p·d/(d·n)`, with
     /// `p = (c − o)·n`. Turning `d` at unit angular speed moves `d/(d·n)`
@@ -1281,24 +1228,16 @@ impl MonitorDarkBound<'_> {
     /// by at most `δo(1 + 1/|s′|)`. The path is at most
     /// `(|p| + δo)/|s′|`.
     #[inline]
-    fn excess(&self, floor: &EdgeWidths, l: &Landing, k: usize, origin_rate: f64) -> f64 {
-        let turn = self.table.step_rad * k as f64;
-        let eps = self.jitter_dir + 2.0 * turn;
-        let d_o = self.jitter_origin + origin_rate * turn;
+    fn clears(&self, floor: &EdgeWidths, l: &Landing) -> bool {
+        let (eps, d_o) = (self.jitter_dir, self.jitter_origin);
         let cos_lo = l.cos - eps;
         if !(cos_lo > MIN_LANDING_COS && l.depth > d_o) {
-            return f64::NEG_INFINITY;
+            return false;
         }
         let shift = l.depth * eps / (cos_lo * cos_lo) + d_o * (1.0 + 1.0 / cos_lo);
         let w = self.profile.radius_at((l.depth + d_o) / cos_lo);
         l.dist - self.ring_radius - shift - floor.0 * w - self.capture_radius - LANDING_ROUNDING_M
-    }
-
-    /// Whether [`MonitorDarkBound::excess`] proves those rays below
-    /// `floor`.
-    #[inline]
-    fn clears(&self, floor: &EdgeWidths, l: &Landing, k: usize, origin_rate: f64) -> bool {
-        self.excess(floor, l, k, origin_rate) > 0.0
+            > 0.0
     }
 }
 
@@ -1354,30 +1293,12 @@ impl DarkSweep for MonitorDarkBound<'_> {
     }
 
     /// A cell is below the floor when its own landing clears the limit.
-    /// Every term of the bound grows with the run length, so a run is
-    /// proved by its last cell alone, and the longest proved run is found
-    /// by bisection.
     #[inline]
-    fn dark_run(&self, floor: &EdgeWidths, row: &SweepRow, j: usize) -> Option<usize> {
-        let out = self.table.out_ray(row, j)?;
-        let l = self.landing(&self.tx_pose.apply_ray(&out))?;
-        if !self.clears(floor, &l, 0, 0.0) {
-            return None;
-        }
-        let Some(RowOrigin { rate, .. }) = row.origin else {
-            return Some(0);
-        };
-        // Runs up to `proved` are proved; `refuted` is not.
-        let (mut proved, mut refuted) = (0, TX_SWEEP_POINTS + 1);
-        while refuted - proved > 1 {
-            let mid = (proved + refuted) / 2;
-            if self.clears(floor, &l, mid, rate) {
-                proved = mid;
-            } else {
-                refuted = mid;
-            }
-        }
-        Some(proved)
+    fn proves_cell(&self, floor: &EdgeWidths, row: &SweepRow, j: usize) -> bool {
+        self.table.out_ray(row, j).is_some_and(|out| {
+            self.landing(&self.tx_pose.apply_ray(&out))
+                .is_some_and(|l| self.clears(floor, &l))
+        })
     }
 
     /// A monitor reading draws the TX jitter and nothing else, on every
@@ -1437,10 +1358,10 @@ mod tests {
 
     impl Deployment {
         /// Whether a TX sweep reading of the monitor at the current
-        /// voltages is provably below `floor` by the per-cell form of
-        /// [`MonitorDarkBound::dark_run`]: from the commanded galvo state
-        /// rather than the sweep tables, and without a run. The reference
-        /// the tables and runs are tested against.
+        /// voltages is provably below `floor` by
+        /// [`MonitorDarkBound::proves_cell`]'s test, from the commanded
+        /// galvo state rather than the sweep tables: the reference the
+        /// tables are tested against.
         pub(crate) fn monitor_dark_per_cell(
             &self,
             b: &MonitorDarkBound,
@@ -1453,14 +1374,14 @@ mod tests {
             );
             self.tx.noiseless_output_ray().is_some_and(|out| {
                 b.landing(&self.tx_pose.apply_ray(&out))
-                    .is_some_and(|l| b.clears(floor, &l, 0, 0.0))
+                    .is_some_and(|l| b.clears(floor, &l))
             })
         }
 
-        /// The per-cell form of [`DarkCellBound::dark_run`] below `floor`
-        /// at the current voltages, from the commanded galvo state rather
-        /// than the sweep tables, and without a run: the reference the
-        /// tables and runs are tested against.
+        /// [`DarkCellBound::proves_cell`]'s test below `floor` at the
+        /// current voltages, from the commanded galvo state rather than the
+        /// sweep tables, with the plane test of the column's flag: the
+        /// reference the tables are tested against.
         pub(crate) fn proves_dark_per_cell(&self, b: &DarkCellBound, floor: &AngleFloor) -> bool {
             let Some(imag) = self.rx.noiseless_output_ray() else {
                 return false;
@@ -1490,7 +1411,7 @@ mod tests {
         /// meets the TX light at an angle that reads below `floor` under
         /// any jitter.
         fn dark_angle(&self, floor: &AngleFloor, imag: &Ray) -> bool {
-            let cos_phi = self.incidence(imag).0;
+            let cos_phi = self.incidence(imag);
             cos_phi < floor.cos_dark && cos_phi > self.cos_lit
         }
     }
@@ -1779,10 +1700,7 @@ mod tests {
                 );
                 let at = |v: f64| columns.iter().position(|&c| c == v).unwrap();
                 let row = bound.row(at(a)).unwrap();
-                assert!(
-                    bound.dark_run(&dark, &row, at(b)).is_some(),
-                    "table at ({a}, {b})"
-                );
+                assert!(bound.proves_cell(&dark, &row, at(b)), "table at ({a}, {b})");
                 let want = dbm_to_mw(full.received_power_unfloored_dbm());
                 assert_eq!(want.to_bits(), 0.0f64.to_bits());
                 owed += 1;
@@ -1815,10 +1733,7 @@ mod tests {
                 full.set_voltages(a, b, vr1, vr2);
                 assert!(full.monitor_dark_per_cell(&bound, &dark), "({a}, {b})");
                 let row = bound.row(i).unwrap();
-                assert!(
-                    bound.dark_run(&dark, &row, j).is_some(),
-                    "table at ({a}, {b})"
-                );
+                assert!(bound.proves_cell(&dark, &row, j), "table at ({a}, {b})");
                 let before = full.rng().clone();
                 let monitor = full.placed_monitor();
                 assert_eq!(full.monitor_signal_at(&monitor).to_bits(), 0.0f64.to_bits());
@@ -1832,37 +1747,6 @@ mod tests {
             }
             MonitorDarkBound::replay(&mut dep, owed);
             assert_eq!(dep.rng(), full.rng());
-        }
-    }
-
-    #[test]
-    fn monitor_runs_are_the_longest_the_bound_proves() {
-        // Every run the monitor bound takes, dark or below a floor, is
-        // proved at its last cell, and one column more is not.
-        let dep = Deployment::new(&DeploymentConfig::paper_10g(15));
-        let table = SweepTable::new(&dep.tx, &crate::alignment::sweep_columns());
-        let bound = dep.monitor_dark_bound(&table);
-        for best in [0.0, 1e-9, 0.3] {
-            let floor = bound.floor(best);
-            let mut long_runs = 0;
-            for i in 0..TX_SWEEP_POINTS {
-                let row = bound.row(i).unwrap();
-                let rate = row.origin.expect("rows meet mirror 2 robustly").rate;
-                for j in 0..TX_SWEEP_POINTS {
-                    let Some(run) = bound.dark_run(&floor, &row, j) else {
-                        continue;
-                    };
-                    let out = table.out_ray(&row, j).unwrap();
-                    let l = bound.landing(&bound.tx_pose.apply_ray(&out)).unwrap();
-                    assert!(bound.clears(&floor, &l, run, rate), "({i}, {j}): {run}");
-                    assert!(
-                        run == TX_SWEEP_POINTS || !bound.clears(&floor, &l, run + 1, rate),
-                        "({i}, {j}): {run} is not the longest"
-                    );
-                    long_runs += usize::from(run >= 10);
-                }
-            }
-            assert!(long_runs > 100, "{long_runs} runs of 10 columns or more");
         }
     }
 
@@ -1914,7 +1798,7 @@ mod tests {
         let mut angle_dark = 0;
         for (i, &va) in columns.iter().enumerate().step_by(16) {
             let row = bound.row(i).unwrap();
-            let mut walk = DarkRow::new(&bound, i, 0..RX_SWEEP_POINTS).unwrap();
+            let walk = DarkRow::new(&bound, i, 0..RX_SWEEP_POINTS).unwrap();
             for (j, &vb) in columns.iter().enumerate().step_by(16) {
                 let imag = table.out_ray(&row, j).unwrap();
                 angle_dark += usize::from(bound.dark_angle(&dark, &imag));

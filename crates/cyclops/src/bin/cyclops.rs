@@ -295,7 +295,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         .environment(env);
     if let Some(path) = &telemetry {
         let sink = JsonlSink::create(std::path::Path::new(path))?;
-        builder = builder.telemetry_sink(Box::new(sink));
+        builder = builder.telemetry(Telemetry::with_sink(Box::new(sink)));
     }
     let mut session = builder.build()?;
     let mut run_digest = 0x0063_7963_6c6f_7073_u64; // "cyclops"

@@ -35,10 +35,9 @@ pub struct CyclopsSystem {
 }
 
 impl CyclopsSystem {
-    /// Runs the full §4 deployment procedure. At one thread on a shared
-    /// 2-vCPU host it takes about 0.012 s for [`SystemConfig::fast_10g`] and
-    /// 0.035–0.04 s for [`SystemConfig::paper_10g`] (best of 3); host load
-    /// can add half again.
+    /// Runs the full §4 deployment procedure,
+    /// [`cyclops_core::commission()`], whose documentation gives its run
+    /// time.
     pub fn commission(cfg: &SystemConfig) -> CyclopsSystem {
         let (dep, ctl, report, mapping_samples) = cyclops_core::commission(cfg);
         CyclopsSystem {

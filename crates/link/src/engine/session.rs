@@ -5,9 +5,7 @@ use super::{
 use crate::channel::FsoChannel;
 use crate::control::{slots_in, ControlLink, ControlStats};
 use crate::sfp_state::SfpLinkState;
-use crate::telemetry::{
-    CommandSource, DropReason, SessionTelemetry, Telemetry, TelemetryEvent, TelemetrySink,
-};
+use crate::telemetry::{CommandSource, DropReason, SessionTelemetry, Telemetry, TelemetryEvent};
 use cyclops_core::deployment::Deployment;
 use cyclops_core::pointing::ReacqSpiral;
 use cyclops_core::tp::{TpCommand, TpController, TpMetrics};
@@ -1222,16 +1220,6 @@ impl<M: Motion, S: TxSelector> SessionBuilder<M, S> {
     /// Attaches a telemetry configuration (sink and/or counters).
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Attaches an event sink (keeps any counter setting).
-    pub fn telemetry_sink(mut self, sink: Box<dyn TelemetrySink>) -> Self {
-        self.telemetry = if self.telemetry.counters_ref().is_some() {
-            Telemetry::with_sink_and_counters(sink)
-        } else {
-            Telemetry::with_sink(sink)
-        };
         self
     }
 
